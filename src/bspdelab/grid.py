@@ -47,10 +47,6 @@ class TimeGrid:
         return k
 
 
-def build_time_grid(horizon: float, num_steps: int) -> TimeGrid:
-    return TimeGrid(horizon=horizon, num_steps=num_steps)
-
-
 @dataclass(frozen=True)
 class SpaceGrid:
     """Uniform symmetric lattice on [-R, R]^n with the origin as a node.

@@ -147,24 +147,9 @@ class HeatKernel:
             self._table = (grid, vals)
         return self._table
 
-    def covariance_batch(self, t_arr: np.ndarray, s: float) -> np.ndarray:
-        """A_{s, t_i} for many left endpoints; linear interpolation of the
-        antiderivative of a (error O((T/table)^2), negligible at desk scale)."""
-        grid, vals = self._antiderivative_table()
-        t_arr = np.asarray(t_arr, dtype=float)
-        if np.any(t_arr > s + 1e-12):
-            raise InvalidInterval("batch left endpoints must satisfy t <= s")
-
-        def interp(tq):
-            tq = np.clip(tq, 0.0, self.horizon)
-            idx = np.clip(np.searchsorted(grid, tq) - 1, 0, len(grid) - 2)
-            frac = (tq - grid[idx]) / (grid[idx + 1] - grid[idx])
-            return vals[idx] + frac[..., None, None] * (vals[idx + 1] - vals[idx])
-
-        return interp(np.full_like(t_arr, s)) - interp(t_arr)
-
     def covariance_pairs(self, t_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
-        """A_{s_i, t_i} for paired endpoint vectors, via the same table."""
+        """A_{s_i, t_i} for paired endpoint vectors; linear interpolation of the
+        antiderivative of a (error O((T/table)^2), negligible at desk scale)."""
         grid, vals = self._antiderivative_table()
         t_arr = np.asarray(t_arr, dtype=float)
         s_arr = np.asarray(s_arr, dtype=float)
@@ -257,7 +242,7 @@ class HeatKernel:
         where thousands of (s - t) gaps are visited.
         """
         t_arr = np.asarray(t_arr, dtype=float)
-        A = self.covariance_batch(t_arr, s)
+        A = self.covariance_pairs(t_arr, np.full_like(t_arr, s))
         det, Ainv = self._prep(A)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim == 1 and x.shape[-1] == self.dim:
@@ -265,20 +250,6 @@ class HeatKernel:
         else:
             xb = x
         return self._derivative_given(det, Ainv, s - t_arr, xb, gamma)
-
-
-# -- spec-level operation wrappers ----------------------------------------
-
-def accumulate_covariance(kernel: HeatKernel, t: float, s: float) -> np.ndarray:
-    return kernel.covariance(t, s)
-
-
-def eval_kernel(kernel: HeatKernel, t: float, s: float, x) -> np.ndarray:
-    return kernel(t, s, x)
-
-
-def eval_kernel_derivative(kernel: HeatKernel, t, s, x, gamma: MultiIndex) -> np.ndarray:
-    return kernel.derivative(t, s, x, gamma)
 
 
 # -- singular time quadrature ---------------------------------------------

@@ -17,15 +17,7 @@ from scipy.special import erf
 from .errors import InvalidArgument
 from .grid import SpaceGrid, TimeGrid
 from .kernel import DiffusionCoefficient
-from .solver import (
-    CoefficientSet,
-    SolverConfig,
-    SolutionField,
-    solve_deterministic_pde,
-    solve_model,
-    solve_semilinear,
-    solve_variable_linear,
-)
+from .solver import CoefficientSet, SolverConfig, SolutionField, _degenerate_paths, solve
 from .stochastic import BM, DataFunctional, PathFactor, SpaceFactor, sample_paths
 
 
@@ -75,15 +67,7 @@ class ScenarioSpec:
         cfg = self.config(**config_overrides)
         paths = self.paths(seed=seed, num_paths=num_paths,
                            time_grid=cfg.time_grid)
-        if coeffs.driver is not None:
-            sol = solve_semilinear(coeffs, paths, cfg)
-        elif paths is not None:
-            sol = solve_model(coeffs, paths, cfg)
-        elif not coeffs.space_invariant or coeffs.b_fn is not None or coeffs.c_fn is not None:
-            sol = solve_variable_linear(coeffs, paths, cfg)
-        else:
-            sol = solve_deterministic_pde(coeffs, cfg)
-        return sol, coeffs, paths
+        return solve(coeffs, paths, cfg), coeffs, paths
 
 
 # -- oracles ----------------------------------------------------------------
@@ -164,7 +148,7 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
     sub = max(1, int(np.ceil(tgrid.dt / (safety * h**2 / (2.0 * a_max)))))
     delta = tgrid.dt / sub
 
-    u = coeffs.terminal.terminal_values(_dummy_paths(tgrid), x)[0].copy()
+    u = coeffs.terminal.terminal_values(_degenerate_paths(tgrid), x)[0].copy()
     out = np.empty((len(tgrid), grid.points_per_axis))
     out[-1] = u[::refine]
     t = tgrid.horizon
@@ -184,18 +168,12 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
             if coeffs.c_fn is not None:
                 rhs += np.asarray(coeffs.c_fn(t, x)) * u
             if coeffs.forcing is not None:
-                rhs += coeffs.forcing.dense(_dummy_paths(tgrid), x)[0, k]
+                rhs += coeffs.forcing.dense(_degenerate_paths(tgrid), x)[0, k]
             u = u + delta * rhs
             t -= delta
         t = tgrid.nodes[k]
         out[k] = u[::refine]
     return out
-
-
-def _dummy_paths(tgrid: TimeGrid):
-    from .solver import _degenerate_paths
-
-    return _degenerate_paths(tgrid, 1)
 
 
 def oracle_variable_a(spec, sol, paths):

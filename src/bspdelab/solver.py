@@ -1,9 +1,10 @@
 """Backward-PDE solvers built on heat-potential convolution.
 
-Four routes share one engine:
+``solve(coeffs, paths, config)`` is the single entry point: it checks the
+documented assumptions once and routes to one of three solvers that share
+one engine:
 
-  * solve_model          explicit representation, space-invariant a and sigma
-  * solve_deterministic_pde   path-free dispatch for deterministic data
+  * solve_model               explicit representation, space-invariant a and sigma
   * solve_variable_linear     frozen-coefficient Picard for variable a, b, c
   * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v)
 
@@ -41,6 +42,8 @@ from .stochastic import (
     DataFunctional,
     PathEnsemble,
     SpaceFactor,
+    backward_defect,
+    product_dense,
     solve_bsde_closed,
     solve_second_family,
 )
@@ -87,6 +90,10 @@ class CoefficientSet:
                 "uniform ellipticity requires lam > 0: the diffusion must satisfy "
                 "lam |xi|^2 <= a xi^2 <= Lam |xi|^2 with a positive lower bound"
             )
+        if self.lam > self.Lam:
+            raise AssumptionViolation(
+                f"ellipticity bounds need lam <= Lam, got lam={self.lam}, Lam={self.Lam}"
+            )
 
     @property
     def space_invariant(self) -> bool:
@@ -102,6 +109,15 @@ class CoefficientSet:
         if self.space_invariant:
             return np.full_like(x, float(np.atleast_2d(self.diffusion(t))[0, 0]))
         return np.asarray(self.a_fn(t, x), dtype=float) * np.ones_like(x)
+
+    def sample(self, t, x):
+        """(a, b, c) on the nodes t x x, each (len(t), len(x)); None for an absent b or c."""
+        x = np.asarray(x, dtype=float)
+        a = np.stack([self.a_values(tk, x) for tk in t])
+        b, c = (None if fn is None else np.stack([np.asarray(fn(tk, x)) * np.ones_like(x)
+                                                  for tk in t])
+                for fn in (self.b_fn, self.c_fn))
+        return a, b, c
 
     def is_deterministic(self) -> bool:
         sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -156,7 +172,6 @@ class SolverConfig:
     time_grid: TimeGrid
     space_grid: SpaceGrid
     beta: float = None  # damping; None means route default (0 linear, 8 semilinear)
-    theta: float = 1.0  # freezing / localization radius
     max_iter: int = 40
     tol: float = 1e-6
     endpoint_substitution: bool = True
@@ -172,8 +187,6 @@ class SolverConfig:
             raise InvalidArgument("iteration cap must be >= 1")
         if self.beta is not None and self.beta < 0.0:
             raise InvalidArgument("damping beta must be >= 0")
-        if self.theta <= 0.0:
-            raise InvalidArgument("freezing radius theta must be positive")
         if self.space_grid.dim != 1:
             raise InvalidArgument("solver routes are implemented for n = 1 only")
 
@@ -517,14 +530,12 @@ class SolutionField:
         return len(self.v_parts)
 
     def _dense(self, parts, order: int, path_idx) -> np.ndarray:
-        if path_idx is None:
-            path_idx = np.arange(self.num_paths)
-        path_idx = np.atleast_1d(np.asarray(path_idx))
-        out = np.zeros((len(path_idx), len(self.time_grid), self.space_grid.points_per_axis))
-        for p in parts:
-            S = p.series if p.series.shape[0] == 1 else p.series[path_idx]
-            out += S[:, :, None] * p.profiles[order][None, :, :]
-        return out
+        if path_idx is not None:
+            path_idx = np.atleast_1d(np.asarray(path_idx))
+        rows = self.num_paths if path_idx is None else len(path_idx)
+        return product_dense([(p.series, p.profiles[order]) for p in parts],
+                             (rows, len(self.time_grid), self.space_grid.points_per_axis),
+                             path_idx)
 
     def u_dense(self, order: int = 0, path_idx=None) -> np.ndarray:
         return self._dense(self.u_parts, order, path_idx)
@@ -572,14 +583,23 @@ class SolutionField:
 
 
 def _jsonable(obj):
+    """Nested dicts, sequences and numpy values as plain JSON types.
+
+    Booleans are tested before integers: bool is a subclass of int, and a
+    flag must serialize as true/false, not 1/0.
+    """
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
     return obj
 
 
@@ -591,6 +611,14 @@ def _trusted_mask(grid: SpaceGrid, Lam: float, horizon: float) -> np.ndarray:
 
 def _degenerate_paths(tgrid: TimeGrid, d: int = 1) -> PathEnsemble:
     return PathEnsemble(np.zeros((1, tgrid.num_steps, d)), tgrid, seed=0)
+
+
+def _defect_sample(paths, stochastic: bool, max_paths: int, tgrid: TimeGrid, d: int):
+    """(path_idx, ensemble) a defect is measured on: the first max_paths paths, or path 0."""
+    if not stochastic:
+        return np.array([0]), _degenerate_paths(tgrid, d)
+    path_idx = np.arange(min(paths.num_paths, max_paths))
+    return path_idx, PathEnsemble(paths.increments[path_idx], tgrid, paths.seed)
 
 
 # -- residual certification -------------------------------------------------
@@ -612,13 +640,7 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     stochastic = paths is not None and not (
         coeffs.is_deterministic() and sol.num_paths == 1
     )
-    if stochastic:
-        take = min(paths.num_paths, max_paths)
-        path_idx = np.arange(take)
-        sub = PathEnsemble(paths.increments[path_idx], tgrid, paths.seed)
-    else:
-        path_idx = np.array([0])
-        sub = _degenerate_paths(tgrid, coeffs.noise_dim)
+    path_idx, sub = _defect_sample(paths, stochastic, max_paths, tgrid, coeffs.noise_dim)
 
     u0 = sol.u_dense(0, path_idx)[..., mask]
     u1 = sol.u_dense(1, path_idx)[..., mask]
@@ -627,12 +649,12 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     v = [sol.v_dense(l, 0, path_idx)[..., mask] for l in range(d)]
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
-    a_rows = np.stack([coeffs.a_values(tk, x) for tk in t])  # (K+1, Jt)
-    drift = a_rows[None] * u2
-    if coeffs.b_fn is not None:
-        drift += np.stack([np.asarray(coeffs.b_fn(tk, x)) * np.ones_like(x) for tk in t])[None] * u1
-    if coeffs.c_fn is not None:
-        drift += np.stack([np.asarray(coeffs.c_fn(tk, x)) * np.ones_like(x) for tk in t])[None] * u0
+    a_tx, b_tx, c_tx = coeffs.sample(t, x)  # (K+1, Jt)
+    drift = a_tx[None] * u2
+    if b_tx is not None:
+        drift += b_tx[None] * u1
+    if c_tx is not None:
+        drift += c_tx[None] * u0
     if coeffs.forcing is not None:
         drift = drift + coeffs.forcing.dense(sub, x)
     if coeffs.driver is not None:
@@ -648,23 +670,8 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
             drift = drift + sig[l] * v[l]
 
     terminal = coeffs.terminal.terminal_values(sub, x)  # (Mp, Jt)
-
-    if stochastic:
-        step = drift[:, :K] * tgrid.dt
-        mart = np.zeros_like(step)
-        for l in range(d):
-            mart += v[l][:, :K] * sub.increments[:, :, l][:, :, None]
-        tail = np.concatenate(
-            [np.cumsum(step[:, ::-1], axis=1)[:, ::-1], np.zeros_like(step[:, :1])], axis=1
-        )
-        tail_m = np.concatenate(
-            [np.cumsum(mart[:, ::-1], axis=1)[:, ::-1], np.zeros_like(mart[:, :1])], axis=1
-        )
-        defect = u0 - (terminal[:, None, :] + tail - tail_m)
-    else:
-        R = np.cumsum((drift * tgrid.dt)[:, ::-1], axis=1)[:, ::-1]
-        tail = R - 0.5 * tgrid.dt * (drift + drift[:, -1:])
-        defect = u0 - (terminal[:, None, :] + tail)
+    defect = backward_defect(u0, terminal, drift, tgrid.dt, v,
+                             sub.increments if stochastic else None)
     scale = 1.0 + float(np.abs(terminal).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
     worst = float(np.max(np.abs(defect)) / scale)
@@ -746,17 +753,27 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfi
     return sol
 
 
-# -- deterministic dispatch -------------------------------------------------
+# -- the router -------------------------------------------------------------
+
+def solve(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfig) -> SolutionField:
+    """Check the documented assumptions once, then pick the route.
+
+    A driver goes to damped Picard; space-invariant a with no b and no c to
+    the explicit representation; anything else to frozen-reference Picard.
+    ``paths`` may be None for deterministic data.
+    """
+    coeffs.check_assumptions(config.time_grid, config.space_grid)
+    if coeffs.driver is not None:
+        return solve_semilinear(coeffs, paths, config)
+    if coeffs.space_invariant and coeffs.b_fn is None and coeffs.c_fn is None:
+        return solve_model(coeffs, paths, config)
+    return solve_variable_linear(coeffs, paths, config)
+
 
 def solve_deterministic_pde(coeffs: CoefficientSet, config: SolverConfig) -> SolutionField:
-    """Path-free route for fully deterministic data; v is identically zero."""
-    if not coeffs.is_deterministic():
-        raise InvalidRoute("stochastic data present; use solve_model or solve_variable_linear")
-    if coeffs.driver is not None:
-        return solve_semilinear(coeffs, None, config)
-    if coeffs.space_invariant and coeffs.b_fn is None and coeffs.c_fn is None:
-        return solve_model(coeffs, None, config)
-    return solve_variable_linear(coeffs, None, config)
+    """``solve`` without paths.  Kept only because the benchmark's trace
+    harness wraps this name; new code calls ``solve``."""
+    return solve(coeffs, None, config)
 
 
 # -- frozen-coefficient Picard ---------------------------------------------
@@ -816,11 +833,6 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
     """
     if coeffs.driver is not None:
         raise InvalidRoute("semilinear drivers go through solve_semilinear")
-    if coeffs.space_invariant and coeffs.b_fn is None and coeffs.c_fn is None:
-        sol = solve_model(coeffs, paths, config)
-        sol.info["iterations"] = 1
-        sol.info["history"] = []
-        return sol
     if not coeffs.is_deterministic():
         raise InvalidRoute(
             "variable-coefficient iteration is implemented for deterministic data only"
@@ -838,12 +850,8 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
     integrator = _GriddedIntegrator(kernel, tgrid, grid)
     integrator.set_terminal(_terminal_stack(coeffs, grid))
 
-    a_tx = np.stack([coeffs.a_values(tk, x) for tk in t])
+    a_tx, b_tx, c_tx = coeffs.sample(t, x)
     abar_t = np.array([float(np.atleast_2d(abar(tk))[0, 0]) for tk in t])
-    b_tx = (np.stack([np.asarray(coeffs.b_fn(tk, x)) * np.ones(J) for tk in t])
-            if coeffs.b_fn is not None else None)
-    c_tx = (np.stack([np.asarray(coeffs.c_fn(tk, x)) * np.ones(J) for tk in t])
-            if coeffs.c_fn is not None else None)
     damp_t = np.exp(-beta * (T - t))
     if coeffs.forcing is not None:
         f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), x)[0]
@@ -1035,13 +1043,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     eta2 = bump.d2(x)
 
     stochastic = paths is not None and sol.num_paths > 1
-    if stochastic:
-        take = min(paths.num_paths, max_paths)
-        path_idx = np.arange(take)
-        sub = PathEnsemble(paths.increments[path_idx], tgrid, paths.seed)
-    else:
-        path_idx = np.array([0])
-        sub = _degenerate_paths(tgrid, coeffs.noise_dim)
+    path_idx, sub = _defect_sample(paths, stochastic, max_paths, tgrid, coeffs.noise_dim)
 
     u0 = sol.u_dense(0, path_idx)
     u1 = sol.u_dense(1, path_idx)
@@ -1050,13 +1052,10 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     v0 = [sol.v_dense(l, 0, path_idx) for l in range(d)]
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
-    a_tx = np.stack([coeffs.a_values(tk, x) for tk in t])  # (K+1, J)
+    a_tx, b_tx, c_tx = coeffs.sample(t, x)  # (K+1, J)
+    b_tx, c_tx = (np.zeros_like(a_tx) if m is None else m for m in (b_tx, c_tx))
     a_tz = np.array([float(np.atleast_1d(coeffs.a_values(tk, np.atleast_1d(z)))[0])
                      for tk in t])
-    b_tx = (np.stack([np.asarray(coeffs.b_fn(tk, x)) * np.ones_like(x) for tk in t])
-            if coeffs.b_fn is not None else np.zeros((K + 1, len(x))))
-    c_tx = (np.stack([np.asarray(coeffs.c_fn(tk, x)) * np.ones_like(x) for tk in t])
-            if coeffs.c_fn is not None else np.zeros((K + 1, len(x))))
     if coeffs.forcing is not None:
         f_tx = coeffs.forcing.dense(sub, x)
     elif coeffs.driver is not None:
@@ -1088,21 +1087,8 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     for l in range(d):
         if sig[l] != 0.0:
             drift = drift + sig[l] * v_loc[l]
-    if stochastic:
-        step = drift[:, :K] * tgrid.dt
-        mart = np.zeros_like(step)
-        for l in range(d):
-            mart += v_loc[l][:, :K] * sub.increments[:, :, l][:, :, None]
-        tail = np.concatenate(
-            [np.cumsum(step[:, ::-1], axis=1)[:, ::-1], np.zeros_like(step[:, :1])], axis=1)
-        tail_m = np.concatenate(
-            [np.cumsum(mart[:, ::-1], axis=1)[:, ::-1], np.zeros_like(mart[:, :1])], axis=1)
-        defect = u_loc - (phi_loc[:, None] + tail - tail_m)
-    else:
-        R = np.cumsum((drift * tgrid.dt)[:, ::-1], axis=1)[:, ::-1]
-        tail = R - 0.5 * tgrid.dt * (drift + drift[:, -1:])
-        defect = u_loc - (phi_loc[:, None] + tail)
-    defect = defect[..., sol.trusted]
+    defect = backward_defect(u_loc, phi_loc, drift, tgrid.dt, v_loc,
+                             sub.increments if stochastic else None)[..., sol.trusted]
     scale = 1.0 + float(np.abs(phi_loc).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
     worst = float(np.max(np.abs(defect)) / scale)

@@ -1,4 +1,4 @@
-"""Brownian ensembles, Girsanov reweighting, and the two linear BSDE families.
+"""Brownian ensembles, product-form evaluation, and the two linear BSDE families.
 
 Terminal data and forcing terms are finite sums of separable terms
 
@@ -7,7 +7,9 @@ Terminal data and forcing terms are finite sums of separable terms
 which keeps every BSDE solution in product form: a space factor times a
 path-indexed time series.  The product form is what lets the solver stream
 10^4-path ensembles through kernel convolutions without ever materializing a
-dense (path, time, space) cube.
+dense (path, time, space) cube; `product_dense` is the one place that sums
+the product form out, and `backward_defect` the one place that checks a
+solution against the backward integral form.
 
 Closed forms assume a constant deterministic vector sigma; anything richer
 falls back to least-squares regression (`solve_bsde_regression`).
@@ -23,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    AssumptionViolation,
     InvalidArgument,
     SingularRegression,
     UnsupportedClosedForm,
@@ -94,38 +95,44 @@ def sample_paths(M: int, d: int, grid: TimeGrid, seed: int = 0) -> PathEnsemble:
     return PathEnsemble(increments=inc, time_grid=grid, seed=seed)
 
 
-@dataclass
-class GirsanovWeight:
-    """Shifted paths and the exponential-martingale density process."""
+def product_dense(pieces, shape, path_idx=None) -> np.ndarray:
+    """Sum of series(path, t) * profile(t, x) over (series, profile) pairs.
 
-    sigma_values: np.ndarray  # (K+1, d) sampled drift
-    shifted: np.ndarray  # (M, K+1, d)
-    density: np.ndarray  # (M, K+1)
-    time_grid: TimeGrid
+    ``shape`` is the (paths, times, points) result.  A one-row series is
+    shared by every path, otherwise ``path_idx`` (None for all) picks its
+    rows; a (J,) profile is constant in t.
+    """
+    out = np.zeros(shape)
+    for series, profile in pieces:
+        if path_idx is not None and series.shape[0] > 1:
+            series = series[path_idx]
+        out += series[:, :, None] * profile
+    return out
 
 
-def girsanov_shift(paths: PathEnsemble, sigma, bound: float | None = None) -> GirsanovWeight:
-    """Remove the sigma drift: returns W - int_0^t sigma ds and the density
-    D_t built from the left-endpoint Ito discretization."""
-    grid = paths.time_grid
-    d = paths.dim
-    sig = np.asarray(
-        [np.broadcast_to(np.asarray(sigma(t), dtype=float), (d,)) for t in grid.nodes]
-    )
-    if bound is not None and np.any(np.linalg.norm(sig, axis=1) > bound + 1e-12):
-        raise AssumptionViolation(
-            f"sampled |sigma| exceeds the stated bound {bound}"
-        )
-    W = paths.paths
-    drift = np.zeros_like(W)
-    drift[:, 1:, :] = np.cumsum(sig[:-1][None] * grid.dt, axis=1)
-    log_d = np.zeros((paths.num_paths, len(grid)))
-    incr = np.einsum("mkd,kd->mk", paths.increments, sig[:-1]) \
-        - 0.5 * np.sum(sig[:-1] ** 2, axis=1)[None] * grid.dt
-    np.cumsum(incr, axis=1, out=log_d[:, 1:])
-    return GirsanovWeight(
-        sigma_values=sig, shifted=W - drift, density=np.exp(log_d), time_grid=grid
-    )
+def _tail_sum(step: np.ndarray) -> np.ndarray:
+    """sum_{j >= k} step[:, j] at every k, with a zero row appended for t = T."""
+    tail = np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([tail, np.zeros_like(step[:, :1])], axis=1)
+
+
+def backward_defect(u, terminal, drift, dt: float, v=(), dW=None) -> np.ndarray:
+    """u - (Phi + int_t^T drift ds - sum_l int_t^T v_l dW^l) on every node.
+
+    ``u`` and ``drift`` are (Mp, K+1, J), ``terminal`` is (Mp, J) and ``v``
+    holds one (Mp, K+1, J) array per noise component.  With increments
+    ``dW`` (Mp, K, d) both integrals are left-endpoint Riemann/Ito sums per
+    path; without them the drift integral is the trapezoid rule and v drops.
+    """
+    if dW is None:
+        R = np.cumsum((drift * dt)[:, ::-1], axis=1)[:, ::-1]
+        tail = R - 0.5 * dt * (drift + drift[:, -1:])
+        return u - (terminal[:, None, :] + tail)
+    K = dW.shape[1]
+    mart = np.zeros_like(drift[:, :K])
+    for l, vl in enumerate(v):
+        mart += vl[:, :K] * dW[:, :, l][:, :, None]
+    return u - (terminal[:, None, :] + _tail_sum(drift[:, :K] * dt) - _tail_sum(mart))
 
 
 # -- separable data -------------------------------------------------------
@@ -227,18 +234,14 @@ class DataFunctional:
     def terminal_values(self, paths: PathEnsemble, x) -> np.ndarray:
         """Phi(x) per path, shape (M, len(x))."""
         x = np.atleast_1d(x)
-        out = np.zeros((paths.num_paths, len(x)))
-        for h, p in self.terms:
-            out += p.terminal(paths)[:, None] * h(x)[None, :]
-        return out
+        return product_dense([(p.terminal(paths)[:, None], h(x)) for h, p in self.terms],
+                             (paths.num_paths, 1, len(x)))[:, 0]
 
     def dense(self, paths: PathEnsemble, x) -> np.ndarray:
         """The data read at running time, f(t_k, x) per path, (M, K+1, len(x))."""
         x = np.atleast_1d(x)
-        out = np.zeros((paths.num_paths, len(paths.time_grid), len(x)))
-        for h, p in self.terms:
-            out += p.series(paths)[:, :, None] * h(x)[None, None, :]
-        return out
+        return product_dense([(p.series(paths), h(x)) for h, p in self.terms],
+                             (paths.num_paths, len(paths.time_grid), len(x)))
 
     def is_deterministic(self) -> bool:
         return all(p.kind == CONST for _, p in self.terms)
@@ -271,19 +274,16 @@ class BsdeSolution:
     residual_worst: float = np.nan
     regression_cond: float = np.nan
 
-    def phi_dense(self, x) -> np.ndarray:
+    def _dense(self, terms, x) -> np.ndarray:
         x = np.atleast_1d(x)
-        out = np.zeros((self.num_paths, len(self.time_grid), len(x)))
-        for t in self.phi_terms:
-            out += t.series[:, :, None] * t.space(x)[None, None, :]
-        return out
+        return product_dense([(t.series, t.space(x)) for t in terms],
+                             (self.num_paths, len(self.time_grid), len(x)))
+
+    def phi_dense(self, x) -> np.ndarray:
+        return self._dense(self.phi_terms, x)
 
     def psi_dense(self, l: int, x) -> np.ndarray:
-        x = np.atleast_1d(x)
-        out = np.zeros((self.num_paths, len(self.time_grid), len(x)))
-        for t in self.psi_terms[l]:
-            out += t.series[:, :, None] * t.space(x)[None, None, :]
-        return out
+        return self._dense(self.psi_terms[l], x)
 
 
 @dataclass
@@ -305,19 +305,16 @@ class SecondFamilySolution:
     num_paths: int
     provenance: str
 
-    def y_dense(self, tau: float, x) -> np.ndarray:
+    def _dense(self, terms, tau: float, x) -> np.ndarray:
         x = np.atleast_1d(x)
-        out = np.zeros((self.num_paths, len(self.time_grid), len(x)))
-        for t in self.y_terms:
-            out += (t.series * t.tau_fn(tau))[:, :, None] * t.space(x)[None, None, :]
-        return out
+        return product_dense([(t.series * t.tau_fn(tau), t.space(x)) for t in terms],
+                             (self.num_paths, len(self.time_grid), len(x)))
+
+    def y_dense(self, tau: float, x) -> np.ndarray:
+        return self._dense(self.y_terms, tau, x)
 
     def g_dense(self, l: int, tau: float, x) -> np.ndarray:
-        x = np.atleast_1d(x)
-        out = np.zeros((self.num_paths, len(self.time_grid), len(x)))
-        for t in self.g_terms[l]:
-            out += (t.series * t.tau_fn(tau))[:, :, None] * t.space(x)[None, None, :]
-        return out
+        return self._dense(self.g_terms[l], tau, x)
 
 
 def _check_sigma(sigma, d: int) -> np.ndarray:
@@ -397,22 +394,11 @@ def bsde_residual(sol: BsdeSolution, data: DataFunctional, sigma, paths: PathEns
         x = np.array([-1.0, 0.0, 0.7])
     x = np.atleast_1d(x)
     sig = _check_sigma(sigma, paths.dim)
-    grid = paths.time_grid
-    phi = sol.phi_dense(x)  # (M, K+1, J)
-    psi = np.stack([sol.psi_dense(l, x) for l in range(paths.dim)])  # (d, M, K+1, J)
+    psi = [sol.psi_dense(l, x) for l in range(paths.dim)]  # d x (M, K+1, J)
     terminal = data.terminal_values(paths, x)  # (M, J)
-    dW = paths.increments  # (M, K, d)
-
-    # backward Riemann/Ito sums, left endpoints
-    drift = np.einsum("l,lmkj->mkj", sig, psi[:, :, :-1, :]) * grid.dt
-    mart = np.einsum("mkl,lmkj->mkj", dW, psi[:, :, :-1, :])
-    tail_drift = np.concatenate(
-        [np.cumsum(drift[:, ::-1], axis=1)[:, ::-1], np.zeros_like(drift[:, :1])], axis=1
-    )
-    tail_mart = np.concatenate(
-        [np.cumsum(mart[:, ::-1], axis=1)[:, ::-1], np.zeros_like(mart[:, :1])], axis=1
-    )
-    defect = phi - (terminal[:, None, :] + tail_drift - tail_mart)
+    drift = np.einsum("l,lmkj->mkj", sig, np.asarray(psi))
+    defect = backward_defect(sol.phi_dense(x), terminal, drift, paths.time_grid.dt,
+                             psi, paths.increments)
     scale = 1.0 + np.abs(terminal).max()
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
     worst = float(np.max(np.abs(defect)) / scale)

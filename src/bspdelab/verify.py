@@ -24,7 +24,7 @@ from .kernel import (
     probe_pointwise_bound,
     probe_sup_kernel_integrability,
 )
-from .solver import _masked_grid, integral_form_defect, time_shift_norm
+from .solver import _jsonable, _masked_grid, integral_form_defect, time_shift_norm
 from .stochastic import (
     DataFunctional,
     SpaceFactor,
@@ -67,22 +67,6 @@ class Verdict:
             "provenance": self.provenance,
             "details": _jsonable(self.details),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
 
 
 @dataclass
@@ -279,7 +263,7 @@ def run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic"),
     equivariance check.
     """
     from .scenarios import get_scenario
-    from .solver import SolverConfig, solve_model, solve_variable_linear
+    from .solver import SolverConfig, solve
 
     bundle = VerdictBundle()
     for sid in scenario_ids:
@@ -298,12 +282,7 @@ def run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic"),
                 sols = {}
                 for kappa in scalings:
                     coeffs = base if kappa == 1.0 else scaled_coefficients(base, kappa)
-                    if coeffs.space_invariant and coeffs.b_fn is None \
-                            and coeffs.c_fn is None and coeffs.driver is None:
-                        sol = solve_model(coeffs, paths, cfg)
-                    else:
-                        sol = solve_variable_linear(coeffs, paths, cfg)
-                    sols[kappa] = sol
+                    sol = sols[kappa] = solve(coeffs, paths, cfg)
                     lhs = solution_norm_lhs(sol, alpha, max_paths)["total"]
                     rhs = data_norm_rhs(coeffs, sol, paths, alpha, max_paths)["total"]
                     ratios[(K, J, kappa)] = lhs / rhs
@@ -596,13 +575,13 @@ def _m_study(spec, seed: int) -> Verdict:
 
 
 def _beta_study(spec) -> Verdict:
-    from .solver import solve_semilinear
+    from .solver import solve
 
     rows = []
     coeffs = spec.build_coeffs()
     for beta in spec.extras.get("betas", (0.0, 5.0, 20.0)):
         cfg = spec.config(beta=beta, max_iter=60)
-        sol = solve_semilinear(coeffs, None, cfg)
+        sol = solve(coeffs, None, cfg)
         rows.append({
             "beta": beta,
             "contraction_factor": float(sol.info["contraction_factor"]),
@@ -699,10 +678,10 @@ def run_scenario(spec, seed: int = None):
                 provenance="successive-difference ratios of the iteration",
             ))
         if "localization" in spec.checks:
-            from .solver import covering_inequality, localize
+            from .solver import localize
 
             loc = localize(sol, coeffs, z=0.0, theta=2.0, paths=paths)
-            cov = covering_inequality(sol, theta=2.0, alpha=0.5)
+            cov = loc.covering
             bundle.add(Verdict(
                 check_id=f"localization.covering.{spec.scenario_id}",
                 status=_status(cov["slack"] >= -1e-9),

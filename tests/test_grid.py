@@ -8,7 +8,6 @@ from bspdelab.grid import (
     MultiIndex,
     SpaceGrid,
     TimeGrid,
-    build_time_grid,
     fd_derivative,
     quadrature_weights,
     space_quadrature_weights,
@@ -18,23 +17,23 @@ from bspdelab.grid import (
 
 class TestTimeGrid:
     def test_uniform_partition(self):
-        g = build_time_grid(1.0, 4)
+        g = TimeGrid(1.0, 4)
         assert np.allclose(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_minimal_grid(self):
-        g = build_time_grid(1.0, 1)
+        g = TimeGrid(1.0, 1)
         assert np.allclose(g.nodes, [0.0, 1.0])
 
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(InvalidArgument):
-            build_time_grid(0.0, 4)
+            TimeGrid(0.0, 4)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(InvalidArgument):
-            build_time_grid(1.0, 0)
+            TimeGrid(1.0, 0)
 
     def test_index_of(self):
-        g = build_time_grid(1.0, 4)
+        g = TimeGrid(1.0, 4)
         assert g.index_of(0.5) == 2
         with pytest.raises(InvalidArgument):
             g.index_of(0.3)
@@ -42,7 +41,7 @@ class TestTimeGrid:
     @given(st.floats(0.1, 10.0), st.integers(1, 200))
     @settings(max_examples=50, deadline=None)
     def test_endpoints_and_monotonicity(self, T, K):
-        g = build_time_grid(T, K)
+        g = TimeGrid(T, K)
         assert g.nodes[0] == 0.0
         assert np.isclose(g.nodes[-1], T)
         assert np.all(np.diff(g.nodes) > 0)
@@ -50,21 +49,21 @@ class TestTimeGrid:
 
 class TestQuadrature:
     def test_trapezoid_weights(self):
-        g = build_time_grid(1.0, 4)
+        g = TimeGrid(1.0, 4)
         assert np.allclose(time_quadrature_weights(g), [0.125, 0.25, 0.25, 0.25, 0.125])
 
     def test_single_interval(self):
-        g = build_time_grid(1.0, 1)
+        g = TimeGrid(1.0, 1)
         assert np.allclose(time_quadrature_weights(g), [0.5, 0.5])
 
     @given(st.floats(0.1, 5.0), st.integers(1, 100))
     @settings(max_examples=50, deadline=None)
     def test_weights_sum_to_length(self, T, K):
-        g = build_time_grid(T, K)
+        g = TimeGrid(T, K)
         assert np.isclose(time_quadrature_weights(g).sum(), T, rtol=1e-12)
 
     def test_affine_exactness(self):
-        g = build_time_grid(2.0, 17)
+        g = TimeGrid(2.0, 17)
         w = time_quadrature_weights(g)
         # integral of 3t + 1 over [0, 2] is 8
         assert abs(np.sum(w * (3.0 * g.nodes + 1.0)) - 8.0) < 1e-12

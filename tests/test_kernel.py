@@ -6,9 +6,6 @@ from bspdelab.grid import MultiIndex, SpaceGrid, space_quadrature_weights
 from bspdelab.kernel import (
     DiffusionCoefficient,
     HeatKernel,
-    accumulate_covariance,
-    eval_kernel,
-    eval_kernel_derivative,
     probe_integral_estimates,
     probe_pointwise_bound,
     probe_sup_kernel_integrability,
@@ -47,20 +44,20 @@ class TestDiffusionCoefficient:
 class TestCovariance:
     def test_constant_integrand(self):
         k = HeatKernel(ISO)
-        assert np.allclose(accumulate_covariance(k, 0.2, 0.7), 0.5 * np.eye(1))
+        assert np.allclose(k.covariance(0.2, 0.7), 0.5 * np.eye(1))
 
     def test_linear_integrand(self):
         k = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=1))
-        assert np.allclose(accumulate_covariance(k, 0.0, 1.0), 1.5 * np.eye(1), atol=1e-13)
+        assert np.allclose(k.covariance(0.0, 1.0), 1.5 * np.eye(1), atol=1e-13)
 
     def test_empty_interval(self):
         k = HeatKernel(ISO)
-        assert np.allclose(accumulate_covariance(k, 0.4, 0.4), 0.0)
+        assert np.allclose(k.covariance(0.4, 0.4), 0.0)
 
     def test_reversed_interval_rejected(self):
         k = HeatKernel(ISO)
         with pytest.raises(InvalidInterval):
-            accumulate_covariance(k, 0.7, 0.2)
+            k.covariance(0.7, 0.2)
 
     def test_additivity(self):
         k = HeatKernel(SCALED)
@@ -70,7 +67,7 @@ class TestCovariance:
     def test_batch_matches_direct(self):
         k = HeatKernel(SCALED, horizon=1.0)
         t_arr = np.array([0.0, 0.13, 0.377, 0.5])
-        batch = k.covariance_batch(t_arr, 0.9)
+        batch = k.covariance_pairs(t_arr, np.full_like(t_arr, 0.9))
         for t, A in zip(t_arr, batch):
             assert np.allclose(A, k.covariance(t, 0.9), atol=1e-7)
 
@@ -78,7 +75,7 @@ class TestCovariance:
 class TestEval:
     def test_standard_value_at_origin(self):
         k = HeatKernel(ISO)
-        assert np.isclose(eval_kernel(k, 0.0, 0.25, [0.0]), np.pi**-0.5)
+        assert np.isclose(k(0.0, 0.25, [0.0]), np.pi**-0.5)
 
     def test_normalization(self):
         for a, dim in [(ISO, 1), (ANISO, 2), (SCALED, 1)]:
@@ -122,7 +119,7 @@ class TestEval:
 class TestDerivatives:
     def test_odd_symmetry_at_origin(self):
         k = HeatKernel(ISO)
-        assert eval_kernel_derivative(k, 0.0, 0.5, [0.0], MultiIndex((1,))) == 0.0
+        assert k.derivative(0.0, 0.5, [0.0], MultiIndex((1,))) == 0.0
 
     def test_first_derivative_odd(self):
         k = HeatKernel(ISO)

@@ -16,6 +16,19 @@ REQUIRED_IDS = {
     "kernel_suite", "apriori_study", "time_shift_sweep",
 }
 
+# The route `solve` picks for each solve scenario (SolutionField.provenance).
+ROUTES = {
+    "heat_smoke": "representation",
+    "heat_quadratic": "representation",
+    "sin_decay": "representation",
+    "constant_source": "representation",
+    "abs_kink": "representation",
+    "stochastic_sinWT": "representation",
+    "transport_decay": "frozen-picard",
+    "variable_a_sin": "frozen-picard",
+    "semilinear_mode": "semilinear-picard",
+}
+
 
 class TestCatalog:
     def test_required_ids_present(self):
@@ -65,6 +78,16 @@ class TestSolveDispatch:
                                         time_grid=TimeGrid(1.0, 40))
         assert paths.num_paths == 64
         assert paths.paths.shape[1] == 41
+
+    @pytest.mark.parametrize("sid, route", sorted(ROUTES.items()))
+    def test_route_table(self, sid, route):
+        spec = get_scenario(sid)
+        sol, _, _ = spec.solve(num_paths=8, time_grid=TimeGrid(1.0, 10),
+                               space_grid=SpaceGrid(1, spec.radius, 65))
+        assert sol.provenance == route
+
+    def test_route_table_covers_every_solve_scenario(self):
+        assert {s.scenario_id for s in list_scenarios() if s.kind == "solve"} == set(ROUTES)
 
     def test_seed_controls_ensemble(self):
         spec = get_scenario("stochastic_sinWT")

@@ -26,7 +26,7 @@ from bspdelab.solver import (
     convolve,
     integral_form_defect,
     localize,
-    solve_deterministic_pde,
+    solve,
     solve_model,
     solve_semilinear,
     solve_variable_linear,
@@ -52,7 +52,7 @@ def sine_problem(a=0.5, **kw):
 
 @pytest.fixture(scope="module")
 def sine_solution():
-    return solve_deterministic_pde(sine_problem(), config())
+    return solve(sine_problem(), None, config())
 
 
 class TestCoefficientSet:
@@ -89,6 +89,32 @@ class TestCoefficientSet:
         with pytest.raises(AssumptionViolation, match="Lipschitz"):
             co.check_assumptions(TG, SG)
 
+    def test_inverted_bounds_rejected(self):
+        phi = DataFunctional.deterministic(SpaceFactor.sine())
+        with pytest.raises(AssumptionViolation, match="lam <= Lam"):
+            CoefficientSet(terminal=phi, a_fn=lambda t, x: 1.0, lam=2.0, Lam=1.0)
+
+    @pytest.mark.parametrize("bad", [
+        dict(a_fn=lambda t, x: 1.0 + 2.0 * np.sin(x), lam=0.5, Lam=3.0),
+        dict(diffusion=DiffusionCoefficient.isotropic(0.5),
+             driver=lambda t, x, q, u, v: u**2, lipschitz=1.0),
+    ], ids=["ellipticity", "lipschitz"])
+    def test_solve_runs_the_checks(self, bad):
+        co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()), **bad)
+        with pytest.raises(AssumptionViolation):
+            solve(co, None, config())
+
+    def test_sample_on_nodes(self):
+        co = CoefficientSet(
+            terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+            a_fn=lambda t, x: 1.0 + t * np.sin(x), lam=0.1, Lam=3.0,
+            b_fn=lambda t, x: 2.0,
+        )
+        a, b, c = co.sample(TG.nodes, X)
+        assert a.shape == b.shape == (len(TG), len(X))
+        assert np.array_equal(a[3], 1.0 + TG.nodes[3] * np.sin(X))
+        assert np.all(b == 2.0) and c is None
+
     def test_is_deterministic(self):
         assert sine_problem().is_deterministic()
         stoch = CoefficientSet(
@@ -106,8 +132,6 @@ class TestSolverConfig:
             config(max_iter=0)
         with pytest.raises(InvalidArgument):
             config(beta=-1.0)
-        with pytest.raises(InvalidArgument):
-            config(theta=0.0)
 
 
 class TestBumpField:
@@ -283,7 +307,7 @@ class TestDeterministicDispatch:
             diffusion=DiffusionCoefficient.isotropic(0.5),
         )
         with pytest.raises(InvalidRoute, match="stochastic"):
-            solve_deterministic_pde(co, config())
+            solve(co, None, config())
 
     def test_v_identically_zero(self, sine_solution):
         assert sine_solution.noise_dim == 1
@@ -292,14 +316,14 @@ class TestDeterministicDispatch:
     def test_constant_zeroth_coefficient_mode(self):
         # a = 1, c = 1/2, terminal sin: amplitude solves g' = (1 - c) g backward
         co = sine_problem(a=1.0, c_fn=lambda t, x: 0.5)
-        sol = solve_deterministic_pde(co, config())
+        sol = solve(co, None, config())
         exact = np.exp((0.5 - 1.0) * (T - TG.nodes))[:, None] * np.sin(X)[None, :]
         assert np.abs(sol.u_dense()[0] - exact)[:, sol.trusted].max() < 1e-3
 
 
 class TestVariableLinear:
     def test_space_invariant_converges_immediately(self):
-        sol = solve_variable_linear(sine_problem(), None, config())
+        sol = solve(sine_problem(), None, config())
         assert sol.info["iterations"] == 1
         assert sol.provenance == "representation"
 
@@ -382,7 +406,7 @@ class TestResidualCertification:
 
     def test_injected_defect_is_flagged(self):
         co = sine_problem()
-        sol = solve_deterministic_pde(co, config())
+        sol = solve(co, None, config())
         rms0, _ = integral_form_defect(sol, co)
         sol.u_parts[0].profiles[0] = sol.u_parts[0].profiles[0].copy()
         sol.u_parts[0].profiles[0][10:20] += 0.1
@@ -426,7 +450,7 @@ class TestTimeShift:
     def test_time_constant_solution_shift_zero(self):
         co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.poly([0, 1])),
                             diffusion=DiffusionCoefficient.isotropic(1.0))
-        sol = solve_deterministic_pde(co, config())
+        sol = solve(co, None, config())
         assert time_shift_norm(sol, 0.1) < 1e-5
 
     def test_sqrt_rate_trend(self, sine_solution):

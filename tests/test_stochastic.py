@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bspdelab.errors import (
-    AssumptionViolation,
     InvalidArgument,
     UnsupportedClosedForm,
 )
@@ -16,8 +15,9 @@ from bspdelab.stochastic import (
     PathEnsemble,
     PathFactor,
     SpaceFactor,
+    backward_defect,
     bsde_residual,
-    girsanov_shift,
+    product_dense,
     sample_paths,
     solve_bsde_closed,
     solve_bsde_regression,
@@ -63,35 +63,50 @@ class TestPathEnsemble:
             PathEnsemble.load(f, time_grid=GRID)
 
 
-class TestGirsanov:
-    def test_zero_sigma_identity(self, paths):
-        g = girsanov_shift(paths, lambda t: 0.0)
-        assert np.array_equal(g.shifted, paths.paths)
-        assert np.allclose(g.density, 1.0)
+class TestProductDense:
+    SERIES = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])  # (M, K+1)
 
-    def test_unit_sigma_shift(self, paths):
-        g = girsanov_shift(paths, lambda t: 1.0)
-        expect = paths.paths[:, :, 0] - GRID.nodes[None, :]
-        assert np.allclose(g.shifted[:, :, 0], expect, atol=1e-12)
+    def test_one_row_series_shared_by_every_path(self):
+        prof = np.array([[1.0, -1.0], [2.0, 0.5], [0.0, 3.0]])  # (K+1, J)
+        out = product_dense([(np.array([[1.0, 2.0, 3.0]]), prof)], (4, 3, 2))
+        for m in range(4):
+            assert np.array_equal(out[m], np.array([1.0, 2.0, 3.0])[:, None] * prof)
 
-    def test_density_martingale(self, paths):
-        g = girsanov_shift(paths, lambda t: 1.0)
-        DT = g.density[:, -1]
-        se = DT.std(ddof=1) / np.sqrt(len(DT))
-        assert abs(DT.mean() - 1.0) <= 3.0 * se
+    def test_path_idx_selects_rows(self):
+        prof = np.array([0.5, 2.0])
+        both = [(self.SERIES, prof), (self.SERIES**2, prof)]
+        full = product_dense(both, (3, 3, 2))
+        picked = product_dense(both, (2, 3, 2), path_idx=np.array([2, 0]))
+        assert np.array_equal(picked, full[[2, 0]])
 
-    def test_weighted_mean_matches_shift(self, paths):
-        # E_Q[W_T] = E[D_T W_T] should equal the drift T for sigma = 1
-        g = girsanov_shift(paths, lambda t: 1.0)
-        DT = g.density[:, -1]
-        WT = paths.paths[:, -1, 0]
-        vals = DT * WT
-        se = vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(vals.mean() - GRID.horizon) <= 3.0 * se
+    def test_flat_profile_is_constant_in_time(self):
+        flat = np.array([0.5, 2.0, -1.0])
+        out_flat = product_dense([(self.SERIES, flat)], (3, 3, 3))
+        out_full = product_dense([(self.SERIES, np.tile(flat, (3, 1)))], (3, 3, 3))
+        assert np.array_equal(out_flat, out_full)
+        assert np.array_equal(out_flat[1, 2], 6.0 * flat)
 
-    def test_bound_violation(self, paths):
-        with pytest.raises(AssumptionViolation):
-            girsanov_shift(paths, lambda t: 5.0, bound=2.0)
+
+class TestBackwardDefect:
+    def test_exact_product_pair_has_zero_defect(self):
+        # u = W_t h(x), v = h(x): u = Phi - int v dW exactly, with no drift
+        grid = TimeGrid(1.0, 20)
+        e = sample_paths(6, 1, grid, seed=3)
+        h = np.array([0.5, -1.0, 2.0])
+        W = e.paths[:, :, 0]
+        u = W[:, :, None] * h
+        v = np.broadcast_to(h, u.shape)
+        d = backward_defect(u, u[:, -1], np.zeros_like(u), grid.dt, [v], e.increments)
+        assert np.abs(d).max() < 1e-12
+
+    def test_trapezoid_is_exact_on_affine_time_profile(self):
+        # u = (T - t) h(x) solves du/dt = -h, i.e. drift h, with zero terminal
+        grid = TimeGrid(1.0, 20)
+        h = np.array([1.0, -0.3])
+        u = (1.0 - grid.nodes)[None, :, None] * h
+        drift = np.broadcast_to(h, u.shape)
+        d = backward_defect(u, np.zeros((1, 2)), drift, grid.dt)
+        assert np.abs(d).max() < 1e-12
 
 
 class TestClosedForms:

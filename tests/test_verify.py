@@ -50,6 +50,13 @@ class TestVerdictSchema:
         d = _verdict().to_dict()
         assert json.loads(json.dumps(d)) == d
 
+    def test_booleans_stay_json_booleans(self):
+        v = Verdict(check_id="x", status="pass", provenance="closed form",
+                    measured={"stable": True, "flag": np.bool_(False), "n": np.int64(3)},
+                    tolerance={})
+        assert json.dumps(v.to_dict()["measured"], sort_keys=True) \
+            == '{"flag": false, "n": 3, "stable": true}'
+
 
 class TestVerdictBundle:
     def test_sorted_by_check_id(self):
