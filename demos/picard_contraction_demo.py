@@ -10,7 +10,7 @@ the semilinear fixed-point map.
 import numpy as np
 
 from bspdelab.scenarios import get_scenario
-from bspdelab.solver import solve_semilinear
+from bspdelab.solver import solve
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     coeffs = sweep.build_coeffs()
     for beta in sweep.extras["betas"]:
         cfg = sweep.config(beta=beta, max_iter=60)
-        s = solve_semilinear(coeffs, None, cfg)
+        s = solve(coeffs, None, cfg)
         print(f"  beta {beta:5.1f}: contraction factor "
               f"{s.info['contraction_factor']:.3f} in "
               f"{s.info['iterations']} iterations")

@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from .errors import InvalidArgument
 from .scenarios import CATALOG, list_scenarios
 
 CONFIG_DIR = Path(__file__).parent / "configs"
@@ -142,6 +143,15 @@ def load_config(path: Path) -> dict:
                         path=path, line=_find_line(path, key))
                 try:
                     overrides[key] = _OVERRIDE_TYPES[key](raw)
+                    # build the grids and solver config the value implies now,
+                    # so a bad one exits 2 here instead of crashing the run
+                    built = apply_overrides(spec, {key: overrides[key]})
+                    built.config()
+                    if built.num_paths < 0:
+                        raise InvalidArgument("num_paths must be >= 0")
+                except InvalidArgument as e:
+                    raise SchemaError(f"{key} = {raw} in [{section}]: {e}",
+                                      path=path, line=_find_line(path, key)) from None
                 except ValueError:
                     raise SchemaError(
                         f"{key} must be {_OVERRIDE_TYPES[key].__name__}, "
@@ -186,9 +196,6 @@ def _write_rows_csv(path: Path, rows):
                 f"{v:.17g}" if isinstance(v, float) else str(v)
                 for v in (row[k] for k in keys)
             ])
-
-
-_PLOT_STEMS = {"error_vs_h", "contraction_vs_beta"}
 
 
 def _artifact_files(spec):

@@ -26,6 +26,8 @@ from .errors import IllConditionedKernel, InvalidArgument, InvalidInterval, Unsu
 from .grid import MultiIndex, SpaceGrid, space_quadrature_weights
 
 _COND_LIMIT = 1e12
+_COV_NODES = 16  # Gauss-Legendre nodes of one covariance integral
+_TABLE_SIZE = 2048  # intervals of the antiderivative table on [0, horizon]
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +108,12 @@ class HeatKernel:
     """The heat potential with optional exponential damping in s - t."""
 
     def __init__(self, diffusion: DiffusionCoefficient, beta: float = 0.0,
-                 horizon: float = 1.0, quad_nodes: int = 16, table_size: int = 2048):
+                 horizon: float = 1.0):
         if beta < 0.0:
             raise InvalidArgument("damping beta must be >= 0")
         self.diffusion = diffusion
         self.beta = float(beta)
         self.horizon = float(horizon)
-        self.quad_nodes = quad_nodes
-        self._table_size = table_size
         self._table = None  # lazy antiderivative table for batched queries
 
     @property
@@ -121,8 +121,7 @@ class HeatKernel:
         return self.diffusion.dim
 
     def with_beta(self, beta: float) -> "HeatKernel":
-        return HeatKernel(self.diffusion, beta=beta, horizon=self.horizon,
-                          quad_nodes=self.quad_nodes, table_size=self._table_size)
+        return HeatKernel(self.diffusion, beta=beta, horizon=self.horizon)
 
     # -- accumulated covariance -------------------------------------------
 
@@ -132,7 +131,7 @@ class HeatKernel:
             raise InvalidInterval(f"need t <= s, got t={t}, s={s}")
         if s == t:
             return np.zeros((self.dim, self.dim))
-        nodes, weights = _gl(self.quad_nodes)
+        nodes, weights = _gl(_COV_NODES)
         out = np.zeros((self.dim, self.dim))
         for u, w in zip(nodes, weights):
             out += w * self.diffusion(t + (s - t) * u)
@@ -140,9 +139,9 @@ class HeatKernel:
 
     def _antiderivative_table(self):
         if self._table is None:
-            grid = np.linspace(0.0, self.horizon, self._table_size + 1)
-            vals = np.zeros((self._table_size + 1, self.dim, self.dim))
-            for k in range(self._table_size):
+            grid = np.linspace(0.0, self.horizon, _TABLE_SIZE + 1)
+            vals = np.zeros((_TABLE_SIZE + 1, self.dim, self.dim))
+            for k in range(_TABLE_SIZE):
                 vals[k + 1] = vals[k] + self.covariance(grid[k], grid[k + 1])
             self._table = (grid, vals)
         return self._table

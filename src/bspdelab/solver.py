@@ -119,6 +119,16 @@ class CoefficientSet:
                 for fn in (self.b_fn, self.c_fn))
         return a, b, c
 
+    def driver_rows(self, t, x, q, u, v):
+        """f(t_k, x, q_k, u_k, v_k) stacked over k, shaped like u (paths, len(t), len(x)).
+
+        A scalar ``v`` is shared by every row.
+        """
+        return np.stack([np.asarray(self.driver(tk, x, q[:, k], u[:, k],
+                                                v if np.ndim(v) == 0 else v[:, k]),
+                                    dtype=float) * np.ones_like(u[:, k])
+                         for k, tk in enumerate(t)], axis=1)
+
     def is_deterministic(self) -> bool:
         sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if np.any(sig != 0.0):
@@ -174,11 +184,6 @@ class SolverConfig:
     beta: float = None  # damping; None means route default (0 linear, 8 semilinear)
     max_iter: int = 40
     tol: float = 1e-6
-    endpoint_substitution: bool = True
-    alpha: float = 0.5
-    x_ref: float = 0.0
-    quad_nodes: int = 32
-    path_subset: int = 64
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -241,130 +246,93 @@ class BumpField:
         return num / step**2 / self.radius**2
 
 
-# -- batched Toeplitz convolution ------------------------------------------
+# -- the pair-sum engine ----------------------------------------------------
+#
+# All kernel sampling goes through one weighted pair-sum engine.  The terminal
+# term, the Gauss-Legendre forcing integral and the trapezoid Picard source
+# integral are three pair tables (k, t, s, w) for the same _PairConvolver.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
+_QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
 
 
 class _PairConvolver:
-    """Kernel convolutions on a uniform 1-d lattice for a batch of (t, s) pairs.
+    """Weighted kernel convolutions on a uniform 1-d lattice, summed into rows.
 
+    Pair p = (k_p, t_p, s_p, w_p) adds w_p D^o R^{s_p}_{t_p} F_p into row k_p.
     Each pair contributes one Toeplitz row built from 2J-1 kernel samples at
     lattice displacements; all pairs are convolved in a single batched FFT.
     Pairs whose accumulated covariance A is below the resolution threshold
-    use the Taylor limit damp * (D^o F + A D^(o+2) F) instead.
+    use the Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
     """
 
-    def __init__(self, kernel: HeatKernel, t_arr, s_arr, grid: SpaceGrid):
+    def __init__(self, kernel: HeatKernel, grid: SpaceGrid, rows: int, k, t, s, w):
         if grid.dim != 1:
             raise InvalidArgument("batched convolution is implemented for n = 1 only")
-        self.kernel = kernel
         self.grid = grid
-        t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
-        s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-        self.gap = s_arr - t_arr
-        A = kernel.covariance_pairs(t_arr, s_arr)[:, 0, 0]
-        self.A = A
-        self.damp = np.exp(-kernel.beta * self.gap)
-        self.small = A < _SMALL_FACTOR * grid.h**2
+        self.rows = rows
+        self.k = np.asarray(k)
+        self.weights = np.asarray(w, dtype=float)[:, None]
+        t = np.asarray(t, dtype=float)
+        s = np.asarray(s, dtype=float)
+        self.A = kernel.covariance_pairs(t, s)[:, 0, 0]
+        self.damp = np.exp(-kernel.beta * (s - t))
+        self.small = self.A < _SMALL_FACTOR * grid.h**2
         J = grid.points_per_axis
         self.disp = np.arange(-(J - 1), J) * grid.h
-        self.w = space_quadrature_weights(grid)
+        self.quad_w = space_quadrature_weights(grid)
         self._kv = {}
-        self._mass = {}
+        self._mass = None
 
     def _kernel_vec(self, order: int) -> np.ndarray:
+        """Per-pair samples of the damped kernel (order 0) or its x-derivative (1)."""
         if order not in self._kv:
             A = np.where(self.small, 1.0, self.A)[:, None]
             z = self.disp[None, :]
             G = self.damp[:, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
             if order == 1:
                 G = -0.5 * (z / A) * G
-            elif order == 2:
-                G = (0.25 * (z / A) ** 2 - 0.5 / A) * G
             G[self.small] = 0.0
             self._kv[order] = G
         return self._kv[order]
 
     def _conv(self, kv: np.ndarray, F: np.ndarray) -> np.ndarray:
         J = self.grid.points_per_axis
-        F = np.asarray(F, dtype=float)
-        if F.ndim == 1:
-            F = F[None, :]
-        out = fftconvolve(F * self.w, kv, mode="full", axes=-1)
+        out = fftconvolve(np.atleast_2d(F) * self.quad_w, kv, mode="full", axes=-1)
         return out[..., J - 1:2 * J - 1]
 
-    def _mass_vec(self, order: int) -> np.ndarray:
-        if order not in self._mass:
-            self._mass[order] = self._conv(self._kernel_vec(order),
-                                           np.ones(self.grid.points_per_axis))
-        return self._mass[order]
+    def apply(self, order: int, stack) -> np.ndarray:
+        """(rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_p, for o = 0, 1, 2.
 
-    def apply(self, order: int, stack, second_form: str = "d1") -> np.ndarray:
-        """Convolution derivative of the given order against a field stack.
-
-        ``stack`` is a list of lattice samples [F, F', F'', ...] (entries may
-        be (J,) or (P, J)); entries beyond order + 2 may be None.  Order 2
-        uses the subtracted first-derivative kernel form against F' when
-        ``second_form == 'd1'``, else the second-derivative kernel against F.
+        ``stack`` is [F, F', ..., F^(6)] on the lattice; each entry is (J,),
+        shared by every pair, or (P, J), one row per pair.  Orders 1 and 2
+        use the subtracted first-derivative kernel against stack[o - 1].
         """
         if order > 2:
             raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {order}")
         if order == 0:
-            out = self._conv(self._kernel_vec(0), stack[0])
-        elif order == 1:
-            fld = np.asarray(stack[0], dtype=float)
-            out = self._conv(self._kernel_vec(1), fld) - fld * self._mass_vec(1)
+            vals = self._conv(self._kernel_vec(0), stack[0])
         else:
-            if second_form == "d1" and stack[1] is not None:
-                fld = np.asarray(stack[1], dtype=float)
-                out = self._conv(self._kernel_vec(1), fld) - fld * self._mass_vec(1)
-            else:
-                fld = np.asarray(stack[0], dtype=float)
-                out = self._conv(self._kernel_vec(2), fld) - fld * self._mass_vec(2)
+            if self._mass is None:
+                self._mass = self._conv(self._kernel_vec(1),
+                                        np.ones(self.grid.points_per_axis))
+            fld = stack[order - 1]
+            vals = self._conv(self._kernel_vec(1), fld) - fld * self._mass
         if np.any(self.small):
             # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
-            base = np.broadcast_to(np.asarray(stack[order], dtype=float), out.shape)
-            limit = base.copy()
+            limit = stack[order]
             for extra, coef in ((2, self.A), (4, 0.5 * self.A**2)):
-                if len(stack) > order + extra and stack[order + extra] is not None:
-                    corr = np.broadcast_to(
-                        np.asarray(stack[order + extra], dtype=float), out.shape)
-                    limit = limit + coef[:, None] * corr
-            limit = self.damp[:, None] * limit
-            out[self.small] = limit[self.small]
+                limit = limit + coef[:, None] * stack[order + extra]
+            vals[self.small] = (self.damp[:, None] * limit)[self.small]
+        out = np.zeros((self.rows, self.grid.points_per_axis))
+        np.add.at(out, self.k, self.weights * vals)
         return out
 
 
-def convolve(kernel: HeatKernel, t: float, s: float, field, space_grid: SpaceGrid,
-             gamma: MultiIndex, field_d1=None):
-    """D^gamma of the kernel convolution (R_t^s field)(x) on the lattice.
-
-    ``field`` has trailing axis J; leading axes (paths, components) pass
-    through.  |gamma| = 2 uses the subtracted form: against field_d1 and the
-    first kernel derivative when provided, else against the field and the
-    second kernel derivative.
-    """
-    if gamma.order > 2:
-        raise UnsupportedOrder(f"convolve supports |gamma| <= 2, got {gamma.order}")
-    field = np.asarray(field, dtype=float)
-    lead = field.shape[:-1]
-    F = field.reshape(-1, field.shape[-1])
-    conv = _PairConvolver(kernel, [t], [s], space_grid)
-    stack = _stack_from_rows(F, space_grid, upto=gamma.order + 4)
-    if field_d1 is not None:
-        stack[1] = np.asarray(field_d1, dtype=float).reshape(F.shape)
-    rows = [conv.apply(gamma.order, [None if s_ is None else s_[i] for s_ in stack],
-                       second_form="d1" if field_d1 is not None else "kernel")
-            for i in range(F.shape[0])]
-    out = np.concatenate(rows, axis=0)
-    return out.reshape(lead + (field.shape[-1],))
-
-
-def _stack_from_rows(F: np.ndarray, grid: SpaceGrid, upto: int = 6):
-    """[F, F', ..., F^(upto)] by repeated central differences; rows pass through."""
+def _stack_from_rows(F: np.ndarray, grid: SpaceGrid):
+    """[F, F', ..., F^(6)] by repeated central differences; rows pass through."""
     stack = [np.asarray(F, dtype=float)]
-    for _ in range(upto):
+    for _ in range(6):
         d, _valid = fd_derivative(stack[-1], grid, _D1)
         stack.append(d)
     return stack
@@ -387,111 +355,78 @@ def _space_factor_stack(h: SpaceFactor, grid: SpaceGrid):
     return stack
 
 
-# -- profile assembly -------------------------------------------------------
+# -- profile assembly: three pair tables ------------------------------------
 
 def _terminal_profiles(kernel: HeatKernel, tgrid: TimeGrid, stack, grid: SpaceGrid):
     """(K+1, J) profiles of D^o R^T_{t_k} h for o = 0, 1, 2; exact row at t = T."""
-    T = tgrid.horizon
-    t_arr = tgrid.nodes[:-1]
-    conv = _PairConvolver(kernel, t_arr, np.full_like(t_arr, T), grid)
+    K = tgrid.num_steps
+    t = tgrid.nodes[:-1]
+    pairs = _PairConvolver(kernel, grid, K + 1, np.arange(K), t,
+                           np.full_like(t, tgrid.horizon), np.ones(K))
     out = {}
     for o in range(3):
-        rows = conv.apply(o, stack)
-        out[o] = np.concatenate([rows, stack[o][None, :]], axis=0)
+        out[o] = pairs.apply(o, stack)
+        out[o][K] = stack[o]
     return out
 
 
-def _forcing_profiles(kernel: HeatKernel, tgrid: TimeGrid, stack, tau_fn,
-                      grid: SpaceGrid, quad_nodes: int, sqrt_sub: bool):
+def _forcing_profiles(kernel: HeatKernel, tgrid: TimeGrid, stack, tau_fn, grid: SpaceGrid):
     """(K+1, J) profiles of int_{t_k}^T tau_fn(s) D^o R^s_{t_k} h ds, o = 0..2.
 
     The o = 0 integrand is bounded, so plain Gauss-Legendre in s suffices;
     derivative orders substitute u = sqrt(s - t) so the transformed integrand
-    stays bounded as s -> t (toggleable for the refinement study).
+    stays bounded as s -> t.  Row K (t = T) is zero.
     """
     K = tgrid.num_steps
-    nodes01, w01 = _gl(quad_nodes)
-    T = tgrid.horizon
+    nodes01, w01 = _gl(_QUAD_NODES)
     t_heads = tgrid.nodes[:K]
-    lengths = T - t_heads  # (K,)
+    lengths = tgrid.horizon - t_heads  # (K,)
+    k = np.repeat(np.arange(K), _QUAD_NODES)
+    t = np.repeat(t_heads, _QUAD_NODES)
 
     # plain substitution s = t + L u, weight L
     s_plain = t_heads[:, None] + lengths[:, None] * nodes01[None, :]
     wt_plain = lengths[:, None] * w01[None, :] * tau_fn(s_plain)
+    # u = sqrt(s - t): s = t + (sqrt(L) u)^2 on u in [0, 1], weight 2 L u
+    u = nodes01[None, :]
+    s_sub = t_heads[:, None] + (np.sqrt(lengths)[:, None] * u) ** 2
+    wt_sub = 2.0 * lengths[:, None] * u * w01[None, :] * tau_fn(s_sub)
 
-    conv_plain = _PairConvolver(
-        kernel, np.repeat(t_heads, quad_nodes), s_plain.ravel(), grid
-    )
-    out = {}
-    vals0 = conv_plain.apply(0, stack).reshape(K, quad_nodes, -1)
-    prof0 = np.einsum("kq,kqj->kj", wt_plain, vals0)
-    out[0] = np.concatenate([prof0, np.zeros((1, grid.points_per_axis))], axis=0)
-
-    if sqrt_sub:
-        # u = sqrt(s - t): s = t + (L u)^2 on u in [0, 1], weight 2 L^2 u
-        u = nodes01[None, :]
-        s_sub = t_heads[:, None] + (np.sqrt(lengths)[:, None] * u) ** 2
-        wt_sub = 2.0 * lengths[:, None] * u * w01[None, :] * tau_fn(s_sub)
-        conv_d = _PairConvolver(
-            kernel, np.repeat(t_heads, quad_nodes), s_sub.ravel(), grid
-        )
-        wt_d = wt_sub
-    else:
-        conv_d, wt_d = conv_plain, wt_plain
-    for o in (1, 2):
-        vals = conv_d.apply(o, stack).reshape(K, quad_nodes, -1)
-        prof = np.einsum("kq,kqj->kj", wt_d, vals)
-        out[o] = np.concatenate([prof, np.zeros((1, grid.points_per_axis))], axis=0)
-    return out
+    plain = _PairConvolver(kernel, grid, K + 1, k, t, s_plain.ravel(), wt_plain.ravel())
+    sub = _PairConvolver(kernel, grid, K + 1, k, t, s_sub.ravel(), wt_sub.ravel())
+    return {0: plain.apply(0, stack), 1: sub.apply(1, stack), 2: sub.apply(2, stack)}
 
 
 class _GriddedIntegrator:
     """Trapezoid-in-time frozen solve for a gridded source, reusable pair table.
 
     Computes D^o of  R^T_t Phi + int_t^T R^s_t F(s) ds  at all grid times with
-    s restricted to grid nodes (trapezoid weights on [t_k, T]).  The pair
-    table and kernel FFT rows are built once; only apply() runs per iterate.
+    s restricted to grid nodes (trapezoid weights on [t_k, T]).  The terminal
+    profiles, the pair table and its kernel rows are built once; only solve()
+    runs per iterate.
     """
 
-    def __init__(self, kernel: HeatKernel, tgrid: TimeGrid, grid: SpaceGrid):
-        self.tgrid = tgrid
+    def __init__(self, kernel: HeatKernel, tgrid: TimeGrid, grid: SpaceGrid, phi_stack):
         self.grid = grid
         K = tgrid.num_steps
-        idx_k, idx_j = np.triu_indices(K + 1)
-        self.idx_k = idx_k
-        self.idx_j = idx_j
-        t = tgrid.nodes
-        self.conv = _PairConvolver(kernel, t[idx_k], t[idx_j], grid)
+        idx_k, self.idx_j = np.triu_indices(K + 1)
         wt = np.full(idx_k.shape, tgrid.dt)
-        wt[(idx_j == idx_k) | (idx_j == K)] = 0.5 * tgrid.dt
+        wt[(self.idx_j == idx_k) | (self.idx_j == K)] = 0.5 * tgrid.dt
         wt[idx_k == K] = 0.0
-        self.wt = wt
-        self._phi_profiles = None
+        t = tgrid.nodes
+        self.pairs = _PairConvolver(kernel, grid, K + 1, idx_k, t[idx_k], t[self.idx_j], wt)
+        self.terminal = _terminal_profiles(kernel, tgrid, phi_stack, grid)
 
-    def set_terminal(self, phi_stack):
-        kernel = self.conv.kernel
-        self._phi_profiles = _terminal_profiles(kernel, self.tgrid, phi_stack, self.grid)
-        self._phi_stack = phi_stack
+    def solve(self, F=None):
+        """Profiles dict order -> (K+1, J) for the (K+1, J) source F (None: no source).
 
-    def solve(self, F_stack=None):
-        """Profiles dict order -> (K+1, J) for the current source stack.
-
-        ``F_stack`` entries are (K+1, J) lattice samples of D^o F; None means
-        no source.  The terminal row of the order-0 profile is the terminal
-        data exactly, by construction.
+        The terminal row of the order-0 profile is the terminal data exactly,
+        by construction.
         """
-        K = self.tgrid.num_steps
-        J = self.grid.points_per_axis
-        out = {o: self._phi_profiles[o].copy() if self._phi_profiles is not None
-               else np.zeros((K + 1, J)) for o in range(3)}
-        if F_stack is not None:
-            for o in range(3):
-                pair_stack = [None if s is None else s[self.idx_j] for s in F_stack]
-                vals = self.conv.apply(o, pair_stack)
-                acc = np.zeros((K + 1, J))
-                np.add.at(acc, self.idx_k, self.wt[:, None] * vals)
-                out[o] += acc
-        return out
+        if F is None:
+            return {o: self.terminal[o].copy() for o in range(3)}
+        stack = [d[self.idx_j] for d in _stack_from_rows(F, self.grid)]
+        return {o: self.terminal[o] + self.pairs.apply(o, stack) for o in range(3)}
 
 
 # -- solution container -----------------------------------------------------
@@ -636,7 +571,6 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     mask = sol.trusted
     x = grid.axis[mask]
     t = tgrid.nodes
-    K = tgrid.num_steps
     stochastic = paths is not None and not (
         coeffs.is_deterministic() and sol.num_paths == 1
     )
@@ -658,13 +592,7 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     if coeffs.forcing is not None:
         drift = drift + coeffs.forcing.dense(sub, x)
     if coeffs.driver is not None:
-        f_rows = np.stack(
-            [np.asarray(coeffs.driver(t[k], x, u1[:, k], u0[:, k],
-                                      v[0][:, k] if d else 0.0), dtype=float)
-             * np.ones_like(u0[:, k])
-             for k in range(K + 1)], axis=1
-        )
-        drift = drift + f_rows
+        drift = drift + coeffs.driver_rows(t, x, u1, u0, v[0] if d else 0.0)
     for l in range(d):
         if sig[l] != 0.0:
             drift = drift + sig[l] * v[l]
@@ -730,9 +658,7 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfi
             key = (id(h), id(tau_fn))
             if key not in force_profiles:
                 force_profiles[key] = _forcing_profiles(
-                    kernel, tgrid, stack_of(h), np.vectorize(tau_fn),
-                    grid, config.quad_nodes, config.endpoint_substitution,
-                )
+                    kernel, tgrid, stack_of(h), np.vectorize(tau_fn), grid)
             return force_profiles[key]
 
         for t in second.y_terms:
@@ -748,7 +674,7 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfi
         deriv_source="analytic", provenance="representation",
         info={"iterations": 1, "bsde_residual_rms": bsde.residual_rms},
     )
-    rms, worst = integral_form_defect(sol, coeffs, paths, max_paths=config.path_subset)
+    rms, worst = integral_form_defect(sol, coeffs, paths)
     sol.residual_rms, sol.residual_worst = rms, worst
     return sol
 
@@ -791,16 +717,20 @@ def _terminal_stack(coeffs: CoefficientSet, grid: SpaceGrid):
     return out
 
 
-def _frozen_diffusion(coeffs: CoefficientSet, x_ref: float) -> DiffusionCoefficient:
+def _frozen_diffusion(coeffs: CoefficientSet) -> DiffusionCoefficient:
+    """a frozen at x = 0: the reference diffusion of the Picard kernel."""
     if coeffs.space_invariant:
         return coeffs.diffusion
     a_fn = coeffs.a_fn
 
     def frozen(t):
-        return np.array([[float(np.atleast_1d(a_fn(t, np.atleast_1d(x_ref)))[0])]])
+        return np.array([[float(np.atleast_1d(a_fn(t, np.atleast_1d(0.0)))[0])]])
 
     return DiffusionCoefficient(fn=frozen, dim=1, lam=coeffs.lam, Lam=coeffs.Lam,
-                                label=f"frozen@{x_ref}")
+                                label="frozen@0.0")
+
+
+_NORM_ALPHA = 0.5  # Holder exponent of the a priori norm in the convergence test
 
 
 def _masked_grid(grid: SpaceGrid, mask: np.ndarray) -> SpaceGrid:
@@ -809,7 +739,7 @@ def _masked_grid(grid: SpaceGrid, mask: np.ndarray) -> SpaceGrid:
     return SpaceGrid(dim=1, radius=float(kept.max()), points_per_axis=int(mask.sum()))
 
 
-def _norm_estimate(tgrid, grid, u_stack, alpha, mask):
+def _norm_estimate(tgrid, grid, u_stack, mask):
     """The a priori norm ||u||_{2+alpha, L2} of an iterate on the trusted region.
 
     The truncated convolution box makes the boundary belt meaningless, so the
@@ -819,7 +749,7 @@ def _norm_estimate(tgrid, grid, u_stack, alpha, mask):
     f = FieldSample(u_stack[0][None][..., mask], sub, "L2", tgrid)
     f.attach_derivative(1, u_stack[1][None][..., mask])
     f.attach_derivative(2, u_stack[2][None][..., mask])
-    return estimate_norm(f, 2, alpha).total
+    return estimate_norm(f, 2, _NORM_ALPHA).total
 
 
 def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
@@ -845,10 +775,9 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
     K = tgrid.num_steps
     J = grid.points_per_axis
 
-    abar = _frozen_diffusion(coeffs, config.x_ref)
+    abar = _frozen_diffusion(coeffs)
     kernel = HeatKernel(abar, beta=beta, horizon=T)
-    integrator = _GriddedIntegrator(kernel, tgrid, grid)
-    integrator.set_terminal(_terminal_stack(coeffs, grid))
+    integrator = _GriddedIntegrator(kernel, tgrid, grid, _terminal_stack(coeffs, grid))
 
     a_tx, b_tx, c_tx = coeffs.sample(t, x)
     abar_t = np.array([float(np.atleast_2d(abar(tk))[0, 0]) for tk in t])
@@ -872,12 +801,11 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
             F += b_tx * prof[1]
         if c_tx is not None:
             F += c_tx * prof[0]
-        new_prof = integrator.solve(_stack_from_rows(F, grid))
+        new_prof = integrator.solve(F)
         sup_change = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
         norm = _norm_estimate(tgrid, grid, [new_prof[0] / damp_t[:, None],
                                             new_prof[1] / damp_t[:, None],
-                                            new_prof[2] / damp_t[:, None]],
-                              config.alpha, mask)
+                                            new_prof[2] / damp_t[:, None]], mask)
         rel = (abs(norm - norm_prev) / max(norm, 1e-12)) if norm_prev is not None else np.inf
         history.append({"iteration": it, "norm_u": norm, "norm_v": 0.0,
                         "sup_change": sup_change, "rel_change": rel})
@@ -937,8 +865,7 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
     mask = _trusted_mask(grid, coeffs.Lam, T)
 
     kernel = HeatKernel(coeffs.diffusion, beta=beta, horizon=T)
-    integrator = _GriddedIntegrator(kernel, tgrid, grid)
-    integrator.set_terminal(_terminal_stack(coeffs, grid))
+    integrator = _GriddedIntegrator(kernel, tgrid, grid, _terminal_stack(coeffs, grid))
     damp_t = np.exp(-beta * (T - t))
     if coeffs.forcing is not None:
         f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), x)[0]
@@ -952,15 +879,11 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
     for it in range(1, config.max_iter + 1):
         u_rows = prof[0] / damp_t[:, None]
         q_rows = prof[1] / damp_t[:, None]
-        F = np.stack([
-            np.asarray(coeffs.driver(t[k], x, q_rows[k], u_rows[k], 0.0), dtype=float)
-            * np.ones(J)
-            for k in range(K + 1)
-        ])
+        F = coeffs.driver_rows(t, x, q_rows[None], u_rows[None], 0.0)[0]
         F *= damp_t[:, None]
         if f_tx is not None:
             F += damp_t[:, None] * f_tx
-        new_prof = integrator.solve(_stack_from_rows(F, grid))
+        new_prof = integrator.solve(F)
         d_m = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
         diffs.append(d_m)
         entry = {"iteration": it, "sup_change": d_m}
@@ -1036,7 +959,6 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     grid, tgrid = sol.space_grid, sol.time_grid
     x = grid.axis
     t = tgrid.nodes
-    K = tgrid.num_steps
     bump = BumpField(center=z, radius=theta)
     eta = bump(x)
     eta1 = bump.d1(x)
@@ -1059,11 +981,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     if coeffs.forcing is not None:
         f_tx = coeffs.forcing.dense(sub, x)
     elif coeffs.driver is not None:
-        f_tx = np.stack([
-            np.asarray(coeffs.driver(t[k], x, u1[:, k], u0[:, k],
-                                     v0[0][:, k] if d else 0.0), dtype=float)
-            * np.ones_like(u0[:, k])
-            for k in range(K + 1)], axis=1)
+        f_tx = coeffs.driver_rows(t, x, u1, u0, v0[0] if d else 0.0)
     else:
         f_tx = np.zeros_like(u0)
 

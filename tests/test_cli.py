@@ -132,14 +132,20 @@ class TestRun:
         assert main(["run", "heat_smoke", "--out", str(out)]) == 2
         assert "--force" in capsys.readouterr().err
 
-    def test_schema_violation_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, expected", [
+        ("lam = -1", "ellipticity"),
+        ("points_per_axis = 4", "points_per_axis"),
+        ("num_paths = -1", "num_paths"),
+        ("beta = -1", "damping beta"),
+    ], ids=["lam", "points_per_axis", "num_paths", "beta"])
+    def test_schema_violation_exits_two(self, tmp_path, capsys, line, expected):
         p = tmp_path / "bad.ini"
         p.write_text("[run]\nscenarios = sin_decay\n"
-                     "[scenario.sin_decay]\nlam = -1\n")
+                     f"[scenario.sin_decay]\n{line}\n")
         code = main(["run", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "ellipticity" in err
+        assert expected in err
         assert "bad.ini:4" in err
 
     def test_beta_sweep_plot_csv(self, tmp_path):
@@ -153,10 +159,11 @@ class TestRun:
         factors = [float(r[1]) for r in rows[1:]]
         assert factors[0] > factors[1] > factors[2]
 
-    def test_byte_identical_verdicts_across_runs(self, tmp_path, smoke_run):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+    def test_byte_identical_verdicts_across_runs(self, tmp_path, smoke_run, jobs):
         code, out1 = smoke_run
         out2 = tmp_path / "o2"
-        assert main(["run", "heat_smoke", "--out", str(out2)]) == 0
+        assert main(["run", "heat_smoke", "--out", str(out2), "--jobs", str(jobs)]) == 0
         for rel in ("heat_smoke/verdicts.json", "kernel_suite/verdicts.json"):
             a = (out1 / rel).read_bytes()
             b = (out2 / rel).read_bytes()

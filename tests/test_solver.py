@@ -10,7 +10,7 @@ from bspdelab.errors import (
     InvalidShift,
     UnsupportedOrder,
 )
-from bspdelab.grid import MultiIndex, SpaceGrid, TimeGrid
+from bspdelab.grid import SpaceGrid, TimeGrid
 from bspdelab.kernel import DiffusionCoefficient, HeatKernel
 from bspdelab.stochastic import (
     BM,
@@ -23,7 +23,8 @@ from bspdelab.solver import (
     BumpField,
     CoefficientSet,
     SolverConfig,
-    convolve,
+    _PairConvolver,
+    _space_factor_stack,
     integral_form_defect,
     localize,
     solve,
@@ -166,46 +167,66 @@ class TestBumpField:
 
 
 class TestConvolve:
+    """_PairConvolver on one pair (k=0, t=0, s) with analytic field stacks."""
+
     KERNEL = HeatKernel(DiffusionCoefficient.isotropic(1.0), horizon=1.0)
     MASK = SG.interior_mask(1.0)
 
+    def conv(self, h, order, s=0.5, kernel=None):
+        pairs = _PairConvolver(kernel or self.KERNEL, SG, 1, [0], [0.0], [s], [1.0])
+        return pairs.apply(order, _space_factor_stack(h, SG))[0]
+
     def test_unit_mass(self):
-        out = convolve(self.KERNEL, 0.0, 0.5, np.ones_like(X), SG, MultiIndex((0,)))
+        out = self.conv(SpaceFactor.constant(1.0), 0)
         assert np.abs(out - 1.0)[self.MASK].max() < 1e-6
 
     def test_odd_moment_cancellation(self):
-        out = convolve(self.KERNEL, 0.0, 0.5, X, SG, MultiIndex((0,)))
+        out = self.conv(SpaceFactor.poly((0.0, 1.0)), 0)
         assert np.abs(out - X)[self.MASK].max() < 1e-6
 
     def test_second_moment(self):
-        out = convolve(self.KERNEL, 0.0, 0.5, X**2, SG, MultiIndex((0,)))
+        out = self.conv(SpaceFactor.poly((0.0, 0.0, 1.0)), 0)
         assert np.abs(out - (X**2 + 1.0))[self.MASK].max() < 1e-6
 
     def test_sine_decay(self):
         half = HeatKernel(DiffusionCoefficient.isotropic(0.5), horizon=1.0)
-        out = convolve(half, 0.0, 0.6, np.sin(X), SG, MultiIndex((0,)))
+        out = self.conv(SpaceFactor.sine(), 0, s=0.6, kernel=half)
         assert np.abs(out - np.exp(-0.3) * np.sin(X))[self.MASK].max() < 1e-5
 
     def test_derivative_orders(self):
-        out1 = convolve(self.KERNEL, 0.0, 0.5, np.sin(X), SG, MultiIndex((1,)))
+        out1 = self.conv(SpaceFactor.sine(), 1)
         assert np.abs(out1 - np.exp(-0.5) * np.cos(X))[self.MASK].max() < 1e-6
-        out2 = convolve(self.KERNEL, 0.0, 0.5, np.sin(X), SG, MultiIndex((2,)))
+        out2 = self.conv(SpaceFactor.sine(), 2)
         assert np.abs(out2 + np.exp(-0.5) * np.sin(X))[self.MASK].max() < 1e-6
 
     def test_second_derivative_with_supplied_gradient(self):
-        out = convolve(self.KERNEL, 0.0, 0.5, np.sin(X), SG, MultiIndex((2,)),
-                       field_d1=np.cos(X))
+        # order 2 convolves the supplied gradient stack[1] with the first-derivative kernel
+        stack = _space_factor_stack(SpaceFactor.sine(), SG)
+        stack[1] = np.cos(X)
+        pairs = _PairConvolver(self.KERNEL, SG, 1, [0], [0.0], [0.5], [1.0])
+        out = pairs.apply(2, stack)[0]
         assert np.abs(out + np.exp(-0.5) * np.sin(X))[self.MASK].max() < 1e-6
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrder):
-            convolve(self.KERNEL, 0.0, 0.5, np.sin(X), SG, MultiIndex((3,)))
+            self.conv(SpaceFactor.sine(), 3)
 
-    def test_leading_axes_pass_through(self):
-        fields = np.stack([np.sin(X), np.cos(X)])
-        out = convolve(self.KERNEL, 0.0, 0.5, fields, SG, MultiIndex((0,)))
-        assert out.shape == fields.shape
-        assert np.abs(out[0] - np.exp(-0.5) * np.sin(X))[self.MASK].max() < 1e-6
+    def test_pair_sources_scatter_into_weighted_rows(self):
+        # pairs (k, t, s, w, F): (0, 0, 0.5, 1, sin), (1, 0.2, 0.6, 2, cos), (1, 0.5, 1, 3, sin)
+        sin = _space_factor_stack(SpaceFactor.sine(), SG)
+        cos = _space_factor_stack(SpaceFactor.sine(phase=0.5 * np.pi), SG)
+        stack = [np.stack([a, b, c]) for a, b, c in zip(sin, cos, sin)]
+        pairs = _PairConvolver(self.KERNEL, SG, 2, [0, 1, 1], [0.0, 0.2, 0.5],
+                               [0.5, 0.6, 1.0], [1.0, 2.0, 3.0])
+        e1, e2 = np.exp(-0.5), np.exp(-0.4)
+        expected = {
+            0: [e1 * np.sin(X), 2.0 * e2 * np.cos(X) + 3.0 * e1 * np.sin(X)],
+            1: [e1 * np.cos(X), -2.0 * e2 * np.sin(X) + 3.0 * e1 * np.cos(X)],
+        }
+        for order, rows in expected.items():
+            out = pairs.apply(order, stack)
+            assert out.shape == (2, SG.points_per_axis)
+            assert np.abs(out - np.stack(rows))[:, self.MASK].max() < 1e-6
 
 
 class TestModelRoute:
