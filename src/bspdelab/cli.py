@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import InvalidArgument
+from .errors import AssumptionViolation, InvalidArgument
 from .scenarios import CATALOG, list_scenarios
 
 CONFIG_DIR = Path(__file__).parent / "configs"
@@ -52,14 +52,21 @@ class SchemaError(Exception):
         return f"{loc}: {self.args[0]}"
 
 
-def _find_line(path, needle) -> int | None:
-    """First 1-based line whose stripped text starts with the needle."""
+def _find_line(path, needle, section=None) -> int | None:
+    """First 1-based line whose stripped text starts with the needle.
+
+    With ``section``, only the lines under its [section] header count.
+    """
     try:
         text = Path(path).read_text()
     except OSError:
         return None
+    inside = section is None
     for i, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip().lower().startswith(needle.lower()):
+        line = raw.strip().lower()
+        if section is not None and line.startswith("["):
+            inside = line.startswith(f"[{section.lower()}]")
+        elif inside and line.startswith(needle.lower()):
             return i
     return None
 
@@ -140,29 +147,27 @@ def load_config(path: Path) -> dict:
                     raise SchemaError(
                         f"unknown key {key!r} in [{section}]; allowed: "
                         f"{sorted(_OVERRIDE_TYPES)}",
-                        path=path, line=_find_line(path, key))
+                        path=path, line=_find_line(path, key, section))
                 try:
                     overrides[key] = _OVERRIDE_TYPES[key](raw)
-                    # build the grids and solver config the value implies now,
-                    # so a bad one exits 2 here instead of crashing the run
+                    # build the grids, solver config and coefficients the value
+                    # implies now, so a bad one exits 2 here instead of
+                    # crashing the run
                     built = apply_overrides(spec, {key: overrides[key]})
                     built.config()
+                    if key == "lam" and spec.build_coeffs is not None:
+                        built.build_coeffs()
                     if built.num_paths < 0:
                         raise InvalidArgument("num_paths must be >= 0")
-                except InvalidArgument as e:
+                except (InvalidArgument, AssumptionViolation) as e:
                     raise SchemaError(f"{key} = {raw} in [{section}]: {e}",
-                                      path=path, line=_find_line(path, key)) from None
+                                      path=path,
+                                      line=_find_line(path, key, section)) from None
                 except ValueError:
                     raise SchemaError(
                         f"{key} must be {_OVERRIDE_TYPES[key].__name__}, "
                         f"got {raw!r}",
-                        path=path, line=_find_line(path, key))
-            if "lam" in overrides and overrides["lam"] <= 0.0:
-                raise SchemaError(
-                    "lam <= 0 violates uniform ellipticity: the diffusion "
-                    "must satisfy lam |xi|^2 <= a xi^2 <= Lam |xi|^2 with a "
-                    "positive lower bound",
-                    path=path, line=_find_line(path, "lam"))
+                        path=path, line=_find_line(path, key, section))
         scenarios.append((spec, overrides))
     return {"scenarios": scenarios, "seed": seed, "out": out}
 

@@ -9,10 +9,13 @@ one engine:
   * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v)
 
 Space convolutions run on a uniform 1-d lattice, so every kernel application
-is a Toeplitz matrix-vector product; batches of (t, s) pairs go through one
-FFT.  When the kernel width drops below the lattice resolution the quadrature
-is replaced by the two-term expansion R_t^s F = F + A F'' + O(A^2), which is
-what keeps the short-time end of the time integrals honest.
+is a Toeplitz matrix-vector product.  Kernel spectra are cached per pair
+table, each source row is transformed once, and each (t, s) pair costs one
+inverse FFT; the sum over pairs is bit for bit the per-pair FFT convolution
+summed in pair order.  When the kernel width drops below the lattice
+resolution the quadrature is replaced by the two-term expansion
+R_t^s F = F + A F'' + O(A^2), which is what keeps the short-time end of the
+time integrals honest.
 
 Only n = 1 is wired here; the kernel module itself handles general n.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import (
     AssumptionViolation,
@@ -251,6 +254,9 @@ class BumpField:
 # All kernel sampling goes through one weighted pair-sum engine.  The terminal
 # term, the Gauss-Legendre forcing integral and the trapezoid Picard source
 # integral are three pair tables (k, t, s, w) for the same _PairConvolver.
+# Kernel spectra are cached per table and each source row is transformed once
+# per apply; the result is bit-identical to convolving pair by pair and
+# summing into rows in pair order.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
@@ -259,73 +265,101 @@ _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
 class _PairConvolver:
     """Weighted kernel convolutions on a uniform 1-d lattice, summed into rows.
 
-    Pair p = (k_p, t_p, s_p, w_p) adds w_p D^o R^{s_p}_{t_p} F_p into row k_p.
-    Each pair contributes one Toeplitz row built from 2J-1 kernel samples at
-    lattice displacements; all pairs are convolved in a single batched FFT.
-    Pairs whose accumulated covariance A is below the resolution threshold
-    use the Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
+    Pair p = (k_p, t_p, s_p, w_p, j_p) adds w_p D^o R^{s_p}_{t_p} F_{j_p} into
+    row k_p.  Each pair is a Toeplitz row of 2J-1 kernel samples at lattice
+    displacements; its spectrum is computed once, each source row is
+    transformed once per apply, and each pair costs one inverse FFT.  Pairs
+    whose accumulated covariance A is below the resolution threshold use the
+    Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
     """
 
-    def __init__(self, kernel: HeatKernel, grid: SpaceGrid, rows: int, k, t, s, w):
+    def __init__(self, kernel: HeatKernel, grid: SpaceGrid, rows: int, k, t, s, w, j=None):
         if grid.dim != 1:
             raise InvalidArgument("batched convolution is implemented for n = 1 only")
+        self.k = np.asarray(k)
+        if np.any(np.diff(self.k) < 0):
+            raise InvalidArgument("pair rows k must be sorted")
         self.grid = grid
         self.rows = rows
-        self.k = np.asarray(k)
+        self.j = None if j is None else np.asarray(j)
         self.weights = np.asarray(w, dtype=float)[:, None]
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         self.A = kernel.covariance_pairs(t, s)[:, 0, 0]
         self.damp = np.exp(-kernel.beta * (s - t))
         self.small = self.A < _SMALL_FACTOR * grid.h**2
+        self.small_idx = np.flatnonzero(self.small)
         J = grid.points_per_axis
-        self.disp = np.arange(-(J - 1), J) * grid.h
+        self.fft_len = next_fast_len(3 * J - 2, True)
         self.quad_w = space_quadrature_weights(grid)
-        self._kv = {}
+        # pairs at in-row position d, so row sums add in np.add.at's order
+        pos = np.arange(len(self.k)) - np.searchsorted(self.k, self.k)
+        self._sweep = []
+        for d in range(pos.max(initial=-1) + 1):
+            sel = np.flatnonzero(pos == d)
+            self._sweep.append((self.k[sel], sel))
+        self._spectra = {}
         self._mass = None
 
-    def _kernel_vec(self, order: int) -> np.ndarray:
-        """Per-pair samples of the damped kernel (order 0) or its x-derivative (1)."""
-        if order not in self._kv:
+    def _kernel_spectrum(self, order: int) -> np.ndarray:
+        """Per-pair spectrum of the damped kernel (order 0) or its x-derivative (1)."""
+        if order not in self._spectra:
+            J = self.grid.points_per_axis
             A = np.where(self.small, 1.0, self.A)[:, None]
-            z = self.disp[None, :]
+            z = (np.arange(-(J - 1), J) * self.grid.h)[None, :]
             G = self.damp[:, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
             if order == 1:
                 G = -0.5 * (z / A) * G
             G[self.small] = 0.0
-            self._kv[order] = G
-        return self._kv[order]
+            self._spectra[order] = rfft(G, self.fft_len, axis=-1)
+        return self._spectra[order]
 
-    def _conv(self, kv: np.ndarray, F: np.ndarray) -> np.ndarray:
+    def _rows(self, F, idx=slice(None)):
+        """Source rows of the pairs idx: a shared (J,) or (1, J) F as is, else gathered."""
+        F = np.asarray(F)
+        if F.ndim == 1 or len(F) == 1:
+            return F
+        return F[idx] if self.j is None else F[self.j[idx]]
+
+    def _conv(self, order: int, F) -> np.ndarray:
+        """(P, J) convolutions of every pair's kernel with its source row of F."""
         J = self.grid.points_per_axis
-        out = fftconvolve(np.atleast_2d(F) * self.quad_w, kv, mode="full", axes=-1)
-        return out[..., J - 1:2 * J - 1]
+        spec = self._rows(rfft(np.atleast_2d(F) * self.quad_w, self.fft_len, axis=-1))
+        kern = self._kernel_spectrum(order)
+        # spec is a fresh array, so the product may overwrite it
+        spec = np.multiply(spec, kern, out=spec if spec.shape == kern.shape else None)
+        out = irfft(spec, self.fft_len, axis=-1, overwrite_x=True)
+        return out[:, J - 1:2 * J - 1]
 
     def apply(self, order: int, stack) -> np.ndarray:
         """(rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_p, for o = 0, 1, 2.
 
-        ``stack`` is [F, F', ..., F^(6)] on the lattice; each entry is (J,),
-        shared by every pair, or (P, J), one row per pair.  Orders 1 and 2
-        use the subtracted first-derivative kernel against stack[o - 1].
+        ``stack`` is [F, F', ..., F^(6)] on the lattice.  Each entry is (J,),
+        shared by every pair; or (R, J) source rows picked by ``j``; or, with
+        no ``j``, (P, J), one row per pair.  Orders 1 and 2 use the subtracted
+        first-derivative kernel against stack[o - 1].
         """
         if order > 2:
             raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {order}")
         if order == 0:
-            vals = self._conv(self._kernel_vec(0), stack[0])
+            vals = self._conv(0, stack[0])
         else:
             if self._mass is None:
-                self._mass = self._conv(self._kernel_vec(1),
-                                        np.ones(self.grid.points_per_axis))
+                self._mass = self._conv(1, np.ones(self.grid.points_per_axis)).copy()
             fld = stack[order - 1]
-            vals = self._conv(self._kernel_vec(1), fld) - fld * self._mass
-        if np.any(self.small):
+            vals = self._conv(1, fld)
+            vals -= self._rows(fld) * self._mass
+        if self.small_idx.size:
             # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
-            limit = stack[order]
-            for extra, coef in ((2, self.A), (4, 0.5 * self.A**2)):
-                limit = limit + coef[:, None] * stack[order + extra]
-            vals[self.small] = (self.damp[:, None] * limit)[self.small]
+            A = self.A[self.small_idx, None]
+            limit = self._rows(stack[order], self.small_idx)
+            for extra, coef in ((2, A), (4, 0.5 * A**2)):
+                limit = limit + coef * self._rows(stack[order + extra], self.small_idx)
+            vals[self.small_idx] = self.damp[self.small_idx, None] * limit
+        vals *= self.weights
         out = np.zeros((self.rows, self.grid.points_per_axis))
-        np.add.at(out, self.k, self.weights * vals)
+        for rows, sel in self._sweep:
+            out[rows] += vals[sel]
         return out
 
 
@@ -409,12 +443,13 @@ class _GriddedIntegrator:
     def __init__(self, kernel: HeatKernel, tgrid: TimeGrid, grid: SpaceGrid, phi_stack):
         self.grid = grid
         K = tgrid.num_steps
-        idx_k, self.idx_j = np.triu_indices(K + 1)
+        idx_k, idx_j = np.triu_indices(K + 1)
         wt = np.full(idx_k.shape, tgrid.dt)
-        wt[(self.idx_j == idx_k) | (self.idx_j == K)] = 0.5 * tgrid.dt
+        wt[(idx_j == idx_k) | (idx_j == K)] = 0.5 * tgrid.dt
         wt[idx_k == K] = 0.0
         t = tgrid.nodes
-        self.pairs = _PairConvolver(kernel, grid, K + 1, idx_k, t[idx_k], t[self.idx_j], wt)
+        self.pairs = _PairConvolver(kernel, grid, K + 1, idx_k, t[idx_k], t[idx_j], wt,
+                                    j=idx_j)
         self.terminal = _terminal_profiles(kernel, tgrid, phi_stack, grid)
 
     def solve(self, F=None):
@@ -425,7 +460,7 @@ class _GriddedIntegrator:
         """
         if F is None:
             return {o: self.terminal[o].copy() for o in range(3)}
-        stack = [d[self.idx_j] for d in _stack_from_rows(F, self.grid)]
+        stack = _stack_from_rows(F, self.grid)
         return {o: self.terminal[o] + self.pairs.apply(o, stack) for o in range(3)}
 
 

@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bspdelab
 
 from bspdelab.cli import (
     SchemaError,
@@ -134,10 +140,11 @@ class TestRun:
 
     @pytest.mark.parametrize("line, expected", [
         ("lam = -1", "ellipticity"),
+        ("lam = 5", "ellipticity"),
         ("points_per_axis = 4", "points_per_axis"),
         ("num_paths = -1", "num_paths"),
         ("beta = -1", "damping beta"),
-    ], ids=["lam", "points_per_axis", "num_paths", "beta"])
+    ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths", "beta"])
     def test_schema_violation_exits_two(self, tmp_path, capsys, line, expected):
         p = tmp_path / "bad.ini"
         p.write_text("[run]\nscenarios = sin_decay\n"
@@ -147,6 +154,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert expected in err
         assert "bad.ini:4" in err
+
+    def test_anchor_is_in_the_overriding_section(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nscenarios = sin_decay, heat_smoke\n"
+                     "[scenario.sin_decay]\nnum_steps = 20\n"
+                     "[scenario.heat_smoke]\nnum_steps = 0\n")
+        code = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "bad.ini:6" in capsys.readouterr().err
 
     def test_beta_sweep_plot_csv(self, tmp_path):
         out = tmp_path / "o"
@@ -176,3 +192,13 @@ class TestRun:
         assert main(["run", str(p), "--seed", "9", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
+
+
+def test_entry_points_do_not_import_scipy_signal():
+    # scipy.signal costs about a second of import time; nothing needs it
+    code = ("import sys, bspdelab.cli, bspdelab.verify; "
+            "assert 'scipy.signal' not in sys.modules")
+    src = str(Path(bspdelab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -71,6 +71,21 @@ class TestCovariance:
         for t, A in zip(t_arr, batch):
             assert np.allclose(A, k.covariance(t, 0.9), atol=1e-7)
 
+    @pytest.mark.parametrize("diffusion", [
+        ISO, SCALED, DiffusionCoefficient(fn=lambda t: np.array([[1.0 + t, 0.3 * t],
+                                                                 [0.3 * t, 2.0 - t * t]]),
+                                          dim=2, lam=0.1, Lam=3.0),
+    ], ids=["constant", "time_scaled", "aniso2"])
+    @pytest.mark.parametrize("horizon", [1.0, 0.7])
+    def test_antiderivative_table_is_running_sum_of_covariances(self, diffusion, horizon):
+        k = HeatKernel(diffusion, horizon=horizon)
+        grid, vals = k._antiderivative_table()
+        expected = np.zeros_like(vals)
+        for i in range(len(grid) - 1):
+            expected[i + 1] = expected[i] + k.covariance(grid[i], grid[i + 1])
+        assert np.array_equal(grid, np.linspace(0.0, horizon, len(grid)))
+        assert np.array_equal(vals, expected)
+
 
 class TestEval:
     def test_standard_value_at_origin(self):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from bspdelab.errors import (
     AssumptionViolation,
@@ -10,7 +11,7 @@ from bspdelab.errors import (
     InvalidShift,
     UnsupportedOrder,
 )
-from bspdelab.grid import SpaceGrid, TimeGrid
+from bspdelab.grid import SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.kernel import DiffusionCoefficient, HeatKernel
 from bspdelab.stochastic import (
     BM,
@@ -23,8 +24,10 @@ from bspdelab.solver import (
     BumpField,
     CoefficientSet,
     SolverConfig,
+    _SMALL_FACTOR,
     _PairConvolver,
     _space_factor_stack,
+    _stack_from_rows,
     integral_form_defect,
     localize,
     solve,
@@ -227,6 +230,93 @@ class TestConvolve:
             out = pairs.apply(order, stack)
             assert out.shape == (2, SG.points_per_axis)
             assert np.abs(out - np.stack(rows))[:, self.MASK].max() < 1e-6
+
+
+class TestPairEngineBitIdentity:
+    """_PairConvolver.apply equals per-pair fftconvolve plus np.add.at, bit for bit."""
+
+    SG = SpaceGrid(1, 6.0, 65)
+    TG = TimeGrid(1.0, 12)
+    KERNEL = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 0.4 + 0.3 * np.sin(3.0 * t),
+                                                         lam=0.1, Lam=0.7), beta=0.7)
+
+    def reference(self, rows, k, t, s, w, stack, order):
+        grid, J = self.SG, self.SG.points_per_axis
+        quad_w = space_quadrature_weights(grid)
+        # kernel rows sampled over all pairs at once, as the engine does
+        # (numpy's array and scalar pow differ in the last bit)
+        A = self.KERNEL.covariance_pairs(t, s)[:, 0, 0]
+        damp = np.exp(-self.KERNEL.beta * (s - t))
+        small = A < _SMALL_FACTOR * grid.h**2
+        A_safe = np.where(small, 1.0, A)[:, None]
+        z = (np.arange(-(J - 1), J) * grid.h)[None, :]
+        G = damp[:, None] * (4.0 * np.pi * A_safe) ** -0.5 * np.exp(-0.25 * z**2 / A_safe)
+        if order > 0:
+            G = -0.5 * (z / A_safe) * G
+        out = np.zeros((rows, J))
+        contrib = []
+        for p in range(len(k)):
+            F = [np.asarray(d)[p] if np.ndim(d) == 2 else np.asarray(d) for d in stack]
+            if small[p]:
+                lim = F[order] + A[p] * F[order + 2]
+                vals = damp[p] * (lim + 0.5 * A[p] ** 2 * F[order + 4])
+            else:
+                def conv(src):
+                    return fftconvolve(src * quad_w, G[p], mode="full")[J - 1:2 * J - 1]
+
+                if order == 0:
+                    vals = conv(F[0])
+                else:
+                    vals = conv(F[order - 1]) - F[order - 1] * conv(np.ones(J))
+            contrib.append(w[p] * vals)
+        np.add.at(out, k, np.array(contrib))
+        return out
+
+    def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None):
+        pairs = _PairConvolver(self.KERNEL, self.SG, rows, k, t, s, w, j=j)
+        for order in range(3):
+            expected = self.reference(rows, k, t, s, w,
+                                      stack if pair_stack is None else pair_stack, order)
+            assert np.array_equal(pairs.apply(order, stack), expected)
+        return pairs
+
+    def test_picard_triangle_with_source_rows(self):
+        K, nodes = self.TG.num_steps, self.TG.nodes
+        k, j = np.triu_indices(K + 1)
+        w = np.full(k.shape, self.TG.dt)
+        w[(j == k) | (j == K)] *= 0.5
+        w[k == K] = 0.0
+        rng = np.random.default_rng(0)
+        F = (np.cos(nodes)[:, None] * np.sin(self.SG.axis)[None, :]
+             + 0.1 * rng.standard_normal((K + 1, self.SG.points_per_axis)))
+        stack = _stack_from_rows(F, self.SG)
+        pairs = self.check(K + 1, k, nodes[k], nodes[j], w, stack,
+                           pair_stack=[d[j] for d in stack], j=j)
+        assert 0 < pairs.small_idx.size < len(k)
+
+    def test_shared_source_repeated_rows(self):
+        # forcing-table shape: several s nodes per row, one shared (J,) source
+        K, heads = self.TG.num_steps, self.TG.nodes[:-1]
+        u = np.array([1e-4, 0.02, 0.3, 0.7, 0.95])
+        k = np.repeat(np.arange(K), len(u))
+        t = np.repeat(heads, len(u))
+        s = (heads[:, None] + (1.0 - heads)[:, None] * u[None, :]).ravel()
+        w = np.tile([0.1, 0.2, 0.4, 0.2, 0.1], K)
+        stack = _space_factor_stack(SpaceFactor.sine(phase=0.3), self.SG)
+        self.check(K + 1, k, t, s, w, stack)
+
+    def test_per_pair_sources(self):
+        rng = np.random.default_rng(1)
+        k = np.array([0, 0, 1, 3, 3, 3])
+        t = np.array([0.0, 0.1, 0.2, 0.4, 0.4, 0.5])
+        s = np.array([0.5, 0.1001, 0.9, 0.6, 1.0, 0.8])
+        w = rng.uniform(0.5, 2.0, len(k))
+        stack = [rng.standard_normal((len(k), self.SG.points_per_axis)) for _ in range(7)]
+        self.check(4, k, t, s, w, stack)
+
+    def test_unsorted_rows_rejected(self):
+        with pytest.raises(InvalidArgument, match="sorted"):
+            _PairConvolver(self.KERNEL, self.SG, 2, [1, 0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
 
 
 class TestModelRoute:
