@@ -6,6 +6,7 @@ the command-line front end wires into run configs.
     python3 demos/certification_demo.py
 """
 
+from bspdelab.scenarios import get_scenario
 from bspdelab.verify import (
     run_apriori_study,
     run_kernel_suite,
@@ -18,10 +19,11 @@ def main():
     print(run_kernel_suite().table())
 
     print("\nnorm-ratio stability under refinement and data scaling")
-    print(run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic")).table())
+    specs = [get_scenario("sin_decay"), get_scenario("heat_quadratic")]
+    print(run_apriori_study(specs).table())
 
     print("\nsquare-root modulus of time continuity")
-    print(run_time_shift_study(scenario_ids=("sin_decay",)).table())
+    print(run_time_shift_study([get_scenario("sin_decay")]).table())
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ def main():
     spec = get_scenario("abs_kink")
     from bspdelab.verify import run_convergence_study
 
-    v = run_convergence_study("abs_kink", "h")
+    v = run_convergence_study(spec, "h")
     print(f"\nabs_kink spatial order {v.measured['fitted_order']:.3f} "
           f"(expected {v.tolerance['expected_order']})")
     for row in v.details["rows"]:

@@ -1,10 +1,15 @@
 """Command-line front end: configs, run orchestration, artifact emission.
 
 Configs are flat INI files: a [run] section lists scenarios, and optional
-[scenario.<id>] sections override per-scenario knobs.  Runs write a manifest
-before anything else, then per-scenario verdict JSON, solution CSV, and
-plot-data CSV files.  Exit codes: 0 clean, 1 at least one failed verdict,
-2 config schema violation.
+[scenario.<id>] sections override per-scenario knobs.  An override applies
+to every check of its scenario, the scenario's own studies included.  The
+studies that build no coefficients (kernel_suite, apriori_study,
+time_shift_sweep) take no overrides: any key in their section is a schema
+violation, and so is a horizon the time-shift study cannot shift on.  Runs
+write a manifest before anything else, listing the files
+``verify.artifact_files`` plans, then per-scenario verdict JSON, solution
+CSV, and plot-data CSV files.  Exit codes: 0 clean, 1 at least one failed
+verdict, 2 config schema violation.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from pathlib import Path
 
 from .errors import AssumptionViolation, InvalidArgument
 from .scenarios import CATALOG, list_scenarios
+from .verify import artifact_files, run_scenario, shift_grid
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -143,6 +149,11 @@ def load_config(path: Path) -> dict:
         section = f"scenario.{sid}"
         if section in cp:
             for key, raw in cp[section].items():
+                if spec.build_coeffs is None:
+                    raise SchemaError(
+                        f"{key} in [{section}]: {sid} builds no coefficients "
+                        "and takes no overrides",
+                        path=path, line=_find_line(path, key, section))
                 if key not in _OVERRIDE_TYPES:
                     raise SchemaError(
                         f"unknown key {key!r} in [{section}]; allowed: "
@@ -155,8 +166,10 @@ def load_config(path: Path) -> dict:
                     # crashing the run
                     built = apply_overrides(spec, {key: overrides[key]})
                     built.config()
-                    if key == "lam" and spec.build_coeffs is not None:
+                    if key == "lam":
                         built.build_coeffs()
+                    if "time_shift" in built.checks:
+                        shift_grid(built)
                     if built.num_paths < 0:
                         raise InvalidArgument("num_paths must be >= 0")
                 except (InvalidArgument, AssumptionViolation) as e:
@@ -203,24 +216,6 @@ def _write_rows_csv(path: Path, rows):
             ])
 
 
-def _artifact_files(spec):
-    """Planned artifact file names for one scenario."""
-    files = [f"{spec.scenario_id}/verdicts.json"]
-    if spec.kind == "solve":
-        files.append(f"{spec.scenario_id}/solution.csv")
-        files.append(f"{spec.scenario_id}/summary.json")
-    if "h_convergence" in spec.checks:
-        files.append(f"{spec.scenario_id}/error_vs_h.csv")
-    if "time_shift" in spec.checks:
-        files.append(f"{spec.scenario_id}/norm_vs_tau.csv")
-    if spec.scenario_id == "beta_sweep":
-        files.append(f"{spec.scenario_id}/contraction_vs_beta.csv")
-    if spec.scenario_id == "time_shift_sweep":
-        for sid in spec.extras.get("scenarios", ()):
-            files.append(f"{spec.scenario_id}/norm_vs_tau_{sid}.csv")
-    return files
-
-
 def write_manifest(out_dir: Path, config_path, specs, seed, artifacts,
                    status="started"):
     manifest = {
@@ -241,28 +236,21 @@ def write_manifest(out_dir: Path, config_path, specs, seed, artifacts,
 
 
 def _run_one(spec, seed, out_dir: Path):
-    from .verify import run_scenario
-
+    """Run one scenario and write the files ``artifact_files`` plans."""
     bundle, artifacts = run_scenario(spec, seed=seed)
-    sdir = out_dir / spec.scenario_id
-    sdir.mkdir(exist_ok=True)
-    written = []
-
-    def emit(name):
-        written.append(f"{spec.scenario_id}/{name}")
-
-    (sdir / "verdicts.json").write_text(bundle.to_json())
-    emit("verdicts.json")
-    for stem, obj in sorted(artifacts.items()):
-        if stem == "solution":
-            obj.to_csv(sdir / "solution.csv")
-            emit("solution.csv")
-            (sdir / "summary.json").write_text(obj.summary_json() + "\n")
-            emit("summary.json")
+    (out_dir / spec.scenario_id).mkdir(exist_ok=True)
+    files = artifact_files(spec)
+    for rel in files:
+        path = out_dir / rel
+        if path.name == "verdicts.json":
+            path.write_text(bundle.to_json())
+        elif path.name == "solution.csv":
+            artifacts["solution"].to_csv(path)
+        elif path.name == "summary.json":
+            path.write_text(artifacts["solution"].summary_json() + "\n")
         else:
-            _write_rows_csv(sdir / f"{stem}.csv", obj)
-            emit(f"{stem}.csv")
-    return bundle, written
+            _write_rows_csv(path, artifacts[path.stem])
+    return bundle, files
 
 
 def cmd_run(args) -> int:
@@ -283,7 +271,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     specs = [apply_overrides(spec, dict(ov)) for spec, ov in cfg["scenarios"]]
-    planned = [f for s in specs for f in _artifact_files(s)]
+    planned = [f for s in specs for f in artifact_files(s)]
     write_manifest(out_dir, cfg_path, specs, seed, planned)
 
     failed = False

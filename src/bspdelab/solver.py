@@ -583,6 +583,11 @@ def _degenerate_paths(tgrid: TimeGrid, d: int = 1) -> PathEnsemble:
     return PathEnsemble(np.zeros((1, tgrid.num_steps, d)), tgrid, seed=0)
 
 
+_DEFECT_PATHS = 64  # paths the integral-form defect is measured on
+_LOCALIZE_PATHS = 32  # paths the localized residual is measured on
+_COVERING_CENTERS = 9  # bump centers of the covering inequality
+
+
 def _defect_sample(paths, stochastic: bool, max_paths: int, tgrid: TimeGrid, d: int):
     """(path_idx, ensemble) a defect is measured on: the first max_paths paths, or path 0."""
     if not stochastic:
@@ -594,7 +599,7 @@ def _defect_sample(paths, stochastic: bool, max_paths: int, tgrid: TimeGrid, d: 
 # -- residual certification -------------------------------------------------
 
 def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
-                         paths: PathEnsemble = None, max_paths: int = 64):
+                         paths: PathEnsemble = None):
     """Defect of the backward integral form on the trusted region.
 
     Deterministic solves integrate the drift by trapezoid; stochastic solves
@@ -609,7 +614,8 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     stochastic = paths is not None and not (
         coeffs.is_deterministic() and sol.num_paths == 1
     )
-    path_idx, sub = _defect_sample(paths, stochastic, max_paths, tgrid, coeffs.noise_dim)
+    path_idx, sub = _defect_sample(paths, stochastic, _DEFECT_PATHS, tgrid,
+                                   coeffs.noise_dim)
 
     u0 = sol.u_dense(0, path_idx)[..., mask]
     u1 = sol.u_dense(1, path_idx)[..., mask]
@@ -643,8 +649,8 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
 
 # -- representation route ---------------------------------------------------
 
-def solve_model(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfig,
-                kernel_beta: float = 0.0) -> SolutionField:
+def solve_model(coeffs: CoefficientSet, paths: PathEnsemble,
+                config: SolverConfig) -> SolutionField:
     """Explicit solution for space-invariant a and sigma, no drift or zeroth term."""
     if not coeffs.space_invariant or coeffs.b_fn is not None or coeffs.c_fn is not None:
         raise InvalidRoute(
@@ -659,7 +665,7 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfi
         if not coeffs.is_deterministic():
             raise InvalidRoute("stochastic data needs a path ensemble")
         paths = _degenerate_paths(tgrid, d)
-    kernel = HeatKernel(coeffs.diffusion, beta=kernel_beta, horizon=tgrid.horizon)
+    kernel = HeatKernel(coeffs.diffusion, horizon=tgrid.horizon)
     sigma = coeffs.sigma
 
     stacks = {}
@@ -765,7 +771,7 @@ def _frozen_diffusion(coeffs: CoefficientSet) -> DiffusionCoefficient:
                                 label="frozen@0.0")
 
 
-_NORM_ALPHA = 0.5  # Holder exponent of the a priori norm in the convergence test
+_NORM_ALPHA = 0.5  # Holder exponent of the convergence-test and covering norms
 
 
 def _masked_grid(grid: SpaceGrid, mask: np.ndarray) -> SpaceGrid:
@@ -978,8 +984,7 @@ class LocalizedProblem:
 
 
 def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
-             paths: PathEnsemble = None, max_paths: int = 32,
-             alpha: float = 0.5) -> LocalizedProblem:
+             paths: PathEnsemble = None) -> LocalizedProblem:
     """Multiply the solution by the bump at (z, theta) and rebuild its equation.
 
     The localized pair (u eta, v eta) satisfies the frozen-at-z equation with
@@ -1000,7 +1005,8 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     eta2 = bump.d2(x)
 
     stochastic = paths is not None and sol.num_paths > 1
-    path_idx, sub = _defect_sample(paths, stochastic, max_paths, tgrid, coeffs.noise_dim)
+    path_idx, sub = _defect_sample(paths, stochastic, _LOCALIZE_PATHS, tgrid,
+                                   coeffs.noise_dim)
 
     u0 = sol.u_dense(0, path_idx)
     u1 = sol.u_dense(1, path_idx)
@@ -1046,7 +1052,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
     worst = float(np.max(np.abs(defect)) / scale)
 
-    covering = covering_inequality(sol, theta, alpha, path_idx=path_idx)
+    covering = covering_inequality(sol, theta, _NORM_ALPHA, path_idx=path_idx)
 
     return LocalizedProblem(
         bump=bump, u_loc=u_loc, v_loc=v_loc, phi_loc=phi_loc, f_loc=f_loc,
@@ -1056,21 +1062,21 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
 
 
 def covering_inequality(sol: SolutionField, theta: float, alpha: float,
-                        m: int = 0, path_idx=None, num_centers: int = 9) -> dict:
+                        path_idx=None) -> dict:
     """Smallest C with ||u|| <= 2 sup_z ||eta^z u|| + C ||u||_0 on the sample."""
     grid, tgrid = sol.space_grid, sol.time_grid
     u0 = sol.u_dense(0, path_idx)
     f = FieldSample(u0, grid, "L2", tgrid)
-    lhs = estimate_norm(f, m, alpha).total
+    lhs = estimate_norm(f, 0, alpha).total
     h0 = estimate_seminorm(f, 0)
     span = grid.radius - 2.0 * theta
-    centers = np.linspace(-max(span, 0.0), max(span, 0.0), num_centers)
+    centers = np.linspace(-max(span, 0.0), max(span, 0.0), _COVERING_CENTERS)
     masked_best = 0.0
     per_center = []
     for z in centers:
         eta = BumpField(center=float(z), radius=theta)(grid.axis)
         g = FieldSample(u0 * eta, grid, "L2", tgrid)
-        val = estimate_norm(g, m, alpha).total
+        val = estimate_norm(g, 0, alpha).total
         per_center.append({"z": float(z), "norm": val})
         masked_best = max(masked_best, val)
     C = 0.0 if h0 == 0.0 else max(0.0, (lhs - 2.0 * masked_best) / h0)
@@ -1082,17 +1088,22 @@ def covering_inequality(sol: SolutionField, theta: float, alpha: float,
 
 # -- time continuity --------------------------------------------------------
 
+def shift_steps(tgrid: TimeGrid, tau: float) -> int:
+    """The number of grid steps a shift by tau spans; InvalidShift unless
+    0 < tau < T and tau is a whole multiple of the step."""
+    if tau <= 0.0 or tau >= tgrid.horizon:
+        raise InvalidShift(f"shift must satisfy 0 < tau < T, got {tau}")
+    r = tau / tgrid.dt
+    if abs(r - round(r)) > 1e-9:
+        raise InvalidShift(f"shift {tau} is not a multiple of the grid step {tgrid.dt}")
+    return int(round(r))
+
+
 def time_shift_norm(sol: SolutionField, tau: float, alpha: float = 0.5,
                     path_idx=None) -> float:
     """Restricted-interval norm ||u(.) - u(. - tau)||_{alpha, L2, tau}."""
     tgrid = sol.time_grid
-    dt = tgrid.dt
-    if tau <= 0.0 or tau >= tgrid.horizon:
-        raise InvalidShift(f"shift must satisfy 0 < tau < T, got {tau}")
-    r = tau / dt
-    if abs(r - round(r)) > 1e-9:
-        raise InvalidShift(f"shift {tau} is not a multiple of the grid step {dt}")
-    r = int(round(r))
+    r = shift_steps(tgrid, tau)
     if path_idx is None and sol.num_paths > 64:
         path_idx = np.arange(64)
     u = sol.u_dense(0, path_idx)[..., sol.trusted]

@@ -24,13 +24,10 @@ from .kernel import (
     probe_pointwise_bound,
     probe_sup_kernel_integrability,
 )
-from .solver import _jsonable, _masked_grid, integral_form_defect, time_shift_norm
-from .stochastic import (
-    DataFunctional,
-    SpaceFactor,
-    solve_bsde_closed,
-    solve_bsde_regression,
-)
+from .scenarios import get_scenario
+from .solver import SolverConfig, _degenerate_paths, _jsonable, _masked_grid, solve
+from .solver import integral_form_defect, localize, shift_steps, time_shift_norm
+from .stochastic import DataFunctional, SpaceFactor
 
 STATUSES = ("pass", "fail", "advisory")
 
@@ -176,13 +173,20 @@ def run_oracle_check(spec, solution, paths) -> Verdict:
 
 # -- a priori norm-ratio study ---------------------------------------------
 
-def solution_norm_lhs(sol, alpha: float, max_paths: int = 128) -> dict:
+_ALPHA = 0.5  # Holder exponent of the a priori and time-shift norms
+_NORM_PATHS = 128  # paths a solution or data norm is measured on
+_RATIO_SPREAD = 1.3  # allowed max/min of the norm ratio over the lattice
+_EQUIVARIANCE_TOL = 1e-10  # allowed relative deviation from linearity in the data
+_SCALINGS = (1.0, 10.0)  # data scalings of the a priori lattice, unscaled first
+
+
+def solution_norm_lhs(sol, alpha: float) -> dict:
     """The three-norm sum measured on the trusted region of a solution."""
     mask = sol.trusted
     sub = _masked_grid(sol.space_grid, mask)
     idx = None
-    if sol.num_paths > max_paths:
-        idx = np.linspace(0, sol.num_paths - 1, max_paths).astype(int)
+    if sol.num_paths > _NORM_PATHS:
+        idx = np.linspace(0, sol.num_paths - 1, _NORM_PATHS).astype(int)
     u0 = sol.u_dense(0, path_idx=idx)[..., mask]
     u1 = sol.u_dense(1, path_idx=idx)[..., mask]
     u2 = sol.u_dense(2, path_idx=idx)[..., mask]
@@ -197,15 +201,13 @@ def solution_norm_lhs(sol, alpha: float, max_paths: int = 128) -> dict:
             "total": low + high + v_norm}
 
 
-def data_norm_rhs(coeffs, sol, paths, alpha: float, max_paths: int = 128) -> dict:
+def data_norm_rhs(coeffs, sol, paths, alpha: float) -> dict:
     """Norms of the problem data on the same trusted region."""
     mask = sol.trusted
     sub = _masked_grid(sol.space_grid, mask)
     x = sol.space_grid.axis[mask]
-    from .solver import _degenerate_paths
-
     p = paths if paths is not None else _degenerate_paths(sol.time_grid, 1)
-    if p.num_paths > max_paths:
+    if p.num_paths > _NORM_PATHS:
         raise InvalidArgument("subsample the ensemble before measuring data norms")
     phi = coeffs.terminal.terminal_values(p, x)[:, None, :]
     f_phi = FieldSample(phi, sub, "L2Omega")
@@ -244,13 +246,8 @@ def scaled_coefficients(coeffs, kappa: float):
                                label=f"{coeffs.label}~x{kappa}")
 
 
-def run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic"),
-                      steps=(50, 100), points=(129, 257),
-                      scalings=(1.0, 10.0), alpha: float = 0.5,
-                      ratio_spread: float = 1.3,
-                      equivariance_tol: float = 1e-10,
-                      max_paths: int = 128) -> VerdictBundle:
-    """Norm ratio LHS/RHS across grid refinement and data scaling.
+def run_apriori_study(specs, steps=(50, 100), points=(129, 257)) -> VerdictBundle:
+    """Norm ratio LHS/RHS across grid refinement and data scaling, per spec.
 
     A stable ratio across the lattice is the empirical counterpart of the
     a priori bound: the solution norms are controlled by the data norms with
@@ -258,12 +255,9 @@ def run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic"),
     solve makes the ratio exactly invariant under data scaling, which is the
     equivariance check.
     """
-    from .scenarios import get_scenario
-    from .solver import SolverConfig, solve
-
     bundle = VerdictBundle()
-    for sid in scenario_ids:
-        spec = get_scenario(sid)
+    for spec in specs:
+        sid = spec.scenario_id
         base = spec.build_coeffs()
         ratios = {}
         lin_dev = 0.0
@@ -273,19 +267,19 @@ def run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic"),
                                    space_grid=SpaceGrid(1, spec.radius, J))
                 paths = None
                 if spec.num_paths:
-                    paths = spec.paths(num_paths=min(spec.num_paths, max_paths),
+                    paths = spec.paths(num_paths=min(spec.num_paths, _NORM_PATHS),
                                        time_grid=cfg.time_grid)
                 sols = {}
-                for kappa in scalings:
+                for kappa in _SCALINGS:
                     coeffs = base if kappa == 1.0 else scaled_coefficients(base, kappa)
                     sol = sols[kappa] = solve(coeffs, paths, cfg)
-                    lhs = solution_norm_lhs(sol, alpha, max_paths)["total"]
-                    rhs = data_norm_rhs(coeffs, sol, paths, alpha, max_paths)["total"]
+                    lhs = solution_norm_lhs(sol, _ALPHA)["total"]
+                    rhs = data_norm_rhs(coeffs, sol, paths, _ALPHA)["total"]
                     ratios[(K, J, kappa)] = lhs / rhs
-                base_sol = sols[scalings[0]]
+                base_sol = sols[_SCALINGS[0]]
                 mask = base_sol.trusted
-                for kappa in scalings[1:]:
-                    rel = kappa / scalings[0]
+                for kappa in _SCALINGS[1:]:
+                    rel = kappa / _SCALINGS[0]
                     fields = [(sols[kappa].u_dense(o)[..., mask],
                                base_sol.u_dense(o)[..., mask])
                               for o in range(3)]
@@ -298,28 +292,27 @@ def run_apriori_study(scenario_ids=("sin_decay", "heat_quadratic"),
         spread = max(vals) / min(vals)
         bundle.add(Verdict(
             check_id=f"apriori.ratio_spread.{sid}",
-            status=_status(spread <= ratio_spread),
+            status=_status(spread <= _RATIO_SPREAD),
             measured={"spread": spread, "min_ratio": min(vals),
                       "max_ratio": max(vals)},
-            tolerance={"spread": ratio_spread},
+            tolerance={"spread": _RATIO_SPREAD},
             provenance="refinement lattice over steps x points x scaling",
             details={"ratios": {f"K{K}_J{J}_k{int(k)}": r
                                 for (K, J, k), r in ratios.items()}},
         ))
-        if len(scalings) >= 2:
-            k0, k1 = scalings[0], scalings[-1]
-            ratio_dev = max(
-                abs(ratios[(K, J, k1)] / ratios[(K, J, k0)] - 1.0)
-                for K in steps for J in points
-            )
-            bundle.add(Verdict(
-                check_id=f"apriori.scaling_equivariance.{sid}",
-                status=_status(lin_dev <= equivariance_tol),
-                measured={"max_relative_deviation": lin_dev},
-                tolerance={"max_relative_deviation": equivariance_tol},
-                provenance="linearity of the solve in the data",
-                details={"ratio_deviation": ratio_dev},
-            ))
+        k0, k1 = _SCALINGS[0], _SCALINGS[-1]
+        ratio_dev = max(
+            abs(ratios[(K, J, k1)] / ratios[(K, J, k0)] - 1.0)
+            for K in steps for J in points
+        )
+        bundle.add(Verdict(
+            check_id=f"apriori.scaling_equivariance.{sid}",
+            status=_status(lin_dev <= _EQUIVARIANCE_TOL),
+            measured={"max_relative_deviation": lin_dev},
+            tolerance={"max_relative_deviation": _EQUIVARIANCE_TOL},
+            provenance="linearity of the solve in the data",
+            details={"ratio_deviation": ratio_dev},
+        ))
     return bundle
 
 
@@ -339,14 +332,20 @@ def _mass_grid(dim: int, Lam: float, horizon: float) -> SpaceGrid:
     return SpaceGrid(dim, R, 513 if dim == 1 else 161)
 
 
-def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
-                     identity_tol: float = 1e-3, ck_tol: float = 1e-4,
-                     exponent_window: float = 0.3,
-                     seed: int = 0) -> VerdictBundle:
+_KERNEL_HORIZON = 1.0
+_KERNEL_SEED = 0  # seed of the random derivative-identity probes
+_MASS_TOL = 1e-6  # kernel mass and derivative mass
+_IDENTITY_TOL = 1e-3  # relative error of the derivative identities
+_SEMIGROUP_TOL = 1e-4  # sup error of the two-hop composition
+_EXPONENT_WINDOW = 0.3  # fitted vs predicted damping exponent
+
+
+def run_kernel_suite() -> VerdictBundle:
     """Normalization, derivative identities, semigroup property, and the
     empirical constants of the kernel estimates."""
     bundle = VerdictBundle()
-    rng = np.random.default_rng(seed)
+    horizon = _KERNEL_HORIZON
+    rng = np.random.default_rng(_KERNEL_SEED)
 
     for label, diff in _suite_diffusions():
         k = HeatKernel(diff, horizon=horizon)
@@ -358,8 +357,8 @@ def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
             worst = max(worst, abs(float(np.sum(w * k(0.0, gap, nodes))) - 1.0))
         bundle.add(Verdict(
             check_id=f"kernel.normalization.{label}",
-            status=_status(worst <= mass_tol),
-            measured={"mass_error": worst}, tolerance={"mass_error": mass_tol},
+            status=_status(worst <= _MASS_TOL),
+            measured={"mass_error": worst}, tolerance={"mass_error": _MASS_TOL},
             provenance="a probability density integrates to one",
         ))
         gammas = [(1,), (2,)] if diff.dim == 1 else [(1, 0), (1, 1), (2, 0)]
@@ -370,8 +369,8 @@ def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
                 worst_d = max(worst_d, abs(m))
         bundle.add(Verdict(
             check_id=f"kernel.derivative_mass.{label}",
-            status=_status(worst_d <= mass_tol),
-            measured={"mass_error": worst_d}, tolerance={"mass_error": mass_tol},
+            status=_status(worst_d <= _MASS_TOL),
+            measured={"mass_error": worst_d}, tolerance={"mass_error": _MASS_TOL},
             provenance="derivatives of a unit-mass density integrate to zero",
         ))
 
@@ -394,9 +393,9 @@ def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
         worst = max(worst, abs(ds - fwd) / scale, abs(dt - bwd) / scale)
     bundle.add(Verdict(
         check_id="kernel.derivative_identities",
-        status=_status(worst <= identity_tol),
+        status=_status(worst <= _IDENTITY_TOL),
         measured={"relative_error": worst},
-        tolerance={"relative_error": identity_tol},
+        tolerance={"relative_error": _IDENTITY_TOL},
         provenance="central finite differences in t and s at random probes",
     ))
 
@@ -413,8 +412,8 @@ def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
     err = float(np.max(np.abs(conv - direct)))
     bundle.add(Verdict(
         check_id="kernel.semigroup",
-        status=_status(err <= ck_tol),
-        measured={"sup_error": err}, tolerance={"sup_error": ck_tol},
+        status=_status(err <= _SEMIGROUP_TOL),
+        measured={"sup_error": err}, tolerance={"sup_error": _SEMIGROUP_TOL},
         provenance="two-step composition of the transition density",
     ))
 
@@ -446,10 +445,10 @@ def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
     dev = abs(ex["fitted_exponent"] - ex["predicted_exponent"])
     bundle.add(Verdict(
         check_id="kernel.beta_exponent",
-        status=_status(dev <= exponent_window),
+        status=_status(dev <= _EXPONENT_WINDOW),
         measured={"fitted": float(ex["fitted_exponent"]),
                   "predicted": float(ex["predicted_exponent"])},
-        tolerance={"deviation": exponent_window},
+        tolerance={"deviation": _EXPONENT_WINDOW},
         provenance="log-log fit of the damped moment across a beta sweep",
     ))
 
@@ -466,24 +465,19 @@ def run_kernel_suite(horizon: float = 1.0, mass_tol: float = 1e-6,
 
 # -- convergence studies ----------------------------------------------------
 
-def run_convergence_study(scenario_id: str, axis: str, seed: int = 0) -> Verdict:
-    """Refinement behavior along one axis: h, dt, M, or beta.
+def run_convergence_study(spec, axis: str) -> Verdict:
+    """Refinement behavior of a scenario along one axis: h, dt, or beta.
 
     Scenarios without an oracle can only produce an advisory verdict; the
     study then reports the observed decay without certifying a rate.
     """
-    from .scenarios import get_scenario
-
-    spec = get_scenario(scenario_id)
     if axis == "h":
         return _h_study(spec)
     if axis == "dt":
         return _dt_study(spec)
-    if axis == "M":
-        return _m_study(spec, seed)
     if axis == "beta":
         return _beta_study(spec)
-    raise InvalidArgument("axis must be one of 'h', 'dt', 'M', 'beta'")
+    raise InvalidArgument("axis must be one of 'h', 'dt', 'beta'")
 
 
 def _time_window(spec, tgrid):
@@ -544,40 +538,7 @@ def _dt_study(spec) -> Verdict:
                           "trapezoid defect of the time integral")
 
 
-def _m_study(spec, seed: int) -> Verdict:
-    """Monte Carlo rate of the regression route against the closed form."""
-    x = np.array([-1.0, 0.0, 1.0])
-    coeffs = spec.build_coeffs()
-    rows = []
-    for M in spec.extras.get("paths_sweep", (250, 1000, 4000)):
-        reps = []
-        for rep in range(3):
-            paths = spec.paths(seed=seed + 1000 * rep, num_paths=M)
-            if paths is None:
-                raise InvalidArgument("the M study needs a stochastic scenario")
-            term = coeffs.terminal.terminal_values(paths, x)
-            reg = solve_bsde_regression(term, coeffs.sigma, paths, x=x)
-            closed = solve_bsde_closed(coeffs.terminal, coeffs.sigma, paths)
-            phi_exact = closed.phi_dense(x)
-            reps.append(float(np.sqrt(np.mean((reg.phi - phi_exact) ** 2))))
-        rows.append({"paths": M, "error": float(np.mean(reps))})
-    xs = np.log([r["paths"] for r in rows])
-    es = np.log([r["error"] for r in rows])
-    rate = float(np.polyfit(xs, es, 1)[0])
-    return Verdict(
-        check_id=f"convergence.M.{spec.scenario_id}",
-        status=_status(abs(rate + 0.5) <= 0.15),
-        measured={"fitted_rate": rate},
-        tolerance={"expected_rate": -0.5, "window": 0.15},
-        provenance="closed-form conditional expectation of the terminal "
-                   "functional",
-        details={"rows": rows},
-    )
-
-
 def _beta_study(spec) -> Verdict:
-    from .solver import solve
-
     rows = []
     coeffs = spec.build_coeffs()
     for beta in spec.extras.get("betas", (0.0, 5.0, 20.0)):
@@ -602,35 +563,43 @@ def _beta_study(spec) -> Verdict:
 
 # -- time continuity --------------------------------------------------------
 
-def run_time_shift_study(scenario_ids=("sin_decay", "stochastic_sinWT"),
-                         taus=(0.2, 0.1, 0.05, 0.025),
-                         slack: float = 0.2, alpha: float = 0.5,
-                         num_steps: int = 200) -> VerdictBundle:
-    """Shift-norm over sqrt(tau) must not grow as tau shrinks.
+_TAUS = (0.2, 0.1, 0.05, 0.025)
+_SHIFT_STEPS = 200  # time steps of the solve the shift norms are measured on
+_SHIFT_SLACK = 0.2  # allowed relative growth of shift_norm / sqrt(tau)
+
+
+def shift_grid(spec) -> TimeGrid:
+    """The time grid the shift study solves this spec on; InvalidShift unless
+    every shift of _TAUS is a whole number of its steps below the horizon."""
+    tgrid = TimeGrid(spec.horizon, _SHIFT_STEPS)
+    for tau in _TAUS:
+        shift_steps(tgrid, tau)
+    return tgrid
+
+
+def run_time_shift_study(specs) -> VerdictBundle:
+    """Shift-norm over sqrt(tau) must not grow as tau shrinks, per spec.
 
     The one-sided bound predicts shift_norm <= C sqrt(tau); the ratio is
-    allowed a relative wobble of ``slack`` to absorb sampling noise.
+    allowed a relative wobble of 20% to absorb sampling noise.
     """
-    from .scenarios import get_scenario
-
     bundle = VerdictBundle()
-    for sid in scenario_ids:
-        spec = get_scenario(sid)
-        sol, coeffs, paths = spec.solve(
-            time_grid=TimeGrid(spec.horizon, num_steps))
+    for spec in specs:
+        sid = spec.scenario_id
+        sol, coeffs, paths = spec.solve(time_grid=shift_grid(spec))
         rows = []
-        for tau in taus:
-            norm = time_shift_norm(sol, tau, alpha=alpha)
+        for tau in _TAUS:
+            norm = time_shift_norm(sol, tau, alpha=_ALPHA)
             rows.append({"tau": tau, "shift_norm": norm,
                          "ratio": norm / np.sqrt(tau)})
         ratios = [r["ratio"] for r in rows]
-        ok = all(ratios[i + 1] <= ratios[i] * (1.0 + slack)
+        ok = all(ratios[i + 1] <= ratios[i] * (1.0 + _SHIFT_SLACK)
                  for i in range(len(ratios) - 1))
         bundle.add(Verdict(
             check_id=f"time_shift.sqrt_rate.{sid}",
             status=_status(ok),
             measured={"ratios": ratios},
-            tolerance={"relative_growth": slack},
+            tolerance={"relative_growth": _SHIFT_SLACK},
             provenance="square-root modulus of continuity in time",
             details={"rows": rows},
         ))
@@ -639,33 +608,74 @@ def run_time_shift_study(scenario_ids=("sin_decay", "stochastic_sinWT"),
 
 # -- scenario orchestration -------------------------------------------------
 
+def _targets(spec):
+    """What a study check runs on: the catalog entries named in
+    extras["scenarios"], else the scenario itself, overrides included."""
+    if "scenarios" not in spec.extras:
+        return [spec]
+    return [get_scenario(sid) for sid in spec.extras["scenarios"]]
+
+
+def _plot_stems(spec, check) -> list:
+    """Stems of the plot-data CSVs one check writes, in verdict order."""
+    if check == "h_convergence":
+        return ["error_vs_h"]
+    if check == "beta_sweep":
+        return ["contraction_vs_beta"]
+    if check == "time_shift":
+        return ["norm_vs_tau" if t is spec else f"norm_vs_tau_{t.scenario_id}"
+                for t in _targets(spec)]
+    return []
+
+
+def artifact_files(spec) -> list:
+    """The files a run of this scenario writes, relative to the run
+    directory and in write order: verdicts.json, then for each artifact stem
+    of ``run_scenario`` in sorted order its plot-data CSV, or the solution
+    CSV and summary."""
+    stems = [stem for check in spec.checks for stem in _plot_stems(spec, check)]
+    if spec.kind == "solve":
+        stems.append("solution")
+    files = ["verdicts.json"]
+    for stem in sorted(stems):
+        files += ["solution.csv", "summary.json"] if stem == "solution" else [f"{stem}.csv"]
+    return [f"{spec.scenario_id}/{name}" for name in files]
+
+
 def run_scenario(spec, seed: int = None):
-    """Run one catalog entry end to end.
+    """Run every check of one scenario on the spec as given, overrides
+    included; a "solve" scenario is solved once first.
 
     Returns (bundle, artifacts); artifacts maps file stems to either a
     SolutionField (exported as CSV) or a list of row dicts (exported as a
-    plot-data CSV).
+    plot-data CSV).  ``artifact_files`` lists the files they become.
     """
     bundle = VerdictBundle()
     artifacts = {}
+
+    def add_plot(check, verdicts):
+        for stem, v in zip(_plot_stems(spec, check), verdicts, strict=True):
+            bundle.add(v)
+            artifacts[stem] = v.details["rows"]
+
+    sol = coeffs = paths = None
     if spec.kind == "solve":
         sol, coeffs, paths = spec.solve(seed=seed)
         artifacts["solution"] = sol
-        if "residual" in spec.checks:
+    for check in spec.checks:
+        if check == "residual":
             bundle.add(run_residual_check(
                 sol, coeffs, spec.residual_tolerance, paths=paths,
                 check_id=f"residual.{spec.scenario_id}"))
-        if "oracle" in spec.checks:
+        elif check == "oracle":
             bundle.add(run_oracle_check(spec, sol, paths))
-        if "h_convergence" in spec.checks:
-            v = run_convergence_study(spec.scenario_id, "h")
-            bundle.add(v)
-            artifacts["error_vs_h"] = v.details["rows"]
-        if "time_shift" in spec.checks:
-            sub = run_time_shift_study(scenario_ids=(spec.scenario_id,))
-            bundle.extend(sub)
-            artifacts["norm_vs_tau"] = sub.verdicts[0].details["rows"]
-        if "picard" in spec.checks:
+        elif check == "h_convergence":
+            add_plot(check, [run_convergence_study(spec, "h")])
+        elif check == "beta_sweep":
+            add_plot(check, [run_convergence_study(spec, "beta")])
+        elif check == "time_shift":
+            add_plot(check, run_time_shift_study(_targets(spec)).verdicts)
+        elif check == "picard":
             hist = sol.info.get("history", [])
             factor = sol.info.get("contraction_factor")
             ok = factor is not None and factor < 1.0
@@ -678,9 +688,7 @@ def run_scenario(spec, seed: int = None):
                 tolerance={"contraction_factor": 1.0},
                 provenance="successive-difference ratios of the iteration",
             ))
-        if "localization" in spec.checks:
-            from .solver import localize
-
+        elif check == "localization":
             loc = localize(sol, coeffs, z=0.0, theta=2.0, paths=paths)
             cov = loc.covering
             bundle.add(Verdict(
@@ -692,25 +700,11 @@ def run_scenario(spec, seed: int = None):
                 tolerance={"slack": -1e-9},
                 provenance="cutoff covering of the norm by windowed pieces",
             ))
-    elif spec.scenario_id == "beta_sweep":
-        v = run_convergence_study("beta_sweep", "beta")
-        bundle.add(v)
-        artifacts["contraction_vs_beta"] = v.details["rows"]
-    elif spec.scenario_id == "kernel_suite":
-        bundle.extend(run_kernel_suite())
-    elif spec.scenario_id == "apriori_study":
-        bundle.extend(run_apriori_study(
-            scenario_ids=spec.extras.get("scenarios",
-                                         ("sin_decay", "heat_quadratic"))))
-    elif spec.scenario_id == "time_shift_sweep":
-        sub = run_time_shift_study(
-            scenario_ids=spec.extras.get("scenarios",
-                                         ("sin_decay", "stochastic_sinWT")),
-            taus=spec.extras.get("taus", (0.2, 0.1, 0.05, 0.025)))
-        bundle.extend(sub)
-        for v in sub.verdicts:
-            sid = v.check_id.rsplit(".", 1)[-1]
-            artifacts[f"norm_vs_tau_{sid}"] = v.details["rows"]
-    else:
-        raise InvalidArgument(f"no runner for scenario kind {spec.kind!r}")
+        elif check == "kernel":
+            bundle.extend(run_kernel_suite())
+        elif check == "apriori":
+            bundle.extend(run_apriori_study(_targets(spec)))
+        else:
+            raise InvalidArgument(
+                f"unknown check {check!r} in scenario {spec.scenario_id}")
     return bundle, artifacts

@@ -165,9 +165,7 @@ LINEAR_SCENARIOS = ("heat_smoke", "heat_quadratic", "sin_decay",
 
 
 def test_criterion_7_apriori_ratio_stability():
-    bundle = run_apriori_study(scenario_ids=LINEAR_SCENARIOS,
-                               steps=(50, 100), points=(129, 257),
-                               scalings=(1.0, 10.0))
+    bundle = run_apriori_study([get_scenario(sid) for sid in LINEAR_SCENARIOS])
     for v in bundle.sorted():
         if "ratio_spread" in v.check_id:
             assert np.isfinite(v.measured["max_ratio"]), v.check_id
@@ -200,8 +198,7 @@ def test_criterion_8_interpolation_and_product_inequalities(alpha):
 
 def test_criterion_9_time_continuity():
     bundle = run_time_shift_study(
-        scenario_ids=("sin_decay", "stochastic_sinWT"),
-        taus=(0.2, 0.1, 0.05, 0.025), slack=0.2)
+        [get_scenario("sin_decay"), get_scenario("stochastic_sinWT")])
     for v in bundle.sorted():
         assert v.status == "pass", (v.check_id, v.measured)
         ratios = v.measured["ratios"]
@@ -233,7 +230,7 @@ def test_criterion_11_semilinear():
     assert np.exp(np.mean(np.log(ratios))) < 1.0
 
     from bspdelab.verify import run_convergence_study
-    v = run_convergence_study("beta_sweep", "beta")
+    v = run_convergence_study(get_scenario("beta_sweep"), "beta")
     factors = v.measured["factors"]
     assert v.status == "pass"
     assert factors[0] > factors[1] > factors[2]

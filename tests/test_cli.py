@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,11 +11,18 @@ import pytest
 import bspdelab
 
 from bspdelab.cli import (
+    CONFIG_DIR,
     SchemaError,
+    _run_one,
+    apply_overrides,
     load_config,
     main,
     resolve_config_path,
 )
+from bspdelab.scenarios import get_scenario
+from bspdelab.verify import artifact_files
+
+WORKLOAD_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "workloads"
 
 REQUIRED_IDS = {
     "heat_smoke", "heat_quadratic", "sin_decay", "stochastic_sinWT",
@@ -79,6 +87,13 @@ class TestConfigSchema:
         assert cfg["scenarios"][0][1] == {"num_steps": 20}
 
 
+@pytest.mark.parametrize(
+    "config", sorted(CONFIG_DIR.glob("*.ini")) + sorted(WORKLOAD_DIR.glob("*.ini")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_load(config):
+    assert load_config(config)["scenarios"]
+
+
 class TestList:
     def test_catalog_contains_required_ids(self, capsys):
         assert main(["list"]) == 0
@@ -120,6 +135,29 @@ class TestRun:
         assert "heat_smoke/solution.csv" in manifest["artifacts"]
         assert "kernel_suite/verdicts.json" in manifest["artifacts"]
 
+    def test_planned_artifacts_are_the_written_ones(self, smoke_run):
+        code, out = smoke_run
+        cfg = load_config(resolve_config_path("heat_smoke"))
+        planned = [f for spec, ov in cfg["scenarios"]
+                   for f in artifact_files(apply_overrides(spec, dict(ov)))]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == planned
+        on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*")
+                   if p.is_file() and p.name != "manifest.json"}
+        assert on_disk == set(planned)
+
+    def test_time_shift_sweep_writes_its_plan(self, tmp_path):
+        base = get_scenario("time_shift_sweep")
+        spec = dataclasses.replace(
+            base, extras={**base.extras, "scenarios": ("sin_decay",)})
+        _run_one(spec, None, tmp_path)
+        on_disk = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert artifact_files(spec) == [
+            "time_shift_sweep/verdicts.json",
+            "time_shift_sweep/norm_vs_tau_sin_decay.csv"]
+        assert on_disk == sorted(artifact_files(spec))
+
     def test_solution_csv_format(self, smoke_run):
         code, out = smoke_run
         with open(out / "heat_smoke" / "solution.csv", newline="") as fh:
@@ -138,17 +176,23 @@ class TestRun:
         assert main(["run", "heat_smoke", "--out", str(out)]) == 2
         assert "--force" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, expected", [
-        ("lam = -1", "ellipticity"),
-        ("lam = 5", "ellipticity"),
-        ("points_per_axis = 4", "points_per_axis"),
-        ("num_paths = -1", "num_paths"),
-        ("beta = -1", "damping beta"),
-    ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths", "beta"])
-    def test_schema_violation_exits_two(self, tmp_path, capsys, line, expected):
+    @pytest.mark.parametrize("sid, line, expected", [
+        ("sin_decay", "lam = -1", "ellipticity"),
+        ("sin_decay", "lam = 5", "ellipticity"),
+        ("sin_decay", "points_per_axis = 4", "points_per_axis"),
+        ("sin_decay", "num_paths = -1", "num_paths"),
+        ("sin_decay", "beta = -1", "damping beta"),
+        ("kernel_suite", "lam = 5", "takes no overrides"),
+        ("apriori_study", "points_per_axis = 65", "takes no overrides"),
+        ("time_shift_sweep", "num_steps = 10", "takes no overrides"),
+        ("sin_decay", "horizon = 0.7", "not a multiple of the grid step"),
+        ("stochastic_sinWT", "horizon = 0.2", "0 < tau < T"),
+    ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths", "beta",
+            "kernel_suite", "apriori_study", "time_shift_sweep",
+            "horizon_off_shift_grid", "horizon_below_shift"])
+    def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected):
         p = tmp_path / "bad.ini"
-        p.write_text("[run]\nscenarios = sin_decay\n"
-                     f"[scenario.sin_decay]\n{line}\n")
+        p.write_text(f"[run]\nscenarios = {sid}\n[scenario.{sid}]\n{line}\n")
         code = main(["run", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err

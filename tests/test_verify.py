@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from bspdelab.cli import apply_overrides
 from bspdelab.errors import InvalidArgument
 from bspdelab.scenarios import get_scenario
 from bspdelab.verify import (
@@ -124,7 +126,7 @@ class TestOracleCheck:
 class TestAprioriStudy:
     @pytest.fixture(scope="class")
     def bundle(self):
-        return run_apriori_study(scenario_ids=("sin_decay",),
+        return run_apriori_study([get_scenario("sin_decay")],
                                  steps=(20, 40), points=(65, 129))
 
     def test_ratio_spread_within_bound(self, bundle):
@@ -166,23 +168,23 @@ class TestKernelSuite:
 
 class TestConvergenceStudies:
     def test_h_axis_order_two(self):
-        v = run_convergence_study("abs_kink", "h")
+        v = run_convergence_study(get_scenario("abs_kink"), "h")
         assert v.status == "pass"
         assert abs(v.measured["fitted_order"] - 2.0) <= 0.3
         assert len(v.details["rows"]) == 3
 
     def test_dt_axis(self):
-        v = run_convergence_study("sin_decay", "dt")
+        v = run_convergence_study(get_scenario("sin_decay"), "dt")
         assert v.status == "pass"
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(InvalidArgument):
-            run_convergence_study("sin_decay", "q")
+            run_convergence_study(get_scenario("sin_decay"), "q")
 
 
 class TestTimeShiftStudy:
     def test_sqrt_rate_on_sin_decay(self):
-        b = run_time_shift_study(scenario_ids=("sin_decay",))
+        b = run_time_shift_study([get_scenario("sin_decay")])
         assert b.all_passed
         rows = b.verdicts[0].details["rows"]
         assert [r["tau"] for r in rows] == [0.2, 0.1, 0.05, 0.025]
@@ -215,3 +217,17 @@ class TestRunScenario:
         rows = artifacts["contraction_vs_beta"]
         assert [r["beta"] for r in rows] == [0.0, 5.0, 20.0]
         assert set(rows[0]) == {"beta", "contraction_factor", "iterations"}
+
+    def test_study_runs_on_the_overridden_spec(self):
+        base = get_scenario("beta_sweep")
+        spec = apply_overrides(base, {"num_steps": 20, "points_per_axis": 65})
+        bundle, artifacts = run_scenario(spec)
+        rows = artifacts["contraction_vs_beta"]
+        assert rows == run_convergence_study(spec, "beta").details["rows"]
+        assert rows != run_convergence_study(base, "beta").details["rows"]
+
+    def test_unknown_check_raises(self):
+        spec = dataclasses.replace(get_scenario("kernel_suite"),
+                                   checks=("kernel", "no_such_check"))
+        with pytest.raises(InvalidArgument, match="no_such_check"):
+            run_scenario(spec)
