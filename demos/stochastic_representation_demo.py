@@ -18,10 +18,10 @@ from bspdelab.stochastic import solve_bsde_closed, solve_bsde_regression
 def main():
     spec = get_scenario("stochastic_sinWT")
     sol, coeffs, paths = spec.solve(num_paths=2000)
-    u_exact, v_exact = spec.oracle(spec, sol, paths)
-    m = sol.trusted
     idx = np.arange(500)
-    du = sol.u_dense(0, path_idx=idx)[..., m] - u_exact[idx][..., m]
+    u_exact, v_exact = spec.oracle(spec, sol, paths.subset(idx))
+    m = sol.trusted
+    du = sol.u_dense(0, path_idx=idx)[..., m] - u_exact[..., m]
     dv = sol.v_dense(0, 0, path_idx=idx)[..., m] - v_exact[None, :, m]
     print(f"representation route, {paths.num_paths} paths")
     print(f"  u rms error {np.sqrt(np.mean(du**2)):.3e}")

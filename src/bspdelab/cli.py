@@ -141,6 +141,10 @@ def load_config(path: Path) -> dict:
         if sid not in CATALOG:
             raise SchemaError(f"section [{section}] names an unknown scenario",
                               path=path, line=_find_line(path, f"[{section}]"))
+        if sid not in ids:
+            raise SchemaError(f"section [{section}] configures {sid}, which "
+                              "[run] scenarios does not list",
+                              path=path, line=_find_line(path, f"[{section}]"))
 
     scenarios = []
     for sid in ids:

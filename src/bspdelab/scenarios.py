@@ -30,7 +30,9 @@ class ScenarioSpec:
     provenance: str  # where the expected values come from
     kind: str  # "solve", "study"
     build_coeffs: Callable = None  # () -> CoefficientSet
-    oracle: Callable = None  # (spec, solution, paths) -> (u_exact, v_exact or None)
+    # (spec, solution, paths) -> (u_exact, v_exact or None); a path-dependent
+    # u_exact has one row per path of ``paths``, the sample it is compared on
+    oracle: Callable = None
     num_steps: int = 100
     points_per_axis: int = 257
     radius: float = 7.0

@@ -474,6 +474,9 @@ class FieldPart:
     series: np.ndarray  # (Mp, K+1); Mp == 1 for deterministic parts
 
 
+_DENSE_PATH_CAP = 1024  # most paths a dense evaluation may cover without path_idx
+
+
 @dataclass
 class SolutionField:
     """Sampled (u, v) on path x time x space with derivative caches.
@@ -500,11 +503,14 @@ class SolutionField:
         return len(self.v_parts)
 
     def _dense(self, parts, order: int, path_idx) -> np.ndarray:
-        if path_idx is not None:
-            path_idx = np.atleast_1d(np.asarray(path_idx))
-        rows = self.num_paths if path_idx is None else len(path_idx)
+        if path_idx is None and self.num_paths > _DENSE_PATH_CAP:
+            raise InvalidArgument(
+                f"a dense evaluation of all {self.num_paths} paths would build a "
+                f"(path, time, space) cube; pass path_idx to evaluate a subset "
+                f"or a chunk of at most {_DENSE_PATH_CAP} paths")
         return product_dense([(p.series, p.profiles[order]) for p in parts],
-                             (rows, len(self.time_grid), self.space_grid.points_per_axis),
+                             (self.num_paths, len(self.time_grid),
+                              self.space_grid.points_per_axis),
                              path_idx)
 
     def u_dense(self, order: int = 0, path_idx=None) -> np.ndarray:
@@ -593,7 +599,7 @@ def _defect_sample(paths, stochastic: bool, max_paths: int, tgrid: TimeGrid, d: 
     if not stochastic:
         return np.array([0]), _degenerate_paths(tgrid, d)
     path_idx = np.arange(min(paths.num_paths, max_paths))
-    return path_idx, PathEnsemble(paths.increments[path_idx], tgrid, paths.seed)
+    return path_idx, paths.subset(path_idx)
 
 
 # -- residual certification -------------------------------------------------

@@ -187,9 +187,10 @@ class TestRun:
         ("time_shift_sweep", "num_steps = 10", "takes no overrides"),
         ("sin_decay", "horizon = 0.7", "not a multiple of the grid step"),
         ("stochastic_sinWT", "horizon = 0.2", "0 < tau < T"),
+        ("sin_decay", "[scenario.heat_smoke]\ncolour = red", "does not list"),
     ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
-            "horizon_off_shift_grid", "horizon_below_shift"])
+            "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section"])
     def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected):
         p = tmp_path / "bad.ini"
         p.write_text(f"[run]\nscenarios = {sid}\n[scenario.{sid}]\n{line}\n")

@@ -23,7 +23,10 @@ from bspdelab.stochastic import (
 from bspdelab.solver import (
     BumpField,
     CoefficientSet,
+    FieldPart,
+    SolutionField,
     SolverConfig,
+    _DENSE_PATH_CAP,
     _SMALL_FACTOR,
     _PairConvolver,
     _space_factor_stack,
@@ -569,6 +572,30 @@ class TestTimeShift:
                   for tau in (0.2, 0.1, 0.04)]
         for a, b in zip(ratios, ratios[1:]):
             assert b <= 1.2 * a
+
+
+class TestDenseEvaluation:
+    @staticmethod
+    def field(num_paths):
+        series = np.linspace(0.0, 1.0, num_paths)[:, None] * np.ones(len(TG))
+        part = FieldPart({0: np.ones((len(TG), len(X)))}, series)
+        return SolutionField(space_grid=SG, time_grid=TG, u_parts=[part],
+                             v_parts=[[part]], num_paths=num_paths,
+                             trusted=np.ones(len(X), dtype=bool))
+
+    def test_whole_ensemble_above_cap_raises(self):
+        sol = self.field(_DENSE_PATH_CAP + 1)
+        with pytest.raises(InvalidArgument, match="path_idx"):
+            sol.u_dense(0)
+        with pytest.raises(InvalidArgument, match="path_idx"):
+            sol.v_dense(0, 0)
+
+    def test_cap_and_path_idx_are_allowed(self):
+        assert self.field(_DENSE_PATH_CAP).u_dense(0).shape[0] == _DENSE_PATH_CAP
+        sol = self.field(_DENSE_PATH_CAP + 1)
+        u = sol.u_dense(0, path_idx=np.arange(_DENSE_PATH_CAP - 2, _DENSE_PATH_CAP + 1))
+        assert u.shape == (3, len(TG), len(X))
+        assert np.array_equal(u[:, 0, 0], sol.u_parts[0].series[-3:, 0])
 
 
 class TestSolutionFieldExport:

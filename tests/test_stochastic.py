@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from bspdelab.errors import (
-    InvalidArgument,
-    UnsupportedClosedForm,
-)
+from bspdelab.errors import UnsupportedClosedForm
 from bspdelab.grid import TimeGrid
 from bspdelab.stochastic import (
     BM,
@@ -12,7 +9,6 @@ from bspdelab.stochastic import (
     CONST,
     EXP_MART,
     DataFunctional,
-    PathEnsemble,
     PathFactor,
     SpaceFactor,
     backward_defect,
@@ -48,19 +44,12 @@ class TestPathEnsemble:
         var = inc.var(axis=0)
         assert np.all(var > 0.9 * dt) and np.all(var < 1.1 * dt)
 
-    def test_binary_roundtrip(self, tmp_path):
-        e = sample_paths(5, 2, GRID, seed=9)
-        f = tmp_path / "paths.bin"
-        e.save(f)
-        back = PathEnsemble.load(f, time_grid=GRID)
-        assert back.seed == 9
-        assert np.array_equal(back.increments, e.increments)
-
-    def test_bad_file_rejected(self, tmp_path):
-        f = tmp_path / "junk.bin"
-        f.write_bytes(b"nope" + b"\0" * 64)
-        with pytest.raises(InvalidArgument):
-            PathEnsemble.load(f, time_grid=GRID)
+    def test_subset_keeps_rows_grid_and_seed(self, paths):
+        idx = np.array([3, 0, 7])
+        sub = paths.subset(idx)
+        assert np.array_equal(sub.increments, paths.increments[idx])
+        assert np.array_equal(sub.paths, paths.paths[idx])
+        assert sub.time_grid is paths.time_grid and sub.seed == paths.seed
 
 
 class TestProductDense:
@@ -285,3 +274,44 @@ class TestResidualOracle:
         )
         rms, worst = bsde_residual(sol, data, [0.0], paths)
         assert rms > 0.01
+
+
+def _unchunked_residual(sol, data, sigma, paths, x):
+    """bsde_residual as it was before it ran in path chunks: every path at once."""
+    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
+    psi = [sol.psi_dense(l, x) for l in range(paths.dim)]
+    terminal = data.terminal_values(paths, x)
+    drift = np.einsum("l,lmkj->mkj", sig, np.asarray(psi))
+    defect = backward_defect(sol.phi_dense(x), terminal, drift, paths.time_grid.dt,
+                             psi, paths.increments)
+    scale = 1.0 + np.abs(terminal).max()
+    return (float(np.sqrt(np.mean(defect**2)) / scale),
+            float(np.max(np.abs(defect)) / scale))
+
+
+class TestResidualChunks:
+    # 1100 paths: two full chunks of 512 and a partial one.  At seed 2 the
+    # mean of the squared defect also moves if the summation order changes
+    # (e.g. a Fortran-ordered defect array), which many seeds do not show.
+    @pytest.mark.parametrize("d, sigma", [(1, [0.3]), (2, [0.3, -0.2])])
+    def test_chunked_residual_is_bit_identical(self, d, sigma):
+        e = sample_paths(1100, d, GRID, seed=2)
+        data = DataFunctional(terms=(
+            (SpaceFactor.sine(), PathFactor(BM, component=d - 1)),
+            (SpaceFactor.poly([0.5, 0.0, 1.0]), PathFactor(BM_SQUARED)),
+            (SpaceFactor.constant(2.0), PathFactor(EXP_MART, theta=(0.4,) * d)),
+            (SpaceFactor.sine(2.0), PathFactor(CONST)),
+        ))
+        sol = solve_bsde_closed(data, sigma, e)
+        x = np.array([-1.0, 0.0, 0.7])
+        assert (sol.residual_rms, sol.residual_worst) == \
+            _unchunked_residual(sol, data, sigma, e, x)
+        assert sol.residual_worst > 0.0
+
+    def test_partial_dense_rows_match_full_evaluation(self, paths):
+        data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM_SQUARED)),))
+        sol = solve_bsde_closed(data, [0.5], paths)
+        x = np.array([0.2, 1.0])
+        rows = np.arange(9_600, 10_000)
+        assert np.array_equal(sol.phi_dense(x, rows), sol.phi_dense(x)[rows])
+        assert np.array_equal(sol.psi_dense(0, x, rows), sol.psi_dense(0, x)[rows])

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bspdelab
 from bspdelab.cli import apply_overrides
 from bspdelab.errors import InvalidArgument
 from bspdelab.scenarios import get_scenario
@@ -121,6 +126,81 @@ class TestOracleCheck:
         spec, sol, coeffs, paths = smoke
         v = run_oracle_check(spec, sol, paths)
         assert v.provenance == spec.provenance
+
+    @pytest.mark.parametrize("sid, check", [("sin_decay", "oracle"),
+                                            ("abs_kink", "convergence.h")])
+    def test_deterministic_scenario_above_dense_cap_runs(self, sid, check):
+        # a num_paths override gives a deterministic solve more paths than a
+        # dense evaluation may cover; the oracle check and the h-study read
+        # path 0 only, so the run still passes
+        spec = apply_overrides(get_scenario(sid), {"num_paths": 1025})
+        bundle, _ = run_scenario(spec)
+        assert f"{check}.{sid}" in {v.check_id for v in bundle.verdicts}
+        assert bundle.all_passed
+
+
+@pytest.fixture(scope="module")
+def stochastic_1100():
+    # more paths than the dense-evaluation cap and the 512-path oracle sample
+    spec = get_scenario("stochastic_sinWT")
+    sol, coeffs, paths = spec.solve(num_paths=1100)
+    return spec, sol, paths
+
+
+def _full_cube_measured(spec, sol, paths):
+    """The oracle comparison as it was before the oracle took a path subset:
+    the oracle cube over every path, then the first 512 paths at once."""
+    u_exact, v_exact = spec.oracle(spec, sol, paths)
+    assert u_exact.shape[0] == paths.num_paths
+    mask = sol.trusted
+    tsel = sol.time_grid.nodes <= spec.extras.get("t_max", np.inf) + 1e-12
+    idx = np.arange(min(sol.num_paths, 512))
+    u = sol.u_dense(0, path_idx=idx)
+    diff = u[:, tsel][..., mask] - u_exact[idx][:, tsel][..., mask]
+    v = sol.v_dense(0, 0, path_idx=idx)
+    vd = v[:, tsel][..., mask] - v_exact[None, tsel][..., mask]
+    return {"rms": float(np.sqrt(np.mean(diff**2))),
+            "v_rms": float(np.sqrt(np.mean(vd**2)))}
+
+
+class TestStochasticOracleCheck:
+    @pytest.mark.parametrize("extras", [{}, {"t_max": 0.5}], ids=["all_t", "t_max"])
+    def test_chunked_subset_check_is_bit_identical(self, stochastic_1100, extras):
+        spec, sol, paths = stochastic_1100
+        spec = dataclasses.replace(spec, extras=extras)
+        built = []
+
+        def oracle(spec, sol, paths):
+            built.append(paths.num_paths)
+            return get_scenario("stochastic_sinWT").oracle(spec, sol, paths)
+
+        v = run_oracle_check(dataclasses.replace(spec, oracle=oracle), sol, paths)
+        assert built == [512]
+        assert v.measured == _full_cube_measured(spec, sol, paths)
+        assert v.status == "pass"
+
+    def test_scenario_peak_rss_is_bounded(self):
+        # The default 10^4-path scenario runs in a child, and os.wait4 reports
+        # that child's peak resident set (ru_maxrss, KiB on Linux).  On Linux
+        # a child's peak starts at the resident set of the process that
+        # spawned it, so a small launcher spawns it rather than this test
+        # process, which holds ensembles of its own.
+        scenario = ("from bspdelab.scenarios import get_scenario; "
+                    "from bspdelab.verify import run_scenario; "
+                    "bundle, _ = run_scenario(get_scenario('stochastic_sinWT')); "
+                    "assert bundle.all_passed")
+        launcher = ("import os, subprocess, sys; "
+                    f"proc = subprocess.Popen([sys.executable, '-c', {scenario!r}]); "
+                    "_, status, usage = os.wait4(proc.pid, 0); "
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        src = str(Path(bspdelab.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", launcher], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        code, maxrss_kib = map(int, out.split())
+        assert code == 0
+        assert maxrss_kib / 1024.0 <= 400.0
 
 
 class TestAprioriStudy:
