@@ -10,7 +10,7 @@ the semilinear fixed-point map.
 import numpy as np
 
 from bspdelab.scenarios import get_scenario
-from bspdelab.solver import solve
+from bspdelab.verify import run_convergence_study
 
 
 def main():
@@ -25,14 +25,11 @@ def main():
         print(f"  iter {h['iteration']}: change {h['sup_change']:.3e}")
 
     print("\ndamping sweep on the driver f = 2u:")
-    sweep = get_scenario("beta_sweep")
-    coeffs = sweep.build_coeffs()
-    for beta in sweep.extras["betas"]:
-        cfg = sweep.config(beta=beta, max_iter=60)
-        s = solve(coeffs, None, cfg)
-        print(f"  beta {beta:5.1f}: contraction factor "
-              f"{s.info['contraction_factor']:.3f} in "
-              f"{s.info['iterations']} iterations")
+    sweep = run_convergence_study(get_scenario("beta_sweep"), "beta")
+    for row in sweep.details["rows"]:
+        print(f"  beta {row['beta']:5.1f}: contraction factor "
+              f"{row['contraction_factor']:.3f} in "
+              f"{row['iterations']} iterations")
 
 
 if __name__ == "__main__":

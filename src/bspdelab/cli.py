@@ -1,7 +1,8 @@
 """Command-line front end: configs, run orchestration, artifact emission.
 
-Configs are flat INI files: a [run] section lists scenarios, and optional
-[scenario.<id>] sections override per-scenario knobs.  An override applies
+Configs are flat INI files: a [run] section lists scenarios (keys
+scenarios, seed and out, nothing else), and optional [scenario.<id>]
+sections override per-scenario knobs.  An override applies
 to every check of its scenario, the scenario's own studies included.  The
 studies that build no coefficients (kernel_suite, apriori_study,
 time_shift_sweep) take no overrides: any key in their section is a schema
@@ -28,6 +29,8 @@ from .scenarios import CATALOG, list_scenarios
 from .verify import artifact_files, run_scenario, shift_grid
 
 CONFIG_DIR = Path(__file__).parent / "configs"
+
+_RUN_KEYS = ("scenarios", "seed", "out")
 
 _OVERRIDE_TYPES = {
     "num_steps": int,
@@ -108,7 +111,16 @@ def load_config(path: Path) -> dict:
 
     if "run" not in cp:
         raise SchemaError("missing required [run] section", path=path, line=1)
+    if cp.defaults():
+        # configparser copies [DEFAULT] keys into every section
+        raise SchemaError("unexpected section [DEFAULT]; only [run] and "
+                          "[scenario.<id>] are recognized",
+                          path=path, line=_find_line(path, "[default]"))
     run = cp["run"]
+    for key in run:
+        if key not in _RUN_KEYS:
+            raise SchemaError(f"unknown key {key!r} in [run]; allowed: {list(_RUN_KEYS)}",
+                              path=path, line=_find_line(path, key, "run"))
     if "scenarios" not in run:
         raise SchemaError("[run] must list scenarios = id, id, ...",
                           path=path, line=_find_line(path, "[run]"))
@@ -118,7 +130,7 @@ def load_config(path: Path) -> dict:
         if sid not in CATALOG:
             raise SchemaError(
                 f"unknown scenario {sid!r}; known: {sorted(CATALOG)}",
-                path=path, line=_find_line(path, "scenarios"))
+                path=path, line=_find_line(path, "scenarios", "run"))
 
     seed = None
     if "seed" in run:
@@ -126,7 +138,7 @@ def load_config(path: Path) -> dict:
             seed = int(run["seed"])
         except ValueError:
             raise SchemaError(f"seed must be an integer, got {run['seed']!r}",
-                              path=path, line=_find_line(path, "seed"))
+                              path=path, line=_find_line(path, "seed", "run"))
     out = run.get("out") or None
 
     for section in cp.sections():

@@ -8,7 +8,6 @@ a Toeplitz-structured sum, which is what the solver's fast path relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -21,7 +20,7 @@ class TimeGrid:
 
     horizon: float
     num_steps: int
-    nodes: np.ndarray = field(repr=False, compare=False, default=None)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -38,13 +37,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return self.num_steps + 1
-
-    def index_of(self, t: float) -> int:
-        """Index of a node equal to t (up to rounding)."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.num_steps or abs(self.nodes[k] - t) > 1e-9 * max(1.0, self.horizon):
-            raise InvalidArgument(f"t={t} is not a node of the time grid")
-        return k
 
 
 @dataclass(frozen=True)
@@ -121,15 +113,6 @@ class MultiIndex:
         for i, c in enumerate(self.components):
             out.extend([i] * c)
         return tuple(out)
-
-    @staticmethod
-    def all_of_order(dim: int, order: int):
-        """All multi-indices of a given order in ``dim`` variables."""
-        out = []
-        for combo in product(range(order + 1), repeat=dim):
-            if sum(combo) == order:
-                out.append(MultiIndex(combo))
-        return out
 
 
 def quadrature_weights(nodes: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ bookkeeping the acceptance scenarios need only exist on the line.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +56,7 @@ class FieldSample:
     """
 
     def __init__(self, values, space_grid: SpaceGrid, family: str,
-                 time_grid: TimeGrid | None = None, deriv_source: str = "finite-difference",
-                 pair_paths: int = MAX_PAIR_PATHS):
+                 time_grid: TimeGrid | None = None, pair_paths: int = MAX_PAIR_PATHS):
         if family not in FAMILIES:
             raise InvalidArgument(f"unknown norm family {family!r}; choose from {FAMILIES}")
         if space_grid.dim != 1:
@@ -78,7 +76,6 @@ class FieldSample:
         self.space_grid = space_grid
         self.family = family
         self.time_grid = time_grid
-        self.deriv_source = deriv_source
         self.pair_paths = pair_paths
         self._derivs = {0: (values, np.ones(space_grid.points_per_axis, dtype=bool))}
 
@@ -107,7 +104,6 @@ class FieldSample:
         if valid is None:
             valid = np.ones(self.space_grid.points_per_axis, dtype=bool)
         self._derivs[order] = (values, np.asarray(valid, dtype=bool))
-        self.deriv_source = "analytic"
         return self
 
     def derivative(self, order: int):
@@ -135,14 +131,6 @@ class FieldSample:
             return slice(None)
         stride = M // self.pair_paths
         return slice(0, stride * self.pair_paths, stride)
-
-    def scaled(self, kappa: float) -> "FieldSample":
-        out = FieldSample(self.values * kappa, self.space_grid, self.family,
-                          self.time_grid, self.deriv_source, self.pair_paths)
-        for order, (d, valid) in self._derivs.items():
-            if order != 0:
-                out._derivs[order] = (d * kappa, valid)
-        return out
 
 
 def _time_weights(field: FieldSample):
@@ -173,7 +161,7 @@ def estimate_seminorm(field: FieldSample, k: int) -> float:
     return float(norms[valid].max())
 
 
-def _pair_indices(J: int, rng=None):
+def _pair_indices(J: int):
     """(i, j) pairs: exhaustive below the limit, two-scale sampled above."""
     if J <= EXHAUSTIVE_PAIR_LIMIT:
         i, j = np.triu_indices(J, k=1)
@@ -183,7 +171,7 @@ def _pair_indices(J: int, rng=None):
         idx = np.arange(J - off)
         near_i.append(idx)
         near_j.append(idx + off)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     fi = rng.integers(0, J, FAR_PAIR_SAMPLE)
     fj = rng.integers(0, J, FAR_PAIR_SAMPLE)
     keep = fi < fj
@@ -234,51 +222,11 @@ def estimate_fractional_seminorm(field: FieldSample, m: int, alpha: float) -> fl
     return best
 
 
-def _seminorm_stderr(field: FieldSample, k: int) -> float:
-    """Delta-method standard error of [psi]_k at the attaining node."""
-    if field.num_paths < 2 or field.family == "Linf":
-        return 0.0
-    vals, valid = field.derivative(k)
-    sq = np.sum(vals**2, axis=-1)
-    if field.family == "L2":
-        per_path = np.einsum("mtj,t->mj", sq, _time_weights(field))
-    elif field.family == "S2":
-        per_path = sq.max(axis=1)
-    else:
-        per_path = sq[:, 0, :]
-    means = per_path.mean(axis=0)
-    j_star = np.argmax(np.where(valid, means, -np.inf))
-    mean = means[j_star]
-    se_mean = per_path[:, j_star].std(ddof=1) / np.sqrt(field.num_paths)
-    if mean <= 0.0:
-        return 0.0
-    return float(se_mean / (2.0 * np.sqrt(mean)))
-
-
 @dataclass
 class HolderReport:
-    family: str
-    m: int
-    alpha: float
     seminorms: list
     fractional: float
     total: float
-    grid_meta: dict
-    stderr: float
-    deriv_source: str = "finite-difference"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "family": self.family,
-            "m": self.m,
-            "alpha": self.alpha,
-            "seminorms": self.seminorms,
-            "fractional": self.fractional,
-            "total": self.total,
-            "grid_meta": self.grid_meta,
-            "stderr": self.stderr,
-            "deriv_source": self.deriv_source,
-        }, sort_keys=True)
 
 
 def estimate_norm(field: FieldSample, m: int, alpha: float) -> HolderReport:
@@ -286,18 +234,7 @@ def estimate_norm(field: FieldSample, m: int, alpha: float) -> HolderReport:
     HolderIndex(m, alpha)
     semis = [estimate_seminorm(field, k) for k in range(m + 1)]
     frac = estimate_fractional_seminorm(field, m, alpha)
-    meta = {
-        "paths": field.num_paths,
-        "times": field.values.shape[1],
-        "space_points": field.space_grid.points_per_axis,
-        "radius": field.space_grid.radius,
-    }
-    return HolderReport(
-        family=field.family, m=m, alpha=alpha,
-        seminorms=semis, fractional=frac, total=float(sum(semis) + frac),
-        grid_meta=meta, stderr=_seminorm_stderr(field, 0),
-        deriv_source=field.deriv_source,
-    )
+    return HolderReport(seminorms=semis, fractional=frac, total=float(sum(semis) + frac))
 
 
 def _product_field(h: FieldSample, psi: FieldSample) -> FieldSample:

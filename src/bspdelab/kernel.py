@@ -15,7 +15,6 @@ their existence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -87,21 +86,6 @@ class DiffusionCoefficient:
             fn=lambda t: float(scale_fn(t)) * np.eye(dim),
             dim=dim, lam=lam, Lam=Lam, label=label,
         )
-
-    def check_ellipticity(self, times, num_directions=32, seed=0):
-        """Verify lam |xi|^2 <= (a xi, xi) <= Lam |xi|^2 on a direction sample."""
-        rng = np.random.default_rng(seed)
-        xi = rng.standard_normal((num_directions, self.dim))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        tol = 1e-10
-        for t in np.atleast_1d(times):
-            a = self(t)
-            q = np.einsum("ki,ij,kj->k", xi, a, xi)
-            if np.any(q < self.lam - tol) or np.any(q > self.Lam + tol):
-                raise InvalidArgument(
-                    f"ellipticity bounds [{self.lam}, {self.Lam}] violated at t={t}"
-                )
-        return True
 
 
 class HeatKernel:
@@ -285,13 +269,8 @@ def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int = 
 class KernelConstantReport:
     """Empirical constant of one kernel-integral estimate."""
 
-    estimate_id: str
-    gamma: tuple
-    alpha: float | None
-    beta: float
     empirical_C: float
-    levels: list = field(default_factory=list)
-    decay_c: float | None = None
+    levels: list
     extras: dict = field(default_factory=dict)
 
     @property
@@ -300,21 +279,6 @@ class KernelConstantReport:
         if len(vals) < 2:
             return np.isfinite(self.empirical_C)
         return max(vals) / min(vals) <= 1.3
-
-    def to_json(self) -> str:
-        payload = {
-            "estimate_id": self.estimate_id,
-            "gamma": list(self.gamma),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "levels": self.levels,
-            "empirical_C": self.empirical_C,
-        }
-        if self.decay_c is not None:
-            payload["decay_c"] = self.decay_c
-        if self.extras:
-            payload["extras"] = self.extras
-        return json.dumps(payload, sort_keys=True)
 
 
 def _safe_ratio(num, den):
@@ -335,42 +299,42 @@ def _probe_points(dim: int, max_radius: float, count: int) -> np.ndarray:
     return (radii[:, None, None] * dirs[None]).reshape(-1, dim)
 
 
-def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex,
-                          time_gaps=None, max_radius: float = 6.0,
-                          decay_c: float = 0.125,
-                          levels=(25, 49)) -> KernelConstantReport:
+_PROBE_RADIUS = 6.0  # largest |x| of the pointwise probe points
+_DECAY_C = 0.125  # envelope decay rate c, strictly inside (0, 1/4)
+_PROBE_LEVELS = (25, 49)  # probe radii per refinement level
+
+
+def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConstantReport:
     """Smallest C with |D^gamma G| <= C (s-t)^{-(n+|g|)/2} exp(-c |x|^2/(s-t)).
 
-    The decay rate c is fixed (default 1/8, strictly interior to (0, 1/4));
-    the report also records whether the boundary rate c = 1/4 is usable for
-    this diffusion (it generally is not once the kernel is anisotropic or
-    carries derivative prefactors).
+    The decay rate c is fixed at 1/8, strictly interior to (0, 1/4), and the
+    gaps s - t run geometrically from T/256 to T; the report also records
+    whether the boundary rate c = 1/4 is usable for this diffusion (it
+    generally is not once the kernel is anisotropic or carries derivative
+    prefactors).
     """
     if gamma.order > 3:
         raise UnsupportedOrder("pointwise bound probes support |gamma| <= 3")
-    if not (0.0 < decay_c < 0.25):
-        raise InvalidArgument("decay rate c must lie in (0, 1/4)")
     T = kernel.horizon
-    if time_gaps is None:
-        time_gaps = np.geomspace(T / 256.0, T, 9)
+    time_gaps = np.geomspace(T / 256.0, T, 9)
     n, g = kernel.dim, gamma.order
 
     def level_C(count):
-        pts = _probe_points(n, max_radius, count)
+        pts = _probe_points(n, _PROBE_RADIUS, count)
         r2 = np.sum(pts**2, axis=-1)
         best = 0.0
         for gap in time_gaps:
             vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
-            bound = gap ** (-(n + g) / 2.0) * np.exp(-decay_c * r2 / gap)
+            bound = gap ** (-(n + g) / 2.0) * np.exp(-_DECAY_C * r2 / gap)
             best = max(best, float(np.max(_safe_ratio(vals, bound))))
         return best
 
-    report_levels = [{"points": c, "value": level_C(c)} for c in levels]
+    report_levels = [{"points": c, "value": level_C(c)} for c in _PROBE_LEVELS]
     C = report_levels[-1]["value"]
 
     # boundary-rate check: with c = 1/4 the ratio must stay bounded along the
     # probe radii for the rate to be admissible
-    pts = _probe_points(n, max_radius, levels[-1])
+    pts = _probe_points(n, _PROBE_RADIUS, _PROBE_LEVELS[-1])
     r2 = np.sum(pts**2, axis=-1)
     gap = float(np.max(time_gaps))  # largest gap keeps the ratio out of underflow
     vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
@@ -380,16 +344,8 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex,
     mid = np.max(ratio[(r2 >= 0.2 * r2_max) & (r2 <= 0.3 * r2_max)])
     boundary_usable = bool(far <= 10.0 * max(mid, 1e-300))
 
-    return KernelConstantReport(
-        estimate_id="pointwise_bound",
-        gamma=gamma.components,
-        alpha=None,
-        beta=kernel.beta,
-        empirical_C=C,
-        levels=report_levels,
-        decay_c=decay_c,
-        extras={"boundary_rate_usable": boundary_usable},
-    )
+    return KernelConstantReport(C, report_levels,
+                                extras={"boundary_rate_usable": boundary_usable})
 
 
 def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
@@ -419,22 +375,26 @@ def _ball_grid(dim: int, radius: float, per_axis: int):
     return nodes, weights
 
 
-def _graded_time_integral(kernel, s, x, gamma, alpha_weight, scale, num=120):
+_GRADED_NODES = 120  # geometric u = sqrt(s - t) nodes of a graded time integral
+
+
+def _graded_time_integral(kernel, s, x, gamma, scale):
     """integral_0^s |D^gamma G_{s,t}(x)| dt with the peak at s - t ~ |x|^2
     resolved by a geometric grid in u = sqrt(s - t)."""
     u_min = max(scale / 40.0, np.sqrt(s) * 1e-7)
-    u = np.geomspace(u_min, np.sqrt(s), num)
+    u = np.geomspace(u_min, np.sqrt(s), _GRADED_NODES)
     t_vals = s - u**2
     vals = np.abs(kernel.derivative_time_profile(s, t_vals, x, gamma))
     integrand = vals * 2.0 * u  # dt = 2 u du
     return float(np.trapezoid(integrand, u))
 
 
-def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float,
-                             grid: SpaceGrid | None = None,
-                             etas=(0.5, 0.25, 0.125),
-                             betas=(1.0, 4.0, 16.0, 64.0),
-                             refine: int = 2) -> dict:
+_ETAS = (0.5, 0.25, 0.125)  # small-ball radii
+_DAMPING_BETAS = (1.0, 4.0, 16.0, 64.0)  # beta sweep of the damped moment fit
+_REFINE_LEVELS = 2  # lattice refinements of the moment and tail probes
+
+
+def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float) -> dict:
     """Empirical constants for the kernel-integral estimate family.
 
     Returns a dict of reports keyed by estimate id:
@@ -448,10 +408,8 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
         raise InvalidArgument("alpha must lie in (0, 1)")
     n, g = kernel.dim, gamma.order
     T = kernel.horizon
-    if grid is None:
-        R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * T)
-        per_axis = 257 if n == 1 else 97
-        grid = SpaceGrid(dim=n, radius=R, points_per_axis=per_axis)
+    R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * T)
+    grid = SpaceGrid(dim=n, radius=R, points_per_axis=257 if n == 1 else 97)
     reports = {}
 
     tau_s_pairs = [(0.0, T), (0.0, T / 2.0), (T / 4.0, T)]
@@ -460,7 +418,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
 
     # (2.4)-type moment bound
     levels = []
-    for lev in range(refine):
+    for lev in range(_REFINE_LEVELS):
         J = grid.points_per_axis if lev == 0 else 2 * grid.points_per_axis - 1
         gl = SpaceGrid(grid.dim, unit_R, J)
         nodes, weights = gl.nodes(), space_quadrature_weights(gl).ravel()
@@ -469,15 +427,13 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
             m = _moment_integrand(kernel, s, nodes, weights, gamma, alpha)
             best = max(best, singular_time_quadrature(m, tau, s, power))
         levels.append({"points": J, "value": best})
-    reports["moment_bound"] = KernelConstantReport(
-        "moment_bound", gamma.components, alpha, kernel.beta,
-        empirical_C=levels[-1]["value"], levels=levels)
+    reports["moment_bound"] = KernelConstantReport(levels[-1]["value"], levels)
 
     if g == 2:
         # exterior-ball cancellation (finite thanks to integral D^g G = 0)
         radii = [0.25, 0.5, 1.0, 2.0, grid.radius * 2.0]
         levels = []
-        for lev in range(refine):
+        for lev in range(_REFINE_LEVELS):
             J = grid.points_per_axis if lev == 0 else 2 * grid.points_per_axis - 1
             gl = SpaceGrid(grid.dim, grid.radius, J)
             nodes, weights = gl.nodes(), space_quadrature_weights(gl).ravel()
@@ -495,13 +451,11 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
                 for tau, s in tau_s_pairs:
                     best = max(best, singular_time_quadrature(inner, tau, s, -0.5))
             levels.append({"points": J, "value": best})
-        reports["tail_cancellation"] = KernelConstantReport(
-            "tail_cancellation", gamma.components, alpha, kernel.beta,
-            empirical_C=levels[-1]["value"], levels=levels)
+        reports["tail_cancellation"] = KernelConstantReport(levels[-1]["value"], levels)
 
         # small-ball moment: LHS(eta) <= C eta^alpha
         levels = []
-        for eta in etas:
+        for eta in _ETAS:
             nodes, weights = _ball_grid(n, eta, 161 if n == 1 else 41)
             rad = np.linalg.norm(nodes, axis=-1)
             mask = rad <= eta + 1e-12
@@ -509,15 +463,12 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
             for x, w, r in zip(nodes[mask], weights[mask], rad[mask]):
                 if r == 0.0:
                     continue
-                t_int = max(
-                    _graded_time_integral(kernel, s_val, x, gamma, alpha, r)
-                    for s_val in (T / 4.0, T)
-                )
+                t_int = max(_graded_time_integral(kernel, s_val, x, gamma, r)
+                            for s_val in (T / 4.0, T))
                 total += w * t_int * r**alpha
             levels.append({"eta": eta, "value": total / eta**alpha})
         reports["small_ball"] = KernelConstantReport(
-            "small_ball", gamma.components, alpha, kernel.beta,
-            empirical_C=max(lv["value"] for lv in levels), levels=levels)
+            max(lv["value"] for lv in levels), levels)
 
         # two-point difference outside the ball of radius eta = 2 |x - xbar|
         levels = []
@@ -533,45 +484,44 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
             total = 0.0
             for y, w in zip(nodes[mask], weights[mask]):
                 scale = np.linalg.norm(x0 - y)
-                t_int = max(
-                    _graded_diff_time_integral(kernel, s_val, x0 - y, xbar - y, gamma, scale)
-                    for s_val in (T,)
-                )
+                t_int = _graded_diff_time_integral(kernel, T, x0 - y, xbar - y, gamma, scale)
                 total += w * t_int * np.linalg.norm(xbar - y) ** alpha
             levels.append({"eta": eta, "value": total / eta**alpha})
         reports["shifted_difference"] = KernelConstantReport(
-            "shifted_difference", gamma.components, alpha, kernel.beta,
-            empirical_C=max(lv["value"] for lv in levels), levels=levels)
+            max(lv["value"] for lv in levels), levels)
 
     # beta-damped moment integral with the predicted beta power
     gl = SpaceGrid(grid.dim, unit_R, grid.points_per_axis)
     nodes, weights = gl.nodes(), space_quadrature_weights(gl).ravel()
     predicted = -1.0 + (g - alpha) / 2.0
     raw = []
-    for b in betas:
+    for b in _DAMPING_BETAS:
         kb = kernel.with_beta(b)
         m = _moment_integrand(kb, T, nodes, weights, gamma, alpha)
         raw.append(singular_time_quadrature(m, 0.0, T, power, num=64))
-    fitted = float(np.polyfit(np.log(np.asarray(betas)), np.log(np.asarray(raw)), 1)[0])
+    fitted = float(np.polyfit(np.log(np.asarray(_DAMPING_BETAS)), np.log(np.asarray(raw)),
+                              1)[0])
     levels = [
-        {"beta": b, "value": v * b ** (-predicted)} for b, v in zip(betas, raw)
+        {"beta": b, "value": v * b ** (-predicted)} for b, v in zip(_DAMPING_BETAS, raw)
     ]
     reports["beta_damped_moment"] = KernelConstantReport(
-        "beta_damped_moment", gamma.components, alpha, kernel.beta,
-        empirical_C=max(lv["value"] for lv in levels), levels=levels,
+        max(lv["value"] for lv in levels), levels,
         extras={"fitted_exponent": fitted, "predicted_exponent": predicted})
 
     return reports
 
 
-def _graded_diff_time_integral(kernel, s, x1, x2, gamma, scale, num=120):
+def _graded_diff_time_integral(kernel, s, x1, x2, gamma, scale):
     u_min = max(scale / 40.0, np.sqrt(s) * 1e-7)
-    u = np.geomspace(u_min, np.sqrt(s), num)
+    u = np.geomspace(u_min, np.sqrt(s), _GRADED_NODES)
     t_vals = s - u**2
     v1 = kernel.derivative_time_profile(s, t_vals, x1, gamma)
     v2 = kernel.derivative_time_profile(s, t_vals, x2, gamma)
     integrand = np.abs(v1 - v2) * 2.0 * u
     return float(np.trapezoid(integrand, u))
+
+
+_SUP_GAPS = 240  # geometric gaps r of the windowed supremum
 
 
 @dataclass
@@ -583,9 +533,8 @@ class SupKernelProbe:
 
 
 def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: float,
-                                   grid: SpaceGrid | None = None,
-                                   t: float = 0.0, num_r: int = 240) -> SupKernelProbe:
-    """integral sup_{r in [t, t+window]} G_{r,t}(y) |y|^{2 alpha} dy on the grid.
+                                   grid: SpaceGrid | None = None) -> SupKernelProbe:
+    """integral sup_{r in [0, window]} G_{r,0}(y) |y|^{2 alpha} dy on the grid.
 
     The integral is finite only because the sup is taken *after* the moment
     weight tames the short-time concentration; windows beyond T/4 leave the
@@ -603,10 +552,10 @@ def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: flo
     weights = space_quadrature_weights(grid).ravel()
     rad = np.linalg.norm(nodes, axis=-1)
 
-    gaps = np.geomspace(window * 1e-6, window, num_r)
+    gaps = np.geomspace(window * 1e-6, window, _SUP_GAPS)
     sup_vals = np.zeros(len(nodes))
     for gap in gaps:
-        A = kernel.covariance(t, t + gap)
+        A = kernel.covariance(0.0, gap)
         det, Ainv = kernel._prep(A)
         vals = kernel._eval_given(det, Ainv, gap, nodes)
         np.maximum(sup_vals, vals, out=sup_vals)

@@ -52,6 +52,7 @@ from .stochastic import (
 )
 
 _D1 = MultiIndex((1,))
+_ASSUMPTION_SAMPLES = 64  # random (t, x) points of each sampled assumption check
 
 
 # -- problem data -----------------------------------------------------------
@@ -142,15 +143,15 @@ class CoefficientSet:
             return False
         return True
 
-    def check_assumptions(self, time_grid: TimeGrid, space_grid: SpaceGrid,
-                          seed: int = 0, samples: int = 64):
-        """Sampled ellipticity / boundedness / Lipschitz checks.
+    def check_assumptions(self, time_grid: TimeGrid, space_grid: SpaceGrid):
+        """Sampled ellipticity / boundedness / Lipschitz checks at 64 seeded
+        random points each.
 
         Raises AssumptionViolation on the first failure; silent on success.
         """
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.0, time_grid.horizon, samples)
-        xs = rng.uniform(-space_grid.radius, space_grid.radius, samples)
+        rng = np.random.default_rng(0)
+        ts = rng.uniform(0.0, time_grid.horizon, _ASSUMPTION_SAMPLES)
+        xs = rng.uniform(-space_grid.radius, space_grid.radius, _ASSUMPTION_SAMPLES)
         for t, x in zip(ts, xs):
             a = float(np.atleast_1d(self.a_values(t, np.atleast_1d(x)))[0])
             if not (self.lam - 1e-12 <= a <= self.Lam + 1e-12):
@@ -164,7 +165,7 @@ class CoefficientSet:
         if self.driver is not None:
             if self.lipschitz <= 0.0:
                 raise AssumptionViolation("semilinear driver needs a positive Lipschitz constant")
-            for _ in range(samples):
+            for _ in range(_ASSUMPTION_SAMPLES):
                 t = rng.uniform(0.0, time_grid.horizon)
                 x = np.atleast_1d(rng.uniform(-space_grid.radius, space_grid.radius))
                 q1, u1, v1 = rng.standard_normal(3)
@@ -220,6 +221,9 @@ def _smoothstep(t):
     return out
 
 
+_BUMP_STEP = 1e-4  # central-difference step of the bump derivatives, in units of theta
+
+
 @dataclass(frozen=True)
 class BumpField:
     """Cutoff eta(x) = phi((x - z) / theta): 1 on |x-z| <= theta, 0 beyond 2 theta."""
@@ -238,15 +242,16 @@ class BumpField:
     def __call__(self, x):
         return self._profile((np.asarray(x, dtype=float) - self.center) / self.radius)
 
-    def d1(self, x, step: float = 1e-4):
+    def d1(self, x):
         xi = (np.asarray(x, dtype=float) - self.center) / self.radius
-        return (self._profile(xi + step) - self._profile(xi - step)) / (2.0 * step) \
-            / self.radius
+        return (self._profile(xi + _BUMP_STEP) - self._profile(xi - _BUMP_STEP)) \
+            / (2.0 * _BUMP_STEP) / self.radius
 
-    def d2(self, x, step: float = 1e-4):
+    def d2(self, x):
         xi = (np.asarray(x, dtype=float) - self.center) / self.radius
-        num = self._profile(xi + step) - 2.0 * self._profile(xi) + self._profile(xi - step)
-        return num / step**2 / self.radius**2
+        num = (self._profile(xi + _BUMP_STEP) - 2.0 * self._profile(xi)
+               + self._profile(xi - _BUMP_STEP))
+        return num / _BUMP_STEP**2 / self.radius**2
 
 
 # -- the pair-sum engine ----------------------------------------------------
@@ -492,7 +497,6 @@ class SolutionField:
     v_parts: list  # per noise component, each a list of FieldPart
     num_paths: int
     trusted: np.ndarray
-    deriv_source: str = "analytic"
     provenance: str = ""
     residual_rms: float = np.nan
     residual_worst: float = np.nan
@@ -546,7 +550,7 @@ class SolutionField:
             "residual_worst": self.residual_worst,
             "num_paths": self.num_paths,
             "noise_dim": self.noise_dim,
-            "deriv_source": self.deriv_source,
+            "deriv_source": "analytic",
             "grid": {
                 "num_steps": self.time_grid.num_steps,
                 "horizon": self.time_grid.horizon,
@@ -718,7 +722,7 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble,
         space_grid=grid, time_grid=tgrid, u_parts=u_parts, v_parts=v_parts,
         num_paths=paths.num_paths,
         trusted=_trusted_mask(grid, coeffs.Lam, tgrid.horizon),
-        deriv_source="analytic", provenance="representation",
+        provenance="representation",
         info={"iterations": 1, "bsde_residual_rms": bsde.residual_rms},
     )
     rms, worst = integral_form_defect(sol, coeffs, paths)
@@ -777,7 +781,7 @@ def _frozen_diffusion(coeffs: CoefficientSet) -> DiffusionCoefficient:
                                 label="frozen@0.0")
 
 
-_NORM_ALPHA = 0.5  # Holder exponent of the convergence-test and covering norms
+_NORM_ALPHA = 0.5  # Holder exponent of the convergence-test, covering and time-shift norms
 
 
 def _masked_grid(grid: SpaceGrid, mask: np.ndarray) -> SpaceGrid:
@@ -799,6 +803,39 @@ def _norm_estimate(tgrid, grid, u_stack, mask):
     return estimate_norm(f, 2, _NORM_ALPHA).total
 
 
+def _picard_setup(coeffs: CoefficientSet, config: SolverConfig, beta: float):
+    """What both Picard routes build before iterating: the frozen reference
+    diffusion, the gridded integrator on its damped kernel, the damping rows
+    e^{-beta (T - t)}, the forcing rows (None without forcing) and the
+    trusted mask."""
+    tgrid, grid = config.time_grid, config.space_grid
+    T = tgrid.horizon
+    abar = _frozen_diffusion(coeffs)
+    kernel = HeatKernel(abar, beta=beta, horizon=T)
+    integrator = _GriddedIntegrator(kernel, tgrid, grid, _terminal_stack(coeffs, grid))
+    damp_t = np.exp(-beta * (T - tgrid.nodes))
+    f_tx = None
+    if coeffs.forcing is not None:
+        f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), grid.axis)[0]
+    return abar, integrator, damp_t, f_tx, _trusted_mask(grid, coeffs.Lam, T)
+
+
+def _picard_solution(coeffs: CoefficientSet, config: SolverConfig, prof, damp_t,
+                     mask, provenance: str, info: dict) -> SolutionField:
+    """The undamped final iterate as a deterministic SolutionField, with its
+    integral-form defect."""
+    tgrid = config.time_grid
+    profiles = {o: prof[o] / damp_t[:, None] for o in range(3)}
+    sol = SolutionField(
+        space_grid=config.space_grid, time_grid=tgrid,
+        u_parts=[FieldPart(profiles, np.ones((1, tgrid.num_steps + 1)))],
+        v_parts=[[] for _ in range(coeffs.noise_dim)],
+        num_paths=1, trusted=mask, provenance=provenance, info=info,
+    )
+    sol.residual_rms, sol.residual_worst = integral_form_defect(sol, coeffs)
+    return sol
+
+
 def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
                           config: SolverConfig) -> SolutionField:
     """Frozen-reference Picard for variable a(t, x), drift b, and zeroth term c.
@@ -816,31 +853,17 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
         )
     tgrid, grid = config.time_grid, config.space_grid
     beta = 0.0 if config.beta is None else config.beta
-    T = tgrid.horizon
     t = tgrid.nodes
-    x = grid.axis
-    K = tgrid.num_steps
-    J = grid.points_per_axis
-
-    abar = _frozen_diffusion(coeffs)
-    kernel = HeatKernel(abar, beta=beta, horizon=T)
-    integrator = _GriddedIntegrator(kernel, tgrid, grid, _terminal_stack(coeffs, grid))
-
-    a_tx, b_tx, c_tx = coeffs.sample(t, x)
+    abar, integrator, damp_t, f_tx, mask = _picard_setup(coeffs, config, beta)
+    a_tx, b_tx, c_tx = coeffs.sample(t, grid.axis)
     abar_t = np.array([float(np.atleast_2d(abar(tk))[0, 0]) for tk in t])
-    damp_t = np.exp(-beta * (T - t))
-    if coeffs.forcing is not None:
-        f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), x)[0]
-    else:
-        f_tx = None
 
-    mask = _trusted_mask(grid, coeffs.Lam, T)
     prof = integrator.solve(None)
     history = []
     norm_prev = None
     converged = False
     for it in range(1, config.max_iter + 1):
-        F = np.zeros((K + 1, J))
+        F = np.zeros((len(t), grid.points_per_axis))
         if f_tx is not None:
             F += damp_t[:, None] * f_tx
         F += (a_tx - abar_t[:, None]) * prof[2]
@@ -862,8 +885,6 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
             break
         norm_prev = norm
 
-    # undamp and package
-    profiles = {o: prof[o] / damp_t[:, None] for o in range(3)}
     info = {"iterations": len(history), "history": history, "converged": converged,
             "beta": beta}
     if not converged:
@@ -874,16 +895,7 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
             "advisory": "iteration cap reached; rerun with beta damping enabled "
                         "(larger config.beta) if the contraction estimates are near 1",
         }
-    sol = SolutionField(
-        space_grid=grid, time_grid=tgrid,
-        u_parts=[FieldPart(profiles, np.ones((1, K + 1)))],
-        v_parts=[[] for _ in range(coeffs.noise_dim)],
-        num_paths=1, trusted=mask,
-        deriv_source="analytic", provenance="frozen-picard", info=info,
-    )
-    rms, worst = integral_form_defect(sol, coeffs)
-    sol.residual_rms, sol.residual_worst = rms, worst
-    return sol
+    return _picard_solution(coeffs, config, prof, damp_t, mask, "frozen-picard", info)
 
 
 # -- semilinear Picard ------------------------------------------------------
@@ -902,24 +914,11 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
         raise InvalidRoute("semilinear iteration is implemented for deterministic data only")
     if not coeffs.space_invariant:
         raise InvalidRoute("semilinear iteration needs space-invariant a")
-    tgrid, grid = config.time_grid, config.space_grid
+    t, x = config.time_grid.nodes, config.space_grid.axis
     beta = 8.0 if config.beta is None else config.beta
-    T = tgrid.horizon
-    t = tgrid.nodes
-    x = grid.axis
-    K = tgrid.num_steps
-    J = grid.points_per_axis
-    mask = _trusted_mask(grid, coeffs.Lam, T)
+    _, integrator, damp_t, f_tx, mask = _picard_setup(coeffs, config, beta)
 
-    kernel = HeatKernel(coeffs.diffusion, beta=beta, horizon=T)
-    integrator = _GriddedIntegrator(kernel, tgrid, grid, _terminal_stack(coeffs, grid))
-    damp_t = np.exp(-beta * (T - t))
-    if coeffs.forcing is not None:
-        f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), x)[0]
-    else:
-        f_tx = None
-
-    prof = {o: np.zeros((K + 1, J)) for o in range(3)}
+    prof = {o: np.zeros((len(t), len(x))) for o in range(3)}
     diffs = []
     history = []
     converged = False
@@ -957,30 +956,15 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
     if not converged and len(diffs) >= 3 and diffs[-1] > diffs[-3]:
         raise AssumptionViolation(info["advisory"] if "advisory" in info else
                                   f"Picard iteration diverging at beta={beta}; raise beta")
-
-    profiles = {o: prof[o] / damp_t[:, None] for o in range(3)}
-    sol = SolutionField(
-        space_grid=grid, time_grid=tgrid,
-        u_parts=[FieldPart(profiles, np.ones((1, K + 1)))],
-        v_parts=[[] for _ in range(coeffs.noise_dim)],
-        num_paths=1, trusted=mask,
-        deriv_source="analytic", provenance="semilinear-picard", info=info,
-    )
-    rms, worst = integral_form_defect(sol, coeffs)
-    sol.residual_rms, sol.residual_worst = rms, worst
-    return sol
+    return _picard_solution(coeffs, config, prof, damp_t, mask, "semilinear-picard", info)
 
 
 # -- localization -----------------------------------------------------------
 
 @dataclass
 class LocalizedProblem:
-    """Cutoff-multiplied data (u eta, v eta, Phi eta, f^z_theta) plus checks."""
+    """The seven-term source f^z_theta of (u eta, v eta) plus checks."""
 
-    bump: BumpField
-    u_loc: np.ndarray
-    v_loc: list
-    phi_loc: np.ndarray
     f_loc: np.ndarray
     source_terms: dict
     residual_rms: float
@@ -1061,8 +1045,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     covering = covering_inequality(sol, theta, _NORM_ALPHA, path_idx=path_idx)
 
     return LocalizedProblem(
-        bump=bump, u_loc=u_loc, v_loc=v_loc, phi_loc=phi_loc, f_loc=f_loc,
-        source_terms=terms, residual_rms=rms, residual_worst=worst,
+        f_loc=f_loc, source_terms=terms, residual_rms=rms, residual_worst=worst,
         parent_residual_rms=sol.residual_rms, covering=covering,
     )
 
@@ -1078,18 +1061,14 @@ def covering_inequality(sol: SolutionField, theta: float, alpha: float,
     span = grid.radius - 2.0 * theta
     centers = np.linspace(-max(span, 0.0), max(span, 0.0), _COVERING_CENTERS)
     masked_best = 0.0
-    per_center = []
     for z in centers:
         eta = BumpField(center=float(z), radius=theta)(grid.axis)
         g = FieldSample(u0 * eta, grid, "L2", tgrid)
-        val = estimate_norm(g, 0, alpha).total
-        per_center.append({"z": float(z), "norm": val})
-        masked_best = max(masked_best, val)
+        masked_best = max(masked_best, estimate_norm(g, 0, alpha).total)
     C = 0.0 if h0 == 0.0 else max(0.0, (lhs - 2.0 * masked_best) / h0)
     slack = 2.0 * masked_best + C * h0 - lhs
     return {"lhs": lhs, "sup_masked": masked_best, "zero_norm": h0,
-            "C": C, "slack": slack, "theta": theta, "alpha": alpha,
-            "centers": per_center}
+            "C": C, "slack": slack, "theta": theta, "alpha": alpha}
 
 
 # -- time continuity --------------------------------------------------------
@@ -1105,15 +1084,17 @@ def shift_steps(tgrid: TimeGrid, tau: float) -> int:
     return int(round(r))
 
 
-def time_shift_norm(sol: SolutionField, tau: float, alpha: float = 0.5,
-                    path_idx=None) -> float:
-    """Restricted-interval norm ||u(.) - u(. - tau)||_{alpha, L2, tau}."""
+_SHIFT_PATHS = 64  # paths the time-shift norm is measured on
+
+
+def time_shift_norm(sol: SolutionField, tau: float) -> float:
+    """Restricted-interval norm ||u(.) - u(. - tau)||_{1/2, L2, tau} on the
+    first 64 paths."""
     tgrid = sol.time_grid
     r = shift_steps(tgrid, tau)
-    if path_idx is None and sol.num_paths > 64:
-        path_idx = np.arange(64)
+    path_idx = np.arange(_SHIFT_PATHS) if sol.num_paths > _SHIFT_PATHS else None
     u = sol.u_dense(0, path_idx)[..., sol.trusted]
     diff = u[:, r:, :] - u[:, :-r, :]
     sub_grid = TimeGrid(tgrid.horizon - tau, tgrid.num_steps - r)
     f = FieldSample(diff, _masked_grid(sol.space_grid, sol.trusted), "L2", sub_grid)
-    return estimate_norm(f, 0, alpha).total
+    return estimate_norm(f, 0, _NORM_ALPHA).total

@@ -222,7 +222,6 @@ class DataFunctional:
     """Finite sum of separable terms h_i(x) * p_i(path)."""
 
     terms: tuple  # of (SpaceFactor, PathFactor)
-    holder_class: float = 1.5  # claimed m + alpha regularity of the space part
 
     def terminal_values(self, paths: PathEnsemble, x) -> np.ndarray:
         """Phi(x) per path, shape (M, len(x))."""
@@ -265,7 +264,6 @@ class BsdeSolution:
     provenance: str
     residual_rms: float = np.nan
     residual_worst: float = np.nan
-    regression_cond: float = np.nan
 
     def _dense(self, terms, x, path_idx) -> np.ndarray:
         x = np.atleast_1d(x)
@@ -298,17 +296,6 @@ class SecondFamilySolution:
     time_grid: TimeGrid
     num_paths: int
     provenance: str
-
-    def _dense(self, terms, tau: float, x) -> np.ndarray:
-        x = np.atleast_1d(x)
-        return product_dense([(t.series * t.tau_fn(tau), t.space(x)) for t in terms],
-                             (self.num_paths, len(self.time_grid), len(x)))
-
-    def y_dense(self, tau: float, x) -> np.ndarray:
-        return self._dense(self.y_terms, tau, x)
-
-    def g_dense(self, l: int, tau: float, x) -> np.ndarray:
-        return self._dense(self.g_terms[l], tau, x)
 
 
 def _check_sigma(sigma, d: int) -> np.ndarray:
@@ -381,19 +368,17 @@ def solve_bsde_closed(data: DataFunctional, sigma, paths: PathEnsemble) -> BsdeS
 
 
 _RESIDUAL_CHUNK = 512  # paths per chunk of the BSDE residual
+_RESIDUAL_X = (-1.0, 0.0, 0.7)  # space points the BSDE residual samples
 
 
-def bsde_residual(sol: BsdeSolution, data: DataFunctional, sigma, paths: PathEnsemble,
-                  x=None) -> tuple:
+def bsde_residual(sol: BsdeSolution, data: DataFunctional, sigma, paths: PathEnsemble) -> tuple:
     """Defect of the backward integral form at every grid time, evaluated at
-    sample space points; returns (rms, worst-path max).
+    the sample space points x = -1, 0, 0.7; returns (rms, worst-path max).
 
     Paths are evaluated in chunks of 512 into one (M, K+1, J) defect array,
     so the result does not depend on the chunking.
     """
-    if x is None:
-        x = np.array([-1.0, 0.0, 0.7])
-    x = np.atleast_1d(x)
+    x = np.array(_RESIDUAL_X)
     sig = _check_sigma(sigma, paths.dim)
     M = paths.num_paths
     defect = np.empty((M, len(paths.time_grid), len(x)))
@@ -480,7 +465,7 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
 
 # -- regression fallback ---------------------------------------------------
 
-def _poly_basis(W_k: np.ndarray, degree: int = 3) -> np.ndarray:
+def _poly_basis(W_k: np.ndarray, degree: int) -> np.ndarray:
     """Monomials in the components of W at one time, total degree <= degree."""
     M, d = W_k.shape
     cols = [np.ones(M)]
@@ -507,14 +492,17 @@ class RegressionSolution:
     provenance: str = "regression"
 
 
+_REGRESSION_DEGREE = 3  # total degree of the polynomial basis in W_{t_k}
+_REGRESSION_COND_LIMIT = 1e10  # largest admissible condition of the normal equations
+
+
 def solve_bsde_regression(terminal: np.ndarray, sigma, paths: PathEnsemble,
-                          x=None, degree: int = 3,
-                          cond_limit: float = 1e10) -> RegressionSolution:
+                          x=None) -> RegressionSolution:
     """Least-squares Monte Carlo backward induction.
 
     terminal: per-path terminal values, shape (M,) or (M, J) for J space
     nodes sharing the same path ensemble.  At each step the conditional
-    expectations are projected on polynomials in W_{t_k}:
+    expectations are projected on polynomials of degree 3 in W_{t_k}:
 
         psi_l(t_k) = E[phi(t_{k+1}) dW^l_k | W_{t_k}] / dt
         phi(t_k)   = E[phi(t_{k+1}) | W_{t_k}] + sigma . psi(t_k) dt
@@ -538,11 +526,11 @@ def solve_bsde_regression(terminal: np.ndarray, sigma, paths: PathEnsemble,
 
     for k in range(K - 1, -1, -1):
         # at t_0 the filtration is trivial (W_0 = 0): project on constants only
-        A = _poly_basis(W[:, k, :], degree if k > 0 else 0)
+        A = _poly_basis(W[:, k, :], _REGRESSION_DEGREE if k > 0 else 0)
         gram = A.T @ A
         cond = np.linalg.cond(gram)
         conds[k] = cond
-        if cond > cond_limit:
+        if cond > _REGRESSION_COND_LIMIT:
             raise SingularRegression(
                 f"normal equations at step {k} have condition {cond:.3g}"
             )

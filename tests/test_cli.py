@@ -209,6 +209,31 @@ class TestRun:
         assert code == 2
         assert "bad.ini:6" in capsys.readouterr().err
 
+    def test_run_key_anchor_is_in_the_run_section(self, tmp_path, capsys):
+        p = tmp_path / "bad_seed.ini"
+        p.write_text("[scenario.heat_smoke]\nseed = 3\n\n"
+                     "[run]\nscenarios = heat_smoke\nseed = abc\n")
+        code = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed must be an integer" in err
+        assert "bad_seed.ini:6" in err
+
+    def test_unknown_run_key_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nscenarios = heat_smoke\nsede = 3\n")
+        code = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'sede' in [run]" in err
+        assert "bad.ini:3" in err
+
+    def test_default_section_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nscenarios = heat_smoke\n[DEFAULT]\nnum_steps = 20\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "bad.ini:3: unexpected section [DEFAULT]" in capsys.readouterr().err
+
     def test_beta_sweep_plot_csv(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "semilinear_beta_sweep", "--out", str(out)]) == 0

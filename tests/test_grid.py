@@ -32,11 +32,9 @@ class TestTimeGrid:
         with pytest.raises(InvalidArgument):
             TimeGrid(1.0, 0)
 
-    def test_index_of(self):
-        g = TimeGrid(1.0, 4)
-        assert g.index_of(0.5) == 2
-        with pytest.raises(InvalidArgument):
-            g.index_of(0.3)
+    def test_nodes_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            TimeGrid(1.0, 4, nodes=np.zeros(2))
 
     @given(st.floats(0.1, 10.0), st.integers(1, 200))
     @settings(max_examples=50, deadline=None)
@@ -111,10 +109,6 @@ class TestMultiIndex:
         g = MultiIndex((2, 1))
         assert g.order == 3
         assert g.axes() == (0, 0, 1)
-
-    def test_all_of_order(self):
-        assert len(MultiIndex.all_of_order(2, 2)) == 3
-        assert len(MultiIndex.all_of_order(1, 1)) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgument):

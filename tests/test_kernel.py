@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from bspdelab.errors import IllConditionedKernel, InvalidArgument, InvalidInterval, UnsupportedOrder
-from bspdelab.grid import MultiIndex, SpaceGrid, space_quadrature_weights
+from bspdelab.errors import (
+    AssumptionViolation,
+    IllConditionedKernel,
+    InvalidArgument,
+    InvalidInterval,
+    UnsupportedOrder,
+)
+from bspdelab.grid import MultiIndex, SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.kernel import (
     DiffusionCoefficient,
     HeatKernel,
@@ -11,10 +17,15 @@ from bspdelab.kernel import (
     probe_sup_kernel_integrability,
     singular_time_quadrature,
 )
+from bspdelab.solver import CoefficientSet
+from bspdelab.stochastic import DataFunctional, SpaceFactor
 
 ISO = DiffusionCoefficient.isotropic(1.0, 1)
 ANISO = DiffusionCoefficient.constant(np.diag([1.0, 2.0]))
 SCALED = DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=1, lam=1.0, Lam=2.0)
+SINE = DataFunctional.deterministic(SpaceFactor.sine())
+TGRID = TimeGrid(1.0, 10)
+SGRID = SpaceGrid(1, 5.0, 33)
 
 
 def standard_grid(dim, Lam, T=1.0, J=None):
@@ -29,12 +40,12 @@ class TestDiffusionCoefficient:
         assert ANISO.lam == 1.0 and ANISO.Lam == 2.0
 
     def test_ellipticity_check_passes(self):
-        assert SCALED.check_ellipticity(np.linspace(0, 1, 5))
+        CoefficientSet(terminal=SINE, diffusion=SCALED).check_assumptions(TGRID, SGRID)
 
     def test_ellipticity_check_fails(self):
         bad = DiffusionCoefficient(fn=lambda t: np.eye(1), dim=1, lam=2.0, Lam=3.0)
-        with pytest.raises(InvalidArgument):
-            bad.check_ellipticity([0.0])
+        with pytest.raises(AssumptionViolation):
+            CoefficientSet(terminal=SINE, diffusion=bad).check_assumptions(TGRID, SGRID)
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -144,15 +155,16 @@ class TestDerivatives:
         assert np.isclose(g1, -g2)
 
     def test_zero_mean_derivatives(self):
+        # every multi-index of order 1 and 2, per dimension
+        gammas = {1: [(1,), (2,)], 2: [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
         for a, dim in [(ISO, 1), (ANISO, 2), (SCALED, 1)]:
             k = HeatKernel(a, horizon=1.0)
             g = standard_grid(dim, a.Lam)
             w = space_quadrature_weights(g).ravel()
-            for order in (1, 2):
-                for gamma in MultiIndex.all_of_order(dim, order):
-                    for gap in (0.1, 1.0):
-                        total = np.sum(w * k.derivative(0.0, gap, g.nodes(), gamma))
-                        assert abs(total) < 1e-6, (a.label, gamma, gap)
+            for gamma in map(MultiIndex, gammas[dim]):
+                for gap in (0.1, 1.0):
+                    total = np.sum(w * k.derivative(0.0, gap, g.nodes(), gamma))
+                    assert abs(total) < 1e-6, (a.label, gamma, gap)
 
     def test_against_finite_differences(self):
         k = HeatKernel(SCALED)
@@ -255,16 +267,6 @@ class TestPointwiseBoundProbe:
         r0 = probe_pointwise_bound(k0, MultiIndex((2,)))
         r10 = probe_pointwise_bound(k0.with_beta(10.0), MultiIndex((2,)))
         assert r10.empirical_C <= r0.empirical_C + 1e-12
-
-    def test_json_roundtrip(self):
-        import json
-
-        rep = probe_pointwise_bound(HeatKernel(ISO, horizon=1.0), MultiIndex((1,)))
-        payload = json.loads(rep.to_json())
-        assert payload["estimate_id"] == "pointwise_bound"
-        assert payload["gamma"] == [1]
-        assert payload["empirical_C"] == rep.empirical_C
-        assert len(payload["levels"]) == 2
 
 
 class TestIntegralProbes:

@@ -181,15 +181,22 @@ class TestClosedForms:
         assert np.allclose(sol.phi_dense(x)[:, -1, :], data.terminal_values(paths, x))
 
 
+def tau_dense(terms, tau, x, paths):
+    """A second-family field at terminal time tau, summed by product_dense."""
+    x = np.atleast_1d(x)
+    return product_dense([(t.series * t.tau_fn(tau), t.space(x)) for t in terms],
+                         (paths.num_paths, len(GRID), len(x)))
+
+
 class TestSecondFamily:
     def test_deterministic_forcing(self, paths):
         data = DataFunctional.deterministic(SpaceFactor.sine())
         fam = solve_second_family(data, [0.0], paths)
         x = np.array([0.2])
         for tau in (0.3, 0.8):
-            y = fam.y_dense(tau, x)
+            y = tau_dense(fam.y_terms, tau, x, paths)
             assert np.allclose(y, np.sin(0.2))
-            assert np.allclose(fam.g_dense(0, tau, x), 0.0)
+            assert np.allclose(tau_dense(fam.g_terms[0], tau, x, paths), 0.0)
 
     def test_bm_forcing_terminal_identity(self, paths):
         data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),))
@@ -198,11 +205,11 @@ class TestSecondFamily:
         W = paths.paths[:, :, 0]
         for k in (10, 25, 49):
             tau = GRID.nodes[k]
-            y = fam.y_dense(tau, x)
+            y = tau_dense(fam.y_terms, tau, x, paths)
             # Y(t; tau) = sin(x) W_t for t <= tau; at t = tau equals f(tau, x)
             assert np.allclose(y[:, k, 0], np.sin(0.4) * W[:, k])
             assert np.allclose(y[:, : k + 1, 0], np.sin(0.4) * W[:, : k + 1])
-            g = fam.g_dense(0, tau, x)
+            g = tau_dense(fam.g_terms[0], tau, x, paths)
             assert np.allclose(g[:, : k + 1, 0], np.sin(0.4))
 
     def test_drifted_bm_forcing(self, paths):
@@ -211,7 +218,7 @@ class TestSecondFamily:
         fam = solve_second_family(data, [s0], paths)
         W = paths.paths[:, :, 0]
         tau = GRID.nodes[30]
-        y = fam.y_dense(tau, [0.0])[:, :, 0]
+        y = tau_dense(fam.y_terms, tau, [0.0], paths)[:, :, 0]
         expect = W + s0 * (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :31], expect[:, :31])
 
@@ -220,7 +227,7 @@ class TestSecondFamily:
         fam = solve_second_family(data, [0.0], paths)
         W = paths.paths[:, :, 0]
         tau = GRID.nodes[20]
-        y = fam.y_dense(tau, [0.0])[:, :, 0]
+        y = tau_dense(fam.y_terms, tau, [0.0], paths)[:, :, 0]
         expect = W**2 + (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :21], expect[:, :21])
 

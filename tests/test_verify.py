@@ -253,10 +253,6 @@ class TestConvergenceStudies:
         assert abs(v.measured["fitted_order"] - 2.0) <= 0.3
         assert len(v.details["rows"]) == 3
 
-    def test_dt_axis(self):
-        v = run_convergence_study(get_scenario("sin_decay"), "dt")
-        assert v.status == "pass"
-
     def test_unknown_axis_rejected(self):
         with pytest.raises(InvalidArgument):
             run_convergence_study(get_scenario("sin_decay"), "q")
