@@ -32,7 +32,7 @@ def main():
     p = spec.paths(num_paths=5000, time_grid=grid, seed=7)
     x = np.array([-1.0, 0.0, 1.0])
     term = coeffs.terminal.terminal_values(p, x)
-    reg = solve_bsde_regression(term, coeffs.sigma, p, x=x)
+    reg = solve_bsde_regression(term, coeffs.sigma, p)
     closed = solve_bsde_closed(coeffs.terminal, coeffs.sigma, p)
     err = np.sqrt(np.mean((reg.phi - closed.phi_dense(x)) ** 2))
     print(f"regression vs closed conditional expectation: rms {err:.3e} "

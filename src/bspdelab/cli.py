@@ -92,13 +92,8 @@ def resolve_config_path(arg: str) -> Path:
                       path=arg)
 
 
-def load_config(path: Path) -> dict:
-    """Parse and validate a run config.
-
-    Returns {"scenarios": [(spec, overrides), ...], "seed": int|None,
-    "out": str|None}.  Raises SchemaError with a file:line anchor on any
-    violation.
-    """
+def _read_ini(path) -> configparser.ConfigParser:
+    """The parsed INI file; SchemaError with a file:line anchor if unreadable."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -108,7 +103,17 @@ def load_config(path: Path) -> dict:
     except configparser.Error as e:
         line = getattr(e, "lineno", None)
         raise SchemaError(str(e).replace("\n", " "), path=path, line=line)
+    return cp
 
+
+def load_config(path: Path) -> dict:
+    """Parse and validate a run config.
+
+    Returns {"scenarios": [(spec, overrides), ...], "seed": int|None,
+    "out": str|None}.  Raises SchemaError with a file:line anchor on any
+    violation.
+    """
+    cp = _read_ini(path)
     if "run" not in cp:
         raise SchemaError("missing required [run] section", path=path, line=1)
     if cp.defaults():
@@ -313,25 +318,26 @@ def cmd_run(args) -> int:
 
 
 def _load_custom_catalog(path: str):
-    """A custom catalog file selects bundled scenarios by section name."""
-    cp = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except (OSError, configparser.Error) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return None
-    entries = []
+    """A custom catalog file selects bundled scenarios by section name.
+
+    Raises SchemaError with a file:line anchor on a section that names no
+    catalog scenario.
+    """
+    cp = _read_ini(path)
     for section in cp.sections():
-        if section in CATALOG:
-            entries.append(CATALOG[section])
-    return entries
+        if section not in CATALOG:
+            raise SchemaError(f"section [{section}] names an unknown scenario; "
+                              f"known: {sorted(CATALOG)}",
+                              path=path, line=_find_line(path, f"[{section}]"))
+    return [CATALOG[section] for section in cp.sections()]
 
 
 def cmd_list(args) -> int:
     if args.catalog is not None:
-        entries = _load_custom_catalog(args.catalog)
-        if entries is None:
+        try:
+            entries = _load_custom_catalog(args.catalog)
+        except SchemaError as e:
+            print(e.anchored(), file=sys.stderr)
             return 2
     else:
         entries = list_scenarios()

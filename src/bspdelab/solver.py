@@ -22,7 +22,6 @@ Only n = 1 is wired here; the kernel module itself handles general n.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
@@ -530,18 +529,17 @@ class SolutionField:
         path_ids = list(path_ids)
         u = self.u_dense(0, path_ids)
         v = [self.v_dense(l, 0, path_ids) for l in range(self.noise_dim)]
-        x = self.space_grid.axis
-        t = self.time_grid.nodes
+        xs = [f"{xj:.17g}" for xj in self.space_grid.axis]
+        values = ",%.17g" * (1 + self.noise_dim) + "\r\n"
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["path_id", "t", "x", "u"]
-                        + [f"v_{l + 1}" for l in range(self.noise_dim)])
+            fh.write(",".join(["path_id", "t", "x", "u"]
+                              + [f"v_{l + 1}" for l in range(self.noise_dim)]) + "\r\n")
             for mi, pid in enumerate(path_ids):
-                for k in range(len(t)):
-                    for j in range(len(x)):
-                        row = [pid, f"{t[k]:.17g}", f"{x[j]:.17g}", f"{u[mi, k, j]:.17g}"]
-                        row += [f"{vl[mi, k, j]:.17g}" for vl in v]
-                        wr.writerow(row)
+                for k, tk in enumerate(self.time_grid.nodes):
+                    # one %-format per space node behind the row's path and time
+                    line = f"{pid},{tk:.17g},%s{values}"
+                    cols = [u[mi, k].tolist()] + [vl[mi, k].tolist() for vl in v]
+                    fh.write("".join(line % row for row in zip(xs, *cols)))
 
     def summary_json(self) -> str:
         payload = {
@@ -1067,8 +1065,7 @@ def covering_inequality(sol: SolutionField, theta: float, alpha: float,
         masked_best = max(masked_best, estimate_norm(g, 0, alpha).total)
     C = 0.0 if h0 == 0.0 else max(0.0, (lhs - 2.0 * masked_best) / h0)
     slack = 2.0 * masked_best + C * h0 - lhs
-    return {"lhs": lhs, "sup_masked": masked_best, "zero_norm": h0,
-            "C": C, "slack": slack, "theta": theta, "alpha": alpha}
+    return {"C": C, "slack": slack}
 
 
 # -- time continuity --------------------------------------------------------

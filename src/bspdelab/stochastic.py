@@ -486,7 +486,6 @@ class RegressionSolution:
 
     phi: np.ndarray  # (M, K+1, J)
     psi: np.ndarray  # (d, M, K+1, J)
-    x: np.ndarray
     time_grid: TimeGrid
     condition_numbers: np.ndarray
     provenance: str = "regression"
@@ -496,8 +495,8 @@ _REGRESSION_DEGREE = 3  # total degree of the polynomial basis in W_{t_k}
 _REGRESSION_COND_LIMIT = 1e10  # largest admissible condition of the normal equations
 
 
-def solve_bsde_regression(terminal: np.ndarray, sigma, paths: PathEnsemble,
-                          x=None) -> RegressionSolution:
+def solve_bsde_regression(terminal: np.ndarray, sigma,
+                          paths: PathEnsemble) -> RegressionSolution:
     """Least-squares Monte Carlo backward induction.
 
     terminal: per-path terminal values, shape (M,) or (M, J) for J space
@@ -546,8 +545,5 @@ def solve_bsde_regression(terminal: np.ndarray, sigma, paths: PathEnsemble,
             psi[l, :, k, :] = fitted[:, (l + 1) * J:(l + 2) * J]
         phi[:, k, :] = cond_exp + np.einsum("l,lmj->mj", sig, psi[:, :, k, :]) * grid.dt
 
-    return RegressionSolution(
-        phi=phi, psi=psi,
-        x=np.atleast_1d(x) if x is not None else np.zeros(J),
-        time_grid=grid, condition_numbers=conds,
-    )
+    return RegressionSolution(phi=phi, psi=psi, time_grid=grid,
+                              condition_numbers=conds)

@@ -251,7 +251,7 @@ def test_criterion_12_regression_cross_validation():
     }
     for name, df in cases.items():
         term = df.terminal_values(paths, x)
-        reg = solve_bsde_regression(term, [0.0], paths, x=x)
+        reg = solve_bsde_regression(term, [0.0], paths)
         closed = solve_bsde_closed(df, [0.0], paths)
         phi_exact = closed.phi_dense(x)
         for k in (5, 25, 45):

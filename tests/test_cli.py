@@ -114,6 +114,22 @@ class TestList:
         assert main(["list", "--catalog", str(p)]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_custom_catalog_lists_its_sections(self, tmp_path, capsys):
+        p = tmp_path / "cat.ini"
+        p.write_text("[sin_decay]\n\n[heat_smoke]\n")
+        assert main(["list", "--catalog", str(p), "--json"]) == 0
+        ids = [e["id"] for e in json.loads(capsys.readouterr().out)]
+        assert ids == ["sin_decay", "heat_smoke"]
+
+    def test_misspelt_catalog_section_exits_2_with_anchor(self, tmp_path, capsys):
+        p = tmp_path / "cat.ini"
+        p.write_text("[heat_smoke]\n\n[heat_smok]\n")
+        assert main(["list", "--catalog", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{p}:3:" in captured.err
+        assert "heat_smok" in captured.err
+
 
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):

@@ -10,6 +10,8 @@ from bspdelab.errors import (
 )
 from bspdelab.grid import MultiIndex, SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.kernel import (
+    _COV_NODES,
+    _TABLE_SIZE,
     DiffusionCoefficient,
     HeatKernel,
     probe_integral_estimates,
@@ -96,6 +98,87 @@ class TestCovariance:
             expected[i + 1] = expected[i] + k.covariance(grid[i], grid[i + 1])
         assert np.array_equal(grid, np.linspace(0.0, horizon, len(grid)))
         assert np.array_equal(vals, expected)
+
+
+def _gauss_legendre():
+    x, w = np.polynomial.legendre.leggauss(_COV_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def loop_covariance(kernel, t, s):
+    """The per-node Gauss-Legendre loop, one call of a(t) per node."""
+    if s == t:
+        return np.zeros((kernel.dim, kernel.dim))
+    out = np.zeros((kernel.dim, kernel.dim))
+    for u, w in zip(*_gauss_legendre()):
+        out += w * kernel.diffusion(t + (s - t) * u)
+    return (s - t) * out
+
+
+def loop_table(kernel):
+    """The antiderivative table with one np.stack of a(t) values per node."""
+    grid = np.linspace(0.0, kernel.horizon, _TABLE_SIZE + 1)
+    t, gap = grid[:-1], grid[1:] - grid[:-1]
+    acc = np.zeros((_TABLE_SIZE, kernel.dim, kernel.dim))
+    for u, w in zip(*_gauss_legendre()):
+        acc += w * np.stack([kernel.diffusion(r) for r in t + gap * u])
+    vals = np.zeros((_TABLE_SIZE + 1, kernel.dim, kernel.dim))
+    vals[1:] = np.cumsum(gap[:, None, None] * acc, axis=0)
+    return grid, vals
+
+
+# the last matrix's Gauss-Legendre sum differs from the matrix in its last bits
+CONSTANTS = [DiffusionCoefficient.isotropic(1.0), DiffusionCoefficient.isotropic(0.5),
+             ANISO, DiffusionCoefficient.constant([[0.7, 0.1], [0.1, 1.3]])]
+CONSTANT_IDS = ["1.0*I", "0.5*I", "diag(1,2)", "generic"]
+
+
+class TestConstantDiffusion:
+    """A constant a scales one Gauss-Legendre sum, with the loop's bits."""
+
+    @pytest.mark.parametrize("diffusion", CONSTANTS, ids=CONSTANT_IDS)
+    @pytest.mark.parametrize("horizon", [1.0, 0.7, 4.0])
+    def test_table_equals_node_loop(self, diffusion, horizon):
+        k = HeatKernel(diffusion, horizon=horizon)
+        grid, vals = k._antiderivative_table()
+        ref_grid, ref_vals = loop_table(k)
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("diffusion", CONSTANTS, ids=CONSTANT_IDS)
+    def test_covariance_equals_node_loop(self, diffusion):
+        k = HeatKernel(diffusion)
+        for t, s in [(0.0, 1.0), (0.2, 0.7), (0.13, 0.377), (0.0, 1e-9), (0.4, 0.4)]:
+            A = k.covariance(t, s)
+            assert A.shape == (k.dim, k.dim)
+            assert np.array_equal(A, loop_covariance(k, t, s))
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        call = DiffusionCoefficient.__call__
+
+        def counted(self, t):
+            calls.append(t)
+            return call(self, t)
+
+        monkeypatch.setattr(DiffusionCoefficient, "__call__", counted)
+        return calls
+
+    def test_constant_set_up_calls_no_a(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        k = HeatKernel(DiffusionCoefficient.isotropic(0.5), horizon=4.0)
+        k._antiderivative_table()
+        k.covariance(0.1, 0.9)
+        assert calls == []
+
+    def test_time_scaled_set_up_still_calls_a(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        k = HeatKernel(SCALED)
+        k.covariance(0.1, 0.9)
+        assert len(calls) == _COV_NODES
+        k._antiderivative_table()
+        assert len(calls) == _COV_NODES * (_TABLE_SIZE + 1)
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -598,7 +599,59 @@ class TestDenseEvaluation:
         assert np.array_equal(u[:, 0, 0], sol.u_parts[0].series[-3:, 0])
 
 
+def csv_writer_export(sol, path, path_ids=None):
+    """Reference export: one csv.writer row per (path, time, space) node."""
+    if path_ids is None:
+        path_ids = list(range(min(sol.num_paths, 8)))
+    path_ids = list(path_ids)
+    u = sol.u_dense(0, path_ids)
+    v = [sol.v_dense(l, 0, path_ids) for l in range(sol.noise_dim)]
+    x, t = sol.space_grid.axis, sol.time_grid.nodes
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["path_id", "t", "x", "u"]
+                    + [f"v_{l + 1}" for l in range(sol.noise_dim)])
+        for mi, pid in enumerate(path_ids):
+            for k in range(len(t)):
+                for j in range(len(x)):
+                    row = [pid, f"{t[k]:.17g}", f"{x[j]:.17g}", f"{u[mi, k, j]:.17g}"]
+                    row += [f"{vl[mi, k, j]:.17g}" for vl in v]
+                    wr.writerow(row)
+
+
 class TestSolutionFieldExport:
+    @staticmethod
+    def field(noise_dim):
+        rng = np.random.default_rng(noise_dim)
+        tg, sg = TimeGrid(0.7, 6), SpaceGrid(1, 3.0, 9)
+
+        def part(num_paths):
+            profile = rng.standard_normal((len(tg), len(sg.axis))) * 10.0 ** rng.integers(
+                -300, 300, size=(len(tg), len(sg.axis)))
+            profile[0, :3] = [np.inf, -np.inf, np.nan]
+            profile[1, 0] = 0.0
+            return FieldPart({0: profile}, rng.standard_normal((num_paths, len(tg))))
+
+        num_paths = 1 if noise_dim == 0 else 11
+        return SolutionField(space_grid=sg, time_grid=tg,
+                             u_parts=[part(1), part(num_paths)],
+                             v_parts=[[part(num_paths)] for _ in range(noise_dim)],
+                             num_paths=num_paths, trusted=np.ones(len(sg.axis), dtype=bool))
+
+    @pytest.mark.parametrize("noise_dim", [0, 1, 2])
+    @pytest.mark.parametrize("path_ids", [None, "explicit"])
+    def test_csv_bytes_equal_csv_writer(self, noise_dim, path_ids, tmp_path):
+        sol = self.field(noise_dim)
+        if path_ids == "explicit":
+            path_ids = np.array([0]) if sol.num_paths == 1 else np.array([7, 0, 10, 7])
+        with np.errstate(invalid="ignore"):  # inf - inf in the product sum
+            sol.to_csv(tmp_path / "fast.csv", path_ids)
+            csv_writer_export(sol, tmp_path / "ref.csv", path_ids)
+        ref = (tmp_path / "ref.csv").read_bytes()
+        assert ref.count(b"\r\n") == 1 + len(sol.time_grid) * sol.space_grid.points_per_axis * (
+            min(sol.num_paths, 8) if path_ids is None else len(path_ids))
+        assert (tmp_path / "fast.csv").read_bytes() == ref
+
     def test_csv_columns(self, sine_solution, tmp_path):
         out = tmp_path / "field.csv"
         sine_solution.to_csv(out)
