@@ -9,8 +9,10 @@ time_shift_sweep) take no overrides: any key in their section is a schema
 violation, and so is a horizon the time-shift study cannot shift on.  Runs
 write a manifest before anything else, listing the files
 ``verify.artifact_files`` plans, then per-scenario verdict JSON, solution
-CSV, and plot-data CSV files.  Exit codes: 0 clean, 1 at least one failed
-verdict, 2 config schema violation.
+CSV, and plot-data CSV files.  A scenario that raises writes its traceback
+to ``<id>/error.txt`` and is marked "errored" in the manifest; the others
+still run.  Exit codes: 0 clean, 1 at least one failed verdict, 2 config
+schema violation or bad command line, 3 at least one scenario errored.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import dataclasses
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .errors import AssumptionViolation, InvalidArgument
@@ -237,14 +240,18 @@ def _write_rows_csv(path: Path, rows):
             ])
 
 
-def write_manifest(out_dir: Path, config_path, specs, seed, artifacts,
-                   status="started"):
+def write_manifest(out_dir: Path, config_path, specs, seed, artifacts, status,
+                   errors):
+    """Write manifest.json; a scenario in ``errors`` (id -> text) is "errored"."""
+    scenarios = []
+    for s in specs:
+        entry = {"id": s.scenario_id, "kind": s.kind, "description": s.description}
+        if s.scenario_id in errors:
+            entry.update(status="errored", error=errors[s.scenario_id])
+        scenarios.append(entry)
     manifest = {
         "config": str(config_path),
-        "scenarios": [
-            {"id": s.scenario_id, "kind": s.kind, "description": s.description}
-            for s in specs
-        ],
+        "scenarios": scenarios,
         "out_dir": str(out_dir),
         "seed": seed,
         "artifacts": artifacts,
@@ -293,28 +300,43 @@ def cmd_run(args) -> int:
 
     specs = [apply_overrides(spec, dict(ov)) for spec, ov in cfg["scenarios"]]
     planned = [f for s in specs for f in artifact_files(s)]
-    write_manifest(out_dir, cfg_path, specs, seed, planned)
+    write_manifest(out_dir, cfg_path, specs, seed, planned, "started", {})
 
-    failed = False
-    emitted = []
+    def run_isolated(spec):
+        """_run_one's result, or the exception text once the traceback is saved."""
+        try:
+            return _run_one(spec, seed, out_dir)
+        except Exception as e:
+            (out_dir / spec.scenario_id).mkdir(exist_ok=True)
+            (out_dir / spec.scenario_id / "error.txt").write_text(traceback.format_exc())
+            return f"{type(e).__name__}: {e}"
+
     if args.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda s: _run_one(s, seed, out_dir), specs))
+            results = list(pool.map(run_isolated, specs))
     else:
-        results = [_run_one(s, seed, out_dir) for s in specs]
-    for spec, (bundle, written) in zip(specs, results):
-        emitted.extend(written)
+        results = [run_isolated(s) for s in specs]
+    failed = False
+    errors = {}
+    emitted = []
+    for spec, result in zip(specs, results):
         print(f"== {spec.scenario_id}")
+        if isinstance(result, str):
+            errors[spec.scenario_id] = result
+            emitted.append(f"{spec.scenario_id}/error.txt")
+            print(f"errored: {result} (traceback in {spec.scenario_id}/error.txt)")
+            continue
+        bundle, written = result
+        emitted.extend(written)
         print(bundle.table())
         failed = failed or not bundle.all_passed
 
-    write_manifest(out_dir, cfg_path, specs, seed, emitted,
-                   status="failed" if failed else "completed")
+    status = "errored" if errors else "failed" if failed else "completed"
+    write_manifest(out_dir, cfg_path, specs, seed, emitted, status, errors)
     print(f"artifacts in {out_dir}")
-    return 1 if failed else 0
+    return 3 if errors else 1 if failed else 0
 
 
 def _load_custom_catalog(path: str):
@@ -353,6 +375,16 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bspdelab",
@@ -361,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a run config")
     run.add_argument("config", help="config file path or bundled config name")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_positive_int, default=1,
                      help="scenario-level parallelism")
     run.add_argument("--seed", type=int, default=None,
                      help="global seed, overrides the config")

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InvalidArgument
 from .grid import SpaceGrid, TimeGrid
@@ -120,6 +119,10 @@ def oracle_stochastic_sinWT(spec, sol, paths):
 
 def oracle_abs_kink(spec, sol, paths):
     """Heat smoothing of |x| with a = 1: Gaussian mean-absolute-value formula."""
+    # scipy's erf, not math.erf: the two differ in the last bit; imported here
+    # so that no other scenario loads scipy
+    from scipy.special import erf
+
     t, x = _grids(spec, sol)
     T = spec.horizon
     A = np.maximum(T - t, 1e-300)[:, None]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import (
     AssumptionViolation,
@@ -266,6 +266,24 @@ _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansi
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: an FFT length pocketfft factors cheaply."""
+    best = 1
+    while best < n:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class _PairConvolver:
     """Weighted kernel convolutions on a uniform 1-d lattice, summed into rows.
 
@@ -294,7 +312,7 @@ class _PairConvolver:
         self.small = self.A < _SMALL_FACTOR * grid.h**2
         self.small_idx = np.flatnonzero(self.small)
         J = grid.points_per_axis
-        self.fft_len = next_fast_len(3 * J - 2, True)
+        self.fft_len = _next_fast_len(3 * J - 2)
         self.quad_w = space_quadrature_weights(grid)
         # pairs at in-row position d, so row sums add in np.add.at's order
         pos = np.arange(len(self.k)) - np.searchsorted(self.k, self.k)
@@ -332,7 +350,7 @@ class _PairConvolver:
         kern = self._kernel_spectrum(order)
         # spec is a fresh array, so the product may overwrite it
         spec = np.multiply(spec, kern, out=spec if spec.shape == kern.shape else None)
-        out = irfft(spec, self.fft_len, axis=-1, overwrite_x=True)
+        out = irfft(spec, self.fft_len, axis=-1)
         return out[:, J - 1:2 * J - 1]
 
     def apply(self, order: int, stack) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 import bspdelab
 
+from bspdelab import cli
 from bspdelab.cli import (
     CONFIG_DIR,
     SchemaError,
@@ -279,11 +280,70 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_exits_two(self, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "heat_smoke", "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
-def test_entry_points_do_not_import_scipy_signal():
-    # scipy.signal costs about a second of import time; nothing needs it
-    code = ("import sys, bspdelab.cli, bspdelab.verify; "
-            "assert 'scipy.signal' not in sys.modules")
+    @pytest.fixture
+    def heat_smoke_raises(self, monkeypatch):
+        real = cli.run_scenario
+
+        def run_scenario(spec, seed=None):
+            if spec.scenario_id == "heat_smoke":
+                raise RuntimeError("injected failure")
+            return real(spec, seed=seed)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+    def test_raising_scenario_exits_three_and_the_rest_run(
+            self, tmp_path, smoke_run, heat_smoke_raises, jobs):
+        out = tmp_path / "o"
+        assert main(["run", "heat_smoke", "--out", str(out), "--jobs", str(jobs)]) == 3
+        assert "RuntimeError: injected failure" in (out / "heat_smoke/error.txt").read_text()
+        _, healthy = smoke_run
+        rel = "kernel_suite/verdicts.json"
+        assert (out / rel).read_bytes() == (healthy / rel).read_bytes()
+
+    def test_raising_scenario_is_errored_in_the_manifest(
+            self, tmp_path, smoke_run, heat_smoke_raises):
+        out = tmp_path / "o"
+        main(["run", "heat_smoke", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        entries = {e["id"]: e for e in manifest["scenarios"]}
+        assert manifest["status"] == "errored"
+        assert entries["heat_smoke"]["status"] == "errored"
+        assert entries["heat_smoke"]["error"] == "RuntimeError: injected failure"
+        assert "status" not in entries["kernel_suite"]
+        assert manifest["artifacts"] == ["heat_smoke/error.txt", "kernel_suite/verdicts.json"]
+        # a healthy run's scenario entries carry no status
+        _, healthy = smoke_run
+        healthy_manifest = json.loads((healthy / "manifest.json").read_text())
+        assert all("status" not in e for e in healthy_manifest["scenarios"])
+
+
+def test_config_load_and_heat_smoke_run_load_no_scipy():
+    # scipy is needed only by the abs_kink oracle; its import is most of a
+    # process's set-up time, so neither set-up nor a plain solve may load it
+    code = """
+import sys
+from bspdelab import cli, verify
+from bspdelab.scenarios import get_scenario
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+cli.load_config(cli.resolve_config_path("full"))
+assert not scipy_modules(), scipy_modules()
+bundle, _ = verify.run_scenario(get_scenario("heat_smoke"), seed=0)
+assert bundle.all_passed
+assert not scipy_modules(), scipy_modules()
+"""
     src = str(Path(bspdelab.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from bspdelab.errors import (
@@ -30,6 +31,7 @@ from bspdelab.solver import (
     _DENSE_PATH_CAP,
     _SMALL_FACTOR,
     _PairConvolver,
+    _next_fast_len,
     _space_factor_stack,
     _stack_from_rows,
     integral_form_defect,
@@ -244,8 +246,8 @@ class TestPairEngineBitIdentity:
     KERNEL = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 0.4 + 0.3 * np.sin(3.0 * t),
                                                          lam=0.1, Lam=0.7), beta=0.7)
 
-    def reference(self, rows, k, t, s, w, stack, order):
-        grid, J = self.SG, self.SG.points_per_axis
+    def reference(self, grid, rows, k, t, s, w, stack, order):
+        J = grid.points_per_axis
         quad_w = space_quadrature_weights(grid)
         # kernel rows sampled over all pairs at once, as the engine does
         # (numpy's array and scalar pow differ in the last bit)
@@ -276,27 +278,37 @@ class TestPairEngineBitIdentity:
         np.add.at(out, k, np.array(contrib))
         return out
 
-    def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None):
-        pairs = _PairConvolver(self.KERNEL, self.SG, rows, k, t, s, w, j=j)
+    def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None, grid=None):
+        grid = self.SG if grid is None else grid
+        pairs = _PairConvolver(self.KERNEL, grid, rows, k, t, s, w, j=j)
         for order in range(3):
-            expected = self.reference(rows, k, t, s, w,
+            expected = self.reference(grid, rows, k, t, s, w,
                                       stack if pair_stack is None else pair_stack, order)
             assert np.array_equal(pairs.apply(order, stack), expected)
         return pairs
 
-    def test_picard_triangle_with_source_rows(self):
-        K, nodes = self.TG.num_steps, self.TG.nodes
+    def picard_triangle(self, tgrid, grid):
+        K, nodes = tgrid.num_steps, tgrid.nodes
         k, j = np.triu_indices(K + 1)
-        w = np.full(k.shape, self.TG.dt)
+        w = np.full(k.shape, tgrid.dt)
         w[(j == k) | (j == K)] *= 0.5
         w[k == K] = 0.0
         rng = np.random.default_rng(0)
-        F = (np.cos(nodes)[:, None] * np.sin(self.SG.axis)[None, :]
-             + 0.1 * rng.standard_normal((K + 1, self.SG.points_per_axis)))
-        stack = _stack_from_rows(F, self.SG)
-        pairs = self.check(K + 1, k, nodes[k], nodes[j], w, stack,
-                           pair_stack=[d[j] for d in stack], j=j)
-        assert 0 < pairs.small_idx.size < len(k)
+        F = (np.cos(nodes)[:, None] * np.sin(grid.axis)[None, :]
+             + 0.1 * rng.standard_normal((K + 1, grid.points_per_axis)))
+        stack = _stack_from_rows(F, grid)
+        return self.check(K + 1, k, nodes[k], nodes[j], w, stack,
+                          pair_stack=[d[j] for d in stack], j=j, grid=grid)
+
+    def test_picard_triangle_with_source_rows(self):
+        pairs = self.picard_triangle(self.TG, self.SG)
+        assert pairs.fft_len == 200
+        assert 0 < pairs.small_idx.size < len(pairs.k)
+
+    @pytest.mark.parametrize("J, fft_len", [(129, 400), (257, 800)])
+    def test_picard_triangle_at_production_lengths(self, J, fft_len):
+        pairs = self.picard_triangle(TimeGrid(1.0, 6), SpaceGrid(1, 6.0, J))
+        assert pairs.fft_len == fft_len
 
     def test_shared_source_repeated_rows(self):
         # forcing-table shape: several s nodes per row, one shared (J,) source
@@ -321,6 +333,11 @@ class TestPairEngineBitIdentity:
     def test_unsorted_rows_rejected(self):
         with pytest.raises(InvalidArgument, match="sorted"):
             _PairConvolver(self.KERNEL, self.SG, 2, [1, 0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
+
+
+def test_next_fast_len_matches_scipy():
+    expected = [next_fast_len(n, real=True) for n in range(1, 4097)]
+    assert [_next_fast_len(n) for n in range(1, 4097)] == expected
 
 
 class TestModelRoute:
