@@ -134,11 +134,15 @@ def load_config(path: Path) -> dict:
                           path=path, line=_find_line(path, "[run]"))
     ids = [s.strip() for s in run["scenarios"].replace("\n", ",").split(",")
            if s.strip()]
-    for sid in ids:
+    for n, sid in enumerate(ids):
         if sid not in CATALOG:
             raise SchemaError(
                 f"unknown scenario {sid!r}; known: {sorted(CATALOG)}",
                 path=path, line=_find_line(path, "scenarios", "run"))
+        if sid in ids[:n]:
+            # both runs would write the same <id>/ directory
+            raise SchemaError(f"scenario {sid!r} is listed twice in [run] scenarios",
+                              path=path, line=_find_line(path, "scenarios", "run"))
 
     seed = None
     if "seed" in run:

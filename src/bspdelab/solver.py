@@ -259,11 +259,17 @@ class BumpField:
 # term, the Gauss-Legendre forcing integral and the trapezoid Picard source
 # integral are three pair tables (k, t, s, w) for the same _PairConvolver.
 # Kernel spectra are cached per table and each source row is transformed once
-# per apply; the result is bit-identical to convolving pair by pair and
-# summing into rows in pair order.
+# per apply.  One pass runs the table in blocks of _PAIR_BLOCK pairs taken by
+# in-row position, so a block's spectra, transforms and row sums stay in
+# cache; pairs below the resolution threshold skip the transform, and only
+# the requested orders are formed (semilinear Picard forms D^2 u once, from
+# its last source).  Every row still adds its pairs in pair order, so the
+# result is bit-identical to convolving pair by pair and summing with
+# np.add.at.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
+_PAIR_BLOCK = 128  # pairs per block of the pair pass
 
 
 def _next_fast_len(n: int) -> int:
@@ -293,95 +299,154 @@ class _PairConvolver:
     transformed once per apply, and each pair costs one inverse FFT.  Pairs
     whose accumulated covariance A is below the resolution threshold use the
     Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
+
+    Pairs are stored in pass order: sorted by in-row position, cut into blocks
+    of at most _PAIR_BLOCK pairs, each block holding its transformed pairs
+    first.  A block adds its pairs position by position, so every row sums
+    its pairs in pair order.
     """
 
     def __init__(self, kernel: HeatKernel, grid: SpaceGrid, rows: int, k, t, s, w, j=None):
         if grid.dim != 1:
             raise InvalidArgument("batched convolution is implemented for n = 1 only")
-        self.k = np.asarray(k)
-        if np.any(np.diff(self.k) < 0):
+        k = np.asarray(k)
+        if np.any(np.diff(k) < 0):
             raise InvalidArgument("pair rows k must be sorted")
         self.grid = grid
         self.rows = rows
-        self.j = None if j is None else np.asarray(j)
-        self.weights = np.asarray(w, dtype=float)[:, None]
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        self.A = kernel.covariance_pairs(t, s)[:, 0, 0]
-        self.damp = np.exp(-kernel.beta * (s - t))
-        self.small = self.A < _SMALL_FACTOR * grid.h**2
-        self.small_idx = np.flatnonzero(self.small)
+        A = kernel.covariance_pairs(t, s)[:, 0, 0]
+        small = A < _SMALL_FACTOR * grid.h**2
+        P = len(k)
+        pos = np.arange(P) - np.searchsorted(k, k)
+        sweep = np.argsort(pos, kind="stable")
+        # lexsort is stable: each (block, small) group keeps the sweep order
+        order = sweep[np.lexsort((small[sweep], np.arange(P) // _PAIR_BLOCK))]
+        self.k = k[order]
+        self.A = A[order]
+        self.damp = np.exp(-kernel.beta * (s - t))[order]
+        self.small = small[order]
+        self.weights = np.asarray(w, dtype=float)[order, None]
+        # source row of each pair: j, or the pair's own row of a (P, J) source
+        self.src = order if j is None else np.asarray(j)[order]
+        pos = pos[order]
+        # block (lo, mid, hi, f, runs): pairs lo:mid are transformed, with
+        # spectrum and mass rows f:f + mid - lo; pairs mid:hi are small; each
+        # run (rows, a, b) is one position's buffer rows a:b, in position order
+        self._blocks = []
+        f = 0
+        for lo in range(0, P, _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, P)
+            mid = lo + int(np.count_nonzero(~self.small[lo:hi]))
+            cuts = sorted({lo, mid, hi, *(np.flatnonzero(np.diff(pos[lo:hi])) + lo + 1).tolist()})
+            runs = sorted(zip(cuts[:-1], cuts[1:]), key=lambda r: (pos[r[0]], r[0]))
+            self._blocks.append((lo, mid, hi, f,
+                                 [(self.k[a:b], a - lo, b - lo) for a, b in runs]))
+            f += mid - lo
+        self.num_transformed = f
         J = grid.points_per_axis
         self.fft_len = _next_fast_len(3 * J - 2)
         self.quad_w = space_quadrature_weights(grid)
-        # pairs at in-row position d, so row sums add in np.add.at's order
-        pos = np.arange(len(self.k)) - np.searchsorted(self.k, self.k)
-        self._sweep = []
-        for d in range(pos.max(initial=-1) + 1):
-            sel = np.flatnonzero(pos == d)
-            self._sweep.append((self.k[sel], sel))
         self._spectra = {}
         self._mass = None
 
+    def _buffers(self):
+        """Block work arrays of min(P, _PAIR_BLOCK) rows: spectra, transforms, values."""
+        B, J = min(len(self.k), _PAIR_BLOCK), self.grid.points_per_axis
+        return (np.empty((B, self.fft_len // 2 + 1), dtype=complex),
+                np.empty((B, self.fft_len)), np.empty((B, J)))
+
     def _kernel_spectrum(self, order: int) -> np.ndarray:
-        """Per-pair spectrum of the damped kernel (order 0) or its x-derivative (1)."""
+        """Spectra of the damped kernel (order 0) or its x-derivative (1), one
+        row per transformed pair, built block by block."""
         if order not in self._spectra:
             J = self.grid.points_per_axis
-            A = np.where(self.small, 1.0, self.A)[:, None]
             z = (np.arange(-(J - 1), J) * self.grid.h)[None, :]
-            G = self.damp[:, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
-            if order == 1:
-                G = -0.5 * (z / A) * G
-            G[self.small] = 0.0
-            self._spectra[order] = rfft(G, self.fft_len, axis=-1)
+            spec = np.empty((self.num_transformed, self.fft_len // 2 + 1), dtype=complex)
+            for lo, mid, _hi, f, _runs in self._blocks:
+                A = self.A[lo:mid, None]
+                G = self.damp[lo:mid, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
+                if order == 1:
+                    G = -0.5 * (z / A) * G
+                rfft(G, self.fft_len, axis=-1, out=spec[f:f + mid - lo])
+            self._spectra[order] = spec
         return self._spectra[order]
 
-    def _rows(self, F, idx=slice(None)):
-        """Source rows of the pairs idx: a shared (J,) or (1, J) F as is, else gathered."""
-        F = np.asarray(F)
-        if F.ndim == 1 or len(F) == 1:
-            return F
-        return F[idx] if self.j is None else F[self.j[idx]]
+    def _transform(self, src_spec, kern, cbuf, rbuf) -> np.ndarray:
+        """(n, J) lattice window of the convolutions with spectra src_spec * kern."""
+        n, J = len(kern), self.grid.points_per_axis
+        np.multiply(src_spec, kern, out=cbuf[:n])
+        irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
+        return rbuf[:n, J - 1:2 * J - 1]
 
-    def _conv(self, order: int, F) -> np.ndarray:
-        """(P, J) convolutions of every pair's kernel with its source row of F."""
-        J = self.grid.points_per_axis
-        spec = self._rows(rfft(np.atleast_2d(F) * self.quad_w, self.fft_len, axis=-1))
-        kern = self._kernel_spectrum(order)
-        # spec is a fresh array, so the product may overwrite it
-        spec = np.multiply(spec, kern, out=spec if spec.shape == kern.shape else None)
-        out = irfft(spec, self.fft_len, axis=-1)
-        return out[:, J - 1:2 * J - 1]
+    def _mass_rows(self) -> np.ndarray:
+        """The first-derivative kernel against 1 per transformed pair: the
+        subtracted term of orders 1 and 2."""
+        if self._mass is None:
+            J = self.grid.points_per_axis
+            ones = rfft(np.ones((1, J)) * self.quad_w, self.fft_len, axis=-1)
+            kern = self._kernel_spectrum(1)
+            self._mass = np.empty((self.num_transformed, J))
+            cbuf, rbuf, _vbuf = self._buffers()
+            for lo, mid, _hi, f, _runs in self._blocks:
+                n = mid - lo
+                self._mass[f:f + n] = self._transform(ones, kern[f:f + n], cbuf, rbuf)
+        return self._mass
 
-    def apply(self, order: int, stack) -> np.ndarray:
-        """(rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_p, for o = 0, 1, 2.
+    def _sources(self, F, lo, hi):
+        """Source rows of the pairs lo:hi: a shared (J,) or (1, J) F as is, else gathered."""
+        return F if F.ndim == 1 or len(F) == 1 else F[self.src[lo:hi]]
+
+    def apply(self, stack, orders) -> dict:
+        """{o: (rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_p} for each
+        requested order o in 0, 1, 2.
 
         ``stack`` is [F, F', ..., F^(6)] on the lattice.  Each entry is (J,),
         shared by every pair; or (R, J) source rows picked by ``j``; or, with
         no ``j``, (P, J), one row per pair.  Orders 1 and 2 use the subtracted
         first-derivative kernel against stack[o - 1].
         """
-        if order > 2:
-            raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {order}")
-        if order == 0:
-            vals = self._conv(0, stack[0])
-        else:
-            if self._mass is None:
-                self._mass = self._conv(1, np.ones(self.grid.points_per_axis)).copy()
-            fld = stack[order - 1]
-            vals = self._conv(1, fld)
-            vals -= self._rows(fld) * self._mass
-        if self.small_idx.size:
-            # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
-            A = self.A[self.small_idx, None]
-            limit = self._rows(stack[order], self.small_idx)
-            for extra, coef in ((2, A), (4, 0.5 * A**2)):
-                limit = limit + coef * self._rows(stack[order + extra], self.small_idx)
-            vals[self.small_idx] = self.damp[self.small_idx, None] * limit
-        vals *= self.weights
-        out = np.zeros((self.rows, self.grid.points_per_axis))
-        for rows, sel in self._sweep:
-            out[rows] += vals[sel]
+        if max(orders) > 2:
+            raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {max(orders)}")
+        J = self.grid.points_per_axis
+        stack = [np.asarray(d) for d in stack]
+        # order o transforms stack[max(o - 1, 0)]; orders with one source share its spectrum
+        by_source = {}
+        for o in orders:
+            by_source.setdefault(max(o - 1, 0), []).append(o)
+        spectra = {i: rfft(np.atleast_2d(stack[i]) * self.quad_w, self.fft_len, axis=-1)
+                   for i in by_source}
+        kern = {o: self._kernel_spectrum(min(o, 1)) for o in orders}
+        mass = self._mass_rows() if max(orders) > 0 else None
+        cbuf, rbuf, vbuf = self._buffers()
+        gbuf = np.empty_like(cbuf)
+        out = {o: np.zeros((self.rows, J)) for o in orders}
+        for lo, mid, hi, f, runs in self._blocks:
+            n = mid - lo
+            vals = vbuf[:hi - lo]
+            for i, group in by_source.items():
+                spec = spectra[i]
+                if n and len(spec) > 1:
+                    spec = np.take(spec, self.src[lo:mid], axis=0, out=gbuf[:n], mode="clip")
+                for o in group:
+                    if n:
+                        conv = self._transform(spec, kern[o][f:f + n], cbuf, rbuf)
+                        if o == 0:
+                            vals[:n] = conv
+                        else:
+                            np.subtract(conv, self._sources(stack[i], lo, mid) * mass[f:f + n],
+                                        out=vals[:n])
+                    if hi > mid:
+                        # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
+                        A = self.A[mid:hi, None]
+                        limit = self._sources(stack[o], mid, hi)
+                        for extra, coef in ((2, A), (4, 0.5 * A**2)):
+                            limit = limit + coef * self._sources(stack[o + extra], mid, hi)
+                        vals[n:] = self.damp[mid:hi, None] * limit
+                    vals *= self.weights[lo:hi]
+                    for rows, a, b in runs:
+                        out[o][rows] += vals[a:b]
         return out
 
 
@@ -419,9 +484,8 @@ def _terminal_profiles(kernel: HeatKernel, tgrid: TimeGrid, stack, grid: SpaceGr
     t = tgrid.nodes[:-1]
     pairs = _PairConvolver(kernel, grid, K + 1, np.arange(K), t,
                            np.full_like(t, tgrid.horizon), np.ones(K))
-    out = {}
+    out = pairs.apply(stack, (0, 1, 2))
     for o in range(3):
-        out[o] = pairs.apply(o, stack)
         out[o][K] = stack[o]
     return out
 
@@ -450,7 +514,7 @@ def _forcing_profiles(kernel: HeatKernel, tgrid: TimeGrid, stack, tau_fn, grid: 
 
     plain = _PairConvolver(kernel, grid, K + 1, k, t, s_plain.ravel(), wt_plain.ravel())
     sub = _PairConvolver(kernel, grid, K + 1, k, t, s_sub.ravel(), wt_sub.ravel())
-    return {0: plain.apply(0, stack), 1: sub.apply(1, stack), 2: sub.apply(2, stack)}
+    return {**plain.apply(stack, (0,)), **sub.apply(stack, (1, 2))}
 
 
 class _GriddedIntegrator:
@@ -474,16 +538,17 @@ class _GriddedIntegrator:
                                     j=idx_j)
         self.terminal = _terminal_profiles(kernel, tgrid, phi_stack, grid)
 
-    def solve(self, F=None):
-        """Profiles dict order -> (K+1, J) for the (K+1, J) source F (None: no source).
+    def solve(self, F, orders):
+        """Profiles dict order -> (K+1, J) of the requested orders for the
+        (K+1, J) source F (None: no source).
 
         The terminal row of the order-0 profile is the terminal data exactly,
         by construction.
         """
         if F is None:
-            return {o: self.terminal[o].copy() for o in range(3)}
-        stack = _stack_from_rows(F, self.grid)
-        return {o: self.terminal[o] + self.pairs.apply(o, stack) for o in range(3)}
+            return {o: self.terminal[o].copy() for o in orders}
+        conv = self.pairs.apply(_stack_from_rows(F, self.grid), orders)
+        return {o: self.terminal[o] + conv[o] for o in orders}
 
 
 # -- solution container -----------------------------------------------------
@@ -874,7 +939,7 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
     a_tx, b_tx, c_tx = coeffs.sample(t, grid.axis)
     abar_t = np.array([float(np.atleast_2d(abar(tk))[0, 0]) for tk in t])
 
-    prof = integrator.solve(None)
+    prof = integrator.solve(None, (0, 1, 2))
     history = []
     norm_prev = None
     converged = False
@@ -887,7 +952,7 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
             F += b_tx * prof[1]
         if c_tx is not None:
             F += c_tx * prof[0]
-        new_prof = integrator.solve(F)
+        new_prof = integrator.solve(F, (0, 1, 2))
         sup_change = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
         norm = _norm_estimate(tgrid, grid, [new_prof[0] / damp_t[:, None],
                                             new_prof[1] / damp_t[:, None],
@@ -934,7 +999,8 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
     beta = 8.0 if config.beta is None else config.beta
     _, integrator, damp_t, f_tx, mask = _picard_setup(coeffs, config, beta)
 
-    prof = {o: np.zeros((len(t), len(x))) for o in range(3)}
+    # the driver and the stopping test read u and grad u only
+    prof = {o: np.zeros((len(t), len(x))) for o in (0, 1)}
     diffs = []
     history = []
     converged = False
@@ -945,7 +1011,7 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
         F *= damp_t[:, None]
         if f_tx is not None:
             F += damp_t[:, None] * f_tx
-        new_prof = integrator.solve(F)
+        new_prof = integrator.solve(F, (0, 1))
         d_m = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
         diffs.append(d_m)
         entry = {"iteration": it, "sup_change": d_m}
@@ -972,6 +1038,7 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
     if not converged and len(diffs) >= 3 and diffs[-1] > diffs[-3]:
         raise AssumptionViolation(info["advisory"] if "advisory" in info else
                                   f"Picard iteration diverging at beta={beta}; raise beta")
+    prof[2] = integrator.solve(F, (2,))[2]  # D^2 u of the last iterate, from its source
     return _picard_solution(coeffs, config, prof, damp_t, mask, "semilinear-picard", info)
 
 

@@ -193,29 +193,33 @@ class TestRun:
         assert main(["run", "heat_smoke", "--out", str(out)]) == 2
         assert "--force" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sid, line, expected", [
-        ("sin_decay", "lam = -1", "ellipticity"),
-        ("sin_decay", "lam = 5", "ellipticity"),
-        ("sin_decay", "points_per_axis = 4", "points_per_axis"),
-        ("sin_decay", "num_paths = -1", "num_paths"),
-        ("sin_decay", "beta = -1", "damping beta"),
-        ("kernel_suite", "lam = 5", "takes no overrides"),
-        ("apriori_study", "points_per_axis = 65", "takes no overrides"),
-        ("time_shift_sweep", "num_steps = 10", "takes no overrides"),
-        ("sin_decay", "horizon = 0.7", "not a multiple of the grid step"),
-        ("stochastic_sinWT", "horizon = 0.2", "0 < tau < T"),
-        ("sin_decay", "[scenario.heat_smoke]\ncolour = red", "does not list"),
+    @pytest.mark.parametrize("sid, line, expected, at", [
+        ("sin_decay", "lam = -1", "ellipticity", 4),
+        ("sin_decay", "lam = 5", "ellipticity", 4),
+        ("sin_decay", "points_per_axis = 4", "points_per_axis", 4),
+        ("sin_decay", "num_paths = -1", "num_paths", 4),
+        ("sin_decay", "beta = -1", "damping beta", 4),
+        ("kernel_suite", "lam = 5", "takes no overrides", 4),
+        ("apriori_study", "points_per_axis = 65", "takes no overrides", 4),
+        ("time_shift_sweep", "num_steps = 10", "takes no overrides", 4),
+        ("sin_decay", "horizon = 0.7", "not a multiple of the grid step", 4),
+        ("stochastic_sinWT", "horizon = 0.2", "0 < tau < T", 4),
+        ("sin_decay", "[scenario.heat_smoke]\ncolour = red", "does not list", 4),
+        # the anchor of a repeated id is the scenarios key
+        ("heat_smoke, sin_decay, heat_smoke", "num_steps = 20", "listed twice", 2),
     ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
-            "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section"])
-    def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected):
+            "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section",
+            "duplicate_id"])
+    def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected, at):
         p = tmp_path / "bad.ini"
-        p.write_text(f"[run]\nscenarios = {sid}\n[scenario.{sid}]\n{line}\n")
+        section = sid.split(",")[0]
+        p.write_text(f"[run]\nscenarios = {sid}\n[scenario.{section}]\n{line}\n")
         code = main(["run", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert expected in err
-        assert "bad.ini:4" in err
+        assert f"bad.ini:{at}" in err
 
     def test_anchor_is_in_the_overriding_section(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"

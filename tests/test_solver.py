@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,11 @@ from bspdelab.solver import (
     SolutionField,
     SolverConfig,
     _DENSE_PATH_CAP,
+    _PAIR_BLOCK,
     _SMALL_FACTOR,
+    _GriddedIntegrator,
     _PairConvolver,
+    _picard_setup,
     _next_fast_len,
     _space_factor_stack,
     _stack_from_rows,
@@ -183,7 +187,7 @@ class TestConvolve:
 
     def conv(self, h, order, s=0.5, kernel=None):
         pairs = _PairConvolver(kernel or self.KERNEL, SG, 1, [0], [0.0], [s], [1.0])
-        return pairs.apply(order, _space_factor_stack(h, SG))[0]
+        return pairs.apply(_space_factor_stack(h, SG), (order,))[order][0]
 
     def test_unit_mass(self):
         out = self.conv(SpaceFactor.constant(1.0), 0)
@@ -213,7 +217,7 @@ class TestConvolve:
         stack = _space_factor_stack(SpaceFactor.sine(), SG)
         stack[1] = np.cos(X)
         pairs = _PairConvolver(self.KERNEL, SG, 1, [0], [0.0], [0.5], [1.0])
-        out = pairs.apply(2, stack)[0]
+        out = pairs.apply(stack, (2,))[2][0]
         assert np.abs(out + np.exp(-0.5) * np.sin(X))[self.MASK].max() < 1e-6
 
     def test_order_cap(self):
@@ -233,7 +237,7 @@ class TestConvolve:
             1: [e1 * np.cos(X), -2.0 * e2 * np.sin(X) + 3.0 * e1 * np.cos(X)],
         }
         for order, rows in expected.items():
-            out = pairs.apply(order, stack)
+            out = pairs.apply(stack, (order,))[order]
             assert out.shape == (2, SG.points_per_axis)
             assert np.abs(out - np.stack(rows))[:, self.MASK].max() < 1e-6
 
@@ -281,10 +285,16 @@ class TestPairEngineBitIdentity:
     def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None, grid=None):
         grid = self.SG if grid is None else grid
         pairs = _PairConvolver(self.KERNEL, grid, rows, k, t, s, w, j=j)
+        every = pairs.apply(stack, (0, 1, 2))
         for order in range(3):
             expected = self.reference(grid, rows, k, t, s, w,
                                       stack if pair_stack is None else pair_stack, order)
-            assert np.array_equal(pairs.apply(order, stack), expected)
+            assert np.array_equal(every[order], expected)
+        # a subset of the orders gives the same bits
+        for orders in ((0,), (1, 2), (0, 1), (2,)):
+            some = pairs.apply(stack, orders)
+            assert sorted(some) == list(orders)
+            assert all(np.array_equal(some[o], every[o]) for o in orders)
         return pairs
 
     def picard_triangle(self, tgrid, grid):
@@ -303,7 +313,7 @@ class TestPairEngineBitIdentity:
     def test_picard_triangle_with_source_rows(self):
         pairs = self.picard_triangle(self.TG, self.SG)
         assert pairs.fft_len == 200
-        assert 0 < pairs.small_idx.size < len(pairs.k)
+        assert 0 < pairs.small.sum() < pairs.small.size
 
     @pytest.mark.parametrize("J, fft_len", [(129, 400), (257, 800)])
     def test_picard_triangle_at_production_lengths(self, J, fft_len):
@@ -330,9 +340,63 @@ class TestPairEngineBitIdentity:
         stack = [rng.standard_normal((len(k), self.SG.points_per_axis)) for _ in range(7)]
         self.check(4, k, t, s, w, stack)
 
+    def assert_multi_block(self, pairs):
+        assert len(pairs._blocks) >= 3
+        assert len(pairs.k) % _PAIR_BLOCK != 0
+
+    def test_multi_block_picard_triangle(self):
+        pairs = self.picard_triangle(TimeGrid(1.0, 30), self.SG)
+        self.assert_multi_block(pairs)
+        # some block holds transformed and small pairs both
+        assert any(lo < mid < hi for lo, mid, hi, _f, _runs in pairs._blocks)
+
+    def test_multi_block_shared_source(self):
+        # forcing-table shape: 13 rows of 37 s nodes, one shared (J,) source
+        K = 13
+        heads = TimeGrid(1.0, K).nodes[:-1]
+        u = np.linspace(1e-4, 0.97, 37)
+        k = np.repeat(np.arange(K), len(u))
+        t = np.repeat(heads, len(u))
+        s = (heads[:, None] + (1.0 - heads)[:, None] * u[None, :]).ravel()
+        w = np.tile(np.linspace(0.1, 0.3, len(u)), K)
+        stack = _space_factor_stack(SpaceFactor.sine(phase=0.3), self.SG)
+        pairs = self.check(K + 1, k, t, s, w, stack)
+        self.assert_multi_block(pairs)
+        assert 0 < pairs.small.sum() < pairs.small.size
+
+    def test_multi_block_per_pair_sources(self):
+        rng = np.random.default_rng(2)
+        P, rows = 300, 40
+        k = np.sort(rng.integers(0, rows, P))
+        t = rng.uniform(0.0, 0.8, P)
+        s = t + rng.choice([0.0, 1e-3, 0.3, 1.0], P) * rng.uniform(0.5, 1.0, P)
+        w = rng.uniform(0.5, 2.0, P)
+        stack = [rng.standard_normal((P, self.SG.points_per_axis)) for _ in range(7)]
+        pairs = self.check(rows, k, t, s, w, stack)
+        self.assert_multi_block(pairs)
+        assert 0 < pairs.small.sum() < pairs.small.size
+
     def test_unsorted_rows_rejected(self):
         with pytest.raises(InvalidArgument, match="sorted"):
             _PairConvolver(self.KERNEL, self.SG, 2, [1, 0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
+
+
+def test_repeat_integrator_solve_allocates_little():
+    # K = 100, J = 257: 5,151 pairs; a (P, J) array alone would take 10.6 MB
+    tgrid, grid = TimeGrid(1.0, 100), SpaceGrid(1, 6.0, 257)
+    kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), beta=8.0, horizon=1.0)
+    integrator = _GriddedIntegrator(kernel, tgrid, grid,
+                                    _space_factor_stack(SpaceFactor.sine(), grid))
+    F = np.cos(tgrid.nodes)[:, None] * np.sin(grid.axis)[None, :]
+    first = integrator.solve(F, (0, 1, 2))  # builds the spectra and mass rows it keeps
+    tracemalloc.start()
+    try:
+        again = integrator.solve(F, (0, 1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert all(np.array_equal(first[o], again[o]) for o in range(3))
 
 
 def test_next_fast_len_matches_scipy():
@@ -530,6 +594,40 @@ class TestSemilinear:
     def test_requires_driver(self):
         with pytest.raises(InvalidRoute):
             solve_semilinear(sine_problem(), None, config())
+
+    def test_second_derivative_formed_once_from_last_source(self, monkeypatch):
+        co = sine_problem(driver=lambda t, x, q, u, v: -u + 0.3 * np.sin(q), lipschitz=1.3)
+        K = 20
+        cfg = SolverConfig(time_grid=TimeGrid(1.0, K), space_grid=SpaceGrid(1, 7.0, 65))
+        requests = []
+        apply = _PairConvolver.apply
+
+        def spy(self, stack, orders):
+            requests.append((len(self.k), tuple(orders)))
+            return apply(self, stack, orders)
+
+        monkeypatch.setattr(_PairConvolver, "apply", spy)
+        sol = solve_semilinear(co, None, cfg)
+        monkeypatch.undo()
+        picard = [orders for P, orders in requests if P == (K + 1) * (K + 2) // 2]
+        assert len(picard) == sol.info["iterations"] + 1
+        assert sum(2 in orders for orders in picard) == 1
+
+        # the same loop forming all three orders every iterate
+        t, x = cfg.time_grid.nodes, cfg.space_grid.axis
+        _, integrator, damp_t, _, mask = _picard_setup(co, cfg, 8.0)
+        prof = {o: np.zeros((len(t), len(x))) for o in range(3)}
+        for it in range(1, cfg.max_iter + 1):
+            F = co.driver_rows(t, x, (prof[1] / damp_t[:, None])[None],
+                               (prof[0] / damp_t[:, None])[None], 0.0)[0] * damp_t[:, None]
+            new_prof = integrator.solve(F, (0, 1, 2))
+            d_m = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
+            prof = new_prof
+            if d_m < cfg.tol * max(1.0, float(np.max(np.abs(prof[0][:, mask])))):
+                break
+        assert it == sol.info["iterations"]
+        for o in range(3):
+            assert np.array_equal(sol.u_parts[0].profiles[o], prof[o] / damp_t[:, None])
 
 
 class TestResidualCertification:

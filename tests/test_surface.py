@@ -10,7 +10,7 @@ from pathlib import Path
 
 import bspdelab
 
-MAX_SETTABLE = 54
+MAX_SETTABLE = 51
 
 
 def settable_values() -> int:
