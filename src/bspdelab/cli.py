@@ -200,6 +200,10 @@ def load_config(path: Path) -> dict:
                         shift_grid(built)
                     if built.num_paths < 0:
                         raise InvalidArgument("num_paths must be >= 0")
+                    if (key == "num_paths" and built.num_paths == 0
+                            and not built.build_coeffs().is_deterministic()):
+                        raise InvalidArgument(
+                            "stochastic data needs a path ensemble (num_paths >= 1)")
                 except (InvalidArgument, AssumptionViolation) as e:
                     raise SchemaError(f"{key} = {raw} in [{section}]: {e}",
                                       path=path,
@@ -279,7 +283,9 @@ def _run_one(spec, seed, out_dir: Path):
         elif path.name == "solution.csv":
             artifacts["solution"].to_csv(path)
         elif path.name == "summary.json":
-            path.write_text(artifacts["solution"].summary_json() + "\n")
+            residual = artifacts["summary"]
+            path.write_text(artifacts["solution"].summary_json(
+                residual["rms"], residual["worst"]) + "\n")
         else:
             _write_rows_csv(path, artifacts[path.stem])
     return bundle, files

@@ -12,13 +12,15 @@ the product form out, and `backward_defect` the one place that checks a
 solution against the backward integral form.
 
 No check builds a (path, time, lattice) array over a whole 10^4-path
-ensemble.  Checks that sample the ensemble evaluate a path subset: the
+ensemble.  Checks on a scenario's main solve evaluate a path subset: the
 oracle comparison the first 512 paths (in chunks of 64), the integral-form
-defect and the time-shift norm the first 64, the localized residual the
-first 32, the a priori norms 128 spread over the ensemble, and the CSV
-export the first 8.  The one check over every path, `bsde_residual`, runs in
-chunks of 512 paths into one defect array, so its rms and worst are the
-bytes an unchunked evaluation gives.
+defect the first 64, the localized residual the first 32, and the CSV
+export the first 8.  The studies solve only what they measure: the
+time-shift study the first 64 paths (`sample_paths` draws them as the
+first 64 rows of the full ensemble), the a priori study at most 128.  The
+one check over every path of a solve, `bsde_residual`, runs in chunks of
+512 paths into one defect array, so its rms and worst are the bytes an
+unchunked evaluation gives.
 
 Closed forms assume a constant deterministic vector sigma; anything richer
 falls back to least-squares regression (`solve_bsde_regression`).

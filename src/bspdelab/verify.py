@@ -192,7 +192,8 @@ def run_oracle_check(spec, solution, paths) -> Verdict:
 # -- a priori norm-ratio study ---------------------------------------------
 
 _ALPHA = 0.5  # Holder exponent of the a priori norms
-_NORM_PATHS = 128  # paths a solution or data norm is measured on
+_NORM_PATHS = 128  # paths the a priori study solves and measures norms on
+_SHIFT_PATHS = 64  # paths the time-shift study solves and measures norms on
 _RATIO_SPREAD = 1.3  # allowed max/min of the norm ratio over the lattice
 _EQUIVARIANCE_TOL = 1e-10  # allowed relative deviation from linearity in the data
 _SCALINGS = (1.0, 10.0)  # data scalings of the a priori lattice, unscaled first
@@ -202,18 +203,15 @@ def solution_norm_lhs(sol, alpha: float) -> dict:
     """The three-norm sum measured on the trusted region of a solution."""
     mask = sol.trusted
     sub = _masked_grid(sol.space_grid, mask)
-    idx = None
-    if sol.num_paths > _NORM_PATHS:
-        idx = np.linspace(0, sol.num_paths - 1, _NORM_PATHS).astype(int)
-    u0 = sol.u_dense(0, path_idx=idx)[..., mask]
-    u1 = sol.u_dense(1, path_idx=idx)[..., mask]
-    u2 = sol.u_dense(2, path_idx=idx)[..., mask]
+    u0 = sol.u_dense(0)[..., mask]
+    u1 = sol.u_dense(1)[..., mask]
+    u2 = sol.u_dense(2)[..., mask]
     low = estimate_norm(FieldSample(u0, sub, "S2", sol.time_grid), 0, alpha).total
     fh = FieldSample(u0, sub, "L2", sol.time_grid)
     fh.attach_derivative(1, u1)
     fh.attach_derivative(2, u2)
     high = estimate_norm(fh, 2, alpha).total
-    v0 = sol.v_dense(0, 0, path_idx=idx)[..., mask]
+    v0 = sol.v_dense(0, 0)[..., mask]
     v_norm = estimate_norm(FieldSample(v0, sub, "L2", sol.time_grid), 0, alpha).total
     return {"u_low": low, "u_high": high, "v": v_norm,
             "total": low + high + v_norm}
@@ -584,7 +582,8 @@ def run_time_shift_study(specs) -> VerdictBundle:
     bundle = VerdictBundle()
     for spec in specs:
         sid = spec.scenario_id
-        sol, coeffs, paths = spec.solve(time_grid=shift_grid(spec))
+        sol, coeffs, paths = spec.solve(time_grid=shift_grid(spec),
+                                        num_paths=min(spec.num_paths, _SHIFT_PATHS))
         rows = []
         for tau in _TAUS:
             norm = time_shift_norm(sol, tau)
@@ -642,11 +641,13 @@ def artifact_files(spec) -> list:
 
 def run_scenario(spec, seed: int = None):
     """Run every check of one scenario on the spec as given, overrides
-    included; a "solve" scenario is solved once first.
+    included; a "solve" scenario is solved and its integral-form defect
+    measured once first.
 
-    Returns (bundle, artifacts); artifacts maps file stems to either a
-    SolutionField (exported as CSV) or a list of row dicts (exported as a
-    plot-data CSV).  ``artifact_files`` lists the files they become.
+    Returns (bundle, artifacts); artifacts maps file stems to a SolutionField
+    (exported as CSV), its measured defect {"rms", "worst"} (exported with
+    the solve's summary), or a list of row dicts (exported as a plot-data
+    CSV).  ``artifact_files`` lists the files they become.
     """
     bundle = VerdictBundle()
     artifacts = {}
@@ -656,15 +657,16 @@ def run_scenario(spec, seed: int = None):
             bundle.add(v)
             artifacts[stem] = v.details["rows"]
 
-    sol = coeffs = paths = None
+    sol = coeffs = paths = residual = None
     if spec.kind == "solve":
         sol, coeffs, paths = spec.solve(seed=seed)
+        residual = run_residual_check(sol, coeffs, spec.residual_tolerance, paths=paths,
+                                      check_id=f"residual.{spec.scenario_id}")
         artifacts["solution"] = sol
+        artifacts["summary"] = residual.measured
     for check in spec.checks:
         if check == "residual":
-            bundle.add(run_residual_check(
-                sol, coeffs, spec.residual_tolerance, paths=paths,
-                check_id=f"residual.{spec.scenario_id}"))
+            bundle.add(residual)
         elif check == "oracle":
             bundle.add(run_oracle_check(spec, sol, paths))
         elif check == "h_convergence":

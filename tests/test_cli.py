@@ -198,6 +198,7 @@ class TestRun:
         ("sin_decay", "lam = 5", "ellipticity", 4),
         ("sin_decay", "points_per_axis = 4", "points_per_axis", 4),
         ("sin_decay", "num_paths = -1", "num_paths", 4),
+        ("stochastic_sinWT", "num_paths = 0", "path ensemble", 4),
         ("sin_decay", "beta = -1", "damping beta", 4),
         ("kernel_suite", "lam = 5", "takes no overrides", 4),
         ("apriori_study", "points_per_axis = 65", "takes no overrides", 4),
@@ -207,7 +208,8 @@ class TestRun:
         ("sin_decay", "[scenario.heat_smoke]\ncolour = red", "does not list", 4),
         # the anchor of a repeated id is the scenarios key
         ("heat_smoke, sin_decay, heat_smoke", "num_steps = 20", "listed twice", 2),
-    ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths", "beta",
+    ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths",
+            "num_paths_zero_stochastic", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
             "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section",
             "duplicate_id"])

@@ -7,6 +7,7 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
+from bspdelab import solver
 from bspdelab.errors import (
     AssumptionViolation,
     InvalidArgument,
@@ -537,7 +538,7 @@ class TestVariableLinear:
         )
         sol = solve_variable_linear(co, None, config())
         assert sol.info["converged"]
-        assert sol.residual_rms < 1e-3
+        assert integral_form_defect(sol, co)[0] < 1e-3
 
     def test_divergence_report_on_tight_cap(self):
         co = CoefficientSet(
@@ -632,7 +633,21 @@ class TestSemilinear:
 
 class TestResidualCertification:
     def test_clean_solution_small_residual(self, sine_solution):
-        assert sine_solution.residual_rms < 1e-4
+        assert integral_form_defect(sine_solution, sine_problem())[0] < 1e-4
+
+    @pytest.mark.parametrize("co", [
+        sine_problem(),
+        CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+                       a_fn=lambda t, x: 1.0 + 0.4 * np.sin(x), lam=0.6, Lam=1.4),
+        sine_problem(driver=lambda t, x, q, u, v: -u, lipschitz=1.0),
+    ], ids=["representation", "frozen_picard", "semilinear_picard"])
+    def test_solve_does_not_certify_itself(self, co, monkeypatch):
+        # the caller certifies a solve once; no route measures its own defect
+        calls = []
+        monkeypatch.setattr(solver, "integral_form_defect",
+                            lambda *a, **k: calls.append(a))
+        solve(co, None, config())
+        assert calls == []
 
     def test_injected_defect_is_flagged(self):
         co = sine_problem()
@@ -648,7 +663,8 @@ class TestResidualCertification:
 class TestLocalize:
     def test_residual_within_parent_budget(self, sine_solution):
         loc = localize(sine_solution, sine_problem(), z=0.2, theta=0.4)
-        assert loc.residual_rms <= 10.0 * max(loc.parent_residual_rms, 1e-9)
+        parent_rms, _ = integral_form_defect(sine_solution, sine_problem())
+        assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
 
     def test_covering_inequality_slack(self, sine_solution):
         loc = localize(sine_solution, sine_problem(), z=0.0, theta=0.5)
@@ -777,7 +793,9 @@ class TestSolutionFieldExport:
         float(first[3])  # u parses
 
     def test_summary_json(self, sine_solution):
-        payload = json.loads(sine_solution.summary_json())
+        rms, worst = integral_form_defect(sine_solution, sine_problem())
+        payload = json.loads(sine_solution.summary_json(rms, worst))
         for key in ("provenance", "residual_rms", "residual_worst", "grid", "info"):
             assert key in payload
         assert payload["provenance"] == "representation"
+        assert (payload["residual_rms"], payload["residual_worst"]) == (rms, worst)

@@ -34,6 +34,13 @@ class TestPathEnsemble:
         b = sample_paths(3, 2, GRID, seed=7)
         assert np.array_equal(a.increments, b.increments)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_small_draw_is_a_prefix_of_the_large_one(self, d):
+        # a study that solves 64 paths solves the first 64 of the ensemble
+        small = sample_paths(64, d, GRID, seed=42)
+        large = sample_paths(10_000, d, GRID, seed=42)
+        assert np.array_equal(small.increments, large.increments[:64])
+
     def test_starts_at_zero(self, paths):
         assert np.all(paths.paths[:, 0, :] == 0.0)
 

@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 import bspdelab
+from bspdelab import scenarios, solver, verify
 from bspdelab.cli import apply_overrides
 from bspdelab.errors import InvalidArgument
+from bspdelab.grid import TimeGrid
+from bspdelab.holder import FieldSample, estimate_norm
 from bspdelab.scenarios import get_scenario
+from bspdelab.solver import _masked_grid, shift_steps
 from bspdelab.verify import (
     Verdict,
     VerdictBundle,
@@ -24,6 +28,7 @@ from bspdelab.verify import (
     run_scenario,
     run_time_shift_study,
     scaled_coefficients,
+    shift_grid,
     solution_norm_lhs,
 )
 
@@ -265,6 +270,29 @@ class TestTimeShiftStudy:
         rows = b.verdicts[0].details["rows"]
         assert [r["tau"] for r in rows] == [0.2, 0.1, 0.05, 0.025]
 
+    def test_stochastic_spec_solves_the_64_paths_it_measures(self, monkeypatch):
+        spec = get_scenario("stochastic_sinWT")
+        drawn = []
+        real = scenarios.sample_paths
+
+        def sample_paths(M, *a, **k):
+            drawn.append(M)
+            return real(M, *a, **k)
+
+        monkeypatch.setattr(scenarios, "sample_paths", sample_paths)
+        rows = run_time_shift_study([spec]).verdicts[0].details["rows"]
+        assert drawn == [64]
+        # the same norms on the first 64 paths of the whole ensemble's solve
+        sol, _, _ = spec.solve(time_grid=shift_grid(spec))
+        assert sol.num_paths == 10_000
+        tgrid, mask = sol.time_grid, sol.trusted
+        u = sol.u_dense(0, np.arange(64))[..., mask]
+        for row in rows:
+            r = shift_steps(tgrid, row["tau"])
+            f = FieldSample(u[:, r:] - u[:, :-r], _masked_grid(sol.space_grid, mask),
+                            "L2", TimeGrid(tgrid.horizon - row["tau"], tgrid.num_steps - r))
+            assert row["shift_norm"] == estimate_norm(f, 0, 0.5).total
+
 
 class TestNormHelpers:
     def test_lhs_components_nonnegative(self, smoke):
@@ -286,6 +314,28 @@ class TestRunScenario:
         bundle, artifacts = run_scenario(spec)
         assert bundle.all_passed
         assert "solution" in artifacts
+
+    def test_solve_is_certified_once(self, monkeypatch):
+        calls = []
+        real = solver.integral_form_defect
+
+        def counted(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(solver, "integral_form_defect", counted)
+        monkeypatch.setattr(verify, "integral_form_defect", counted)
+        bundle, artifacts = run_scenario(get_scenario("sin_decay"))
+        assert len(calls) == 1
+        residual = [v for v in bundle.verdicts if v.check_id == "residual.sin_decay"]
+        assert len(residual) == 1
+        assert artifacts["summary"] == residual[0].measured
+
+    def test_solve_without_residual_check_is_certified(self):
+        bundle, artifacts = run_scenario(get_scenario("abs_kink"))
+        assert not [v for v in bundle.verdicts if v.check_id.startswith("residual.")]
+        assert np.isfinite(artifacts["summary"]["rms"])
+        assert np.isfinite(artifacts["summary"]["worst"])
 
     def test_beta_sweep_rows(self):
         spec = get_scenario("beta_sweep")
