@@ -22,6 +22,8 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
+import re
 import sys
 import time
 import traceback
@@ -65,7 +67,9 @@ class SchemaError(Exception):
 
 
 def _find_line(path, needle, section=None) -> int | None:
-    """First 1-based line whose stripped text starts with the needle.
+    """First 1-based line that holds the needle: a "[header]" needle starts
+    the stripped line, a key needle is followed by optional spaces and "=" or
+    ":" (so "num" does not match "num_steps = 10").
 
     With ``section``, only the lines under its [section] header count.
     """
@@ -73,12 +77,15 @@ def _find_line(path, needle, section=None) -> int | None:
         text = Path(path).read_text()
     except OSError:
         return None
+    pattern = re.escape(needle.lower())
+    if not needle.startswith("["):
+        pattern += r"\s*[=:]"
     inside = section is None
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip().lower()
         if section is not None and line.startswith("["):
             inside = line.startswith(f"[{section.lower()}]")
-        elif inside and line.startswith(needle.lower()):
+        elif inside and re.match(pattern, line):
             return i
     return None
 
@@ -189,6 +196,8 @@ def load_config(path: Path) -> dict:
                         path=path, line=_find_line(path, key, section))
                 try:
                     overrides[key] = _OVERRIDE_TYPES[key](raw)
+                    if not math.isfinite(overrides[key]):
+                        raise InvalidArgument("must be finite")
                     # build the grids, solver config and coefficients the value
                     # implies now, so a bad one exits 2 here instead of
                     # crashing the run
@@ -302,11 +311,17 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     out_dir = Path(args.out or cfg["out"]
                    or f"runs/{cfg_path.stem}")
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        print(f"{out_dir}: output directory is not empty (use --force)",
+    try:
+        if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
+            print(f"{out_dir}: output directory is not empty (use --force)",
+                  file=sys.stderr)
+            return 2
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        # a file where the directory should be, or a file among its parents
+        print(f"{out_dir}: cannot use as output directory ({e.strerror})",
               file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     specs = [apply_overrides(spec, dict(ov)) for spec, ov in cfg["scenarios"]]
     planned = [f for s in specs for f in artifact_files(s)]

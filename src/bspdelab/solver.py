@@ -803,7 +803,7 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble,
         num_paths=paths.num_paths,
         trusted=_trusted_mask(grid, coeffs.Lam, tgrid.horizon),
         provenance="representation",
-        info={"iterations": 1, "bsde_residual_rms": bsde.residual_rms},
+        info={"iterations": 1},
     )
     return sol
 

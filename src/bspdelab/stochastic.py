@@ -17,10 +17,7 @@ oracle comparison the first 512 paths (in chunks of 64), the integral-form
 defect the first 64, the localized residual the first 32, and the CSV
 export the first 8.  The studies solve only what they measure: the
 time-shift study the first 64 paths (`sample_paths` draws them as the
-first 64 rows of the full ensemble), the a priori study at most 128.  The
-one check over every path of a solve, `bsde_residual`, runs in chunks of
-512 paths into one defect array, so its rms and worst are the bytes an
-unchunked evaluation gives.
+first 64 rows of the full ensemble), the a priori study at most 128.
 
 Closed forms assume a constant deterministic vector sigma; anything richer
 falls back to least-squares regression (`solve_bsde_regression`).
@@ -263,21 +260,17 @@ class BsdeSolution:
     psi_terms: list  # psi_terms[l] is a list of TermSeries
     time_grid: TimeGrid
     num_paths: int
-    provenance: str
-    residual_rms: float = np.nan
-    residual_worst: float = np.nan
 
-    def _dense(self, terms, x, path_idx) -> np.ndarray:
+    def _dense(self, terms, x) -> np.ndarray:
         x = np.atleast_1d(x)
         return product_dense([(t.series, t.space(x)) for t in terms],
-                             (self.num_paths, len(self.time_grid), len(x)),
-                             path_idx)
+                             (self.num_paths, len(self.time_grid), len(x)))
 
-    def phi_dense(self, x, path_idx=None) -> np.ndarray:
-        return self._dense(self.phi_terms, x, path_idx)
+    def phi_dense(self, x) -> np.ndarray:
+        return self._dense(self.phi_terms, x)
 
-    def psi_dense(self, l: int, x, path_idx=None) -> np.ndarray:
-        return self._dense(self.psi_terms[l], x, path_idx)
+    def psi_dense(self, l: int, x) -> np.ndarray:
+        return self._dense(self.psi_terms[l], x)
 
 
 @dataclass
@@ -295,9 +288,6 @@ class SecondFamilySolution:
 
     y_terms: list  # of TauSeries
     g_terms: list  # g_terms[l] is a list of TauSeries
-    time_grid: TimeGrid
-    num_paths: int
-    provenance: str
 
 
 def _check_sigma(sigma, d: int) -> np.ndarray:
@@ -321,7 +311,7 @@ def solve_bsde_closed(data: DataFunctional, sigma, paths: PathEnsemble) -> BsdeS
                      psi_l = 2 h (W^l_t + sigma_l (T-t)))
       exp mart   -> (h E_t exp(...), psi_l = theta_l phi)
     The first two are exact at the discrete level; the last two carry an
-    O(sqrt(dt)) pathwise discretization residual, which is reported.
+    O(sqrt(dt)) pathwise discretization residual.
     """
     d = paths.dim
     sig = _check_sigma(sigma, d)
@@ -360,44 +350,8 @@ def solve_bsde_closed(data: DataFunctional, sigma, paths: PathEnsemble) -> BsdeS
                 if th[l] != 0.0:
                     psi_terms[l].append(TermSeries(h, th[l] * series))
 
-    sol = BsdeSolution(
-        phi_terms=phi_terms, psi_terms=psi_terms,
-        time_grid=grid, num_paths=M, provenance="closed-form",
-    )
-    rms, worst = bsde_residual(sol, data, sig, paths)
-    sol.residual_rms, sol.residual_worst = rms, worst
-    return sol
-
-
-_RESIDUAL_CHUNK = 512  # paths per chunk of the BSDE residual
-_RESIDUAL_X = (-1.0, 0.0, 0.7)  # space points the BSDE residual samples
-
-
-def bsde_residual(sol: BsdeSolution, data: DataFunctional, sigma, paths: PathEnsemble) -> tuple:
-    """Defect of the backward integral form at every grid time, evaluated at
-    the sample space points x = -1, 0, 0.7; returns (rms, worst-path max).
-
-    Paths are evaluated in chunks of 512 into one (M, K+1, J) defect array,
-    so the result does not depend on the chunking.
-    """
-    x = np.array(_RESIDUAL_X)
-    sig = _check_sigma(sigma, paths.dim)
-    M = paths.num_paths
-    defect = np.empty((M, len(paths.time_grid), len(x)))
-    top = 0.0  # running max |Phi|
-    for start in range(0, M, _RESIDUAL_CHUNK):
-        rows = np.arange(start, min(start + _RESIDUAL_CHUNK, M))
-        chunk = paths.subset(rows)
-        psi = [sol.psi_dense(l, x, rows) for l in range(paths.dim)]  # d x (m, K+1, J)
-        terminal = data.terminal_values(chunk, x)  # (m, J)
-        drift = np.einsum("l,lmkj->mkj", sig, np.asarray(psi))
-        defect[rows] = backward_defect(sol.phi_dense(x, rows), terminal, drift,
-                                       paths.time_grid.dt, psi, chunk.increments)
-        top = np.maximum(top, np.abs(terminal).max())
-    scale = 1.0 + top
-    rms = float(np.sqrt(np.mean(defect**2)) / scale)
-    worst = float(np.max(np.abs(defect)) / scale)
-    return rms, worst
+    return BsdeSolution(phi_terms=phi_terms, psi_terms=psi_terms,
+                        time_grid=grid, num_paths=M)
 
 
 def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> SecondFamilySolution:
@@ -459,10 +413,7 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
                 if th[l] != 0.0:
                     g_terms[l].append(TauSeries(h, th[l] * base, efn))
 
-    return SecondFamilySolution(
-        y_terms=y_terms, g_terms=g_terms, time_grid=grid,
-        num_paths=M, provenance="closed-form",
-    )
+    return SecondFamilySolution(y_terms=y_terms, g_terms=g_terms)
 
 
 # -- regression fallback ---------------------------------------------------
@@ -488,9 +439,7 @@ class RegressionSolution:
 
     phi: np.ndarray  # (M, K+1, J)
     psi: np.ndarray  # (d, M, K+1, J)
-    time_grid: TimeGrid
     condition_numbers: np.ndarray
-    provenance: str = "regression"
 
 
 _REGRESSION_DEGREE = 3  # total degree of the polynomial basis in W_{t_k}
@@ -547,5 +496,4 @@ def solve_bsde_regression(terminal: np.ndarray, sigma,
             psi[l, :, k, :] = fitted[:, (l + 1) * J:(l + 2) * J]
         phi[:, k, :] = cond_exp + np.einsum("l,lmj->mj", sig, psi[:, :, k, :]) * grid.dt
 
-    return RegressionSolution(phi=phi, psi=psi, time_grid=grid,
-                              condition_numbers=conds)
+    return RegressionSolution(phi=phi, psi=psi, condition_numbers=conds)

@@ -193,6 +193,18 @@ class TestRun:
         assert main(["run", "heat_smoke", "--out", str(out)]) == 2
         assert "--force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_path_through_a_file_refused(self, tmp_path, capsys, force, below):
+        f = tmp_path / "taken"
+        f.write_text("not a directory\n")
+        out = f / "run" if below else f
+        assert main(["run", "heat_smoke", "--out", str(out)] + force) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{out}: cannot use as output directory")
+        assert err.count("\n") == 1
+        assert f.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("sid, line, expected, at", [
         ("sin_decay", "lam = -1", "ellipticity", 4),
         ("sin_decay", "lam = 5", "ellipticity", 4),
@@ -208,11 +220,18 @@ class TestRun:
         ("sin_decay", "[scenario.heat_smoke]\ncolour = red", "does not list", 4),
         # the anchor of a repeated id is the scenarios key
         ("heat_smoke, sin_decay, heat_smoke", "num_steps = 20", "listed twice", 2),
+        # a key that is a prefix of an earlier key is anchored at its own line
+        ("heat_smoke", "num_steps = 10\nnum = 3", "unknown key 'num'", 5),
+        ("heat_smoke", "radius = nan", "must be finite", 4),
+        ("heat_smoke", "horizon = inf", "must be finite", 4),
+        ("heat_smoke", "sup_tolerance = nan", "must be finite", 4),
+        ("semilinear_mode", "beta = inf", "must be finite", 4),
     ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths",
             "num_paths_zero_stochastic", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
             "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section",
-            "duplicate_id"])
+            "duplicate_id", "key_prefix_of_earlier_key", "radius_nan",
+            "horizon_inf", "sup_tolerance_nan", "beta_inf"])
     def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected, at):
         p = tmp_path / "bad.ini"
         section = sid.split(",")[0]

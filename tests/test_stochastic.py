@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bspdelab import stochastic
 from bspdelab.errors import UnsupportedClosedForm
 from bspdelab.grid import TimeGrid
 from bspdelab.stochastic import (
@@ -12,7 +13,6 @@ from bspdelab.stochastic import (
     PathFactor,
     SpaceFactor,
     backward_defect,
-    bsde_residual,
     product_dense,
     sample_paths,
     solve_bsde_closed,
@@ -112,7 +112,7 @@ class TestClosedForms:
         x = np.array([0.3])
         assert np.allclose(sol.phi_dense(x), np.sin(0.3))
         assert np.allclose(sol.psi_dense(0, x), 0.0)
-        assert sol.residual_rms < 1e-12
+        assert closed_form_residual(sol, data, [0.0], paths)[0] < 1e-12
 
     def test_sin_times_wt(self, paths):
         data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),))
@@ -121,7 +121,7 @@ class TestClosedForms:
         W = paths.paths[:, :, 0]
         assert np.allclose(sol.phi_dense(x), W[:, :, None] * np.sin(x)[None, None, :])
         assert np.allclose(sol.psi_dense(0, x), np.sin(x)[None, None, :] * np.ones_like(W)[:, :, None])
-        assert sol.residual_rms < 1e-12
+        assert closed_form_residual(sol, data, [0.0], paths)[0] < 1e-12
 
     def test_drifted_bm(self, paths):
         h = SpaceFactor.constant(1.0)
@@ -131,7 +131,7 @@ class TestClosedForms:
         x = np.array([0.0])
         expect = paths.paths[:, :, 0] + s0 * (GRID.horizon - GRID.nodes)[None, :]
         assert np.allclose(sol.phi_dense(x)[:, :, 0], expect)
-        assert sol.residual_rms < 1e-12
+        assert closed_form_residual(sol, data, [s0], paths)[0] < 1e-12
 
     def test_bm_squared_ito(self, paths):
         data = DataFunctional(terms=((SpaceFactor.constant(1.0), PathFactor(BM_SQUARED)),))
@@ -142,7 +142,7 @@ class TestClosedForms:
         assert np.allclose(sol.phi_dense(x)[:, :, 0], W**2 + rem[None, :])
         assert np.allclose(sol.psi_dense(0, x)[:, :, 0], 2.0 * W)
         # quadratic-variation residual is O(sqrt(dt)), not zero
-        assert sol.residual_rms < 5.0 / np.sqrt(GRID.num_steps)
+        assert closed_form_residual(sol, data, [0.0], paths)[0] < 5.0 / np.sqrt(GRID.num_steps)
 
     def test_exp_martingale(self, paths):
         th = 0.5
@@ -286,12 +286,24 @@ class TestResidualOracle:
         sol.phi_terms.append(
             TermSeries(SpaceFactor.constant(1.0), 0.1 * np.ones_like(sol.phi_terms[0].series))
         )
-        rms, worst = bsde_residual(sol, data, [0.0], paths)
+        rms, worst = closed_form_residual(sol, data, [0.0], paths)
         assert rms > 0.01
 
+    def test_closed_form_does_not_certify_itself(self, paths, monkeypatch):
+        # a scenario's solve is certified once, by the residual verdict
+        def refuse(*a, **k):
+            raise AssertionError("solve_bsde_closed measured its own defect")
 
-def _unchunked_residual(sol, data, sigma, paths, x):
-    """bsde_residual as it was before it ran in path chunks: every path at once."""
+        monkeypatch.setattr(stochastic, "backward_defect", refuse)
+        data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM_SQUARED)),))
+        sol = solve_bsde_closed(data, [0.3], paths)
+        assert len(sol.phi_terms) == 1
+
+
+def closed_form_residual(sol, data, sigma, paths, x=(-1.0, 0.0, 0.7)):
+    """(rms, worst) defect of the backward integral form over every path at
+    the sample points ``x``, scaled by 1 + max |Phi|."""
+    x = np.asarray(x)
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
     psi = [sol.psi_dense(l, x) for l in range(paths.dim)]
     terminal = data.terminal_values(paths, x)
@@ -301,31 +313,3 @@ def _unchunked_residual(sol, data, sigma, paths, x):
     scale = 1.0 + np.abs(terminal).max()
     return (float(np.sqrt(np.mean(defect**2)) / scale),
             float(np.max(np.abs(defect)) / scale))
-
-
-class TestResidualChunks:
-    # 1100 paths: two full chunks of 512 and a partial one.  At seed 2 the
-    # mean of the squared defect also moves if the summation order changes
-    # (e.g. a Fortran-ordered defect array), which many seeds do not show.
-    @pytest.mark.parametrize("d, sigma", [(1, [0.3]), (2, [0.3, -0.2])])
-    def test_chunked_residual_is_bit_identical(self, d, sigma):
-        e = sample_paths(1100, d, GRID, seed=2)
-        data = DataFunctional(terms=(
-            (SpaceFactor.sine(), PathFactor(BM, component=d - 1)),
-            (SpaceFactor.poly([0.5, 0.0, 1.0]), PathFactor(BM_SQUARED)),
-            (SpaceFactor.constant(2.0), PathFactor(EXP_MART, theta=(0.4,) * d)),
-            (SpaceFactor.sine(2.0), PathFactor(CONST)),
-        ))
-        sol = solve_bsde_closed(data, sigma, e)
-        x = np.array([-1.0, 0.0, 0.7])
-        assert (sol.residual_rms, sol.residual_worst) == \
-            _unchunked_residual(sol, data, sigma, e, x)
-        assert sol.residual_worst > 0.0
-
-    def test_partial_dense_rows_match_full_evaluation(self, paths):
-        data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM_SQUARED)),))
-        sol = solve_bsde_closed(data, [0.5], paths)
-        x = np.array([0.2, 1.0])
-        rows = np.arange(9_600, 10_000)
-        assert np.array_equal(sol.phi_dense(x, rows), sol.phi_dense(x)[rows])
-        assert np.array_equal(sol.psi_dense(0, x, rows), sol.psi_dense(0, x)[rows])

@@ -16,6 +16,7 @@ from bspdelab.grid import TimeGrid
 from bspdelab.holder import FieldSample, estimate_norm
 from bspdelab.scenarios import get_scenario
 from bspdelab.solver import _masked_grid, shift_steps
+from bspdelab.stochastic import SpaceFactor, TermSeries
 from bspdelab.verify import (
     Verdict,
     VerdictBundle,
@@ -336,6 +337,30 @@ class TestRunScenario:
         assert not [v for v in bundle.verdicts if v.check_id.startswith("residual.")]
         assert np.isfinite(artifacts["summary"]["rms"])
         assert np.isfinite(artifacts["summary"]["worst"])
+
+    @pytest.mark.parametrize("corrupt, status", [(False, "pass"), (True, "fail")],
+                             ids=["clean", "corrupted_phi"])
+    def test_residual_verdict_catches_a_broken_closed_form(self, monkeypatch,
+                                                           corrupt, status):
+        # the closed-form BSDE has no certificate of its own: the scenario's
+        # residual verdict is what catches a wrong phi series
+        real = solver.solve_bsde_closed
+
+        def solve_bsde_closed(data, sigma, paths):
+            sol = real(data, sigma, paths)
+            if corrupt:
+                sol.phi_terms.append(TermSeries(
+                    SpaceFactor.constant(1.0),
+                    0.1 * np.ones_like(sol.phi_terms[0].series)))
+            return sol
+
+        monkeypatch.setattr(solver, "solve_bsde_closed", solve_bsde_closed)
+        spec = dataclasses.replace(get_scenario("stochastic_sinWT"), num_paths=200,
+                                   checks=("residual",))
+        bundle, _ = run_scenario(spec)
+        [residual] = bundle.verdicts
+        assert residual.check_id == "residual.stochastic_sinWT"
+        assert residual.status == status
 
     def test_beta_sweep_rows(self):
         spec = get_scenario("beta_sweep")
