@@ -158,6 +158,10 @@ def load_config(path: Path) -> dict:
         except ValueError:
             raise SchemaError(f"seed must be an integer, got {run['seed']!r}",
                               path=path, line=_find_line(path, "seed", "run"))
+        if seed < 0:
+            # numpy.random.default_rng takes only non-negative seeds
+            raise SchemaError(f"seed must be >= 0, got {seed}",
+                              path=path, line=_find_line(path, "seed", "run"))
     out = run.get("out") or None
 
     for section in cp.sections():
@@ -209,6 +213,8 @@ def load_config(path: Path) -> dict:
                         shift_grid(built)
                     if built.num_paths < 0:
                         raise InvalidArgument("num_paths must be >= 0")
+                    if built.seed < 0:
+                        raise InvalidArgument("seed must be >= 0")
                     if (key == "num_paths" and built.num_paths == 0
                             and not built.build_coeffs().is_deterministic()):
                         raise InvalidArgument(
@@ -400,14 +406,18 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a run config")
     run.add_argument("config", help="config file path or bundled config name")
-    run.add_argument("--jobs", type=_positive_int, default=1,
+    run.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="scenario-level parallelism")
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--seed", type=_int_at_least(0), default=None,
                      help="global seed, overrides the config")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--force", action="store_true",

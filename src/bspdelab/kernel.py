@@ -94,6 +94,15 @@ class DiffusionCoefficient:
         )
 
 
+def _contract(a, b):
+    """sum_i a[..., i] b[..., i], added in index order like np.einsum (the
+    same bits for n <= 2), without einsum's slow loops over stacked rows."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
 class HeatKernel:
     """The heat potential with optional exponential damping in s - t."""
 
@@ -122,19 +131,26 @@ class HeatKernel:
 
     # -- accumulated covariance -------------------------------------------
 
-    def covariance(self, t: float, s: float) -> np.ndarray:
-        """A = integral_t^s a(r) dr by Gauss-Legendre (exact for polynomial a)."""
-        if s < t:
+    def covariance(self, t, s: float) -> np.ndarray:
+        """A = integral_t^s a(r) dr by Gauss-Legendre (exact for polynomial a).
+
+        ``t`` may be a vector of left endpoints; the result then stacks one
+        (n, n) matrix per endpoint, each with the bits of its scalar call.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(s < t):
             raise InvalidInterval(f"need t <= s, got t={t}, s={s}")
-        if s == t:
-            return np.zeros((self.dim, self.dim))
+        gap = (s - t)[..., None, None]
         if self._const_sum is not None:
-            return (s - t) * self._const_sum
+            return gap * self._const_sum
         nodes, weights = _gl(_COV_NODES)
-        out = np.zeros((self.dim, self.dim))
-        for u, w in zip(nodes, weights):
-            out += w * self.diffusion(t + (s - t) * u)
-        return (s - t) * out
+        r = t[..., None] + (s - t)[..., None] * nodes
+        a = np.array([self.diffusion(ri) for ri in r.ravel()])
+        a = a.reshape(r.shape + (self.dim, self.dim))
+        out = np.zeros(t.shape + (self.dim, self.dim))
+        for k, w in enumerate(weights):
+            out += w * a[..., k, :, :]
+        return gap * out
 
     def _antiderivative_table(self):
         if self._table is None:
@@ -177,11 +193,12 @@ class HeatKernel:
         det = np.linalg.det(A)
         if np.any(det <= 0.0):
             raise InvalidInterval("covariance matrix not positive definite (is s > t?)")
-        cond = np.linalg.cond(A)
-        if np.any(cond > _COND_LIMIT):
-            raise IllConditionedKernel(
-                f"covariance condition number {np.max(cond):.3g} exceeds {_COND_LIMIT:.0e}"
-            )
+        if self.dim > 1:  # a 1x1 matrix has condition number 1
+            cond = np.linalg.cond(A)
+            if np.any(cond > _COND_LIMIT):
+                raise IllConditionedKernel(
+                    f"covariance condition number {np.max(cond):.3g} exceeds "
+                    f"{_COND_LIMIT:.0e}")
         return det, np.linalg.inv(A)
 
     def __call__(self, t: float, s: float, x) -> np.ndarray:
@@ -199,20 +216,26 @@ class HeatKernel:
                 x = x[..., None]
             else:
                 raise InvalidArgument("trailing axis of x must have length n")
-        w = np.einsum("...i,...ij->...j", x, Ainv)
-        quad = np.einsum("...i,...i->...", x, w)
+        w = _contract(x[..., None, :], np.swapaxes(Ainv, -1, -2))
+        quad = _contract(x, w)
         coeff = np.exp(-self.beta * gap) * (4.0 * np.pi) ** (-self.dim / 2.0) / np.sqrt(det)
         return coeff * np.exp(-0.25 * quad)
 
-    def derivative(self, t: float, s: float, x, gamma: MultiIndex) -> np.ndarray:
-        """D^gamma G by the explicit Gaussian-derivative formulas, |gamma| <= 3."""
-        if s <= t:
+    def derivative(self, t, s: float, x, gamma: MultiIndex) -> np.ndarray:
+        """D^gamma G by the explicit Gaussian-derivative formulas, |gamma| <= 3.
+
+        A vector ``t`` of left endpoints gives one row of values per endpoint.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(s <= t):
             raise InvalidInterval(f"need s > t, got t={t}, s={s}")
         if gamma.order > 3:
             raise UnsupportedOrder(f"kernel derivatives support |gamma| <= 3, got {gamma.order}")
-        A = self.covariance(t, s)
-        det, Ainv = self._prep(A)
-        return self._derivative_given(det, Ainv, s - t, np.asarray(x, dtype=float), gamma)
+        det, Ainv = self._prep(self.covariance(t, s))
+        gap = s - t
+        if t.ndim:
+            det, Ainv, gap = det[:, None], Ainv[:, None], gap[:, None]
+        return self._derivative_given(det, Ainv, gap, np.asarray(x, dtype=float), gamma)
 
     def _derivative_given(self, det, Ainv, gap, x, gamma: MultiIndex):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -225,7 +248,7 @@ class HeatKernel:
         axes = gamma.axes()
         if not axes:
             return G
-        w = np.einsum("...i,...ij->...j", x, Ainv)
+        w = _contract(x[..., None, :], np.swapaxes(Ainv, -1, -2))
         if len(axes) == 1:
             (i,) = axes
             return -0.5 * w[..., i] * G
@@ -242,22 +265,6 @@ class HeatKernel:
         ) - 0.125 * w[..., i] * w[..., j] * w[..., k]
         return poly * G
 
-    def derivative_time_profile(self, s: float, t_arr, x, gamma: MultiIndex):
-        """D^gamma G_{s,t}(x) over a vector of left endpoints t (fixed s, x).
-
-        Uses the interpolated covariance table; intended for the probe sweeps
-        where thousands of (s - t) gaps are visited.
-        """
-        t_arr = np.asarray(t_arr, dtype=float)
-        A = self.covariance_pairs(t_arr, np.full_like(t_arr, s))
-        det, Ainv = self._prep(A)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 1 and x.shape[-1] == self.dim:
-            xb = np.broadcast_to(x, t_arr.shape + (self.dim,))
-        else:
-            xb = x
-        return self._derivative_given(det, Ainv, s - t_arr, xb, gamma)
-
 
 # -- singular time quadrature ---------------------------------------------
 
@@ -265,7 +272,9 @@ def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int = 
     """integral_tau^s fn(t) dt where fn(t) ~ (s - t)^power near t = s.
 
     Substitutes v = (s - t)^(1 + power) so the transformed integrand is
-    bounded, then applies Gauss-Legendre.  Requires power > -1.
+    bounded, then applies Gauss-Legendre.  Requires power > -1.  ``fn``
+    receives the (num,) vector of nodes t and returns one value (or one
+    array) per node.
     """
     if power <= -1.0:
         raise InvalidArgument("time singularity must be integrable (power > -1)")
@@ -276,7 +285,7 @@ def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int = 
     gap = v ** (1.0 / p)
     t_vals = s - gap
     jac = (v_max / p) * v ** (1.0 / p - 1.0)
-    vals = np.array([fn(t) for t in t_vals])
+    vals = np.asarray(fn(t_vals), dtype=float)
     out = np.tensordot(weights * jac, vals, axes=(0, 0))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -367,7 +376,7 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConsta
 
 
 def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
-    """t -> integral |D^gamma G_{s,t}(x)| |x|^alpha dx.
+    """t -> integral |D^gamma G_{s,t}(x)| |x|^alpha dx over a vector of t.
 
     The lattice is given in self-similar coordinates y = x / sqrt(s - t) and
     rescaled per evaluation, so the spatial resolution relative to the kernel
@@ -378,10 +387,12 @@ def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
 
     def m(t):
         scale = np.sqrt(s - t)
-        x = unit_nodes * scale
+        x = unit_nodes * scale[:, None, None]
         vals = np.abs(kernel.derivative(t, s, x, gamma))
         r = np.linalg.norm(x, axis=-1) ** alpha
-        return float(np.sum(unit_weights * scale**n * vals * r))
+        # a scalar power per node: in 2-D, the array power rounds differently
+        vol = np.array([sc**n for sc in scale])
+        return np.sum(unit_weights * vol[:, None] * vals * r, axis=-1)
 
     return m
 
@@ -396,15 +407,26 @@ def _ball_grid(dim: int, radius: float, per_axis: int):
 _GRADED_NODES = 120  # geometric u = sqrt(s - t) nodes of a graded time integral
 
 
-def _graded_time_integral(kernel, s, x, gamma, scale):
-    """integral_0^s |D^gamma G_{s,t}(x)| dt with the peak at s - t ~ |x|^2
-    resolved by a geometric grid in u = sqrt(s - t)."""
-    u_min = max(scale / 40.0, np.sqrt(s) * 1e-7)
-    u = np.geomspace(u_min, np.sqrt(s), _GRADED_NODES)
-    t_vals = s - u**2
-    vals = np.abs(kernel.derivative_time_profile(s, t_vals, x, gamma))
-    integrand = vals * 2.0 * u  # dt = 2 u du
-    return float(np.trapezoid(integrand, u))
+def _graded_time_integrals(kernel, s, x, xbar, gamma, scale):
+    """integral_0^{s_i} |D^gamma G_{s_i,t}(x_i)| dt for each row of x (of
+    D^gamma G(x_i) - D^gamma G(xbar_i) unless ``xbar`` is None), the peak at
+    s_i - t ~ scale_i^2 resolved by a geometric grid in u = sqrt(s_i - t).
+
+    One covariance-table pass serves every row; each row keeps its own grid
+    and trapezoid sum, with the bits of a call per row.
+    """
+    s = np.broadcast_to(np.asarray(s, dtype=float), (len(x),))
+    u_min = np.maximum(np.asarray(scale) / 40.0, np.sqrt(s) * 1e-7)
+    u = np.geomspace(u_min, np.sqrt(s), _GRADED_NODES, axis=-1)
+    t_vals = s[:, None] - u**2
+    A = kernel.covariance_pairs(t_vals, np.broadcast_to(s[:, None], t_vals.shape))
+    det, Ainv = kernel._prep(A)
+    gap = s[:, None] - t_vals
+    vals = kernel._derivative_given(det, Ainv, gap, x[:, None, :], gamma)
+    if xbar is not None:
+        vals = vals - kernel._derivative_given(det, Ainv, gap, xbar[:, None, :], gamma)
+    integrand = np.abs(vals) * 2.0 * u  # dt = 2 u du
+    return np.trapezoid(integrand, u, axis=-1)
 
 
 _ETAS = (0.5, 0.25, 0.125)  # small-ball radii
@@ -462,9 +484,9 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
                 if not np.any(mask):
                     continue
 
-                def inner(t, _mask=mask):
-                    vals = kernel.derivative(t, s, nodes[_mask], gamma)
-                    return abs(float(np.sum(weights[_mask] * vals)))
+                def inner(t):  # called at once, with this pass's mask and s
+                    vals = kernel.derivative(t, s, nodes[mask], gamma)
+                    return np.abs(np.sum(weights[mask] * vals, axis=-1))
 
                 for tau, s in tau_s_pairs:
                     best = max(best, singular_time_quadrature(inner, tau, s, -0.5))
@@ -476,14 +498,16 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
         for eta in _ETAS:
             nodes, weights = _ball_grid(n, eta, 161 if n == 1 else 41)
             rad = np.linalg.norm(nodes, axis=-1)
-            mask = rad <= eta + 1e-12
+            mask = (rad <= eta + 1e-12) & (rad != 0.0)
+            x, r = nodes[mask], rad[mask]
+            # both horizons in one pass: the rows of T/4, then those of T
+            t_int = _graded_time_integrals(kernel, np.repeat([T / 4.0, T], len(x)),
+                                           np.concatenate([x, x]), None, gamma,
+                                           np.concatenate([r, r]))
             total = 0.0
-            for x, w, r in zip(nodes[mask], weights[mask], rad[mask]):
-                if r == 0.0:
-                    continue
-                t_int = max(_graded_time_integral(kernel, s_val, x, gamma, r)
-                            for s_val in (T / 4.0, T))
-                total += w * t_int * r**alpha
+            for w, ri, quarter, full in zip(weights[mask], r, t_int[:len(x)],
+                                            t_int[len(x):]):
+                total += w * max(quarter, full) * ri**alpha
             levels.append({"eta": eta, "value": total / eta**alpha})
         reports["small_ball"] = KernelConstantReport(
             max(lv["value"] for lv in levels), levels)
@@ -499,11 +523,13 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
             nodes, weights = _ball_grid(n, R_out, 321 if n == 1 else 49)
             rad0 = np.linalg.norm(nodes - x0, axis=-1)
             mask = rad0 > eta
+            ys = nodes[mask]
+            # a norm per row: in 2-D, norm(axis=-1) rounds differently
+            scale = [np.linalg.norm(x0 - y) for y in ys]
+            t_int = _graded_time_integrals(kernel, T, x0 - ys, xbar - ys, gamma, scale)
             total = 0.0
-            for y, w in zip(nodes[mask], weights[mask]):
-                scale = np.linalg.norm(x0 - y)
-                t_int = _graded_diff_time_integral(kernel, T, x0 - y, xbar - y, gamma, scale)
-                total += w * t_int * np.linalg.norm(xbar - y) ** alpha
+            for y, w, ti in zip(ys, weights[mask], t_int):
+                total += w * ti * np.linalg.norm(xbar - y) ** alpha
             levels.append({"eta": eta, "value": total / eta**alpha})
         reports["shifted_difference"] = KernelConstantReport(
             max(lv["value"] for lv in levels), levels)
@@ -527,16 +553,6 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
         extras={"fitted_exponent": fitted, "predicted_exponent": predicted})
 
     return reports
-
-
-def _graded_diff_time_integral(kernel, s, x1, x2, gamma, scale):
-    u_min = max(scale / 40.0, np.sqrt(s) * 1e-7)
-    u = np.geomspace(u_min, np.sqrt(s), _GRADED_NODES)
-    t_vals = s - u**2
-    v1 = kernel.derivative_time_profile(s, t_vals, x1, gamma)
-    v2 = kernel.derivative_time_profile(s, t_vals, x2, gamma)
-    integrand = np.abs(v1 - v2) * 2.0 * u
-    return float(np.trapezoid(integrand, u))
 
 
 _SUP_GAPS = 240  # geometric gaps r of the windowed supremum

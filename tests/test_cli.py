@@ -226,12 +226,13 @@ class TestRun:
         ("heat_smoke", "horizon = inf", "must be finite", 4),
         ("heat_smoke", "sup_tolerance = nan", "must be finite", 4),
         ("semilinear_mode", "beta = inf", "must be finite", 4),
+        ("stochastic_sinWT", "seed = -1", "seed must be >= 0", 4),
     ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths",
             "num_paths_zero_stochastic", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
             "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section",
             "duplicate_id", "key_prefix_of_earlier_key", "radius_nan",
-            "horizon_inf", "sup_tolerance_nan", "beta_inf"])
+            "horizon_inf", "sup_tolerance_nan", "beta_inf", "seed_negative"])
     def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected, at):
         p = tmp_path / "bad.ini"
         section = sid.split(",")[0]
@@ -260,6 +261,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "seed must be an integer" in err
         assert "bad_seed.ini:6" in err
+
+    def test_negative_run_seed_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nscenarios = stochastic_sinWT\nseed = -1\n")
+        code = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.ini:3: seed must be >= 0, got -1" in err
 
     def test_unknown_run_key_exits_two(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -312,6 +321,14 @@ class TestRun:
             main(["run", "heat_smoke", "--out", str(out), "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "heat_smoke", "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.fixture

@@ -206,6 +206,21 @@ class TestEval:
         with pytest.raises(InvalidInterval):
             k(0.5, 0.5, [0.0])
 
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_nonpositive_1x1_covariance_rejected(self, a):
+        k = HeatKernel(ISO)
+        with pytest.raises(InvalidInterval):
+            k._prep(np.array([[a]]))
+        with pytest.raises(InvalidInterval):
+            k._prep(np.array([[[1.0]], [[a]]]))
+
+    def test_ill_conditioned_2x2_covariance_rejected(self):
+        k = HeatKernel(ANISO)
+        with pytest.raises(IllConditionedKernel):
+            k._prep(np.diag([1.0, 1e-14]))
+        with pytest.raises(IllConditionedKernel):
+            k._prep(np.stack([np.eye(2), np.diag([1.0, 1e-14])]))
+
     def test_ill_conditioned_flagged(self):
         skew = DiffusionCoefficient(
             fn=lambda t: np.diag([1.0, 1e-14]), dim=2, lam=1e-14, Lam=1.0
@@ -329,6 +344,18 @@ class TestSingularQuadrature:
         with pytest.raises(InvalidArgument):
             singular_time_quadrature(lambda t: t, 0.0, 1.0, -1.0)
 
+    def test_fn_gets_the_node_vector_once(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.cos(t)
+
+        singular_time_quadrature(fn, 0.2, 1.5, -0.5, num=20)
+        nodes, _ = _gl_nodes(20)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 1.5 - ((1.3**0.5) * nodes) ** 2.0)
+
 
 class TestPointwiseBoundProbe:
     def test_order_zero_constant(self):
@@ -390,6 +417,152 @@ class TestIntegralProbes:
         k = HeatKernel(ISO, horizon=1.0)
         with pytest.raises(InvalidArgument):
             probe_integral_estimates(k, MultiIndex((2,)), 1.5)
+
+
+def _gl_nodes(num):
+    x, w = np.polynomial.legendre.leggauss(num)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def loop_quadrature(fn, tau, s, power, num=48):
+    """The singular time quadrature with one call of fn per node."""
+    p = 1.0 + power
+    v_max = (s - tau) ** p
+    nodes, weights = _gl_nodes(num)
+    v = v_max * nodes
+    jac = (v_max / p) * v ** (1.0 / p - 1.0)
+    vals = np.array([fn(t) for t in s - v ** (1.0 / p)])
+    return float(np.tensordot(weights * jac, vals, axes=(0, 0)))
+
+
+def loop_moment(kernel, s, unit_nodes, unit_weights, gamma, alpha):
+    def m(t):
+        scale = np.sqrt(s - t)
+        x = unit_nodes * scale
+        vals = np.abs(kernel.derivative(t, s, x, gamma))
+        r = np.linalg.norm(x, axis=-1) ** alpha
+        return float(np.sum(unit_weights * scale**kernel.dim * vals * r))
+    return m
+
+
+def loop_graded(kernel, s, x, xbar, gamma, scale):
+    """One graded time integral: one table pass over the 120 gaps of one x."""
+    u = np.geomspace(max(scale / 40.0, np.sqrt(s) * 1e-7), np.sqrt(s), 120)
+    t_vals = s - u**2
+    det, Ainv = kernel._prep(kernel.covariance_pairs(t_vals, np.full_like(t_vals, s)))
+
+    def profile(y):
+        yb = np.broadcast_to(y, t_vals.shape + (kernel.dim,))
+        return kernel._derivative_given(det, Ainv, s - t_vals, yb, gamma)
+
+    vals = profile(x) if xbar is None else profile(x) - profile(xbar)
+    return float(np.trapezoid(np.abs(vals) * 2.0 * u, u))
+
+
+def lattice(dim, radius, per_axis):
+    g = SpaceGrid(dim, radius, per_axis)
+    return g.nodes(), space_quadrature_weights(g).ravel()
+
+
+def loop_integral_estimates(kernel, gamma, alpha):
+    """probe_integral_estimates with a kernel call per quadrature node and a
+    graded integral per lattice node: the values of each report level."""
+    n, g, T = kernel.dim, gamma.order, kernel.horizon
+    R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * T)
+    J0 = 257 if n == 1 else 97
+    pairs = [(0.0, T), (0.0, T / 2.0), (T / 4.0, T)]
+    power = (alpha - g) / 2.0
+    unit_R = 8.0 * np.sqrt(2.0 * kernel.diffusion.Lam)
+    out = {}
+
+    out["moment_bound"] = []
+    for J in (J0, 2 * J0 - 1):
+        nodes, weights = lattice(n, unit_R, J)
+        out["moment_bound"].append(max(
+            loop_quadrature(loop_moment(kernel, s, nodes, weights, gamma, alpha),
+                            tau, s, power) for tau, s in pairs))
+
+    if g == 2:
+        out["tail_cancellation"] = []
+        for J in (J0, 2 * J0 - 1):
+            nodes, weights = lattice(n, R, J)
+            rad = np.linalg.norm(nodes, axis=-1)
+            best = 0.0
+            for a_rad in (0.25, 0.5, 1.0, 2.0, 2.0 * R):
+                mask = rad >= a_rad
+                if not np.any(mask):
+                    continue
+                for tau, s in pairs:
+                    def inner(t):
+                        vals = kernel.derivative(t, s, nodes[mask], gamma)
+                        return abs(float(np.sum(weights[mask] * vals)))
+                    best = max(best, loop_quadrature(inner, tau, s, -0.5))
+            out["tail_cancellation"].append(best)
+
+        out["small_ball"] = []
+        for eta in (0.5, 0.25, 0.125):
+            nodes, weights = lattice(n, eta, 161 if n == 1 else 41)
+            rad = np.linalg.norm(nodes, axis=-1)
+            total = 0.0
+            for x, w, r in zip(nodes, weights, rad):
+                if r > eta + 1e-12 or r == 0.0:
+                    continue
+                t_int = max(loop_graded(kernel, s, x, None, gamma, r) for s in (T / 4.0, T))
+                total += w * t_int * r**alpha
+            out["small_ball"].append(total / eta**alpha)
+
+        out["shifted_difference"] = []
+        for sep in (0.125, 0.25):
+            x0, xbar = np.zeros(n), np.zeros(n)
+            xbar[0] = sep
+            eta = 2.0 * sep
+            nodes, weights = lattice(n, R, 321 if n == 1 else 49)
+            total = 0.0
+            for y, w in zip(nodes, weights):
+                if np.linalg.norm(y - x0) <= eta:
+                    continue
+                t_int = loop_graded(kernel, T, x0 - y, xbar - y, gamma,
+                                    np.linalg.norm(x0 - y))
+                total += w * t_int * np.linalg.norm(xbar - y) ** alpha
+            out["shifted_difference"].append(total / eta**alpha)
+
+    nodes, weights = lattice(n, unit_R, J0)
+    out["beta_damped_moment"] = [
+        loop_quadrature(loop_moment(kernel.with_beta(b), T, nodes, weights, gamma, alpha),
+                        0.0, T, power, num=64) * b ** (1.0 - (g - alpha) / 2.0)
+        for b in (1.0, 4.0, 16.0, 64.0)]
+    return out
+
+
+class TestBatchedIntegralProbes:
+    """The batched probes give the bits of a kernel call per node and gap."""
+
+    @pytest.mark.parametrize("gamma, alpha", [((1,), 0.25), ((2,), 0.5)])
+    def test_reports_equal_the_per_node_loops(self, gamma, alpha):
+        k = HeatKernel(ISO, horizon=4.0)
+        reports = probe_integral_estimates(k, MultiIndex(gamma), alpha)
+        expected = loop_integral_estimates(k, MultiIndex(gamma), alpha)
+        assert sorted(reports) == sorted(expected)
+        for key, values in expected.items():
+            assert [lv["value"] for lv in reports[key].levels] == values, key
+
+    def test_prep_calls_are_batched(self, monkeypatch):
+        preps, conds = [], []
+        prep, cond = HeatKernel._prep, np.linalg.cond
+
+        def counted_prep(self, A):
+            preps.append(A.shape)
+            return prep(self, A)
+
+        def counted_cond(A, *args):
+            conds.append(A.shape)
+            return cond(A, *args)
+
+        monkeypatch.setattr(HeatKernel, "_prep", counted_prep)
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        probe_integral_estimates(HeatKernel(ISO, horizon=4.0), MultiIndex((2,)), 0.5)
+        assert len(preps) <= 64
+        assert conds == []
 
 
 class TestSupKernelProbe:
