@@ -131,13 +131,15 @@ class HeatKernel:
 
     # -- accumulated covariance -------------------------------------------
 
-    def covariance(self, t, s: float) -> np.ndarray:
+    def covariance(self, t, s) -> np.ndarray:
         """A = integral_t^s a(r) dr by Gauss-Legendre (exact for polynomial a).
 
-        ``t`` may be a vector of left endpoints; the result then stacks one
-        (n, n) matrix per endpoint, each with the bits of its scalar call.
+        ``t`` and ``s`` broadcast against each other; vectors of endpoints
+        give one (n, n) matrix per interval, each with the bits of its
+        scalar call.
         """
         t = np.asarray(t, dtype=float)
+        s = np.asarray(s, dtype=float)
         if np.any(s < t):
             raise InvalidInterval(f"need t <= s, got t={t}, s={s}")
         gap = (s - t)[..., None, None]
@@ -147,26 +149,16 @@ class HeatKernel:
         r = t[..., None] + (s - t)[..., None] * nodes
         a = np.array([self.diffusion(ri) for ri in r.ravel()])
         a = a.reshape(r.shape + (self.dim, self.dim))
-        out = np.zeros(t.shape + (self.dim, self.dim))
+        out = np.zeros(r.shape[:-1] + (self.dim, self.dim))
         for k, w in enumerate(weights):
             out += w * a[..., k, :, :]
         return gap * out
 
     def _antiderivative_table(self):
         if self._table is None:
-            # covariance() on every interval at once: the same node order and
-            # sums, so the table equals the running sum of per-interval calls
             grid = np.linspace(0.0, self.horizon, _TABLE_SIZE + 1)
-            t, gap = grid[:-1], grid[1:] - grid[:-1]
-            if self._const_sum is not None:
-                acc = self._const_sum  # every row of the loop's sum
-            else:
-                nodes, weights = _gl(_COV_NODES)
-                acc = np.zeros((_TABLE_SIZE, self.dim, self.dim))
-                for u, w in zip(nodes, weights):
-                    acc += w * np.stack([self.diffusion(r) for r in t + gap * u])
             vals = np.zeros((_TABLE_SIZE + 1, self.dim, self.dim))
-            vals[1:] = np.cumsum(gap[:, None, None] * acc, axis=0)
+            vals[1:] = np.cumsum(self.covariance(grid[:-1], grid[1:]), axis=0)
             self._table = (grid, vals)
         return self._table
 
@@ -201,41 +193,29 @@ class HeatKernel:
                     f"{_COND_LIMIT:.0e}")
         return det, np.linalg.inv(A)
 
-    def __call__(self, t: float, s: float, x) -> np.ndarray:
-        """Kernel value at displacement x (trailing axis of length n)."""
-        if s <= t:
-            raise InvalidInterval(f"need s > t, got t={t}, s={s}")
-        A = self.covariance(t, s)
-        det, Ainv = self._prep(A)
-        return self._eval_given(det, Ainv, s - t, np.asarray(x, dtype=float))
+    def __call__(self, t, s, x) -> np.ndarray:
+        """Kernel value at displacement x (trailing axis of length n); the
+        zero-order case of :meth:`derivative`, with its endpoint rows."""
+        return self.derivative(t, s, x, MultiIndex((0,) * self.dim))
 
-    def _eval_given(self, det, Ainv, gap, x):
-        x = np.atleast_1d(x)
-        if x.shape[-1] != self.dim:
-            if self.dim == 1:
-                x = x[..., None]
-            else:
-                raise InvalidArgument("trailing axis of x must have length n")
-        w = _contract(x[..., None, :], np.swapaxes(Ainv, -1, -2))
-        quad = _contract(x, w)
-        coeff = np.exp(-self.beta * gap) * (4.0 * np.pi) ** (-self.dim / 2.0) / np.sqrt(det)
-        return coeff * np.exp(-0.25 * quad)
-
-    def derivative(self, t, s: float, x, gamma: MultiIndex) -> np.ndarray:
+    def derivative(self, t, s, x, gamma: MultiIndex) -> np.ndarray:
         """D^gamma G by the explicit Gaussian-derivative formulas, |gamma| <= 3.
 
-        A vector ``t`` of left endpoints gives one row of values per endpoint.
+        ``t`` and ``s`` broadcast against each other; vectors of endpoints
+        give one row of values per interval, against which the points of
+        ``x`` broadcast, each value with the bits of its scalar call.
         """
         t = np.asarray(t, dtype=float)
+        s = np.asarray(s, dtype=float)
         if np.any(s <= t):
             raise InvalidInterval(f"need s > t, got t={t}, s={s}")
         if gamma.order > 3:
             raise UnsupportedOrder(f"kernel derivatives support |gamma| <= 3, got {gamma.order}")
         det, Ainv = self._prep(self.covariance(t, s))
         gap = s - t
-        if t.ndim:
-            det, Ainv, gap = det[:, None], Ainv[:, None], gap[:, None]
-        return self._derivative_given(det, Ainv, gap, np.asarray(x, dtype=float), gamma)
+        if gap.ndim:
+            det, Ainv, gap = det[..., None], Ainv[..., None, :, :], gap[..., None]
+        return self._derivative_given(det, Ainv, gap, x, gamma)
 
     def _derivative_given(self, det, Ainv, gap, x, gamma: MultiIndex):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -244,11 +224,12 @@ class HeatKernel:
                 x = x[..., None]
             else:
                 raise InvalidArgument("trailing axis of x must have length n")
-        G = self._eval_given(det, Ainv, gap, x)
+        w = _contract(x[..., None, :], np.swapaxes(Ainv, -1, -2))
+        coeff = np.exp(-self.beta * gap) * (4.0 * np.pi) ** (-self.dim / 2.0) / np.sqrt(det)
+        G = coeff * np.exp(-0.25 * _contract(x, w))
         axes = gamma.axes()
         if not axes:
             return G
-        w = _contract(x[..., None, :], np.swapaxes(Ainv, -1, -2))
         if len(axes) == 1:
             (i,) = axes
             return -0.5 * w[..., i] * G
@@ -346,26 +327,23 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConsta
     time_gaps = np.geomspace(T / 256.0, T, 9)
     n, g = kernel.dim, gamma.order
 
-    def level_C(count):
+    report_levels = []
+    for count in _PROBE_LEVELS:
         pts = _probe_points(n, _PROBE_RADIUS, count)
         r2 = np.sum(pts**2, axis=-1)
-        best = 0.0
-        for gap in time_gaps:
-            vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
-            bound = gap ** (-(n + g) / 2.0) * np.exp(-_DECAY_C * r2 / gap)
-            best = max(best, float(np.max(_safe_ratio(vals, bound))))
-        return best
-
-    report_levels = [{"points": c, "value": level_C(c)} for c in _PROBE_LEVELS]
+        vals = np.abs(kernel.derivative(0.0, time_gaps, pts, gamma))
+        # a scalar power per gap: in 2-D, the array power rounds differently
+        scale = np.array([gap ** (-(n + g) / 2.0) for gap in time_gaps])
+        bound = scale[:, None] * np.exp(-_DECAY_C * r2 / time_gaps[:, None])
+        report_levels.append({"points": count,
+                              "value": float(np.max(_safe_ratio(vals, bound)))})
     C = report_levels[-1]["value"]
 
     # boundary-rate check: with c = 1/4 the ratio must stay bounded along the
-    # probe radii for the rate to be admissible
-    pts = _probe_points(n, _PROBE_RADIUS, _PROBE_LEVELS[-1])
-    r2 = np.sum(pts**2, axis=-1)
-    gap = float(np.max(time_gaps))  # largest gap keeps the ratio out of underflow
-    vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
-    ratio = _safe_ratio(vals, gap ** (-(n + g) / 2.0) * np.exp(-0.25 * r2 / gap))
+    # probe radii for the rate to be admissible; the largest gap (the last)
+    # keeps the ratio out of underflow
+    gap = float(np.max(time_gaps))
+    ratio = _safe_ratio(vals[-1], gap ** (-(n + g) / 2.0) * np.exp(-0.25 * r2 / gap))
     r2_max = np.max(r2)
     far = np.max(ratio[r2 >= r2_max - 1e-9])
     mid = np.max(ratio[(r2 >= 0.2 * r2_max) & (r2 <= 0.3 * r2_max)])
@@ -587,12 +565,7 @@ def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: flo
     rad = np.linalg.norm(nodes, axis=-1)
 
     gaps = np.geomspace(window * 1e-6, window, _SUP_GAPS)
-    sup_vals = np.zeros(len(nodes))
-    for gap in gaps:
-        A = kernel.covariance(0.0, gap)
-        det, Ainv = kernel._prep(A)
-        vals = kernel._eval_given(det, Ainv, gap, nodes)
-        np.maximum(sup_vals, vals, out=sup_vals)
+    sup_vals = kernel(0.0, gaps, nodes).max(axis=0)
     mask = rad > 0
     value = float(np.sum(weights[mask] * sup_vals[mask] * rad[mask] ** (2.0 * alpha)))
     return SupKernelProbe(value=value, alpha=alpha, window=window, warning=warning)

@@ -76,9 +76,8 @@ class VerdictBundle:
         self.verdicts.append(verdict)
         return verdict
 
-    def extend(self, other):
-        for v in other.verdicts if isinstance(other, VerdictBundle) else other:
-            self.verdicts.append(v)
+    def extend(self, other: "VerdictBundle"):
+        self.verdicts.extend(other.verdicts)
         return self
 
     def sorted(self):
@@ -395,14 +394,18 @@ def run_kernel_suite() -> VerdictBundle:
                                               dim=1, lam=1.0, Lam=1.5)
     k = HeatKernel(scaled, horizon=horizon)
     eps = 1e-5
-    worst = 0.0
+    probes = []
     for _ in range(100):
         t = float(rng.uniform(0.0, 0.4))
         s = float(rng.uniform(t + 0.3, horizon))
-        x = float(rng.uniform(-2.0, 2.0))
-        d2 = float(k.derivative(t, s, [x], MultiIndex((2,))))
-        ds = float((k(t, s + eps, [x]) - k(t, s - eps, [x])) / (2 * eps))
-        dt = float((k(t + eps, s, [x]) - k(t - eps, s, [x])) / (2 * eps))
+        probes.append((t, s, float(rng.uniform(-2.0, 2.0))))
+    tv, sv, xv = (np.array(col) for col in zip(*probes))
+    xv = xv[:, None, None]  # one point per probe row
+    d2s = k.derivative(tv, sv, xv, MultiIndex((2,)))[:, 0]
+    dss = (k(tv, sv + eps, xv) - k(tv, sv - eps, xv))[:, 0] / (2 * eps)
+    dts = (k(tv + eps, sv, xv) - k(tv - eps, sv, xv))[:, 0] / (2 * eps)
+    worst = 0.0
+    for (t, s, _), d2, ds, dt in zip(probes, d2s.tolist(), dss.tolist(), dts.tolist()):
         fwd = float(scaled(s)[0, 0]) * d2
         bwd = -float(scaled(t)[0, 0]) * d2
         scale = max(abs(fwd), 1e-3)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from bspdelab.grid import MultiIndex, SpaceGrid, TimeGrid, space_quadrature_weig
 from bspdelab.kernel import (
     _COV_NODES,
     _TABLE_SIZE,
+    _probe_points,
+    _safe_ratio,
     DiffusionCoefficient,
     HeatKernel,
     probe_integral_estimates,
@@ -21,6 +25,7 @@ from bspdelab.kernel import (
 )
 from bspdelab.solver import CoefficientSet
 from bspdelab.stochastic import DataFunctional, SpaceFactor
+from bspdelab.verify import _KERNEL_HORIZON, _KERNEL_SEED, run_kernel_suite
 
 ISO = DiffusionCoefficient.isotropic(1.0, 1)
 ANISO = DiffusionCoefficient.constant(np.diag([1.0, 2.0]))
@@ -98,6 +103,62 @@ class TestCovariance:
             expected[i + 1] = expected[i] + k.covariance(grid[i], grid[i + 1])
         assert np.array_equal(grid, np.linspace(0.0, horizon, len(grid)))
         assert np.array_equal(vals, expected)
+
+
+# a scalar, a 2x2 matrix and a time-varying a, in 1-D and 2-D
+VECTOR_CASES = [DiffusionCoefficient.isotropic(1.0),
+                DiffusionCoefficient.constant([[0.7, 0.1], [0.1, 1.3]]), SCALED,
+                DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=2, lam=1.0, Lam=2.0)]
+VECTOR_IDS = ["1.0*I", "2x2", "time_scaled", "time_scaled_2d"]
+T_VEC = np.array([0.0, 0.13, 0.2, 0.5, 0.0])
+S_VEC = np.array([1.0, 0.377, 0.7, 0.5 + 1e-9, 1e-4])
+
+
+def gammas_up_to_three(dim):
+    return [MultiIndex(g) for g in itertools.product(range(4), repeat=dim) if sum(g) <= 3]
+
+
+class TestVectorEndpoints:
+    """Vectors of both endpoints give the bits of one scalar call per interval."""
+
+    @pytest.mark.parametrize("diffusion", VECTOR_CASES, ids=VECTOR_IDS)
+    def test_covariance_rows_equal_scalar_calls(self, diffusion):
+        k = HeatKernel(diffusion)
+        rows = k.covariance(T_VEC, S_VEC)
+        assert rows.shape == (len(T_VEC), k.dim, k.dim)
+        for t, s, A in zip(T_VEC, S_VEC, rows):
+            assert np.array_equal(A, k.covariance(t, s))
+        for s, A in zip(S_VEC, k.covariance(0.0, S_VEC)):
+            assert np.array_equal(A, k.covariance(0.0, s))
+
+    @pytest.mark.parametrize("diffusion", VECTOR_CASES, ids=VECTOR_IDS)
+    def test_derivative_rows_equal_scalar_calls(self, diffusion):
+        k = HeatKernel(diffusion, beta=3.0)
+        x = np.random.default_rng(3).uniform(-3.0, 3.0, size=(11, k.dim))
+        s_vec = np.geomspace(1e-3, 1.0, 7)
+        for gamma in gammas_up_to_three(k.dim):
+            rows = k.derivative(0.0, s_vec, x, gamma)
+            assert rows.shape == (len(s_vec), len(x))
+            for s, row in zip(s_vec, rows):
+                assert np.array_equal(row, k.derivative(0.0, s, x, gamma)), gamma
+
+    @pytest.mark.parametrize("diffusion", VECTOR_CASES, ids=VECTOR_IDS)
+    def test_call_is_the_zero_order_derivative(self, diffusion):
+        k = HeatKernel(diffusion, beta=3.0)
+        zero = MultiIndex((0,) * k.dim)
+        x = np.random.default_rng(4).uniform(-3.0, 3.0, size=(11, k.dim))
+        assert np.array_equal(k(0.1, 0.6, x), k.derivative(0.1, 0.6, x, zero))
+        rows = k(T_VEC, S_VEC, x)
+        assert np.array_equal(rows, k.derivative(T_VEC, S_VEC, x, zero))
+        for t, s, row in zip(T_VEC, S_VEC, rows):
+            assert np.array_equal(row, k(t, s, x))
+
+    def test_reversed_interval_in_a_vector_rejected(self):
+        k = HeatKernel(SCALED)
+        with pytest.raises(InvalidInterval):
+            k.covariance(np.array([0.1, 0.7]), np.array([0.5, 0.2]))
+        with pytest.raises(InvalidInterval):
+            k(np.array([0.1, 0.5]), np.array([0.5, 0.5]), [0.0])
 
 
 def _gauss_legendre():
@@ -563,6 +624,116 @@ class TestBatchedIntegralProbes:
         probe_integral_estimates(HeatKernel(ISO, horizon=4.0), MultiIndex((2,)), 0.5)
         assert len(preps) <= 64
         assert conds == []
+
+
+def loop_sup_probe(kernel, alpha, window):
+    """The sup probe with one kernel call per time gap."""
+    R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * kernel.horizon)
+    nodes, weights = lattice(kernel.dim, R, 257 if kernel.dim == 1 else 97)
+    rad = np.linalg.norm(nodes, axis=-1)
+    sup_vals = np.zeros(len(nodes))
+    for gap in np.geomspace(window * 1e-6, window, 240):
+        np.maximum(sup_vals, kernel(0.0, gap, nodes), out=sup_vals)
+    mask = rad > 0
+    return float(np.sum(weights[mask] * sup_vals[mask] * rad[mask] ** (2.0 * alpha)))
+
+
+def loop_pointwise(kernel, gamma):
+    """The pointwise probe with one derivative call per time gap: the level
+    values and the boundary-rate flag."""
+    T, n, g = kernel.horizon, kernel.dim, gamma.order
+    time_gaps = np.geomspace(T / 256.0, T, 9)
+    levels = []
+    for count in (25, 49):
+        pts = _probe_points(n, 6.0, count)
+        r2 = np.sum(pts**2, axis=-1)
+        best = 0.0
+        for gap in time_gaps:
+            vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
+            bound = gap ** (-(n + g) / 2.0) * np.exp(-0.125 * r2 / gap)
+            best = max(best, float(np.max(_safe_ratio(vals, bound))))
+        levels.append({"points": count, "value": best})
+    gap = float(np.max(time_gaps))
+    vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
+    ratio = _safe_ratio(vals, gap ** (-(n + g) / 2.0) * np.exp(-0.25 * r2 / gap))
+    r2_max = np.max(r2)
+    far = np.max(ratio[r2 >= r2_max - 1e-9])
+    mid = np.max(ratio[(r2 >= 0.2 * r2_max) & (r2 <= 0.3 * r2_max)])
+    return levels, bool(far <= 10.0 * max(mid, 1e-300))
+
+
+PROBE_CASES = [DiffusionCoefficient.isotropic(1.0), DiffusionCoefficient.isotropic(1.0, 2),
+               DiffusionCoefficient.constant([[0.7, 0.1], [0.1, 1.3]])]
+PROBE_IDS = ["1d_iso", "2d_iso", "2x2_aniso"]
+
+
+class TestProbesEqualPerGapLoops:
+    """One vector call per probe gives the bits of a kernel call per gap."""
+
+    @pytest.mark.parametrize("beta", [0.0, 10.0])
+    @pytest.mark.parametrize("diffusion", PROBE_CASES, ids=PROBE_IDS)
+    def test_sup_probe(self, diffusion, beta):
+        k = HeatKernel(diffusion, beta=beta, horizon=1.0)
+        value = probe_sup_kernel_integrability(k, 0.5, 0.25).value
+        assert value == loop_sup_probe(k, 0.5, 0.25)
+
+    @pytest.mark.parametrize("beta", [0.0, 10.0])
+    @pytest.mark.parametrize("diffusion", PROBE_CASES, ids=PROBE_IDS)
+    def test_pointwise_probe(self, diffusion, beta):
+        k = HeatKernel(diffusion, beta=beta, horizon=1.0)
+        gammas = [(order,) + (0,) * (k.dim - 1) for order in range(4)]
+        for gamma in map(MultiIndex, gammas + ([(1, 1)] if k.dim == 2 else [])):
+            rep = probe_pointwise_bound(k, gamma)
+            levels, usable = loop_pointwise(k, gamma)
+            assert rep.levels == levels, gamma
+            assert rep.empirical_C == levels[-1]["value"]
+            assert rep.extras == {"boundary_rate_usable": usable}
+
+
+class TestKernelSuite:
+    def test_derivative_identities_equal_a_scalar_loop(self):
+        scaled = DiffusionCoefficient.time_scaled(lambda t: 1.0 + 0.5 * t,
+                                                  dim=1, lam=1.0, Lam=1.5)
+        k = HeatKernel(scaled, horizon=_KERNEL_HORIZON)
+        rng = np.random.default_rng(_KERNEL_SEED)
+        eps = 1e-5
+        probes, d2, ds, dt = [], [], [], []
+        for _ in range(100):
+            t = float(rng.uniform(0.0, 0.4))
+            s = float(rng.uniform(t + 0.3, _KERNEL_HORIZON))
+            x = float(rng.uniform(-2.0, 2.0))
+            probes.append((t, s, x))
+            d2.append(float(k.derivative(t, s, [x], MultiIndex((2,)))))
+            ds.append(float((k(t, s + eps, [x]) - k(t, s - eps, [x])) / (2 * eps)))
+            dt.append(float((k(t + eps, s, [x]) - k(t - eps, s, [x])) / (2 * eps)))
+        # the suite's vector calls: one row per probe, one point per row
+        tv, sv, xv = (np.array(col) for col in zip(*probes))
+        xv = xv[:, None, None]
+        assert np.array_equal(k.derivative(tv, sv, xv, MultiIndex((2,)))[:, 0], d2)
+        assert np.array_equal((k(tv, sv + eps, xv) - k(tv, sv - eps, xv))[:, 0] / (2 * eps), ds)
+        assert np.array_equal((k(tv + eps, sv, xv) - k(tv - eps, sv, xv))[:, 0] / (2 * eps), dt)
+
+        worst = 0.0
+        for (t, s, _), d2_i, ds_i, dt_i in zip(probes, d2, ds, dt):
+            fwd = float(scaled(s)[0, 0]) * d2_i
+            bwd = -float(scaled(t)[0, 0]) * d2_i
+            scale = max(abs(fwd), 1e-3)
+            worst = max(worst, abs(ds_i - fwd) / scale, abs(dt_i - bwd) / scale)
+        (verdict,) = [v for v in run_kernel_suite().verdicts
+                      if v.check_id == "kernel.derivative_identities"]
+        assert verdict.measured == {"relative_error": worst}
+
+    def test_covariance_calls_are_batched(self, monkeypatch):
+        calls = []
+        covariance = HeatKernel.covariance
+
+        def counted(self, t, s):
+            calls.append(np.shape(t))
+            return covariance(self, t, s)
+
+        monkeypatch.setattr(HeatKernel, "covariance", counted)
+        run_kernel_suite()
+        assert len(calls) <= 100
 
 
 class TestSupKernelProbe:

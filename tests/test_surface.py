@@ -10,7 +10,7 @@ from pathlib import Path
 
 import bspdelab
 
-MAX_SETTABLE = 49
+MAX_SETTABLE = 48
 
 
 def settable_values() -> int:
