@@ -206,9 +206,11 @@ def load_config(path: Path) -> dict:
                     # implies now, so a bad one exits 2 here instead of
                     # crashing the run
                     built = apply_overrides(spec, {key: overrides[key]})
-                    built.config()
+                    cfg = built.config()
                     if key == "lam":
-                        built.build_coeffs()
+                        # the solve samples the ellipticity on these grids
+                        built.build_coeffs().check_assumptions(cfg.time_grid,
+                                                               cfg.space_grid)
                     if "time_shift" in built.checks:
                         shift_grid(built)
                     if built.num_paths < 0:

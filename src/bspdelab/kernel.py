@@ -40,40 +40,38 @@ def _gl(num: int):
 class DiffusionCoefficient:
     """Space-invariant diffusion matrix a(t) with ellipticity bounds.
 
-    ``fn(t)`` must return a symmetric (n, n) matrix satisfying
-    lam |xi|^2 <= (a(t) xi, xi) <= Lam |xi|^2.
+    ``fn(t)`` takes an array of times and returns one symmetric (n, n)
+    matrix per time (shape ``t.shape + (n, n)``), or one matrix for all of
+    them, satisfying lam |xi|^2 <= (a(t) xi, xi) <= Lam |xi|^2.
     """
 
-    fn: Callable[[float], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     lam: float
     Lam: float
     label: str = "a"
-    # the matrix of a constant diffusion, set only by constant(); kernels then
-    # scale one Gauss-Legendre sum of it instead of calling fn per node
-    matrix: np.ndarray | None = field(init=False, default=None, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.lam <= self.Lam):
             raise InvalidArgument("need 0 < lam <= Lam")
 
-    def __call__(self, t: float) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.fn(t), dtype=float))
+    def __call__(self, t) -> np.ndarray:
+        """a at the times t, shape ``t.shape + (n, n)``."""
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(np.asarray(self.fn(t), dtype=float),
+                               t.shape + (self.dim, self.dim))
 
     @classmethod
     def constant(cls, matrix, lam=None, Lam=None, label="const"):
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         eig = np.linalg.eigvalsh(m)
-        out = cls(
+        return cls(
             fn=lambda t, _m=m: _m,
             dim=m.shape[0],
             lam=lam if lam is not None else float(eig.min()),
             Lam=Lam if Lam is not None else float(eig.max()),
             label=label,
         )
-        out.matrix = m
-        return out
 
     @classmethod
     def isotropic(cls, value: float, dim: int = 1, label=None):
@@ -83,13 +81,14 @@ class DiffusionCoefficient:
 
     @classmethod
     def time_scaled(cls, scale_fn, dim=1, lam=None, Lam=None, label="scaled"):
-        """a(t) = scale_fn(t) * I with a scalar positive scale."""
+        """a(t) = scale_fn(t) * I with a scalar positive scale; ``scale_fn``
+        takes an array of times."""
         if lam is None or Lam is None:
-            probe = [float(scale_fn(t)) for t in np.linspace(0, 1, 33)]
-            lam = lam if lam is not None else min(probe)
-            Lam = Lam if Lam is not None else max(probe)
+            probe = scale_fn(np.linspace(0, 1, 33)) * np.ones(33)
+            lam = lam if lam is not None else float(probe.min())
+            Lam = Lam if Lam is not None else float(probe.max())
         return cls(
-            fn=lambda t: float(scale_fn(t)) * np.eye(dim),
+            fn=lambda t: np.multiply.outer(scale_fn(t), np.eye(dim)),
             dim=dim, lam=lam, Lam=Lam, label=label,
         )
 
@@ -114,13 +113,6 @@ class HeatKernel:
         self.beta = float(beta)
         self.horizon = float(horizon)
         self._table = None  # lazy antiderivative table for batched queries
-        self._const_sum = None
-        if diffusion.matrix is not None:
-            # sum_i w_i a from zeros in node order: every term of the node loop
-            # below is the same w_i a, so scaling this sum gives its bits
-            self._const_sum = np.zeros((self.dim, self.dim))
-            for w in _gl(_COV_NODES)[1]:
-                self._const_sum += w * diffusion.matrix
 
     @property
     def dim(self) -> int:
@@ -142,17 +134,12 @@ class HeatKernel:
         s = np.asarray(s, dtype=float)
         if np.any(s < t):
             raise InvalidInterval(f"need t <= s, got t={t}, s={s}")
-        gap = (s - t)[..., None, None]
-        if self._const_sum is not None:
-            return gap * self._const_sum
         nodes, weights = _gl(_COV_NODES)
-        r = t[..., None] + (s - t)[..., None] * nodes
-        a = np.array([self.diffusion(ri) for ri in r.ravel()])
-        a = a.reshape(r.shape + (self.dim, self.dim))
-        out = np.zeros(r.shape[:-1] + (self.dim, self.dim))
+        a = self.diffusion(t[..., None] + (s - t)[..., None] * nodes)
+        out = np.zeros(a.shape[:-3] + (self.dim, self.dim))
         for k, w in enumerate(weights):
             out += w * a[..., k, :, :]
-        return gap * out
+        return (s - t)[..., None, None] * out
 
     def _antiderivative_table(self):
         if self._table is None:

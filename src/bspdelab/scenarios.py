@@ -8,6 +8,7 @@ command-line front end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,17 +118,18 @@ def oracle_stochastic_sinWT(spec, sol, paths):
     return u, v
 
 
+# math.erf keeps scipy off the run path; scipy.special.erf differs from it
+# in the last bit only
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def oracle_abs_kink(spec, sol, paths):
     """Heat smoothing of |x| with a = 1: Gaussian mean-absolute-value formula."""
-    # scipy's erf, not math.erf: the two differ in the last bit; imported here
-    # so that no other scenario loads scipy
-    from scipy.special import erf
-
     t, x = _grids(spec, sol)
     T = spec.horizon
     A = np.maximum(T - t, 1e-300)[:, None]
     s = np.sqrt(2.0 * A)
-    u = x[None, :] * erf(x[None, :] / (s * np.sqrt(2.0))) \
+    u = x[None, :] * _erf(x[None, :] / (s * np.sqrt(2.0))) \
         + s * np.sqrt(2.0 / np.pi) * np.exp(-x[None, :] ** 2 / (2.0 * s**2))
     u[t == T, :] = np.abs(x)[None, :]
     return u, None

@@ -61,7 +61,8 @@ class CoefficientSet:
     """Problem data (a, b, c, sigma, f, Phi) plus the bounds they must obey.
 
     Exactly one of ``diffusion`` (space-invariant a(t)) or ``a_fn`` (scalar
-    a(t, x), n = 1) must be set.  ``forcing`` is a DataFunctional; a
+    a(t, x), n = 1) must be set; ``a_fn`` takes arrays of t and of x that
+    broadcast against each other.  ``forcing`` is a DataFunctional; a
     semilinear driver goes in ``driver`` with its Lipschitz constant.
     """
 
@@ -107,16 +108,16 @@ class CoefficientSet:
         return len(np.atleast_1d(np.asarray(self.sigma, dtype=float)))
 
     def a_values(self, t, x):
-        """a at (t, x); scalar a for n = 1, broadcasting over x."""
-        x = np.asarray(x, dtype=float)
+        """a on the broadcast of the times t against the points x; scalar a for n = 1."""
+        ones = np.ones(np.broadcast_shapes(np.shape(t), np.shape(x)))
         if self.space_invariant:
-            return np.full_like(x, float(np.atleast_2d(self.diffusion(t))[0, 0]))
-        return np.asarray(self.a_fn(t, x), dtype=float) * np.ones_like(x)
+            return self.diffusion(t)[..., 0, 0] * ones
+        return np.asarray(self.a_fn(t, x), dtype=float) * ones
 
     def sample(self, t, x):
         """(a, b, c) on the nodes t x x, each (len(t), len(x)); None for an absent b or c."""
         x = np.asarray(x, dtype=float)
-        a = np.stack([self.a_values(tk, x) for tk in t])
+        a = self.a_values(np.asarray(t, dtype=float)[:, None], x)
         b, c = (None if fn is None else np.stack([np.asarray(fn(tk, x)) * np.ones_like(x)
                                                   for tk in t])
                 for fn in (self.b_fn, self.c_fn))
@@ -152,7 +153,7 @@ class CoefficientSet:
         ts = rng.uniform(0.0, time_grid.horizon, _ASSUMPTION_SAMPLES)
         xs = rng.uniform(-space_grid.radius, space_grid.radius, _ASSUMPTION_SAMPLES)
         for t, x in zip(ts, xs):
-            a = float(np.atleast_1d(self.a_values(t, np.atleast_1d(x)))[0])
+            a = float(self.a_values(t, x))
             if not (self.lam - 1e-12 <= a <= self.Lam + 1e-12):
                 raise AssumptionViolation(
                     f"ellipticity violated at (t={t:.4g}, x={x:.4g}): a={a:.6g} "
@@ -678,12 +679,18 @@ _LOCALIZE_PATHS = 32  # paths the localized residual is measured on
 _COVERING_CENTERS = 9  # bump centers of the covering inequality
 
 
-def _defect_sample(paths, stochastic: bool, max_paths: int, tgrid: TimeGrid, d: int):
-    """(path_idx, ensemble) a defect is measured on: the first max_paths paths, or path 0."""
-    if not stochastic:
-        return np.array([0]), _degenerate_paths(tgrid, d)
+def _defect_sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int):
+    """(path_idx, ensemble, increments) a defect is measured on.
+
+    A stochastic solve gives its first max_paths paths and their Brownian
+    increments; a deterministic one (no paths, or deterministic data on one
+    path) gives path 0 and no increments.
+    """
+    if paths is None or (coeffs.is_deterministic() and sol.num_paths == 1):
+        return np.array([0]), _degenerate_paths(sol.time_grid, coeffs.noise_dim), None
     path_idx = np.arange(min(paths.num_paths, max_paths))
-    return path_idx, paths.subset(path_idx)
+    sub = paths.subset(path_idx)
+    return path_idx, sub, sub.increments
 
 
 # -- residual certification -------------------------------------------------
@@ -701,11 +708,7 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     mask = sol.trusted
     x = grid.axis[mask]
     t = tgrid.nodes
-    stochastic = paths is not None and not (
-        coeffs.is_deterministic() and sol.num_paths == 1
-    )
-    path_idx, sub = _defect_sample(paths, stochastic, _DEFECT_PATHS, tgrid,
-                                   coeffs.noise_dim)
+    path_idx, sub, increments = _defect_sample(sol, coeffs, paths, _DEFECT_PATHS)
 
     u0 = sol.u_dense(0, path_idx)[..., mask]
     u1 = sol.u_dense(1, path_idx)[..., mask]
@@ -729,8 +732,7 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
             drift = drift + sig[l] * v[l]
 
     terminal = coeffs.terminal.terminal_values(sub, x)  # (Mp, Jt)
-    defect = backward_defect(u0, terminal, drift, tgrid.dt, v,
-                             sub.increments if stochastic else None)
+    defect = backward_defect(u0, terminal, drift, tgrid.dt, v, increments)
     scale = 1.0 + float(np.abs(terminal).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
     worst = float(np.max(np.abs(defect)) / scale)
@@ -850,13 +852,8 @@ def _frozen_diffusion(coeffs: CoefficientSet) -> DiffusionCoefficient:
     """a frozen at x = 0: the reference diffusion of the Picard kernel."""
     if coeffs.space_invariant:
         return coeffs.diffusion
-    a_fn = coeffs.a_fn
-
-    def frozen(t):
-        return np.array([[float(np.atleast_1d(a_fn(t, np.atleast_1d(0.0)))[0])]])
-
-    return DiffusionCoefficient(fn=frozen, dim=1, lam=coeffs.lam, Lam=coeffs.Lam,
-                                label="frozen@0.0")
+    return DiffusionCoefficient(fn=lambda t: coeffs.a_values(t, 0.0)[..., None, None],
+                                dim=1, lam=coeffs.lam, Lam=coeffs.Lam, label="frozen@0.0")
 
 
 _NORM_ALPHA = 0.5  # Holder exponent of the convergence-test, covering and time-shift norms
@@ -931,7 +928,7 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
     t = tgrid.nodes
     abar, integrator, damp_t, f_tx, mask = _picard_setup(coeffs, config, beta)
     a_tx, b_tx, c_tx = coeffs.sample(t, grid.axis)
-    abar_t = np.array([float(np.atleast_2d(abar(tk))[0, 0]) for tk in t])
+    abar_t = abar(t)[:, 0, 0]
 
     prof = integrator.solve(None, (0, 1, 2))
     history = []
@@ -1069,9 +1066,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     eta1 = bump.d1(x)
     eta2 = bump.d2(x)
 
-    stochastic = paths is not None and sol.num_paths > 1
-    path_idx, sub = _defect_sample(paths, stochastic, _LOCALIZE_PATHS, tgrid,
-                                   coeffs.noise_dim)
+    path_idx, sub, increments = _defect_sample(sol, coeffs, paths, _LOCALIZE_PATHS)
 
     u0 = sol.u_dense(0, path_idx)
     u1 = sol.u_dense(1, path_idx)
@@ -1082,14 +1077,12 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
 
     a_tx, b_tx, c_tx = coeffs.sample(t, x)  # (K+1, J)
     b_tx, c_tx = (np.zeros_like(a_tx) if m is None else m for m in (b_tx, c_tx))
-    a_tz = np.array([float(np.atleast_1d(coeffs.a_values(tk, np.atleast_1d(z)))[0])
-                     for tk in t])
+    a_tz = coeffs.a_values(t, z)
+    f_tx = np.zeros_like(u0)
     if coeffs.forcing is not None:
         f_tx = coeffs.forcing.dense(sub, x)
-    elif coeffs.driver is not None:
-        f_tx = coeffs.driver_rows(t, x, u1, u0, v0[0] if d else 0.0)
-    else:
-        f_tx = np.zeros_like(u0)
+    if coeffs.driver is not None:
+        f_tx = f_tx + coeffs.driver_rows(t, x, u1, u0, v0[0] if d else 0.0)
 
     terms = {
         "a_commutator": (a_tx - a_tz[:, None])[None] * u2 * eta,
@@ -1112,7 +1105,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
         if sig[l] != 0.0:
             drift = drift + sig[l] * v_loc[l]
     defect = backward_defect(u_loc, phi_loc, drift, tgrid.dt, v_loc,
-                             sub.increments if stochastic else None)[..., sol.trusted]
+                             increments)[..., sol.trusted]
     scale = 1.0 + float(np.abs(phi_loc).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
 

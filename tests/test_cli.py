@@ -208,6 +208,8 @@ class TestRun:
     @pytest.mark.parametrize("sid, line, expected, at", [
         ("sin_decay", "lam = -1", "ellipticity", 4),
         ("sin_decay", "lam = 5", "ellipticity", 4),
+        # above the least a(t, x) of 1 + 0.4 sin x, so the solve's sampled check fails
+        ("variable_a_sin", "lam = 0.7", "ellipticity violated", 4),
         ("sin_decay", "points_per_axis = 4", "points_per_axis", 4),
         ("sin_decay", "num_paths = -1", "num_paths", 4),
         ("stochastic_sinWT", "num_paths = 0", "path ensemble", 4),
@@ -227,7 +229,7 @@ class TestRun:
         ("heat_smoke", "sup_tolerance = nan", "must be finite", 4),
         ("semilinear_mode", "beta = inf", "must be finite", 4),
         ("stochastic_sinWT", "seed = -1", "seed must be >= 0", 4),
-    ], ids=["lam", "lam_above_Lam", "points_per_axis", "num_paths",
+    ], ids=["lam", "lam_above_Lam", "lam_above_least_a", "points_per_axis", "num_paths",
             "num_paths_zero_stochastic", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
             "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section",
@@ -370,8 +372,9 @@ class TestRun:
 
 
 def test_config_load_and_heat_smoke_run_load_no_scipy():
-    # scipy is needed only by the abs_kink oracle; its import is most of a
-    # process's set-up time, so neither set-up nor a plain solve may load it
+    # scipy is a test-only dependency; its import is most of a process's
+    # set-up time, so neither set-up nor a solve, abs_kink's erf oracle
+    # included, may load it
     code = """
 import sys
 from bspdelab import cli, verify
@@ -382,9 +385,10 @@ def scipy_modules():
 
 cli.load_config(cli.resolve_config_path("full"))
 assert not scipy_modules(), scipy_modules()
-bundle, _ = verify.run_scenario(get_scenario("heat_smoke"), seed=0)
-assert bundle.all_passed
-assert not scipy_modules(), scipy_modules()
+for sid in ("heat_smoke", "abs_kink"):
+    bundle, _ = verify.run_scenario(get_scenario(sid), seed=0)
+    assert bundle.all_passed
+    assert not scipy_modules(), (sid, scipy_modules())
 """
     src = str(Path(bspdelab.__file__).parents[1])
     env = {**os.environ,

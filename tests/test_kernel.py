@@ -23,7 +23,7 @@ from bspdelab.kernel import (
     probe_sup_kernel_integrability,
     singular_time_quadrature,
 )
-from bspdelab.solver import CoefficientSet
+from bspdelab.solver import CoefficientSet, _frozen_diffusion
 from bspdelab.stochastic import DataFunctional, SpaceFactor
 from bspdelab.verify import _KERNEL_HORIZON, _KERNEL_SEED, run_kernel_suite
 
@@ -90,9 +90,10 @@ class TestCovariance:
             assert np.allclose(A, k.covariance(t, 0.9), atol=1e-7)
 
     @pytest.mark.parametrize("diffusion", [
-        ISO, SCALED, DiffusionCoefficient(fn=lambda t: np.array([[1.0 + t, 0.3 * t],
-                                                                 [0.3 * t, 2.0 - t * t]]),
-                                          dim=2, lam=0.1, Lam=3.0),
+        ISO, SCALED, DiffusionCoefficient(
+            fn=lambda t: np.moveaxis(np.array([[1.0 + t, 0.3 * t],
+                                               [0.3 * t, 2.0 - t * t]]), (0, 1), (-2, -1)),
+            dim=2, lam=0.1, Lam=3.0),
     ], ids=["constant", "time_scaled", "aniso2"])
     @pytest.mark.parametrize("horizon", [1.0, 0.7])
     def test_antiderivative_table_is_running_sum_of_covariances(self, diffusion, horizon):
@@ -176,13 +177,15 @@ def loop_covariance(kernel, t, s):
     return (s - t) * out
 
 
-def loop_table(kernel):
-    """The antiderivative table with one np.stack of a(t) values per node."""
+def loop_table(kernel, a_at=None):
+    """The antiderivative table with one np.stack of a(t) values per node,
+    each from ``a_at(t)`` (the kernel's diffusion by default)."""
+    a_at = a_at or kernel.diffusion
     grid = np.linspace(0.0, kernel.horizon, _TABLE_SIZE + 1)
     t, gap = grid[:-1], grid[1:] - grid[:-1]
     acc = np.zeros((_TABLE_SIZE, kernel.dim, kernel.dim))
     for u, w in zip(*_gauss_legendre()):
-        acc += w * np.stack([kernel.diffusion(r) for r in t + gap * u])
+        acc += w * np.stack([a_at(r) for r in t + gap * u])
     vals = np.zeros((_TABLE_SIZE + 1, kernel.dim, kernel.dim))
     vals[1:] = np.cumsum(gap[:, None, None] * acc, axis=0)
     return grid, vals
@@ -195,7 +198,7 @@ CONSTANT_IDS = ["1.0*I", "0.5*I", "diag(1,2)", "generic"]
 
 
 class TestConstantDiffusion:
-    """A constant a scales one Gauss-Legendre sum, with the loop's bits."""
+    """A constant a gives the bits of the per-node loop."""
 
     @pytest.mark.parametrize("diffusion", CONSTANTS, ids=CONSTANT_IDS)
     @pytest.mark.parametrize("horizon", [1.0, 0.7, 4.0])
@@ -214,32 +217,57 @@ class TestConstantDiffusion:
             assert A.shape == (k.dim, k.dim)
             assert np.array_equal(A, loop_covariance(k, t, s))
 
-    @staticmethod
-    def count_calls(monkeypatch):
+
+def frozen_reference(a_fn):
+    """The frozen-at-0 diffusion of a space-dependent a_fn."""
+    return _frozen_diffusion(CoefficientSet(terminal=SINE, a_fn=a_fn, lam=0.5, Lam=3.0))
+
+
+def t_dependent_a(t, x):
+    return 1.0 + 0.3 * t + 0.2 * np.sin(x)
+
+
+class TestOneEvaluationOfA:
+    """Every covariance call, the table's included, evaluates a(t) once."""
+
+    @pytest.mark.parametrize("diffusion", [
+        DiffusionCoefficient.isotropic(0.5), SCALED,
+        DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=2, lam=1.0, Lam=2.0),
+        frozen_reference(t_dependent_a),
+    ], ids=["constant", "time_scaled", "time_scaled_2d", "frozen"])
+    def test_one_call_of_a_per_covariance_call(self, monkeypatch, diffusion):
         calls = []
         call = DiffusionCoefficient.__call__
 
         def counted(self, t):
-            calls.append(t)
+            calls.append(np.shape(t))
             return call(self, t)
 
         monkeypatch.setattr(DiffusionCoefficient, "__call__", counted)
-        return calls
-
-    def test_constant_set_up_calls_no_a(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        k = HeatKernel(DiffusionCoefficient.isotropic(0.5), horizon=4.0)
-        k._antiderivative_table()
+        k = HeatKernel(diffusion, horizon=4.0)
         k.covariance(0.1, 0.9)
-        assert calls == []
-
-    def test_time_scaled_set_up_still_calls_a(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        k = HeatKernel(SCALED)
-        k.covariance(0.1, 0.9)
-        assert len(calls) == _COV_NODES
+        k.covariance(T_VEC, S_VEC)
         k._antiderivative_table()
-        assert len(calls) == _COV_NODES * (_TABLE_SIZE + 1)
+        k.covariance_pairs(T_VEC, S_VEC)
+        assert calls == [(_COV_NODES,), (len(T_VEC), _COV_NODES),
+                         (_TABLE_SIZE, _COV_NODES)]
+
+    @pytest.mark.parametrize("horizon", [1.0, 4.0])
+    def test_frozen_reference_table_equals_node_loop(self, horizon):
+        k = HeatKernel(frozen_reference(t_dependent_a), horizon=horizon)
+        grid, vals = k._antiderivative_table()
+        ref_grid, ref_vals = loop_table(
+            k, lambda r: np.array([[t_dependent_a(r, np.atleast_1d(0.0))[0]]]))
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(vals, ref_vals)
+
+    def test_frozen_reference_values(self):
+        a = frozen_reference(t_dependent_a)
+        t = np.linspace(0.0, 1.0, 11)
+        assert a(t).shape == (11, 1, 1)
+        assert np.array_equal(a(t)[:, 0, 0], [t_dependent_a(tk, np.atleast_1d(0.0))[0]
+                                              for tk in t])
+        assert a(0.3).shape == (1, 1)
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from bspdelab.errors import InvalidArgument
 from bspdelab.grid import SpaceGrid, TimeGrid
@@ -140,6 +141,18 @@ class TestOracles:
                                space_grid=SpaceGrid(1, spec.radius, 65))
         u_exact, _ = spec.oracle(spec, sol, None)
         assert np.allclose(u_exact[-1], np.abs(sol.space_grid.axis))
+
+    @pytest.mark.parametrize("points", [65, 129, 257, 513])
+    def test_abs_kink_oracle_matches_scipy_erf(self, points):
+        spec = get_scenario("abs_kink")
+        sol, _, _ = spec.solve(space_grid=SpaceGrid(1, spec.radius, points))
+        u_exact, _ = spec.oracle(spec, sol, None)
+        t, x = sol.time_grid.nodes[:, None], sol.space_grid.axis
+        s = np.sqrt(2.0 * np.maximum(spec.horizon - t, 1e-300))
+        ref = x * erf(x / (s * np.sqrt(2.0))) \
+            + s * np.sqrt(2.0 / np.pi) * np.exp(-x**2 / (2.0 * s**2))
+        ref[-1] = np.abs(x)
+        assert np.max(np.abs(u_exact - ref)) <= 1e-15
 
     def test_stochastic_oracle_uses_paths(self):
         spec = get_scenario("stochastic_sinWT")

@@ -683,6 +683,25 @@ class TestLocalize:
         total = sum(loc.source_terms.values())
         assert np.allclose(total, loc.f_loc)
 
+    def test_forcing_and_driver_both_enter_the_source(self):
+        co = sine_problem(forcing=DataFunctional.deterministic(SpaceFactor.sine()),
+                          driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
+        sol = solve(co, None, config())
+        parent_rms, _ = integral_form_defect(sol, co)
+        loc = localize(sol, co, z=0.0, theta=2.0)
+        assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
+
+    def test_one_path_stochastic_solve_uses_ito_sums(self):
+        co = CoefficientSet(
+            terminal=DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),)),
+            diffusion=DiffusionCoefficient.isotropic(0.5),
+        )
+        paths = sample_paths(1, 1, TG, seed=42)
+        sol = solve(co, paths, config())
+        parent_rms, _ = integral_form_defect(sol, co, paths)
+        loc = localize(sol, co, z=0.0, theta=2.0, paths=paths)
+        assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
+
 
 class TestTimeShift:
     def test_rejects_zero_and_off_grid(self, sine_solution):
