@@ -49,10 +49,10 @@ class HolderIndex:
 
 
 class FieldSample:
-    """Sampled field on (path, time, space) with cached spatial derivatives.
+    """Sampled scalar field on (path, time, space) with cached spatial
+    derivatives.
 
-    ``values`` has shape (M, T, J) for scalar fields or (M, T, J, c) for
-    c-component ones; families without a time axis use T = 1.
+    ``values`` has shape (M, T, J); families without a time axis use T = 1.
     """
 
     def __init__(self, values, space_grid: SpaceGrid, family: str,
@@ -62,12 +62,8 @@ class FieldSample:
         if space_grid.dim != 1:
             raise InvalidArgument("holder estimation is implemented for n = 1 only")
         values = np.asarray(values, dtype=float)
-        if values.ndim == 3:
-            values = values[..., None]
-        if values.ndim != 4 or values.shape[2] != space_grid.points_per_axis:
-            raise InvalidArgument(
-                "values must be (paths, times, space) or (paths, times, space, components)"
-            )
+        if values.ndim != 3 or values.shape[2] != space_grid.points_per_axis:
+            raise InvalidArgument("values must be (paths, times, space)")
         if not np.all(np.isfinite(values)):
             raise InvalidArgument("field sample contains non-finite values")
         if family in ("L2", "S2") and time_grid is None:
@@ -97,8 +93,6 @@ class FieldSample:
     def attach_derivative(self, order: int, values, valid=None):
         """Install an analytic derivative cache (overrides finite differences)."""
         values = np.asarray(values, dtype=float)
-        if values.ndim == 3:
-            values = values[..., None]
         if values.shape != self.values.shape:
             raise InvalidArgument("derivative cache shape must match the field values")
         if valid is None:
@@ -111,14 +105,8 @@ class FieldSample:
         if order not in self._derivs:
             if order > 2:
                 raise UnsupportedOrder("derivative caches stop at order 2")
-            d, valid = fd_derivative(
-                self.values[..., 0], self.space_grid, MultiIndex((order,))
-            )
-            comps = [d]
-            for c in range(1, self.values.shape[-1]):
-                dc, _ = fd_derivative(self.values[..., c], self.space_grid, MultiIndex((order,)))
-                comps.append(dc)
-            self._derivs[order] = (np.stack(comps, axis=-1), valid)
+            self._derivs[order] = fd_derivative(
+                self.values, self.space_grid, MultiIndex((order,)))
         return self._derivs[order]
 
     @property
@@ -142,8 +130,8 @@ def _time_weights(field: FieldSample):
 
 
 def _family_norms_per_x(field: FieldSample, vals: np.ndarray) -> np.ndarray:
-    """Family norm at every space node; vals has shape (M, T, J, c)."""
-    sq = np.sum(vals**2, axis=-1)  # (M, T, J)
+    """Family norm at every space node; vals has shape (M, T, J)."""
+    sq = vals**2
     if field.family == "L2":
         w = _time_weights(field)
         return np.sqrt(np.einsum("mtj,t->mj", sq, w).mean(axis=0))
@@ -187,7 +175,7 @@ def estimate_fractional_seminorm(field: FieldSample, m: int, alpha: float) -> fl
     sub = field._path_subset()
     vals = vals[sub]
     x = field.space_grid.axis[valid]
-    vals = vals[:, :, valid, :]
+    vals = vals[:, :, valid]
     J = len(x)
     if J < 2:
         raise InvalidArgument("fractional seminorm needs at least two usable grid points")
@@ -199,21 +187,20 @@ def estimate_fractional_seminorm(field: FieldSample, m: int, alpha: float) -> fl
         M = vals.shape[0]
         if field.family == "L2":
             w = _time_weights(field)
-            V = vals * np.sqrt(w / M)[None, :, None, None]
+            V = vals * np.sqrt(w / M)[None, :, None]
         else:
             V = vals[:, :1] / np.sqrt(M)
-        V = V.reshape(-1, J, V.shape[-1])
-        gram = np.einsum("ric,rjc->ij", V, V)
+        V = V.reshape(-1, J)
+        gram = np.einsum("ri,rj->ij", V, V)
         n2 = np.diag(gram)
         d2 = np.maximum(n2[i] + n2[j] - 2.0 * gram[i, j], 0.0)
         return float(np.max(np.sqrt(d2) / dist))
 
     best = 0.0
-    chunk = max(1, 10_000_000 // max(1, vals[:, :, 0, :].size))
+    chunk = max(1, 10_000_000 // max(1, vals[:, :, 0].size))
     for start in range(0, len(i), chunk):
         ii, jj = i[start:start + chunk], j[start:start + chunk]
-        diff = vals[:, :, ii, :] - vals[:, :, jj, :]
-        sq = np.sum(diff**2, axis=-1)
+        sq = (vals[:, :, ii] - vals[:, :, jj]) ** 2
         if field.family == "S2":
             norms = np.sqrt(sq.max(axis=1).mean(axis=0))
         else:  # Linf

@@ -80,13 +80,9 @@ class DiffusionCoefficient:
         )
 
     @classmethod
-    def time_scaled(cls, scale_fn, dim=1, lam=None, Lam=None, label="scaled"):
-        """a(t) = scale_fn(t) * I with a scalar positive scale; ``scale_fn``
-        takes an array of times."""
-        if lam is None or Lam is None:
-            probe = scale_fn(np.linspace(0, 1, 33)) * np.ones(33)
-            lam = lam if lam is not None else float(probe.min())
-            Lam = Lam if Lam is not None else float(probe.max())
+    def time_scaled(cls, scale_fn, dim=1, *, lam: float, Lam: float, label="scaled"):
+        """a(t) = scale_fn(t) * I with a scalar positive scale bounded by
+        [lam, Lam] over the horizon; ``scale_fn`` takes an array of times."""
         return cls(
             fn=lambda t: np.multiply.outer(scale_fn(t), np.eye(dim)),
             dim=dim, lam=lam, Lam=Lam, label=label,

@@ -159,6 +159,8 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
     delta = tgrid.dt / sub
 
     u = coeffs.terminal.terminal_values(_degenerate_paths(tgrid), x)[0].copy()
+    if coeffs.forcing is not None:
+        forcing = coeffs.forcing.dense(_degenerate_paths(tgrid), x)[0]  # (K+1, J_f)
     out = np.empty((len(tgrid), grid.points_per_axis))
     out[-1] = u[::_FD_REFINE]
     t = tgrid.horizon
@@ -178,7 +180,7 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
             if coeffs.c_fn is not None:
                 rhs += np.asarray(coeffs.c_fn(t, x)) * u
             if coeffs.forcing is not None:
-                rhs += coeffs.forcing.dense(_degenerate_paths(tgrid), x)[0, k]
+                rhs += forcing[k]
             u = u + delta * rhs
             t -= delta
         t = tgrid.nodes[k]

@@ -1,4 +1,4 @@
-"""Brownian ensembles, product-form evaluation, and the two linear BSDE families.
+"""Brownian ensembles, product-form evaluation, and the closed-form linear BSDE family.
 
 Terminal data and forcing terms are finite sums of separable terms
 
@@ -19,6 +19,9 @@ export the first 8.  The studies solve only what they measure: the
 time-shift study the first 64 paths (`sample_paths` draws them as the
 first 64 rows of the full ensemble), the a priori study at most 128.
 
+One closed-form family, `solve_second_family`, solves the linear BSDE with
+terminal data f(tau, x) at every terminal time tau at once; forcing reads it
+at every tau, and terminal data Phi reads it at tau = T (`solve_bsde_closed`).
 Closed forms assume a constant deterministic vector sigma; anything richer
 falls back to least-squares regression (`solve_bsde_regression`).
 """
@@ -254,7 +257,8 @@ class TermSeries:
 
 @dataclass
 class BsdeSolution:
-    """First-family solution (phi, psi) as sums of product terms."""
+    """Solution (phi, psi) for one terminal time as sums of product terms;
+    `SecondFamilySolution.at` reads it off the family."""
 
     phi_terms: list  # of TermSeries
     psi_terms: list  # psi_terms[l] is a list of TermSeries
@@ -275,7 +279,7 @@ class BsdeSolution:
 
 @dataclass
 class TauSeries:
-    """Separable second-family piece: h(x) * A(t, path) * B(tau)."""
+    """Separable family piece: h(x) * A(t, path) * B(tau)."""
 
     space: SpaceFactor
     series: np.ndarray  # (M, K+1) in t
@@ -284,10 +288,21 @@ class TauSeries:
 
 @dataclass
 class SecondFamilySolution:
-    """Family (Y(.;tau), g(.;tau)) for all terminal times tau at once."""
+    """Family (Y(.;tau), g(.;tau)) for all terminal times tau at once; at
+    tau = T it is the solution for terminal data."""
 
     y_terms: list  # of TauSeries
     g_terms: list  # g_terms[l] is a list of TauSeries
+    time_grid: TimeGrid
+    num_paths: int
+
+    def at(self, tau: float) -> BsdeSolution:
+        """The member with terminal time tau, its B(tau) folded into A."""
+        def read(terms):
+            return [TermSeries(t.space, t.series * t.tau_fn(tau)) for t in terms]
+        return BsdeSolution(phi_terms=read(self.y_terms),
+                            psi_terms=[read(g) for g in self.g_terms],
+                            time_grid=self.time_grid, num_paths=self.num_paths)
 
 
 def _check_sigma(sigma, d: int) -> np.ndarray:
@@ -302,65 +317,22 @@ def _check_sigma(sigma, d: int) -> np.ndarray:
 
 
 def solve_bsde_closed(data: DataFunctional, sigma, paths: PathEnsemble) -> BsdeSolution:
-    """Closed-form (phi, psi) for library terminal data under constant sigma.
-
-    Each separable term contributes independently (the equation is linear):
-      1          -> (h, 0)
-      W^l_T      -> (h (W^l_t + sigma_l (T - t)), psi_l = h)
-      (W^l_T)^2  -> (h [(W^l_t + sigma_l (T-t))^2 + (T-t)],
-                     psi_l = 2 h (W^l_t + sigma_l (T-t)))
-      exp mart   -> (h E_t exp(...), psi_l = theta_l phi)
-    The first two are exact at the discrete level; the last two carry an
-    O(sqrt(dt)) pathwise discretization residual.
-    """
-    d = paths.dim
-    sig = _check_sigma(sigma, d)
-    grid = paths.time_grid
-    W = paths.paths
-    T = grid.horizon
-    rem = T - grid.nodes  # (K+1,)
-    M = paths.num_paths
-    ones = np.ones((M, len(grid)))
-
-    phi_terms = []
-    psi_terms = [[] for _ in range(d)]
-    for h, p in data.terms:
-        if p.kind == CONST:
-            phi_terms.append(TermSeries(h, ones.copy()))
-        elif p.kind == BM:
-            l = p.component
-            drifted = W[:, :, l] + sig[l] * rem[None, :]
-            phi_terms.append(TermSeries(h, drifted))
-            psi_terms[l].append(TermSeries(h, ones.copy()))
-        elif p.kind == BM_SQUARED:
-            l = p.component
-            drifted = W[:, :, l] + sig[l] * rem[None, :]
-            phi_terms.append(TermSeries(h, drifted**2 + rem[None, :]))
-            psi_terms[l].append(TermSeries(h, 2.0 * drifted))
-        else:  # EXP_MART
-            th = np.asarray(p.theta, dtype=float)
-            if th.shape != (d,):
-                raise UnsupportedClosedForm("theta length must match path dimension")
-            series = np.exp(
-                W @ th - 0.5 * float(th @ th) * grid.nodes[None, :]
-                + float(th @ sig) * rem[None, :]
-            )
-            phi_terms.append(TermSeries(h, series))
-            for l in range(d):
-                if th[l] != 0.0:
-                    psi_terms[l].append(TermSeries(h, th[l] * series))
-
-    return BsdeSolution(phi_terms=phi_terms, psi_terms=psi_terms,
-                        time_grid=grid, num_paths=M)
+    """Closed-form (phi, psi) for library terminal data under constant sigma:
+    the family of `solve_second_family` read at tau = T."""
+    return solve_second_family(data, sigma, paths).at(paths.time_grid.horizon)
 
 
 def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> SecondFamilySolution:
-    """Closed-form family (Y(.;tau), g(.;tau)) for forcing f(tau, x) built
-    from library path factors, separably in tau.
+    """Closed-form family (Y(.;tau), g(.;tau)) with terminal data f(tau, x)
+    at every terminal time tau, for data built from library path factors.
 
+    Each separable term contributes independently (the equation is linear).
     The tau-dependence of every library factor is polynomial or exponential,
     so Y(t; tau) = sum_p h(x) A_p(t, path) B_p(tau) with smooth B_p; the
-    solver exploits this to fold tau into deterministic time integrals.
+    solver folds tau into deterministic time integrals, and `at(T)` is the
+    solution for terminal data.  Constant and W^l terms are exact at the
+    discrete level; (W^l)^2 and exponential-martingale terms carry an
+    O(sqrt(dt)) pathwise discretization residual.
     """
     d = paths.dim
     sig = _check_sigma(sigma, d)
@@ -388,17 +360,11 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
             X = W[:, :, l] - sig[l] * grid.nodes[None, :]
             # (X + sigma tau)^2 + tau - t, expanded in powers of tau
             y_terms.append(TauSeries(h, X**2 - grid.nodes[None, :], one_fn))
-            y_terms.append(
-                TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau)
-            )
-            if sig[l] != 0.0:
-                y_terms.append(
-                    TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s**2 * tau**2)
-                )
+            y_terms.append(TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau))
             g_terms[l].append(TauSeries(h, 2.0 * X, one_fn))
-            g_terms[l].append(
-                TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau)
-            )
+            if sig[l] != 0.0:
+                y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s**2 * tau**2))
+                g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
         else:  # EXP_MART
             th = np.asarray(p.theta, dtype=float)
             if th.shape != (d,):
@@ -413,7 +379,8 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
                 if th[l] != 0.0:
                     g_terms[l].append(TauSeries(h, th[l] * base, efn))
 
-    return SecondFamilySolution(y_terms=y_terms, g_terms=g_terms)
+    return SecondFamilySolution(y_terms=y_terms, g_terms=g_terms,
+                                time_grid=grid, num_paths=M)
 
 
 # -- regression fallback ---------------------------------------------------

@@ -65,8 +65,14 @@ class TestCovariance:
         assert np.allclose(k.covariance(0.2, 0.7), 0.5 * np.eye(1))
 
     def test_linear_integrand(self):
-        k = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=1))
+        k = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=1,
+                                                        lam=1.0, Lam=2.0))
         assert np.allclose(k.covariance(0.0, 1.0), 1.5 * np.eye(1), atol=1e-13)
+
+    def test_time_scaled_needs_explicit_bounds(self):
+        # the bounds hold over the caller's horizon, which a(t) alone does not know
+        with pytest.raises(TypeError):
+            DiffusionCoefficient.time_scaled(lambda t: 1.0 + t)
 
     def test_empty_interval(self):
         k = HeatKernel(ISO)

@@ -4,12 +4,15 @@ from scipy.special import erf
 
 from bspdelab.errors import InvalidArgument
 from bspdelab.grid import SpaceGrid, TimeGrid
+from bspdelab.kernel import DiffusionCoefficient
 from bspdelab.scenarios import (
     CATALOG,
     finite_difference_oracle,
     get_scenario,
     list_scenarios,
 )
+from bspdelab.solver import CoefficientSet
+from bspdelab.stochastic import DataFunctional, SpaceFactor
 
 REQUIRED_IDS = {
     "heat_smoke", "heat_quadratic", "sin_decay", "stochastic_sinWT",
@@ -116,6 +119,35 @@ class TestFiniteDifferenceOracle:
         sg = SpaceGrid(1, 12.0, 65)
         u = finite_difference_oracle(spec.build_coeffs(), tg, sg)
         assert np.allclose(u[-1], np.sin(sg.axis), atol=1e-12)
+
+    # closed forms for the b, c and forcing terms, on a K = 50, J = 129 lattice
+    FD_TG = TimeGrid(1.0, 50)
+    FD_SG = SpaceGrid(1, 10.0, 129)
+
+    def fd_error(self, coeffs, exact):
+        u = finite_difference_oracle(coeffs, self.FD_TG, self.FD_SG)
+        t, x = self.FD_TG.nodes[:, None], self.FD_SG.axis
+        core = np.abs(x) <= 2.0
+        return np.max(np.abs(u - exact(t, x[None, :]))[:, core])
+
+    def test_drift_term_matches_characteristics(self):
+        # b = 1: u = e^{-(T-t)} sin(x + T - t)
+        coeffs = get_scenario("transport_decay").build_coeffs()
+        err = self.fd_error(coeffs, lambda t, x: np.exp(-(1.0 - t)) * np.sin(x + 1.0 - t))
+        assert err < 1e-4
+
+    def test_forcing_term_integrates(self):
+        # f = 1, zero terminal: u = T - t, exact up to round-off
+        coeffs = get_scenario("constant_source").build_coeffs()
+        assert self.fd_error(coeffs, lambda t, x: (1.0 - t) + 0.0 * x) < 1e-12
+
+    def test_zeroth_order_term_decays(self):
+        # a = 1, c = -1, sine terminal: u = e^{-2(T-t)} sin x
+        coeffs = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+                                diffusion=DiffusionCoefficient.isotropic(1.0),
+                                c_fn=lambda t, x: -1.0)
+        err = self.fd_error(coeffs, lambda t, x: np.exp(-2.0 * (1.0 - t)) * np.sin(x))
+        assert err < 2e-4
 
     def test_rejects_2d(self):
         spec = get_scenario("sin_decay")

@@ -188,22 +188,15 @@ class TestClosedForms:
         assert np.allclose(sol.phi_dense(x)[:, -1, :], data.terminal_values(paths, x))
 
 
-def tau_dense(terms, tau, x, paths):
-    """A second-family field at terminal time tau, summed by product_dense."""
-    x = np.atleast_1d(x)
-    return product_dense([(t.series * t.tau_fn(tau), t.space(x)) for t in terms],
-                         (paths.num_paths, len(GRID), len(x)))
-
-
 class TestSecondFamily:
     def test_deterministic_forcing(self, paths):
         data = DataFunctional.deterministic(SpaceFactor.sine())
         fam = solve_second_family(data, [0.0], paths)
         x = np.array([0.2])
         for tau in (0.3, 0.8):
-            y = tau_dense(fam.y_terms, tau, x, paths)
+            y = fam.at(tau).phi_dense(x)
             assert np.allclose(y, np.sin(0.2))
-            assert np.allclose(tau_dense(fam.g_terms[0], tau, x, paths), 0.0)
+            assert np.allclose(fam.at(tau).psi_dense(0, x), 0.0)
 
     def test_bm_forcing_terminal_identity(self, paths):
         data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),))
@@ -212,11 +205,11 @@ class TestSecondFamily:
         W = paths.paths[:, :, 0]
         for k in (10, 25, 49):
             tau = GRID.nodes[k]
-            y = tau_dense(fam.y_terms, tau, x, paths)
+            y = fam.at(tau).phi_dense(x)
             # Y(t; tau) = sin(x) W_t for t <= tau; at t = tau equals f(tau, x)
             assert np.allclose(y[:, k, 0], np.sin(0.4) * W[:, k])
             assert np.allclose(y[:, : k + 1, 0], np.sin(0.4) * W[:, : k + 1])
-            g = tau_dense(fam.g_terms[0], tau, x, paths)
+            g = fam.at(tau).psi_dense(0, x)
             assert np.allclose(g[:, : k + 1, 0], np.sin(0.4))
 
     def test_drifted_bm_forcing(self, paths):
@@ -225,7 +218,7 @@ class TestSecondFamily:
         fam = solve_second_family(data, [s0], paths)
         W = paths.paths[:, :, 0]
         tau = GRID.nodes[30]
-        y = tau_dense(fam.y_terms, tau, [0.0], paths)[:, :, 0]
+        y = fam.at(tau).phi_dense([0.0])[:, :, 0]
         expect = W + s0 * (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :31], expect[:, :31])
 
@@ -234,9 +227,60 @@ class TestSecondFamily:
         fam = solve_second_family(data, [0.0], paths)
         W = paths.paths[:, :, 0]
         tau = GRID.nodes[20]
-        y = tau_dense(fam.y_terms, tau, [0.0], paths)[:, :, 0]
+        y = fam.at(tau).phi_dense([0.0])[:, :, 0]
         expect = W**2 + (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :21], expect[:, :21])
+
+
+SIGMA_2D = (0.3, -0.2)
+THETA_2D = (0.5, 0.4)
+FAMILY_TERMS = {
+    "const": (SpaceFactor.poly([1.0, 0.0, 0.5]), PathFactor(CONST)),
+    "bm": (SpaceFactor.sine(), PathFactor(BM, component=1)),
+    "bm_squared": (SpaceFactor.sine(2.0, 0.3), PathFactor(BM_SQUARED, component=0)),
+    "exp_mart": (SpaceFactor.poly([0.5, 1.0]), PathFactor(EXP_MART, theta=THETA_2D)),
+}
+
+
+class TestOneFamily:
+    """Terminal data is the forcing family read at tau = T."""
+
+    X = np.array([-1.3, 0.0, 0.4, 2.0])
+
+    @pytest.fixture(scope="class")
+    def paths2(self):
+        return sample_paths(300, 2, GRID, seed=11)
+
+    @pytest.mark.parametrize("kinds", [[k] for k in FAMILY_TERMS] + [list(FAMILY_TERMS)],
+                             ids=list(FAMILY_TERMS) + ["all"])
+    def test_terminal_member_matches_first_family_table(self, paths2, kinds):
+        data = DataFunctional(terms=tuple(FAMILY_TERMS[k] for k in kinds))
+        sol = solve_bsde_closed(data, SIGMA_2D, paths2)
+        phi_ref, psi_ref = first_family_reference(data, SIGMA_2D, paths2, self.X)
+        assert np.abs(sol.phi_dense(self.X) - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        for l in range(2):
+            err = np.abs(sol.psi_dense(l, self.X) - psi_ref[l]).max()
+            assert err <= 1e-12 * np.abs(psi_ref[l]).max()
+
+    @pytest.mark.parametrize("kind", ["const", "bm", "exp_mart"])
+    def test_zero_sigma_keeps_the_table_bits(self, paths2, kind):
+        # every catalog scenario has sigma = 0: one piece per term, same bits
+        data = DataFunctional(terms=(FAMILY_TERMS[kind],))
+        sol = solve_bsde_closed(data, (0.0, 0.0), paths2)
+        phi_ref, psi_ref = first_family_reference(data, (0.0, 0.0), paths2, self.X)
+        assert len(sol.phi_terms) == 1
+        assert np.array_equal(sol.phi_dense(self.X), phi_ref)
+        for l in range(2):
+            assert np.array_equal(sol.psi_dense(l, self.X), psi_ref[l])
+
+    def test_at_reads_every_terminal_time(self, paths2):
+        data = DataFunctional(terms=tuple(FAMILY_TERMS.values()))
+        fam = solve_second_family(data, SIGMA_2D, paths2)
+        sol = fam.at(0.4)
+        assert sol.time_grid is GRID and sol.num_paths == paths2.num_paths
+        assert len(sol.phi_terms) == len(fam.y_terms)
+        for t, piece in zip(sol.phi_terms, fam.y_terms):
+            assert np.array_equal(t.series, piece.series * piece.tau_fn(0.4))
 
 
 class TestRegression:
@@ -297,7 +341,9 @@ class TestResidualOracle:
         monkeypatch.setattr(stochastic, "backward_defect", refuse)
         data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM_SQUARED)),))
         sol = solve_bsde_closed(data, [0.3], paths)
-        assert len(sol.phi_terms) == 1
+        x = np.array([-1.0, 0.0, 0.7])
+        phi_ref, _ = first_family_reference(data, [0.3], paths, x)
+        assert np.abs(sol.phi_dense(x) - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
 
 
 def closed_form_residual(sol, data, sigma, paths, x=(-1.0, 0.0, 0.7)):
@@ -313,3 +359,42 @@ def closed_form_residual(sol, data, sigma, paths, x=(-1.0, 0.0, 0.7)):
     scale = 1.0 + np.abs(terminal).max()
     return (float(np.sqrt(np.mean(defect**2)) / scale),
             float(np.max(np.abs(defect)) / scale))
+
+
+def first_family_reference(data, sigma, paths, x):
+    """(phi, [psi_l]) on ``x`` from the former terminal-data table:
+      1          -> (h, 0)
+      W^l_T      -> (h (W^l_t + sigma_l (T - t)), psi_l = h)
+      (W^l_T)^2  -> (h [(W^l_t + sigma_l (T-t))^2 + (T-t)],
+                     psi_l = 2 h (W^l_t + sigma_l (T-t)))
+      exp mart   -> (h E_t exp(...), psi_l = theta_l phi)"""
+    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
+    grid = paths.time_grid
+    W = paths.paths
+    rem = grid.horizon - grid.nodes
+    ones = np.ones((paths.num_paths, len(grid)))
+    phi = []
+    psi = [[] for _ in range(paths.dim)]
+    for h, p in data.terms:
+        hx = h(x)
+        if p.kind == CONST:
+            phi.append((ones, hx))
+        elif p.kind == BM:
+            l = p.component
+            phi.append((W[:, :, l] + sig[l] * rem[None, :], hx))
+            psi[l].append((ones, hx))
+        elif p.kind == BM_SQUARED:
+            l = p.component
+            drifted = W[:, :, l] + sig[l] * rem[None, :]
+            phi.append((drifted**2 + rem[None, :], hx))
+            psi[l].append((2.0 * drifted, hx))
+        else:
+            th = np.asarray(p.theta, dtype=float)
+            series = np.exp(W @ th - 0.5 * float(th @ th) * grid.nodes[None, :]
+                            + float(th @ sig) * rem[None, :])
+            phi.append((series, hx))
+            for l in range(paths.dim):
+                if th[l] != 0.0:
+                    psi[l].append((th[l] * series, hx))
+    shape = (paths.num_paths, len(grid), len(x))
+    return product_dense(phi, shape), [product_dense(q, shape) for q in psi]
