@@ -80,24 +80,20 @@ class FieldSample:
     @classmethod
     def deterministic(cls, fn, space_grid: SpaceGrid, family: str = "Linf",
                       time_grid: TimeGrid | None = None):
-        """Sample fn(t, x) (or fn(x) when no time grid) on a single path."""
+        """Sample fn(t, x) (or fn(x) when no time grid) on a single path, in
+        one call on the lattice x and the grid times t as a column."""
         x = space_grid.axis
-        if time_grid is None:
-            vals = np.asarray([fn(xi) for xi in x], dtype=float)[None, None, :]
-        else:
-            vals = np.asarray(
-                [[fn(t, xi) for xi in x] for t in time_grid.nodes], dtype=float
-            )[None]
-        return cls(vals, space_grid, family, time_grid)
+        rows = 1 if time_grid is None else len(time_grid)
+        vals = fn(x) if time_grid is None else fn(time_grid.nodes[:, None], x)
+        return cls((np.asarray(vals, dtype=float) * np.ones((rows, len(x))))[None],
+                   space_grid, family, time_grid)
 
-    def attach_derivative(self, order: int, values, valid=None):
-        """Install an analytic derivative cache (overrides finite differences)."""
+    def attach_derivative(self, order: int, values):
+        """Install an analytic derivative, valid everywhere (overrides finite differences)."""
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
             raise InvalidArgument("derivative cache shape must match the field values")
-        if valid is None:
-            valid = np.ones(self.space_grid.points_per_axis, dtype=bool)
-        self._derivs[order] = (values, np.asarray(valid, dtype=bool))
+        self._derivs[order] = (values, np.ones(self.space_grid.points_per_axis, dtype=bool))
         return self
 
     def derivative(self, order: int):

@@ -62,16 +62,12 @@ class DiffusionCoefficient:
                                t.shape + (self.dim, self.dim))
 
     @classmethod
-    def constant(cls, matrix, lam=None, Lam=None, label="const"):
+    def constant(cls, matrix, label="const"):
+        """a(t) = matrix, bounded by its extreme eigenvalues."""
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         eig = np.linalg.eigvalsh(m)
-        return cls(
-            fn=lambda t, _m=m: _m,
-            dim=m.shape[0],
-            lam=lam if lam is not None else float(eig.min()),
-            Lam=Lam if Lam is not None else float(eig.max()),
-            label=label,
-        )
+        return cls(fn=lambda t, _m=m: _m, dim=m.shape[0],
+                   lam=float(eig.min()), Lam=float(eig.max()), label=label)
 
     @classmethod
     def isotropic(cls, value: float, dim: int = 1, label=None):
@@ -358,11 +354,10 @@ def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
     return m
 
 
-def _ball_grid(dim: int, radius: float, per_axis: int):
+def _lattice(dim: int, radius: float, per_axis: int):
+    """Nodes and quadrature weights of the lattice on [-radius, radius]^dim."""
     g = SpaceGrid(dim=dim, radius=radius, points_per_axis=per_axis)
-    nodes = g.nodes()
-    weights = space_quadrature_weights(g).ravel()
-    return nodes, weights
+    return g.nodes(), space_quadrature_weights(g).ravel()
 
 
 _GRADED_NODES = 120  # geometric u = sqrt(s - t) nodes of a graded time integral
@@ -410,7 +405,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
     n, g = kernel.dim, gamma.order
     T = kernel.horizon
     R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * T)
-    grid = SpaceGrid(dim=n, radius=R, points_per_axis=257 if n == 1 else 97)
+    J0 = 257 if n == 1 else 97
     reports = {}
 
     tau_s_pairs = [(0.0, T), (0.0, T / 2.0), (T / 4.0, T)]
@@ -420,9 +415,8 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
     # (2.4)-type moment bound
     levels = []
     for lev in range(_REFINE_LEVELS):
-        J = grid.points_per_axis if lev == 0 else 2 * grid.points_per_axis - 1
-        gl = SpaceGrid(grid.dim, unit_R, J)
-        nodes, weights = gl.nodes(), space_quadrature_weights(gl).ravel()
+        J = J0 if lev == 0 else 2 * J0 - 1
+        nodes, weights = _lattice(n, unit_R, J)
         best = 0.0
         for tau, s in tau_s_pairs:
             m = _moment_integrand(kernel, s, nodes, weights, gamma, alpha)
@@ -432,12 +426,11 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
 
     if g == 2:
         # exterior-ball cancellation (finite thanks to integral D^g G = 0)
-        radii = [0.25, 0.5, 1.0, 2.0, grid.radius * 2.0]
+        radii = [0.25, 0.5, 1.0, 2.0, R * 2.0]
         levels = []
         for lev in range(_REFINE_LEVELS):
-            J = grid.points_per_axis if lev == 0 else 2 * grid.points_per_axis - 1
-            gl = SpaceGrid(grid.dim, grid.radius, J)
-            nodes, weights = gl.nodes(), space_quadrature_weights(gl).ravel()
+            J = J0 if lev == 0 else 2 * J0 - 1
+            nodes, weights = _lattice(n, R, J)
             rad = np.linalg.norm(nodes, axis=-1)
             best = 0.0
             for a_rad in radii:
@@ -457,7 +450,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
         # small-ball moment: LHS(eta) <= C eta^alpha
         levels = []
         for eta in _ETAS:
-            nodes, weights = _ball_grid(n, eta, 161 if n == 1 else 41)
+            nodes, weights = _lattice(n, eta, 161 if n == 1 else 41)
             rad = np.linalg.norm(nodes, axis=-1)
             mask = (rad <= eta + 1e-12) & (rad != 0.0)
             x, r = nodes[mask], rad[mask]
@@ -480,8 +473,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
             xbar = np.zeros(n)
             xbar[0] = sep
             eta = 2.0 * sep
-            R_out = grid.radius
-            nodes, weights = _ball_grid(n, R_out, 321 if n == 1 else 49)
+            nodes, weights = _lattice(n, R, 321 if n == 1 else 49)
             rad0 = np.linalg.norm(nodes - x0, axis=-1)
             mask = rad0 > eta
             ys = nodes[mask]
@@ -496,8 +488,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
             max(lv["value"] for lv in levels), levels)
 
     # beta-damped moment integral with the predicted beta power
-    gl = SpaceGrid(grid.dim, unit_R, grid.points_per_axis)
-    nodes, weights = gl.nodes(), space_quadrature_weights(gl).ravel()
+    nodes, weights = _lattice(n, unit_R, J0)
     predicted = -1.0 + (g - alpha) / 2.0
     raw = []
     for b in _DAMPING_BETAS:
@@ -543,8 +534,7 @@ def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: flo
     if grid is None:
         R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * kernel.horizon)
         grid = SpaceGrid(kernel.dim, R, 257 if kernel.dim == 1 else 97)
-    nodes = grid.nodes()
-    weights = space_quadrature_weights(grid).ravel()
+    nodes, weights = grid.nodes(), space_quadrature_weights(grid).ravel()
     rad = np.linalg.norm(nodes, axis=-1)
 
     gaps = np.geomspace(window * 1e-6, window, _SUP_GAPS)

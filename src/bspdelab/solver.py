@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -56,14 +56,24 @@ _ASSUMPTION_SAMPLES = 64  # random (t, x) points of each sampled assumption chec
 
 # -- problem data -----------------------------------------------------------
 
+def _broadcast(values, t, x) -> np.ndarray:
+    """Values of a function of the data, as floats on the broadcast of t and x."""
+    return np.asarray(values, dtype=float) * np.ones(np.broadcast(t, x).shape)
+
+
 @dataclass
 class CoefficientSet:
     """Problem data (a, b, c, sigma, f, Phi) plus the bounds they must obey.
 
     Exactly one of ``diffusion`` (space-invariant a(t)) or ``a_fn`` (scalar
-    a(t, x), n = 1) must be set; ``a_fn`` takes arrays of t and of x that
-    broadcast against each other.  ``forcing`` is a DataFunctional; a
+    a(t, x), n = 1) must be set.  ``forcing`` is a DataFunctional; a
     semilinear driver goes in ``driver`` with its Lipschitz constant.
+
+    Every function of the data is called on arrays, once per sample:
+    ``a_fn(t, x)``, ``b_fn(t, x)`` and ``c_fn(t, x)`` get arrays of t and of
+    x, and ``driver(t, x, q, u, v)`` gets arrays of all five, that
+    broadcast against each other; each returns values on that broadcast
+    (or a scalar for all of it).
     """
 
     terminal: DataFunctional
@@ -109,29 +119,22 @@ class CoefficientSet:
 
     def a_values(self, t, x):
         """a on the broadcast of the times t against the points x; scalar a for n = 1."""
-        ones = np.ones(np.broadcast_shapes(np.shape(t), np.shape(x)))
-        if self.space_invariant:
-            return self.diffusion(t)[..., 0, 0] * ones
-        return np.asarray(self.a_fn(t, x), dtype=float) * ones
+        a = self.diffusion(t)[..., 0, 0] if self.space_invariant else self.a_fn(t, x)
+        return _broadcast(a, t, x)
 
     def sample(self, t, x):
         """(a, b, c) on the nodes t x x, each (len(t), len(x)); None for an absent b or c."""
-        x = np.asarray(x, dtype=float)
-        a = self.a_values(np.asarray(t, dtype=float)[:, None], x)
-        b, c = (None if fn is None else np.stack([np.asarray(fn(tk, x)) * np.ones_like(x)
-                                                  for tk in t])
-                for fn in (self.b_fn, self.c_fn))
-        return a, b, c
+        t = np.asarray(t, dtype=float)[:, None]
+        return self.a_values(t, x), *(None if fn is None else _broadcast(fn(t, x), t, x)
+                                      for fn in (self.b_fn, self.c_fn))
 
     def driver_rows(self, t, x, q, u, v):
-        """f(t_k, x, q_k, u_k, v_k) stacked over k, shaped like u (paths, len(t), len(x)).
+        """f(t_k, x, q_k, u_k, v_k) on every row k, shaped like u (paths, len(t), len(x)).
 
         A scalar ``v`` is shared by every row.
         """
-        return np.stack([np.asarray(self.driver(tk, x, q[:, k], u[:, k],
-                                                v if np.ndim(v) == 0 else v[:, k]),
-                                    dtype=float) * np.ones_like(u[:, k])
-                         for k, tk in enumerate(t)], axis=1)
+        t = np.asarray(t, dtype=float)[:, None]
+        return np.asarray(self.driver(t, x, q, u, v), dtype=float) * np.ones_like(u)
 
     def is_deterministic(self) -> bool:
         sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -145,38 +148,38 @@ class CoefficientSet:
 
     def check_assumptions(self, time_grid: TimeGrid, space_grid: SpaceGrid):
         """Sampled ellipticity / boundedness / Lipschitz checks at 64 seeded
-        random points each.
+        random points each, one call of each function for all of them.
 
-        Raises AssumptionViolation on the first failure; silent on success.
+        Raises AssumptionViolation naming the first failing point; silent on success.
         """
         rng = np.random.default_rng(0)
         ts = rng.uniform(0.0, time_grid.horizon, _ASSUMPTION_SAMPLES)
         xs = rng.uniform(-space_grid.radius, space_grid.radius, _ASSUMPTION_SAMPLES)
-        for t, x in zip(ts, xs):
-            a = float(self.a_values(t, x))
-            if not (self.lam - 1e-12 <= a <= self.Lam + 1e-12):
-                raise AssumptionViolation(
-                    f"ellipticity violated at (t={t:.4g}, x={x:.4g}): a={a:.6g} "
-                    f"outside [{self.lam}, {self.Lam}]"
-                )
-            for name, fn in (("b", self.b_fn), ("c", self.c_fn)):
-                if fn is not None and not np.all(np.isfinite(fn(t, np.atleast_1d(x)))):
-                    raise AssumptionViolation(f"coefficient {name} is not finite at the sample")
+
+        def first_failure(bad, message):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise AssumptionViolation(message(i, f"(t={ts[i]:.4g}, x={xs[i]:.4g})"))
+
+        a = self.a_values(ts, xs)
+        first_failure(~((self.lam - 1e-12 <= a) & (a <= self.Lam + 1e-12)),
+                      lambda i, at: f"ellipticity violated at {at}: a={a[i]:.6g} "
+                                    f"outside [{self.lam}, {self.Lam}]")
+        for name, fn in (("b", self.b_fn), ("c", self.c_fn)):
+            if fn is not None:
+                first_failure(~np.isfinite(_broadcast(fn(ts, xs), ts, xs)),
+                              lambda i, at: f"coefficient {name} is not finite at {at}")
         if self.driver is not None:
             if self.lipschitz <= 0.0:
                 raise AssumptionViolation("semilinear driver needs a positive Lipschitz constant")
-            for _ in range(_ASSUMPTION_SAMPLES):
-                t = rng.uniform(0.0, time_grid.horizon)
-                x = np.atleast_1d(rng.uniform(-space_grid.radius, space_grid.radius))
-                q1, u1, v1 = rng.standard_normal(3)
-                q2, u2, v2 = rng.standard_normal(3)
-                lhs = abs(float(np.atleast_1d(self.driver(t, x, q1, u1, v1))[0])
-                          - float(np.atleast_1d(self.driver(t, x, q2, u2, v2))[0]))
-                rhs = self.lipschitz * (abs(q1 - q2) + abs(u1 - u2) + abs(v1 - v2))
-                if lhs > rhs + 1e-9:
-                    raise AssumptionViolation(
-                        f"driver violates its Lipschitz bound: {lhs:.4g} > {rhs:.4g}"
-                    )
+            # one pair of (q, u, v) draws at each of the same points
+            (q1, u1, v1), (q2, u2, v2) = rng.standard_normal((2, 3, _ASSUMPTION_SAMPLES))
+            lhs = np.abs(_broadcast(self.driver(ts, xs, q1, u1, v1), ts, xs)
+                         - _broadcast(self.driver(ts, xs, q2, u2, v2), ts, xs))
+            rhs = self.lipschitz * (np.abs(q1 - q2) + np.abs(u1 - u2) + np.abs(v1 - v2))
+            first_failure(lhs > rhs + 1e-9,
+                          lambda i, at: f"driver violates its Lipschitz bound at {at}: "
+                                        f"{lhs[i]:.4g} > {rhs[i]:.4g}")
 
 
 @dataclass
@@ -451,30 +454,22 @@ class _PairConvolver:
         return out
 
 
+def _difference_to_sixth(stack, grid: SpaceGrid):
+    """Extend [F, ..., F^(m)] to F^(6) by repeated central differences."""
+    while len(stack) < 7:
+        stack.append(fd_derivative(stack[-1], grid, _D1)[0])
+    return stack
+
+
 def _stack_from_rows(F: np.ndarray, grid: SpaceGrid):
     """[F, F', ..., F^(6)] by repeated central differences; rows pass through."""
-    stack = [np.asarray(F, dtype=float)]
-    for _ in range(6):
-        d, _valid = fd_derivative(stack[-1], grid, _D1)
-        stack.append(d)
-    return stack
+    return _difference_to_sixth([np.asarray(F, dtype=float)], grid)
 
 
 def _space_factor_stack(h: SpaceFactor, grid: SpaceGrid):
-    """[h, h', ..., h^(6)] on the lattice, analytic where available."""
-    x = grid.axis
-    s0 = np.asarray(h(x), dtype=float)
-    s1 = np.asarray(h.d1(x), dtype=float)
-    s2 = np.asarray(h.d2(x), dtype=float)
-    if h.d3 is not None:
-        s3 = np.asarray(h.d3(x), dtype=float)
-    else:
-        s3, _ = fd_derivative(s2, grid, _D1)
-    stack = [s0, s1, s2, s3]
-    for _ in range(3):
-        nxt, _valid = fd_derivative(stack[-1], grid, _D1)
-        stack.append(nxt)
-    return stack
+    """[h, h', ..., h^(6)] on the lattice, analytic through the third derivative."""
+    return _difference_to_sixth([np.asarray(f(grid.axis), dtype=float)
+                                 for f in (h, h.d1, h.d2, h.d3)], grid)
 
 
 # -- profile assembly: three pair tables ------------------------------------
@@ -679,18 +674,39 @@ _LOCALIZE_PATHS = 32  # paths the localized residual is measured on
 _COVERING_CENTERS = 9  # bump centers of the covering inequality
 
 
-def _defect_sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int):
-    """(path_idx, ensemble, increments) a defect is measured on.
+class _Sample(NamedTuple):
+    """What a certificate reads of a solve and its data on a lattice mask."""
 
-    A stochastic solve gives its first max_paths paths and their Brownian
-    increments; a deterministic one (no paths, or deterministic data on one
-    path) gives path 0 and no increments.
+    path_idx: np.ndarray  # the measured paths
+    u: list  # u, Du, D^2 u, each (Mp, K+1, Jm)
+    v: list  # one (Mp, K+1, Jm) per noise component
+    abc: tuple  # (a, b, c) on the nodes, each (K+1, Jm); None for an absent b or c
+    f: np.ndarray  # forcing plus driver, (Mp, K+1, Jm); None without either
+    terminal: np.ndarray  # Phi, (Mp, Jm)
+    increments: np.ndarray  # Brownian increments (Mp, K, d); None for a deterministic solve
+
+
+def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, mask):
+    """The solve and its data on the lattice points ``mask``, read once.
+
+    A stochastic solve is measured on its first max_paths paths; a
+    deterministic one (no paths, or deterministic data on one path) on path 0
+    without increments.
     """
-    if paths is None or (coeffs.is_deterministic() and sol.num_paths == 1):
-        return np.array([0]), _degenerate_paths(sol.time_grid, coeffs.noise_dim), None
-    path_idx = np.arange(min(paths.num_paths, max_paths))
-    sub = paths.subset(path_idx)
-    return path_idx, sub, sub.increments
+    tgrid, x = sol.time_grid, sol.space_grid.axis[mask]
+    pathwise = paths is not None and not (coeffs.is_deterministic() and sol.num_paths == 1)
+    path_idx = np.arange(min(paths.num_paths, max_paths)) if pathwise else np.array([0])
+    sub = paths.subset(path_idx) if pathwise else _degenerate_paths(tgrid, coeffs.noise_dim)
+    u = [sol.u_dense(o, path_idx)[..., mask] for o in range(3)]
+    v = [sol.v_dense(l, 0, path_idx)[..., mask] for l in range(sol.noise_dim)]
+    f = None
+    if coeffs.forcing is not None:
+        f = coeffs.forcing.dense(sub, x)
+    if coeffs.driver is not None:
+        g = coeffs.driver_rows(tgrid.nodes, x, u[1], u[0], v[0] if v else 0.0)
+        f = g if f is None else f + g
+    return _Sample(path_idx, u, v, coeffs.sample(tgrid.nodes, x), f,
+                   coeffs.terminal.terminal_values(sub, x), sub.increments if pathwise else None)
 
 
 # -- residual certification -------------------------------------------------
@@ -703,37 +719,23 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     use left-endpoint Riemann/Ito sums per path.  Returns (rms, worst) both
     normalized by 1 + max |Phi|.
     """
-    tgrid = sol.time_grid
-    grid = sol.space_grid
-    mask = sol.trusted
-    x = grid.axis[mask]
-    t = tgrid.nodes
-    path_idx, sub, increments = _defect_sample(sol, coeffs, paths, _DEFECT_PATHS)
-
-    u0 = sol.u_dense(0, path_idx)[..., mask]
-    u1 = sol.u_dense(1, path_idx)[..., mask]
-    u2 = sol.u_dense(2, path_idx)[..., mask]
-    d = sol.noise_dim
-    v = [sol.v_dense(l, 0, path_idx)[..., mask] for l in range(d)]
+    smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted)
+    (u0, u1, u2), (a_tx, b_tx, c_tx) = smp.u, smp.abc
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
-    a_tx, b_tx, c_tx = coeffs.sample(t, x)  # (K+1, Jt)
     drift = a_tx[None] * u2
     if b_tx is not None:
         drift += b_tx[None] * u1
     if c_tx is not None:
         drift += c_tx[None] * u0
-    if coeffs.forcing is not None:
-        drift = drift + coeffs.forcing.dense(sub, x)
-    if coeffs.driver is not None:
-        drift = drift + coeffs.driver_rows(t, x, u1, u0, v[0] if d else 0.0)
-    for l in range(d):
+    if smp.f is not None:
+        drift = drift + smp.f
+    for l, vl in enumerate(smp.v):
         if sig[l] != 0.0:
-            drift = drift + sig[l] * v[l]
+            drift = drift + sig[l] * vl
 
-    terminal = coeffs.terminal.terminal_values(sub, x)  # (Mp, Jt)
-    defect = backward_defect(u0, terminal, drift, tgrid.dt, v, increments)
-    scale = 1.0 + float(np.abs(terminal).max(initial=0.0))
+    defect = backward_defect(u0, smp.terminal, drift, sol.time_grid.dt, smp.v, smp.increments)
+    scale = 1.0 + float(np.abs(smp.terminal).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
     worst = float(np.max(np.abs(defect)) / scale)
     return rms, worst
@@ -791,7 +793,7 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble,
             key = (id(h), id(tau_fn))
             if key not in force_profiles:
                 force_profiles[key] = _forcing_profiles(
-                    kernel, tgrid, stack_of(h), np.vectorize(tau_fn), grid)
+                    kernel, tgrid, stack_of(h), tau_fn, grid)
             return force_profiles[key]
 
         for t in second.y_terms:
@@ -945,9 +947,8 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
             F += c_tx * prof[0]
         new_prof = integrator.solve(F, (0, 1, 2))
         sup_change = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
-        norm = _norm_estimate(tgrid, grid, [new_prof[0] / damp_t[:, None],
-                                            new_prof[1] / damp_t[:, None],
-                                            new_prof[2] / damp_t[:, None]], mask)
+        norm = _norm_estimate(tgrid, grid, [new_prof[o] / damp_t[:, None] for o in range(3)],
+                              mask)
         rel = (abs(norm - norm_prev) / max(norm, 1e-12)) if norm_prev is not None else np.inf
         history.append({"iteration": it, "norm_u": norm, "norm_v": 0.0,
                         "sup_change": sup_change, "rel_change": rel})
@@ -1058,31 +1059,18 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     for o in (1, 2):
         if not all(o in p.profiles for p in sol.u_parts):
             raise InvalidArgument("localize needs derivative caches on the solution")
-    grid, tgrid = sol.space_grid, sol.time_grid
-    x = grid.axis
-    t = tgrid.nodes
+    x = sol.space_grid.axis
     bump = BumpField(center=z, radius=theta)
-    eta = bump(x)
-    eta1 = bump.d1(x)
-    eta2 = bump.d2(x)
+    eta, eta1, eta2 = bump(x), bump.d1(x), bump.d2(x)
 
-    path_idx, sub, increments = _defect_sample(sol, coeffs, paths, _LOCALIZE_PATHS)
-
-    u0 = sol.u_dense(0, path_idx)
-    u1 = sol.u_dense(1, path_idx)
-    u2 = sol.u_dense(2, path_idx)
-    d = sol.noise_dim
-    v0 = [sol.v_dense(l, 0, path_idx) for l in range(d)]
+    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, slice(None))
+    (u0, u1, u2), v0 = smp.u, smp.v
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
-    a_tx, b_tx, c_tx = coeffs.sample(t, x)  # (K+1, J)
+    a_tx, b_tx, c_tx = smp.abc  # (K+1, J)
     b_tx, c_tx = (np.zeros_like(a_tx) if m is None else m for m in (b_tx, c_tx))
-    a_tz = coeffs.a_values(t, z)
-    f_tx = np.zeros_like(u0)
-    if coeffs.forcing is not None:
-        f_tx = coeffs.forcing.dense(sub, x)
-    if coeffs.driver is not None:
-        f_tx = f_tx + coeffs.driver_rows(t, x, u1, u0, v0[0] if d else 0.0)
+    a_tz = coeffs.a_values(sol.time_grid.nodes, z)
+    f_tx = np.zeros_like(u0) if smp.f is None else smp.f
 
     terms = {
         "a_commutator": (a_tx - a_tz[:, None])[None] * u2 * eta,
@@ -1101,15 +1089,15 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     # frozen-equation residual of (u eta, v eta) with the seven-term source
     w2 = u2 * eta + 2.0 * u1 * eta1 + u0 * eta2
     drift = a_tz[None, :, None] * w2 + f_loc
-    for l in range(d):
+    for l, vl in enumerate(v_loc):
         if sig[l] != 0.0:
-            drift = drift + sig[l] * v_loc[l]
-    defect = backward_defect(u_loc, phi_loc, drift, tgrid.dt, v_loc,
-                             increments)[..., sol.trusted]
+            drift = drift + sig[l] * vl
+    defect = backward_defect(u_loc, phi_loc, drift, sol.time_grid.dt, v_loc,
+                             smp.increments)[..., sol.trusted]
     scale = 1.0 + float(np.abs(phi_loc).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
 
-    covering = covering_inequality(sol, theta, _NORM_ALPHA, path_idx=path_idx)
+    covering = covering_inequality(sol, theta, _NORM_ALPHA, u0=u0)
 
     return LocalizedProblem(
         f_loc=f_loc, source_terms=terms, residual_rms=rms, covering=covering,
@@ -1117,10 +1105,11 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
 
 
 def covering_inequality(sol: SolutionField, theta: float, alpha: float,
-                        path_idx=None) -> dict:
-    """Smallest C with ||u|| <= 2 sup_z ||eta^z u|| + C ||u||_0 on the sample."""
+                        u0=None) -> dict:
+    """Smallest C with ||u|| <= 2 sup_z ||eta^z u|| + C ||u||_0 on the sample
+    ``u0`` of u on the whole lattice (default: every path of the solution)."""
     grid, tgrid = sol.space_grid, sol.time_grid
-    u0 = sol.u_dense(0, path_idx)
+    u0 = sol.u_dense(0) if u0 is None else u0
     f = FieldSample(u0, grid, "L2", tgrid)
     lhs = estimate_norm(f, 0, alpha).total
     h0 = estimate_seminorm(f, 0)

@@ -140,7 +140,7 @@ class SpaceFactor:
     fn: Callable
     d1: Callable
     d2: Callable
-    d3: Callable = None
+    d3: Callable
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -283,7 +283,7 @@ class TauSeries:
 
     space: SpaceFactor
     series: np.ndarray  # (M, K+1) in t
-    tau_fn: Callable  # scalar tau -> float, smooth
+    tau_fn: Callable  # smooth B: an array of tau -> B(tau), the same shape
 
 
 @dataclass
@@ -340,7 +340,7 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
     W = paths.paths
     M = paths.num_paths
     ones = np.ones((M, len(grid)))
-    one_fn = lambda tau: 1.0
+    one_fn = lambda tau: np.ones_like(tau, dtype=float)
 
     y_terms = []
     g_terms = [[] for _ in range(d)]
@@ -363,7 +363,9 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
             y_terms.append(TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau))
             g_terms[l].append(TauSeries(h, 2.0 * X, one_fn))
             if sig[l] != 0.0:
-                y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s**2 * tau**2))
+                # C pow, as tau**2 on a Python float gives it (an array's ** 2 squares)
+                y_terms.append(TauSeries(h, ones.copy(),
+                                         lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
                 g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
         else:  # EXP_MART
             th = np.asarray(p.theta, dtype=float)

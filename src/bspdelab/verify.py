@@ -235,15 +235,12 @@ def data_norm_rhs(coeffs, sol, paths, alpha: float) -> dict:
 
 
 def _scale_factor(h: SpaceFactor, kappa: float) -> SpaceFactor:
-    d3 = None
-    if h.d3 is not None:
-        d3 = lambda x, f=h.d3: kappa * f(x)
     return SpaceFactor(
         label=f"{kappa}*{h.label}",
         fn=lambda x, f=h.fn: kappa * f(x),
         d1=lambda x, f=h.d1: kappa * f(x),
         d2=lambda x, f=h.d2: kappa * f(x),
-        d3=d3,
+        d3=lambda x, f=h.d3: kappa * f(x),
     )
 
 

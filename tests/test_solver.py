@@ -19,10 +19,13 @@ from bspdelab.grid import SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.kernel import DiffusionCoefficient, HeatKernel
 from bspdelab.stochastic import (
     BM,
+    BM_SQUARED,
+    EXP_MART,
     DataFunctional,
     PathFactor,
     SpaceFactor,
     sample_paths,
+    solve_second_family,
 )
 from bspdelab.solver import (
     BumpField,
@@ -35,6 +38,7 @@ from bspdelab.solver import (
     _SMALL_FACTOR,
     _GriddedIntegrator,
     _PairConvolver,
+    _forcing_profiles,
     _picard_setup,
     _next_fast_len,
     _space_factor_stack,
@@ -129,6 +133,63 @@ class TestCoefficientSet:
         assert a.shape == b.shape == (len(TG), len(X))
         assert np.array_equal(a[3], 1.0 + TG.nodes[3] * np.sin(X))
         assert np.all(b == 2.0) and c is None
+
+    def test_sample_and_driver_rows_match_a_call_per_row(self):
+        co = CoefficientSet(
+            terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+            a_fn=lambda t, x: 1.0 + 0.3 * t + 0.2 * np.sin(x), lam=0.5, Lam=1.6,
+            b_fn=lambda t, x: np.cos(x + t), c_fn=lambda t, x: -0.5 * t * np.exp(-x**2),
+            driver=lambda t, x, q, u, v: np.sin(q) * t - u * np.exp(-t) + 0.1 * v * x,
+            lipschitz=1.5,
+        )
+        t = TG.nodes
+        a, b, c = co.sample(t, X)
+        # the per-row reference: one call per time row
+        for got, fn in ((a, co.a_fn), (b, co.b_fn), (c, co.c_fn)):
+            assert np.array_equal(got, np.stack([fn(tk, X) * np.ones_like(X) for tk in t]))
+        q, u, v = np.random.default_rng(1).standard_normal((3, 4, len(t), len(X)))
+        for vv in (v, 0.3):
+            rows = np.stack([co.driver(tk, X, q[:, k], u[:, k],
+                                       vv if np.ndim(vv) == 0 else vv[:, k])
+                             for k, tk in enumerate(t)], axis=1)
+            assert np.array_equal(co.driver_rows(t, X, q, u, vv), rows)
+
+    @pytest.mark.parametrize("data, fails, message", [
+        (dict(a_fn=lambda t, x: 1.0 + 2.0 * np.sin(x), lam=0.3, Lam=3.0),
+         lambda t, x: 1.0 + 2.0 * np.sin(x) < 0.3, "ellipticity violated"),
+        (dict(diffusion=DiffusionCoefficient.isotropic(1.0),
+              b_fn=lambda t, x: np.where(x > 3.0, np.inf, 1.0)),
+         lambda t, x: x > 3.0, "coefficient b is not finite"),
+        (dict(diffusion=DiffusionCoefficient.isotropic(1.0),
+              c_fn=lambda t, x: np.where(t < 0.1, np.nan, 0.0)),
+         lambda t, x: t < 0.1, "coefficient c is not finite"),
+    ], ids=["a", "b", "c"])
+    def test_assumption_message_names_first_failing_point(self, data, fails, message):
+        co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()), **data)
+        rng = np.random.default_rng(0)  # the check's 64 seeded points
+        ts = rng.uniform(0.0, TG.horizon, 64)
+        xs = rng.uniform(-SG.radius, SG.radius, 64)
+        i = int(np.argmax(fails(ts, xs)))
+        assert i > 0 and fails(ts[i], xs[i])
+        with pytest.raises(AssumptionViolation) as err:
+            co.check_assumptions(TG, SG)
+        assert str(err.value).startswith(f"{message} at (t={ts[i]:.4g}, x={xs[i]:.4g})")
+
+    def test_lipschitz_message_names_first_failing_point(self):
+        co = sine_problem(driver=lambda t, x, q, u, v: np.where(x > 5.0, 5.0 * u, u),
+                          lipschitz=1.0)
+        rng = np.random.default_rng(0)  # the check's 64 seeded points and pairs
+        ts = rng.uniform(0.0, TG.horizon, 64)
+        xs = rng.uniform(-SG.radius, SG.radius, 64)
+        (q1, u1, v1), (q2, u2, v2) = rng.standard_normal((2, 3, 64))
+        lhs = np.where(xs > 5.0, 5.0, 1.0) * np.abs(u1 - u2)
+        bad = lhs > np.abs(q1 - q2) + np.abs(u1 - u2) + np.abs(v1 - v2) + 1e-9
+        i = int(np.argmax(bad))
+        assert bad[i] and i > 0
+        with pytest.raises(AssumptionViolation) as err:
+            co.check_assumptions(TG, SG)
+        assert str(err.value).startswith(
+            f"driver violates its Lipschitz bound at (t={ts[i]:.4g}, x={xs[i]:.4g})")
 
     def test_is_deterministic(self):
         assert sine_problem().is_deterministic()
@@ -701,6 +762,46 @@ class TestLocalize:
         parent_rms, _ = integral_form_defect(sol, co, paths)
         loc = localize(sol, co, z=0.0, theta=2.0, paths=paths)
         assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
+
+
+class TestOneSample:
+    def test_certificates_read_u_once_per_order(self, sine_solution, monkeypatch):
+        orders = []
+        dense = SolutionField.u_dense
+
+        def spy(self, order=0, path_idx=None):
+            orders.append(order)
+            return dense(self, order, path_idx)
+
+        monkeypatch.setattr(SolutionField, "u_dense", spy)
+        integral_form_defect(sine_solution, sine_problem())
+        assert sorted(orders) == [0, 1, 2]
+        orders.clear()
+        localize(sine_solution, sine_problem(), z=0.0, theta=2.0)
+        assert sorted(orders) == [0, 1, 2]
+
+    def test_forcing_profiles_take_arrays_of_tau(self):
+        tg, grid = TimeGrid(1.0, 10), SpaceGrid(1, 7.0, 65)
+        data = DataFunctional(terms=tuple((SpaceFactor.sine(), PathFactor(kind, 0, (0.5,)))
+                                          for kind in (BM, BM_SQUARED, EXP_MART)))
+        family = solve_second_family(data, (0.3,), sample_paths(4, 1, tg, seed=3))
+        s, c = 0.3, 0.5 * 0.3
+        # B(tau) of each piece as a call per scalar tau: BM, then BM^2, then EXP_MART
+        one = lambda tau: 1.0
+        reference = ([one, lambda tau: s * tau, one, lambda tau: tau,
+                      lambda tau: s**2 * tau**2, lambda tau: np.exp(c * tau)],
+                     [one, one, lambda tau: 2.0 * s * tau, lambda tau: np.exp(c * tau)])
+        kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), horizon=1.0)
+        stack = _space_factor_stack(SpaceFactor.sine(), grid)
+        taus = np.random.default_rng(2).uniform(0.0, 5.0, 10_000)
+        for pieces, refs in zip((family.y_terms, family.g_terms[0]), reference, strict=True):
+            assert len(pieces) == len(refs)
+            for piece, ref in zip(pieces, refs):
+                assert np.array_equal(piece.tau_fn(taus), np.vectorize(ref)(taus))
+                got = _forcing_profiles(kernel, tg, stack, piece.tau_fn, grid)
+                per_tau = _forcing_profiles(kernel, tg, stack, np.vectorize(piece.tau_fn), grid)
+                for o in range(3):
+                    assert np.array_equal(got[o], per_tau[o])
 
 
 class TestTimeShift:

@@ -382,3 +382,85 @@ class TestRunScenario:
                                    checks=("kernel", "no_such_check"))
         with pytest.raises(InvalidArgument, match="no_such_check"):
             run_scenario(spec)
+
+
+class TestCallsPerSample:
+    """Each function of the problem data is called on arrays, once per sample."""
+
+    @staticmethod
+    def counted(sid, field):
+        """The catalog spec with a call counter on one coefficient function,
+        and no oracle (the finite-difference oracle steps on its own)."""
+        spec, calls = get_scenario(sid), []
+
+        def build():
+            co = spec.build_coeffs()
+            fn = getattr(co, field)
+
+            def spy(*args):
+                calls.append(args)
+                return fn(*args)
+
+            return dataclasses.replace(co, **{field: spy})
+
+        return dataclasses.replace(spec, build_coeffs=build, oracle=None), calls
+
+    # transport_decay: assumptions, solve, defect; semilinear_mode: two for
+    # the Lipschitz pairs, one per Picard iterate, defect; variable_a_sin:
+    # assumptions, solve (with two for the frozen reference), defect, localize
+    # (with one for a at the bump center)
+    @pytest.mark.parametrize("sid, field, count", [
+        ("transport_decay", "b_fn", 3),
+        ("semilinear_mode", "driver", 10),
+        ("variable_a_sin", "a_fn", 7),
+    ])
+    def test_coefficient_calls_per_run_scenario(self, sid, field, count):
+        spec, calls = self.counted(sid, field)
+        _, artifacts = run_scenario(spec)
+        assert len(calls) == count
+        if field == "driver":
+            assert count == 3 + artifacts["solution"].info["iterations"]
+
+    def test_b_and_c_called_once_per_certificate(self):
+        calls = {"b": 0, "c": 0}
+
+        def counted(name, fn):
+            def spy(t, x):
+                calls[name] += 1
+                return fn(t, x)
+            return spy
+
+        co = solver.CoefficientSet(
+            terminal=scenarios.DataFunctional.deterministic(SpaceFactor.sine()),
+            diffusion=scenarios.DiffusionCoefficient.isotropic(1.0),
+            b_fn=counted("b", lambda t, x: 0.5 * np.cos(t + x)),
+            c_fn=counted("c", lambda t, x: -0.5 - 0.2 * t))
+        cfg = solver.SolverConfig(time_grid=TimeGrid(1.0, 20),
+                                  space_grid=scenarios.SpaceGrid(1, 10.0, 65))
+        sol = solver.solve(co, None, cfg)
+        assert calls == {"b": 2, "c": 2}  # the assumption check and the solve
+        solver.integral_form_defect(sol, co)
+        solver.localize(sol, co, z=0.0, theta=2.0)
+        assert calls == {"b": 4, "c": 4}
+
+    def test_tau_factor_called_once_per_quadrature(self, monkeypatch):
+        calls = {}
+        family = solver.solve_second_family
+
+        def spied(data, sigma, paths):
+            fam = family(data, sigma, paths)
+            spies = {}  # one spy per distinct B, so shared ones stay shared
+            for piece in fam.y_terms + [p for g in fam.g_terms for p in g]:
+                fn = piece.tau_fn
+                if id(fn) not in spies:
+                    def spy(tau, fn=fn, key=len(spies)):
+                        calls[key] = calls.get(key, 0) + 1
+                        return fn(tau)
+                    spies[id(fn)] = spy
+                piece.tau_fn = spies[id(fn)]
+            return fam
+
+        monkeypatch.setattr(solver, "solve_second_family", spied)
+        run_scenario(get_scenario("constant_source"))
+        # the plain and the substituted quadrature of the one forcing piece
+        assert calls == {0: 2}
