@@ -147,7 +147,8 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
     step chosen under the diffusion stability limit; returns u sampled on the
     scenario grid (the finer lattice shares every coarse node).  Boundary
     cells copy their neighbor (diffusion never reaches the comparison region
-    over a unit horizon on these wide boxes).
+    over a unit horizon on these wide boxes).  a, b and c are sampled once
+    per coarse step, on all of its sub-step times.
     """
     if grid.dim != 1:
         raise InvalidArgument("the finite-difference oracle is 1-d")
@@ -165,24 +166,28 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
     out[-1] = u[::_FD_REFINE]
     t = tgrid.horizon
     for k in range(tgrid.num_steps - 1, -1, -1):
+        times = []  # the sub-step times, stepped down from t_{k+1} by repeated subtraction
         for _ in range(sub):
+            times.append(t)
+            t -= delta
+        a_rows, b_rows, c_rows = coeffs.sample(times, x)
+        for i in range(sub):
             lap = np.empty_like(u)
             lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
             lap[0] = lap[1]
             lap[-1] = lap[-2]
-            rhs = coeffs.a_values(t, x) * lap
-            if coeffs.b_fn is not None:
+            rhs = a_rows[i] * lap
+            if b_rows is not None:
                 grad = np.empty_like(u)
                 grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
                 grad[0] = grad[1]
                 grad[-1] = grad[-2]
-                rhs += np.asarray(coeffs.b_fn(t, x)) * grad
-            if coeffs.c_fn is not None:
-                rhs += np.asarray(coeffs.c_fn(t, x)) * u
+                rhs += b_rows[i] * grad
+            if c_rows is not None:
+                rhs += c_rows[i] * u
             if coeffs.forcing is not None:
                 rhs += forcing[k]
             u = u + delta * rhs
-            t -= delta
         t = tgrid.nodes[k]
         out[k] = u[::_FD_REFINE]
     return out

@@ -9,13 +9,13 @@ one engine:
   * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v)
 
 Space convolutions run on a uniform 1-d lattice, so every kernel application
-is a Toeplitz matrix-vector product.  Kernel spectra are cached per pair
-table, each source row is transformed once, and each (t, s) pair costs one
-inverse FFT; the sum over pairs is bit for bit the per-pair FFT convolution
-summed in pair order.  When the kernel width drops below the lattice
-resolution the quadrature is replaced by the two-term expansion
-R_t^s F = F + A F'' + O(A^2), which is what keeps the short-time end of the
-time integrals honest.
+is a Toeplitz matrix-vector product.  Each pair table keeps one kernel
+spectrum per distinct kernel (the bits of its covariance and damping), each
+source row is transformed once, and each (t, s) pair costs one inverse FFT;
+the sum over pairs is bit for bit the per-pair FFT convolution summed in
+pair order.  When the kernel width drops below the lattice resolution the
+quadrature is replaced by the two-term expansion R_t^s F = F + A F'' +
+O(A^2), which is what keeps the short-time end of the time integrals honest.
 
 Only n = 1 is wired here; the kernel module itself handles general n.
 """
@@ -262,14 +262,18 @@ class BumpField:
 # All kernel sampling goes through one weighted pair-sum engine.  The terminal
 # term, the Gauss-Legendre forcing integral and the trapezoid Picard source
 # integral are three pair tables (k, t, s, w) for the same _PairConvolver.
-# Kernel spectra are cached per table and each source row is transformed once
-# per apply.  One pass runs the table in blocks of _PAIR_BLOCK pairs taken by
-# in-row position, so a block's spectra, transforms and row sums stay in
-# cache; pairs below the resolution threshold skip the transform, and only
-# the requested orders are formed (semilinear Picard forms D^2 u once, from
-# its last source).  Every row still adds its pairs in pair order, so the
-# result is bit-identical to convolving pair by pair and summing with
-# np.add.at.
+# Each table keys its transformed pairs by the bits of (A, damp) and builds
+# one kernel spectrum and one mass row per distinct key: on a uniform grid
+# with a constant frozen a, the Picard table's pairs at one time gap share
+# one kernel.  Each source row is transformed once per apply.  One pass runs
+# the table in blocks of _PAIR_BLOCK pairs taken by in-row position, so a
+# block's kernel rows, transforms and row sums stay in cache; pairs below the
+# resolution threshold skip the transform, and only the requested orders are
+# formed (semilinear Picard forms D^2 u once, from its last source).  A run
+# is one position's pairs with consecutive rows k and consecutive sources j,
+# so it reads its sources and adds into its rows through slices.  Every row
+# still adds its pairs in pair order, so the result is bit-identical to
+# convolving pair by pair and summing with np.add.at.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
@@ -294,20 +298,44 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def _first_occurrence_labels(keys: np.ndarray):
+    """(labels, first): each row of keys numbered by its first occurrence, and
+    the index of each label's first row."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)], np.sort(first)
+
+
+def _rows(table: np.ndarray, pick, buf: np.ndarray) -> np.ndarray:
+    """table[pick]: a view for a slice, else one np.take into buf (mode "clip":
+    the indices are in range, and "raise" would buffer the output)."""
+    if isinstance(pick, slice):
+        return table[pick]
+    return np.take(table, pick, axis=0, out=buf[:len(pick)], mode="clip")
+
+
+def _source(F: np.ndarray, j0: int, n: int) -> np.ndarray:
+    """A run's source rows: a shared (J,) F as is, else rows j0:j0 + n."""
+    return F if F.ndim == 1 else F[j0:j0 + n]
+
+
 class _PairConvolver:
     """Weighted kernel convolutions on a uniform 1-d lattice, summed into rows.
 
     Pair p = (k_p, t_p, s_p, w_p, j_p) adds w_p D^o R^{s_p}_{t_p} F_{j_p} into
     row k_p.  Each pair is a Toeplitz row of 2J-1 kernel samples at lattice
-    displacements; its spectrum is computed once, each source row is
+    displacements; the spectrum of each distinct kernel (the bits of its
+    covariance A and damping) is computed once, each source row is
     transformed once per apply, and each pair costs one inverse FFT.  Pairs
     whose accumulated covariance A is below the resolution threshold use the
     Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
 
     Pairs are stored in pass order: sorted by in-row position, cut into blocks
     of at most _PAIR_BLOCK pairs, each block holding its transformed pairs
-    first.  A block adds its pairs position by position, so every row sums
-    its pairs in pair order.
+    first.  A block is cut into runs of one position with consecutive k and
+    j, and adds them position by position, so every row sums its pairs in
+    pair order.
     """
 
     def __init__(self, kernel: HeatKernel, grid: SpaceGrid, rows: int, k, t, s, w, j=None):
@@ -332,21 +360,36 @@ class _PairConvolver:
         self.damp = np.exp(-kernel.beta * (s - t))[order]
         self.small = small[order]
         self.weights = np.asarray(w, dtype=float)[order, None]
-        # source row of each pair: j, or the pair's own row of a (P, J) source
-        self.src = order if j is None else np.asarray(j)[order]
+        self.j = None if j is None else np.asarray(j)[order]
         pos = pos[order]
-        # block (lo, mid, hi, f, runs): pairs lo:mid are transformed, with
-        # spectrum and mass rows f:f + mid - lo; pairs mid:hi are small; each
-        # run (rows, a, b) is one position's buffer rows a:b, in position order
+        # kernel row of each transformed pair (in pass order), and the pass
+        # index of each distinct kernel's first pair
+        big = np.flatnonzero(~self.small)
+        kernel_of, first = _first_occurrence_labels(
+            np.column_stack((self.A[big], self.damp[big])).view(np.uint64))
+        self._kernel_pairs = big[first]
+        # block (lo, mid, hi, pick, runs): pairs lo:mid are transformed, with
+        # kernel rows pick (a slice when consecutive); pairs mid:hi are small;
+        # each run (k0, j0, a, b) adds buffer rows a:b into rows k0:k0 + b - a
+        # from sources j0:j0 + b - a, in position order
+        step = np.ones(P, dtype=bool)  # pair p continues the run of pair p - 1
+        step[1:] = (np.diff(pos) == 0) & (np.diff(self.k) == 1)
+        if self.j is not None:
+            step[1:] &= np.diff(self.j) == 1
+        j_of = np.zeros(P, dtype=int) if self.j is None else self.j  # shared sources ignore j0
         self._blocks = []
         f = 0
         for lo in range(0, P, _PAIR_BLOCK):
             hi = min(lo + _PAIR_BLOCK, P)
             mid = lo + int(np.count_nonzero(~self.small[lo:hi]))
-            cuts = sorted({lo, mid, hi, *(np.flatnonzero(np.diff(pos[lo:hi])) + lo + 1).tolist()})
+            cuts = sorted({lo, mid, hi, *(np.flatnonzero(~step[lo + 1:hi]) + lo + 1).tolist()})
             runs = sorted(zip(cuts[:-1], cuts[1:]), key=lambda r: (pos[r[0]], r[0]))
-            self._blocks.append((lo, mid, hi, f,
-                                 [(self.k[a:b], a - lo, b - lo) for a, b in runs]))
+            kid = kernel_of[f:f + mid - lo]
+            k0 = int(kid[0]) if len(kid) else 0
+            pick = slice(k0, k0 + len(kid)) if np.all(kid == np.arange(k0, k0 + len(kid))) else kid
+            self._blocks.append((lo, mid, hi, pick,
+                                 [(int(self.k[a]), int(j_of[a]), a - lo, b - lo)
+                                  for a, b in runs]))
             f += mid - lo
         self.num_transformed = f
         J = grid.points_per_axis
@@ -354,6 +397,11 @@ class _PairConvolver:
         self.quad_w = space_quadrature_weights(grid)
         self._spectra = {}
         self._mass = None
+
+    @property
+    def num_kernels(self) -> int:
+        """Distinct kernels of the transformed pairs: rows of the spectra and mass tables."""
+        return len(self._kernel_pairs)
 
     def _buffers(self):
         """Block work arrays of min(P, _PAIR_BLOCK) rows: spectra, transforms, values."""
@@ -363,94 +411,92 @@ class _PairConvolver:
 
     def _kernel_spectrum(self, order: int) -> np.ndarray:
         """Spectra of the damped kernel (order 0) or its x-derivative (1), one
-        row per transformed pair, built block by block."""
+        row per distinct kernel, built _PAIR_BLOCK rows at a time."""
         if order not in self._spectra:
             J = self.grid.points_per_axis
             z = (np.arange(-(J - 1), J) * self.grid.h)[None, :]
-            spec = np.empty((self.num_transformed, self.fft_len // 2 + 1), dtype=complex)
-            for lo, mid, _hi, f, _runs in self._blocks:
-                A = self.A[lo:mid, None]
-                G = self.damp[lo:mid, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
+            spec = np.empty((self.num_kernels, self.fft_len // 2 + 1), dtype=complex)
+            for lo in range(0, self.num_kernels, _PAIR_BLOCK):
+                p = self._kernel_pairs[lo:lo + _PAIR_BLOCK]
+                A = self.A[p, None]
+                G = self.damp[p, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
                 if order == 1:
                     G = -0.5 * (z / A) * G
-                rfft(G, self.fft_len, axis=-1, out=spec[f:f + mid - lo])
+                rfft(G, self.fft_len, axis=-1, out=spec[lo:lo + len(p)])
             self._spectra[order] = spec
         return self._spectra[order]
 
-    def _transform(self, src_spec, kern, cbuf, rbuf) -> np.ndarray:
-        """(n, J) lattice window of the convolutions with spectra src_spec * kern."""
-        n, J = len(kern), self.grid.points_per_axis
-        np.multiply(src_spec, kern, out=cbuf[:n])
-        irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
-        return rbuf[:n, J - 1:2 * J - 1]
-
     def _mass_rows(self) -> np.ndarray:
-        """The first-derivative kernel against 1 per transformed pair: the
+        """The first-derivative kernel against 1 per distinct kernel: the
         subtracted term of orders 1 and 2."""
         if self._mass is None:
             J = self.grid.points_per_axis
             ones = rfft(np.ones((1, J)) * self.quad_w, self.fft_len, axis=-1)
             kern = self._kernel_spectrum(1)
-            self._mass = np.empty((self.num_transformed, J))
+            self._mass = np.empty((self.num_kernels, J))
             cbuf, rbuf, _vbuf = self._buffers()
-            for lo, mid, _hi, f, _runs in self._blocks:
-                n = mid - lo
-                self._mass[f:f + n] = self._transform(ones, kern[f:f + n], cbuf, rbuf)
+            for lo in range(0, self.num_kernels, _PAIR_BLOCK):
+                n = min(_PAIR_BLOCK, self.num_kernels - lo)
+                np.multiply(ones, kern[lo:lo + n], out=cbuf[:n])
+                irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
+                self._mass[lo:lo + n] = rbuf[:n, J - 1:2 * J - 1]
         return self._mass
 
-    def _sources(self, F, lo, hi):
-        """Source rows of the pairs lo:hi: a shared (J,) or (1, J) F as is, else gathered."""
-        return F if F.ndim == 1 or len(F) == 1 else F[self.src[lo:hi]]
-
     def apply(self, stack, orders) -> dict:
-        """{o: (rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_p} for each
-        requested order o in 0, 1, 2.
+        """{o: (rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_{j_p}} for
+        each requested order o in 0, 1, 2.
 
         ``stack`` is [F, F', ..., F^(6)] on the lattice.  Each entry is (J,),
-        shared by every pair; or (R, J) source rows picked by ``j``; or, with
-        no ``j``, (P, J), one row per pair.  Orders 1 and 2 use the subtracted
-        first-derivative kernel against stack[o - 1].
+        shared by every pair, or (R, J) source rows picked by ``j``.  Orders 1
+        and 2 use the subtracted first-derivative kernel against stack[o - 1].
         """
         if max(orders) > 2:
             raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {max(orders)}")
         J = self.grid.points_per_axis
         stack = [np.asarray(d) for d in stack]
-        # order o transforms stack[max(o - 1, 0)]; orders with one source share its spectrum
-        by_source = {}
-        for o in orders:
-            by_source.setdefault(max(o - 1, 0), []).append(o)
-        spectra = {i: rfft(np.atleast_2d(stack[i]) * self.quad_w, self.fft_len, axis=-1)
-                   for i in by_source}
-        kern = {o: self._kernel_spectrum(min(o, 1)) for o in orders}
+        if self.j is None and any(d.ndim > 1 for d in stack):
+            raise InvalidArgument("(R, J) source rows need the pair sources j")
+        # order o transforms stack[max(o - 1, 0)] against kernel table min(o, 1)
+        spectra = {i: rfft(stack[i] * self.quad_w, self.fft_len, axis=-1)
+                   for i in {max(o - 1, 0) for o in orders}}
+        kern = {d: self._kernel_spectrum(d) for d in {min(o, 1) for o in orders}}
         mass = self._mass_rows() if max(orders) > 0 else None
         cbuf, rbuf, vbuf = self._buffers()
-        gbuf = np.empty_like(cbuf)
+        # gather buffers only for tables whose kernel rows repeat
+        gathers = not all(isinstance(block[3], slice) for block in self._blocks)
+        kbuf = {d: np.empty_like(cbuf) if gathers else None for d in kern}
+        mbuf = np.empty_like(vbuf) if gathers else None
         out = {o: np.zeros((self.rows, J)) for o in orders}
-        for lo, mid, hi, f, runs in self._blocks:
+        for lo, mid, hi, pick, runs in self._blocks:
             n = mid - lo
             vals = vbuf[:hi - lo]
-            for i, group in by_source.items():
-                spec = spectra[i]
-                if n and len(spec) > 1:
-                    spec = np.take(spec, self.src[lo:mid], axis=0, out=gbuf[:n], mode="clip")
-                for o in group:
-                    if n:
-                        conv = self._transform(spec, kern[o][f:f + n], cbuf, rbuf)
-                        if o == 0:
-                            vals[:n] = conv
-                        else:
-                            np.subtract(conv, self._sources(stack[i], lo, mid) * mass[f:f + n],
-                                        out=vals[:n])
-                    if hi > mid:
-                        # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
-                        A = self.A[mid:hi, None]
-                        limit = self._sources(stack[o], mid, hi)
-                        for extra, coef in ((2, A), (4, 0.5 * A**2)):
-                            limit = limit + coef * self._sources(stack[o + extra], mid, hi)
-                        vals[n:] = self.damp[mid:hi, None] * limit
-                    vals *= self.weights[lo:hi]
-                    for rows, a, b in runs:
-                        out[o][rows] += vals[a:b]
+            w = self.weights[lo:hi]
+            big = [r for r in runs if r[2] < n]
+            small = [r for r in runs if r[2] >= n]
+            if n:
+                kb = {d: _rows(kern[d], pick, kbuf[d]) for d in kern}
+                mb = None if mass is None else _rows(mass, pick, mbuf)
+            for o in orders:
+                i = max(o - 1, 0)
+                if n:
+                    for _k0, j0, a, b in big:
+                        np.multiply(_source(spectra[i], j0, b - a), kb[min(o, 1)][a:b],
+                                    out=cbuf[a:b])
+                    irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
+                    conv = rbuf[:n, J - 1:2 * J - 1]
+                    if o > 0:
+                        for _k0, j0, a, b in big:
+                            conv[a:b] -= _source(stack[i], j0, b - a) * mb[a:b]
+                    np.multiply(conv, w[:n], out=vals[:n])
+                for _k0, j0, a, b in small:
+                    # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
+                    A = self.A[lo + a:lo + b, None]
+                    limit = _source(stack[o], j0, b - a)
+                    for extra, coef in ((2, A), (4, 0.5 * A**2)):
+                        limit = limit + coef * _source(stack[o + extra], j0, b - a)
+                    np.multiply(self.damp[lo + a:lo + b, None] * limit, w[a:b], out=vals[a:b])
+                for k0, _j0, a, b in runs:
+                    out[o][k0:k0 + b - a] += vals[a:b]
         return out
 
 
@@ -600,23 +646,30 @@ class SolutionField:
         return self._dense(self.v_parts[l], order, path_idx)
 
     def to_csv(self, path, path_ids=None):
-        """Columnar export: path_id, t, x, u, v_1..v_d."""
+        """Columnar export: path_id, t, x, u, v_1..v_d.
+
+        Each (path, time) block of lines is one %-format: the block's path
+        and time prefix is put once in front of every line of the file's
+        row templates, which hold x.
+        """
         if path_ids is None:
             path_ids = list(range(min(self.num_paths, 8)))
         path_ids = list(path_ids)
         u = self.u_dense(0, path_ids)
         v = [self.v_dense(l, 0, path_ids) for l in range(self.noise_dim)]
-        xs = [f"{xj:.17g}" for xj in self.space_grid.axis]
-        values = ",%.17g" * (1 + self.noise_dim) + "\r\n"
+        m = 1 + self.noise_dim
+        values = ",%.17g" * m + "\r\n"
+        rows = [f"{xj:.17g}{values}" for xj in self.space_grid.axis]
+        flat = [None] * (len(rows) * m)  # one block's u, v_1, ..., v_d, line by line
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["path_id", "t", "x", "u"]
                               + [f"v_{l + 1}" for l in range(self.noise_dim)]) + "\r\n")
             for mi, pid in enumerate(path_ids):
                 for k, tk in enumerate(self.time_grid.nodes):
-                    # one %-format per space node behind the row's path and time
-                    line = f"{pid},{tk:.17g},%s{values}"
-                    cols = [u[mi, k].tolist()] + [vl[mi, k].tolist() for vl in v]
-                    fh.write("".join(line % row for row in zip(xs, *cols)))
+                    prefix = f"{pid},{tk:.17g},"
+                    for col, field in enumerate([u] + v):
+                        flat[col::m] = field[mi, k].tolist()
+                    fh.write((prefix + prefix.join(rows)) % tuple(flat))
 
     def summary_json(self, residual_rms: float, residual_worst: float) -> str:
         """The solve's summary, with the integral-form defect measured on it."""

@@ -11,7 +11,7 @@ from bspdelab.scenarios import (
     get_scenario,
     list_scenarios,
 )
-from bspdelab.solver import CoefficientSet
+from bspdelab.solver import CoefficientSet, _degenerate_paths
 from bspdelab.stochastic import DataFunctional, SpaceFactor
 
 REQUIRED_IDS = {
@@ -148,6 +148,64 @@ class TestFiniteDifferenceOracle:
                                 c_fn=lambda t, x: -1.0)
         err = self.fd_error(coeffs, lambda t, x: np.exp(-2.0 * (1.0 - t)) * np.sin(x))
         assert err < 2e-4
+
+    @staticmethod
+    def per_sub_step(coeffs, tgrid, grid):
+        # the oracle's stepping with a, b and c read on every sub-step
+        J_f = 4 * (grid.points_per_axis - 1) + 1
+        x = np.linspace(-grid.radius, grid.radius, J_f)
+        h = x[1] - x[0]
+        sub = max(1, int(np.ceil(tgrid.dt / (0.4 * h**2 / (2.0 * coeffs.Lam)))))
+        delta = tgrid.dt / sub
+        u = coeffs.terminal.terminal_values(_degenerate_paths(tgrid), x)[0].copy()
+        forcing = coeffs.forcing.dense(_degenerate_paths(tgrid), x)[0]
+        out = np.empty((len(tgrid), grid.points_per_axis))
+        out[-1] = u[::4]
+        t = tgrid.horizon
+        for k in range(tgrid.num_steps - 1, -1, -1):
+            for _ in range(sub):
+                lap = np.empty_like(u)
+                lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+                lap[0], lap[-1] = lap[1], lap[-2]
+                grad = np.empty_like(u)
+                grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+                grad[0], grad[-1] = grad[1], grad[-2]
+                rhs = coeffs.a_values(t, x) * lap
+                rhs += np.asarray(coeffs.b_fn(t, x)) * grad
+                rhs += np.asarray(coeffs.c_fn(t, x)) * u
+                rhs += forcing[k]
+                u = u + delta * rhs
+                t -= delta
+            t = tgrid.nodes[k]
+            out[k] = u[::4]
+        return out
+
+    @pytest.mark.parametrize("space_invariant", [False, True])
+    def test_equals_per_sub_step_loop_with_t_dependent_data(self, space_invariant):
+        calls = {"a": 0, "b": 0, "c": 0}
+
+        def counted(name, fn):
+            def wrapped(t, x):
+                calls[name] += 1
+                return fn(t, x)
+            return wrapped
+
+        if space_invariant:
+            data = dict(diffusion=DiffusionCoefficient.time_scaled(
+                lambda t: 0.8 + 0.3 * np.sin(2.0 * t), lam=0.5, Lam=1.1))
+        else:
+            data = dict(a_fn=counted("a", lambda t, x: 0.8 + 0.2 * np.cos(t) * np.sin(x)),
+                        lam=0.6, Lam=1.0)
+        coeffs = CoefficientSet(
+            terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+            b_fn=counted("b", lambda t, x: 0.5 * np.sin(3.0 * t) + 0.0 * x),
+            c_fn=counted("c", lambda t, x: -np.exp(-t) * np.cos(x)),
+            forcing=DataFunctional.deterministic(SpaceFactor.sine(phase=0.5 * np.pi)),
+            **data)
+        tgrid, grid = TimeGrid(1.0, 6), SpaceGrid(1, 6.0, 33)
+        u = finite_difference_oracle(coeffs, tgrid, grid)
+        assert calls == {"a": 0 if space_invariant else 6, "b": 6, "c": 6}
+        assert np.array_equal(u, self.per_sub_step(coeffs, tgrid, grid))
 
     def test_rejects_2d(self):
         spec = get_scenario("sin_decay")

@@ -17,6 +17,7 @@ from bspdelab.errors import (
 )
 from bspdelab.grid import SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.kernel import DiffusionCoefficient, HeatKernel
+from bspdelab.scenarios import get_scenario
 from bspdelab.stochastic import (
     BM,
     BM_SQUARED,
@@ -292,7 +293,7 @@ class TestConvolve:
         cos = _space_factor_stack(SpaceFactor.sine(phase=0.5 * np.pi), SG)
         stack = [np.stack([a, b, c]) for a, b, c in zip(sin, cos, sin)]
         pairs = _PairConvolver(self.KERNEL, SG, 2, [0, 1, 1], [0.0, 0.2, 0.5],
-                               [0.5, 0.6, 1.0], [1.0, 2.0, 3.0])
+                               [0.5, 0.6, 1.0], [1.0, 2.0, 3.0], j=np.arange(3))
         e1, e2 = np.exp(-0.5), np.exp(-0.4)
         expected = {
             0: [e1 * np.sin(X), 2.0 * e2 * np.cos(X) + 3.0 * e1 * np.sin(X)],
@@ -312,13 +313,13 @@ class TestPairEngineBitIdentity:
     KERNEL = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 0.4 + 0.3 * np.sin(3.0 * t),
                                                          lam=0.1, Lam=0.7), beta=0.7)
 
-    def reference(self, grid, rows, k, t, s, w, stack, order):
+    def reference(self, grid, rows, k, t, s, w, stack, order, kernel):
         J = grid.points_per_axis
         quad_w = space_quadrature_weights(grid)
         # kernel rows sampled over all pairs at once, as the engine does
         # (numpy's array and scalar pow differ in the last bit)
-        A = self.KERNEL.covariance_pairs(t, s)[:, 0, 0]
-        damp = np.exp(-self.KERNEL.beta * (s - t))
+        A = kernel.covariance_pairs(t, s)[:, 0, 0]
+        damp = np.exp(-kernel.beta * (s - t))
         small = A < _SMALL_FACTOR * grid.h**2
         A_safe = np.where(small, 1.0, A)[:, None]
         z = (np.arange(-(J - 1), J) * grid.h)[None, :]
@@ -344,13 +345,14 @@ class TestPairEngineBitIdentity:
         np.add.at(out, k, np.array(contrib))
         return out
 
-    def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None, grid=None):
+    def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None, grid=None, kernel=None):
         grid = self.SG if grid is None else grid
-        pairs = _PairConvolver(self.KERNEL, grid, rows, k, t, s, w, j=j)
+        kernel = self.KERNEL if kernel is None else kernel
+        pairs = _PairConvolver(kernel, grid, rows, k, t, s, w, j=j)
         every = pairs.apply(stack, (0, 1, 2))
         for order in range(3):
             expected = self.reference(grid, rows, k, t, s, w,
-                                      stack if pair_stack is None else pair_stack, order)
+                                      stack if pair_stack is None else pair_stack, order, kernel)
             assert np.array_equal(every[order], expected)
         # a subset of the orders gives the same bits
         for orders in ((0,), (1, 2), (0, 1), (2,)):
@@ -359,7 +361,7 @@ class TestPairEngineBitIdentity:
             assert all(np.array_equal(some[o], every[o]) for o in orders)
         return pairs
 
-    def picard_triangle(self, tgrid, grid):
+    def picard_triangle(self, tgrid, grid, kernel=None):
         K, nodes = tgrid.num_steps, tgrid.nodes
         k, j = np.triu_indices(K + 1)
         w = np.full(k.shape, tgrid.dt)
@@ -370,7 +372,7 @@ class TestPairEngineBitIdentity:
              + 0.1 * rng.standard_normal((K + 1, grid.points_per_axis)))
         stack = _stack_from_rows(F, grid)
         return self.check(K + 1, k, nodes[k], nodes[j], w, stack,
-                          pair_stack=[d[j] for d in stack], j=j, grid=grid)
+                          pair_stack=[d[j] for d in stack], j=j, grid=grid, kernel=kernel)
 
     def test_picard_triangle_with_source_rows(self):
         pairs = self.picard_triangle(self.TG, self.SG)
@@ -400,7 +402,7 @@ class TestPairEngineBitIdentity:
         s = np.array([0.5, 0.1001, 0.9, 0.6, 1.0, 0.8])
         w = rng.uniform(0.5, 2.0, len(k))
         stack = [rng.standard_normal((len(k), self.SG.points_per_axis)) for _ in range(7)]
-        self.check(4, k, t, s, w, stack)
+        self.check(4, k, t, s, w, stack, j=np.arange(len(k)))
 
     def assert_multi_block(self, pairs):
         assert len(pairs._blocks) >= 3
@@ -411,6 +413,15 @@ class TestPairEngineBitIdentity:
         self.assert_multi_block(pairs)
         # some block holds transformed and small pairs both
         assert any(lo < mid < hi for lo, mid, hi, _f, _runs in pairs._blocks)
+        # a time-scaled a repeats no kernel, so first-occurrence numbering
+        # lets every block read its kernel rows as a slice
+        assert pairs.num_kernels == pairs.num_transformed
+        assert all(isinstance(pick, slice) for _lo, _mid, _hi, pick, _runs in pairs._blocks)
+        # each run is a slice of consecutive rows and consecutive sources
+        for lo, _mid, _hi, _pick, runs in pairs._blocks:
+            for k0, j0, a, b in runs:
+                assert np.array_equal(pairs.k[lo + a:lo + b], np.arange(k0, k0 + b - a))
+                assert np.array_equal(pairs.j[lo + a:lo + b], np.arange(j0, j0 + b - a))
 
     def test_multi_block_shared_source(self):
         # forcing-table shape: 13 rows of 37 s nodes, one shared (J,) source
@@ -434,9 +445,32 @@ class TestPairEngineBitIdentity:
         s = t + rng.choice([0.0, 1e-3, 0.3, 1.0], P) * rng.uniform(0.5, 1.0, P)
         w = rng.uniform(0.5, 2.0, P)
         stack = [rng.standard_normal((P, self.SG.points_per_axis)) for _ in range(7)]
-        pairs = self.check(rows, k, t, s, w, stack)
+        pairs = self.check(rows, k, t, s, w, stack, j=np.arange(P))
         self.assert_multi_block(pairs)
         assert 0 < pairs.small.sum() < pairs.small.size
+
+    def test_constant_a_table_repeats_kernels(self):
+        # a constant a on a uniform grid: pairs at one time gap share a kernel
+        kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), beta=0.7)
+        pairs = self.picard_triangle(TimeGrid(1.0, 32), self.SG, kernel=kernel)
+        self.assert_multi_block(pairs)
+        assert pairs.num_kernels < pairs.num_transformed // 4
+        assert any(not isinstance(pick, slice) for _lo, _mid, _hi, pick, _runs in pairs._blocks)
+        assert len(pairs._spectra[1]) == len(pairs._mass) == pairs.num_kernels
+
+    def test_kernels_keyed_by_damping_too(self):
+        # s past the horizon clips the covariance: one A, two dampings, two kernels
+        k, t, s = np.arange(4), np.full(4, 0.4), np.array([1.1, 1.4, 1.1, 1.4])
+        stack = _space_factor_stack(SpaceFactor.sine(phase=0.3), self.SG)
+        pairs = self.check(4, k, t, s, np.ones(4), stack)
+        assert len(set(pairs.A.tolist())) == 1
+        assert pairs.num_kernels == 2
+
+    def test_row_sources_need_j(self):
+        pairs = _PairConvolver(self.KERNEL, self.SG, 1, [0], [0.0], [0.5], [1.0])
+        stack = [np.ones((1, self.SG.points_per_axis))] * 7
+        with pytest.raises(InvalidArgument, match="j"):
+            pairs.apply(stack, (0,))
 
     def test_unsorted_rows_rejected(self):
         with pytest.raises(InvalidArgument, match="sorted"):
@@ -459,6 +493,17 @@ def test_repeat_integrator_solve_allocates_little():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert all(np.array_equal(first[o], again[o]) for o in range(3))
+
+
+def test_variable_a_sin_keeps_one_kernel_row_per_distinct_kernel():
+    # K = 100, J = 257: 4,753 transformed pairs; a row per pair took 71 MB
+    spec = get_scenario("variable_a_sin")
+    _abar, integrator, *_ = _picard_setup(spec.build_coeffs(), spec.config(), 0.0)
+    pairs = integrator.pairs
+    integrator.solve(np.ones((101, 257)), (0, 1, 2))
+    assert (pairs.num_transformed, pairs.num_kernels) == (4753, 295)
+    assert all(len(table) == 295 for table in pairs._spectra.values()) and len(pairs._mass) == 295
+    assert sum(a.nbytes for a in (*pairs._spectra.values(), pairs._mass)) <= 8 * 2**20
 
 
 def test_next_fast_len_matches_scipy():
