@@ -23,7 +23,7 @@ Only n = 1 is wired here; the kernel module itself handles general n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -603,6 +603,19 @@ class FieldPart:
     series: np.ndarray  # (Mp, K+1); Mp == 1 for deterministic parts
 
 
+class _ColumnProfiles(dict):
+    """A profile table on a column mask; an order is sliced when first read,
+    so a check pays only for the orders it evaluates."""
+
+    def __init__(self, profiles: dict, columns: np.ndarray):
+        super().__init__()
+        self.source, self.columns = profiles, columns
+
+    def __missing__(self, order):
+        sliced = self[order] = self.source[order][:, self.columns]
+        return sliced
+
+
 _DENSE_PATH_CAP = 1024  # most paths a dense evaluation may cover without path_idx
 
 
@@ -644,6 +657,30 @@ class SolutionField:
 
     def v_dense(self, l: int, order: int = 0, path_idx=None) -> np.ndarray:
         return self._dense(self.v_parts[l], order, path_idx)
+
+    def restrict(self, columns: np.ndarray) -> "SolutionField":
+        """The field on the lattice points ``columns`` (a symmetric contiguous
+        boolean mask), every point of it trusted.
+
+        Its dense evaluations equal ``self.u_dense(o, idx)[..., columns]``
+        (and likewise v) in values and in memory layout, columns outermost,
+        so a norm or mean over them adds in the same order; only the columns
+        are evaluated.  Each profile order is sliced when first read, once
+        per profile table that parts share.
+        """
+        tables = {}
+
+        def cut(part):
+            key = id(part.profiles)
+            if key not in tables:
+                tables[key] = _ColumnProfiles(part.profiles, columns)
+            return FieldPart(tables[key], part.series)
+
+        return replace(
+            self, space_grid=_masked_grid(self.space_grid, columns),
+            u_parts=[cut(p) for p in self.u_parts],
+            v_parts=[[cut(p) for p in parts] for parts in self.v_parts],
+            trusted=np.ones(int(columns.sum()), dtype=bool))
 
     def to_csv(self, path, path_ids=None):
         """Columnar export: path_id, t, x, u, v_1..v_d.
@@ -740,18 +777,23 @@ class _Sample(NamedTuple):
 
 
 def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, mask):
-    """The solve and its data on the lattice points ``mask``, read once.
+    """The solve and its data on the lattice points ``mask`` (None: the
+    whole lattice), read once; the solve is evaluated on those points only.
 
     A stochastic solve is measured on its first max_paths paths; a
     deterministic one (no paths, or deterministic data on one path) on path 0
     without increments.
     """
-    tgrid, x = sol.time_grid, sol.space_grid.axis[mask]
+    tgrid = sol.time_grid
+    if mask is None:
+        field, x = sol, sol.space_grid.axis
+    else:
+        field, x = sol.restrict(mask), sol.space_grid.axis[mask]
     pathwise = paths is not None and not (coeffs.is_deterministic() and sol.num_paths == 1)
     path_idx = np.arange(min(paths.num_paths, max_paths)) if pathwise else np.array([0])
     sub = paths.subset(path_idx) if pathwise else _degenerate_paths(tgrid, coeffs.noise_dim)
-    u = [sol.u_dense(o, path_idx)[..., mask] for o in range(3)]
-    v = [sol.v_dense(l, 0, path_idx)[..., mask] for l in range(sol.noise_dim)]
+    u = [field.u_dense(o, path_idx) for o in range(3)]
+    v = [field.v_dense(l, 0, path_idx) for l in range(sol.noise_dim)]
     f = None
     if coeffs.forcing is not None:
         f = coeffs.forcing.dense(sub, x)
@@ -1116,7 +1158,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     bump = BumpField(center=z, radius=theta)
     eta, eta1, eta2 = bump(x), bump.d1(x), bump.d2(x)
 
-    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, slice(None))
+    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, None)
     (u0, u1, u2), v0 = smp.u, smp.v
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
@@ -1196,8 +1238,9 @@ def time_shift_norm(sol: SolutionField, tau: float) -> float:
     every path of the solution, so at most 1024 paths (the dense cap)."""
     tgrid = sol.time_grid
     r = shift_steps(tgrid, tau)
-    u = sol.u_dense(0)[..., sol.trusted]
+    field = sol.restrict(sol.trusted)
+    u = field.u_dense(0)
     diff = u[:, r:, :] - u[:, :-r, :]
     sub_grid = TimeGrid(tgrid.horizon - tau, tgrid.num_steps - r)
-    f = FieldSample(diff, _masked_grid(sol.space_grid, sol.trusted), "L2", sub_grid)
+    f = FieldSample(diff, field.space_grid, "L2", sub_grid)
     return estimate_norm(f, 0, _NORM_ALPHA).total

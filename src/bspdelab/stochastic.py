@@ -13,11 +13,13 @@ solution against the backward integral form.
 
 No check builds a (path, time, lattice) array over a whole 10^4-path
 ensemble.  Checks on a scenario's main solve evaluate a path subset: the
-oracle comparison the first 512 paths (in chunks of 64), the integral-form
-defect the first 64, the localized residual the first 32, and the CSV
-export the first 8.  The studies solve only what they measure: the
-time-shift study the first 64 paths (`sample_paths` draws them as the
-first 64 rows of the full ensemble), the a priori study at most 128.
+oracle comparison the first 512 paths (the oracle called once per chunk of
+16), the integral-form defect the first 64, the localized residual the
+first 32, and the CSV export the first 8.  Checks that read only the
+trusted region evaluate only its columns (`SolutionField.restrict`).  The
+studies solve only what they measure: the time-shift study the first 64
+paths (`sample_paths` draws them as the first 64 rows of the full
+ensemble), the a priori study at most 128.
 
 One closed-form family, `solve_second_family`, solves the linear BSDE with
 terminal data f(tau, x) at every terminal time tau at once; forcing reads it
@@ -93,11 +95,21 @@ def product_dense(pieces, shape, path_idx=None) -> np.ndarray:
     one-row series is shared by every path, otherwise ``path_idx`` (None for
     all) picks its rows and the result has one row per index; a (J,)
     profile is constant in t.
+
+    The result is C-ordered unless a (K+1, J) profile has its column axis
+    outermost in memory, as a column slice ``profile[:, columns]`` has: then
+    the result is laid out like ``cube[..., columns]`` of a C-ordered cube
+    (columns outermost, then paths, then times), so sums and means over it
+    add in the same order as over the sliced cube.
     """
     if path_idx is not None:
         path_idx = np.atleast_1d(np.asarray(path_idx))
         shape = (len(path_idx),) + tuple(shape[1:])
-    out = np.zeros(shape)
+    if any(p.ndim == 2 and p.strides[1] > p.strides[0] for _, p in pieces):
+        M, K1, J = shape
+        out = np.zeros((J, M, K1)).transpose(1, 2, 0)
+    else:
+        out = np.zeros(shape)
     for series, profile in pieces:
         if path_idx is not None and series.shape[0] > 1:
             series = series[path_idx]

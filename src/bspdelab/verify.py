@@ -137,14 +137,16 @@ def run_residual_check(solution, coeffs, tolerance: float, paths=None,
 
 
 _ORACLE_PATHS = 512  # paths a stochastic oracle is built and compared on
-_ORACLE_CHUNK = 64  # paths per chunk of the oracle comparison
+_ORACLE_CHUNK = 16  # paths per oracle call and per chunk of the comparison
 
 
 def run_oracle_check(spec, solution, paths) -> Verdict:
     """Compare a solved field with the scenario's independent oracle.
 
-    A stochastic oracle is built on the first 512 paths only, and the
-    comparison evaluates the solution on them in chunks of 64.
+    A stochastic oracle is called once per chunk of 16 of the first 512
+    paths, and the solution is evaluated on the same chunk and on the
+    trusted columns only, so no (512, K+1, J) cube is built.  An oracle
+    that returns one deterministic (K+1, J) field is called once.
     """
     if spec.oracle is None:
         return Verdict(
@@ -152,30 +154,35 @@ def run_oracle_check(spec, solution, paths) -> Verdict:
             measured={"note": "no oracle registered"}, tolerance={},
             provenance="scenario catalog", details={},
         )
-    if paths is not None:
-        paths = paths.subset(np.arange(min(paths.num_paths, _ORACLE_PATHS)))
-    u_exact, v_exact = spec.oracle(spec, solution, paths)
+    n = 0 if paths is None else min(paths.num_paths, _ORACLE_PATHS)
+    chunks = [slice(start, min(start + _ORACLE_CHUNK, n))
+              for start in range(0, n, _ORACLE_CHUNK)]
+    u_exact, v_exact = spec.oracle(spec, solution,
+                                   None if paths is None else paths.subset(chunks[0]))
     mask = solution.trusted
     if u_exact.ndim == 2:
         measured = {"sup": _restricted_sup(spec, solution, u_exact)}
         ok = measured["sup"] <= spec.sup_tolerance
     else:
-        n, tsel = len(u_exact), _time_window(spec, solution.time_grid)
+        field, tsel = solution.restrict(mask), _time_window(spec, solution.time_grid)
         # the layout of u[:, tsel][..., mask] (Fortran order), so the mean
         # sums in the order of a comparison over all n paths at once
         diff = np.empty((n, int(tsel.sum()), int(mask.sum())), order="F")
 
         def rms(dense, exact):
-            for start in range(0, n, _ORACLE_CHUNK):
-                rows = slice(start, min(start + _ORACLE_CHUNK, n))
-                np.subtract(dense(np.arange(rows.start, rows.stop))[:, tsel][..., mask],
+            for rows in chunks:
+                np.subtract(dense(np.arange(rows.start, rows.stop))[:, tsel],
                             exact(rows)[:, tsel][..., mask], out=diff[rows])
-            return float(np.sqrt(np.mean(diff**2)))
+            return float(np.sqrt(np.mean(np.square(diff, out=diff))))
 
-        measured = {"rms": rms(lambda idx: solution.u_dense(0, path_idx=idx),
-                               lambda rows: u_exact[rows])}
+        def u_chunk(rows):
+            if rows.start == 0:
+                return u_exact
+            return spec.oracle(spec, solution, paths.subset(rows))[0]
+
+        measured = {"rms": rms(lambda idx: field.u_dense(0, path_idx=idx), u_chunk)}
         if v_exact is not None:
-            measured["v_rms"] = rms(lambda idx: solution.v_dense(0, 0, path_idx=idx),
+            measured["v_rms"] = rms(lambda idx: field.v_dense(0, 0, path_idx=idx),
                                     lambda rows: v_exact[None])
         ok = all(m <= spec.sup_tolerance for m in measured.values())
     return Verdict(
@@ -200,17 +207,15 @@ _SCALINGS = (1.0, 10.0)  # data scalings of the a priori lattice, unscaled first
 
 def solution_norm_lhs(sol, alpha: float) -> dict:
     """The three-norm sum measured on the trusted region of a solution."""
-    mask = sol.trusted
-    sub = _masked_grid(sol.space_grid, mask)
-    u0 = sol.u_dense(0)[..., mask]
-    u1 = sol.u_dense(1)[..., mask]
-    u2 = sol.u_dense(2)[..., mask]
+    field = sol.restrict(sol.trusted)
+    sub = field.space_grid
+    u0, u1, u2 = (field.u_dense(o) for o in range(3))
     low = estimate_norm(FieldSample(u0, sub, "S2", sol.time_grid), 0, alpha).total
     fh = FieldSample(u0, sub, "L2", sol.time_grid)
     fh.attach_derivative(1, u1)
     fh.attach_derivative(2, u2)
     high = estimate_norm(fh, 2, alpha).total
-    v0 = sol.v_dense(0, 0)[..., mask]
+    v0 = field.v_dense(0, 0)
     v_norm = estimate_norm(FieldSample(v0, sub, "L2", sol.time_grid), 0, alpha).total
     return {"u_low": low, "u_high": high, "v": v_norm,
             "total": low + high + v_norm}
@@ -288,13 +293,12 @@ def run_apriori_study(specs, steps=(50, 100), points=(129, 257)) -> VerdictBundl
                     lhs = solution_norm_lhs(sol, _ALPHA)["total"]
                     rhs = data_norm_rhs(coeffs, sol, paths, _ALPHA)["total"]
                     ratios[(K, J, kappa)] = lhs / rhs
-                base_sol = sols[_SCALINGS[0]]
-                mask = base_sol.trusted
+                mask = sols[_SCALINGS[0]].trusted
+                base_sol = sols[_SCALINGS[0]].restrict(mask)
                 for kappa in _SCALINGS[1:]:
                     rel = kappa / _SCALINGS[0]
-                    fields = [(sols[kappa].u_dense(o)[..., mask],
-                               base_sol.u_dense(o)[..., mask])
-                              for o in range(3)]
+                    scaled = sols[kappa].restrict(mask)
+                    fields = [(scaled.u_dense(o), base_sol.u_dense(o)) for o in range(3)]
                     scale = max(max(float(np.max(np.abs(ua)))
                                     for ua, ub in fields), 1e-300)
                     for ua, ub in fields:

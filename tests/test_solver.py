@@ -52,6 +52,7 @@ from bspdelab.solver import (
     solve_variable_linear,
     time_shift_norm,
 )
+from bspdelab.verify import solution_norm_lhs
 
 TG = TimeGrid(1.0, 50)
 SG = SpaceGrid(1, 7.0, 129)
@@ -893,6 +894,87 @@ class TestDenseEvaluation:
         u = sol.u_dense(0, path_idx=np.arange(_DENSE_PATH_CAP - 2, _DENSE_PATH_CAP + 1))
         assert u.shape == (3, len(TG), len(X))
         assert np.array_equal(u[:, 0, 0], sol.u_parts[0].series[-3:, 0])
+
+
+@pytest.fixture(scope="module")
+def stochastic_forced():
+    """Stochastic terminal and forcing data under sigma = 0.3: u and v each
+    sum parts of both profile kinds, and some parts share a profile table."""
+    co = CoefficientSet(
+        terminal=DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),)),
+        forcing=DataFunctional(terms=((SpaceFactor.sine(2.0), PathFactor(BM_SQUARED)),)),
+        diffusion=DiffusionCoefficient.isotropic(0.5), sigma=(0.3,),
+    )
+    paths = sample_paths(40, 1, TG, seed=5)
+    return solve(co, paths, config()), co, paths
+
+
+@pytest.fixture(scope="module")
+def sine_problem_solution(sine_solution):
+    return sine_solution, sine_problem(), None
+
+
+class _SlicedCube:
+    """A restricted field as the checks read it before ``restrict``: the
+    dense cube over the whole lattice, then the columns."""
+
+    def __init__(self, sol, columns):
+        self.sol, self.columns = sol, columns
+        self.space_grid = solver._masked_grid(sol.space_grid, columns)
+
+    def u_dense(self, order=0, path_idx=None):
+        return self.sol.u_dense(order, path_idx)[..., self.columns]
+
+    def v_dense(self, l, order=0, path_idx=None):
+        return self.sol.v_dense(l, order, path_idx)[..., self.columns]
+
+
+class TestRestrict:
+    @pytest.fixture(params=["stochastic", "deterministic"])
+    def case(self, request, stochastic_forced, sine_solution):
+        if request.param == "stochastic":
+            return stochastic_forced[0], [None, np.array([7, 0, 31])]
+        return sine_solution, [None, np.array([0])]
+
+    def test_dense_equals_the_sliced_cube_in_values_and_strides(self, case):
+        sol, path_picks = case
+        mask = sol.trusted
+        field = sol.restrict(mask)
+        assert field.space_grid == solver._masked_grid(sol.space_grid, mask)
+        assert field.trusted.all() and len(field.trusted) == mask.sum()
+        for idx in path_picks:
+            pairs = [(field.u_dense(o, idx), sol.u_dense(o, idx)[..., mask]) for o in range(3)]
+            for l in range(sol.noise_dim):
+                pairs.append((field.v_dense(l, 0, idx), sol.v_dense(l, 0, idx)[..., mask]))
+            for got, ref in pairs:
+                assert np.array_equal(got, ref)
+                # an empty part list (the v of a deterministic solve) is zeros,
+                # with no profile to take a layout from
+                if got.any():
+                    assert got.strides == ref.strides
+
+    def test_slices_only_the_orders_read_once_per_shared_table(self, stochastic_forced):
+        sol = stochastic_forced[0]
+        field = sol.restrict(sol.trusted)
+        field.u_dense(0, [0])
+        tables = {id(p.profiles): p.profiles for p in field.u_parts}
+        assert all(sorted(t.keys()) == [0] for t in tables.values())
+        shared = {id(p.profiles) for p in sol.u_parts} & {id(p.profiles) for p in sol.v_parts[0]}
+        assert shared  # the check below is not vacuous
+        assert len({id(p.profiles) for p in field.u_parts + field.v_parts[0]}) \
+            == len({id(p.profiles) for p in sol.u_parts + sol.v_parts[0]})
+
+    def test_certificates_equal_the_old_way(self, stochastic_forced, sine_problem_solution,
+                                            monkeypatch):
+        cases = [stochastic_forced, sine_problem_solution]
+
+        def measure():
+            return [(time_shift_norm(sol, 0.2), solution_norm_lhs(sol, 0.5),
+                     integral_form_defect(sol, co, paths)) for sol, co, paths in cases]
+
+        new = measure()
+        monkeypatch.setattr(SolutionField, "restrict", lambda sol, cols: _SlicedCube(sol, cols))
+        assert new == measure()
 
 
 def csv_writer_export(sol, path, path_ids=None):

@@ -75,6 +75,20 @@ class TestProductDense:
         picked = product_dense(both, (2, 3, 2), path_idx=np.array([2, 0]))
         assert np.array_equal(picked, full[[2, 0]])
 
+    def test_layout_follows_the_profiles(self):
+        rng = np.random.default_rng(4)
+        series, prof = rng.standard_normal((5, 4)), rng.standard_normal((4, 9))
+        cols = np.array([0, 0, 1, 1, 1, 1, 1, 0, 0], dtype=bool)
+        # C-contiguous profiles give a C-ordered result
+        assert product_dense([(series, prof)], (5, 4, 9)).flags.c_contiguous
+        # column-sliced profiles give the layout of the column-sliced cube
+        cube = product_dense([(series, prof)], (5, 4, 9))
+        for idx in (None, np.array([4, 1])):
+            got = product_dense([(series, prof[:, cols])], (5, 4, 5), path_idx=idx)
+            ref = (cube if idx is None else cube[idx])[..., cols]
+            assert np.array_equal(got, ref)
+            assert got.strides == ref.strides
+
     def test_flat_profile_is_constant_in_time(self):
         flat = np.array([0.5, 2.0, -1.0])
         out_flat = product_dense([(self.SERIES, flat)], (3, 3, 3))
