@@ -9,13 +9,16 @@ one engine:
   * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v)
 
 Space convolutions run on a uniform 1-d lattice, so every kernel application
-is a Toeplitz matrix-vector product.  Each pair table keeps one kernel
-spectrum per distinct kernel (the bits of its covariance and damping), each
-source row is transformed once, and each (t, s) pair costs one inverse FFT;
-the sum over pairs is bit for bit the per-pair FFT convolution summed in
-pair order.  When the kernel width drops below the lattice resolution the
-quadrature is replaced by the two-term expansion R_t^s F = F + A F'' +
-O(A^2), which is what keeps the short-time end of the time integrals honest.
+is a Toeplitz matrix-vector product.  Only the Picard integrator's pair
+table, applied at every iterate, keeps its kernel rows: one spectrum and one
+mass row per distinct kernel (the bits of its covariance and damping).  The
+terminal and forcing tables are applied once and compute their kernel rows
+block by block inside that call.  Each source row is transformed once, and
+each (t, s) pair costs one inverse FFT; the sum over pairs is bit for bit
+the per-pair FFT convolution summed in pair order.  When the kernel width
+drops below the lattice resolution the quadrature is replaced by the
+two-term expansion R_t^s F = F + A F'' + O(A^2), which is what keeps the
+short-time end of the time integrals honest.
 
 Only n = 1 is wired here; the kernel module itself handles general n.
 """
@@ -262,18 +265,22 @@ class BumpField:
 # All kernel sampling goes through one weighted pair-sum engine.  The terminal
 # term, the Gauss-Legendre forcing integral and the trapezoid Picard source
 # integral are three pair tables (k, t, s, w) for the same _PairConvolver.
-# Each table keys its transformed pairs by the bits of (A, damp) and builds
-# one kernel spectrum and one mass row per distinct key: on a uniform grid
-# with a constant frozen a, the Picard table's pairs at one time gap share
-# one kernel.  Each source row is transformed once per apply.  One pass runs
-# the table in blocks of _PAIR_BLOCK pairs taken by in-row position, so a
-# block's kernel rows, transforms and row sums stay in cache; pairs below the
-# resolution threshold skip the transform, and only the requested orders are
-# formed (semilinear Picard forms D^2 u once, from its last source).  A run
-# is one position's pairs with consecutive rows k and consecutive sources j,
-# so it reads its sources and adds into its rows through slices.  Every row
-# still adds its pairs in pair order, so the result is bit-identical to
-# convolving pair by pair and summing with np.add.at.
+# Each table keys its transformed pairs by the bits of (A, damp), one kernel
+# per distinct key: on a uniform grid with a constant frozen a, the Picard
+# table's pairs at one time gap share one kernel.  The Picard table is
+# applied at every iterate, so it keeps one spectrum and one mass row per
+# kernel (keep_kernels); the terminal and forcing tables are applied once,
+# and apply computes each block's kernel rows inside the block, so their
+# memory does not grow with the number of pairs.  Each source row is
+# transformed once per apply.  One pass runs the table in blocks of
+# _PAIR_BLOCK pairs taken by in-row position, so a block's kernel rows,
+# transforms and row sums stay in cache; pairs below the resolution threshold
+# skip the transform, and only the requested orders are formed (semilinear
+# Picard forms D^2 u once, from its last source).  A run is one position's
+# pairs with consecutive rows k and consecutive sources j, so it reads its
+# sources and adds into its rows through slices.  Every row still adds its
+# pairs in pair order, so the result is bit-identical to convolving pair by
+# pair and summing with np.add.at.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
@@ -325,8 +332,10 @@ class _PairConvolver:
 
     Pair p = (k_p, t_p, s_p, w_p, j_p) adds w_p D^o R^{s_p}_{t_p} F_{j_p} into
     row k_p.  Each pair is a Toeplitz row of 2J-1 kernel samples at lattice
-    displacements; the spectrum of each distinct kernel (the bits of its
-    covariance A and damping) is computed once, each source row is
+    displacements.  A table applied once computes the spectra of each
+    block's distinct kernels (the bits of covariance A and damping) inside
+    apply; after keep_kernels() it builds one row per distinct kernel on
+    first use and keeps it for every later apply.  Each source row is
     transformed once per apply, and each pair costs one inverse FFT.  Pairs
     whose accumulated covariance A is below the resolution threshold use the
     Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
@@ -395,6 +404,7 @@ class _PairConvolver:
         J = grid.points_per_axis
         self.fft_len = _next_fast_len(3 * J - 2)
         self.quad_w = space_quadrature_weights(grid)
+        self._keep = False
         self._spectra = {}
         self._mass = None
 
@@ -409,37 +419,55 @@ class _PairConvolver:
         return (np.empty((B, self.fft_len // 2 + 1), dtype=complex),
                 np.empty((B, self.fft_len)), np.empty((B, J)))
 
+    def keep_kernels(self):
+        """Keep the kernel rows across apply calls: the first call that needs
+        an order builds its full table, one row per distinct kernel.  A table
+        applied once leaves this off and computes each block's rows inside
+        the block."""
+        self._keep = True
+
+    def _kernel_rows(self, order: int, ids, out: np.ndarray) -> np.ndarray:
+        """Spectra of the damped kernel (order 0) or its x-derivative (1) of
+        the distinct kernels ids (a slice or an index array), into out."""
+        J = self.grid.points_per_axis
+        z = (np.arange(-(J - 1), J) * self.grid.h)[None, :]
+        p = self._kernel_pairs[ids]
+        A = self.A[p, None]
+        G = self.damp[p, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
+        if order == 1:
+            G = -0.5 * (z / A) * G
+        return rfft(G, self.fft_len, axis=-1, out=out)
+
+    def _mass_rows(self, kern: np.ndarray, out: np.ndarray, cbuf, rbuf) -> np.ndarray:
+        """The first-derivative kernel against 1, the subtracted term of
+        orders 1 and 2, from order-1 spectra rows kern into out; cbuf and
+        rbuf are scratch of at least len(kern) rows."""
+        J, n = self.grid.points_per_axis, len(kern)
+        ones = rfft(np.ones((1, J)) * self.quad_w, self.fft_len, axis=-1)
+        np.multiply(ones, kern, out=cbuf[:n])
+        irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
+        out[:] = rbuf[:n, J - 1:2 * J - 1]
+        return out
+
     def _kernel_spectrum(self, order: int) -> np.ndarray:
-        """Spectra of the damped kernel (order 0) or its x-derivative (1), one
-        row per distinct kernel, built _PAIR_BLOCK rows at a time."""
+        """The kept spectra table of one order, one row per distinct kernel,
+        built _PAIR_BLOCK rows at a time."""
         if order not in self._spectra:
-            J = self.grid.points_per_axis
-            z = (np.arange(-(J - 1), J) * self.grid.h)[None, :]
             spec = np.empty((self.num_kernels, self.fft_len // 2 + 1), dtype=complex)
             for lo in range(0, self.num_kernels, _PAIR_BLOCK):
-                p = self._kernel_pairs[lo:lo + _PAIR_BLOCK]
-                A = self.A[p, None]
-                G = self.damp[p, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
-                if order == 1:
-                    G = -0.5 * (z / A) * G
-                rfft(G, self.fft_len, axis=-1, out=spec[lo:lo + len(p)])
+                self._kernel_rows(order, slice(lo, lo + _PAIR_BLOCK), spec[lo:lo + _PAIR_BLOCK])
             self._spectra[order] = spec
         return self._spectra[order]
 
-    def _mass_rows(self) -> np.ndarray:
-        """The first-derivative kernel against 1 per distinct kernel: the
-        subtracted term of orders 1 and 2."""
+    def _mass_table(self) -> np.ndarray:
+        """The kept mass rows, one per distinct kernel, from the kept order-1 table."""
         if self._mass is None:
-            J = self.grid.points_per_axis
-            ones = rfft(np.ones((1, J)) * self.quad_w, self.fft_len, axis=-1)
             kern = self._kernel_spectrum(1)
-            self._mass = np.empty((self.num_kernels, J))
+            self._mass = np.empty((self.num_kernels, self.grid.points_per_axis))
             cbuf, rbuf, _vbuf = self._buffers()
             for lo in range(0, self.num_kernels, _PAIR_BLOCK):
-                n = min(_PAIR_BLOCK, self.num_kernels - lo)
-                np.multiply(ones, kern[lo:lo + n], out=cbuf[:n])
-                irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
-                self._mass[lo:lo + n] = rbuf[:n, J - 1:2 * J - 1]
+                self._mass_rows(kern[lo:lo + _PAIR_BLOCK], self._mass[lo:lo + _PAIR_BLOCK],
+                                cbuf, rbuf)
         return self._mass
 
     def apply(self, stack, orders) -> dict:
@@ -449,6 +477,9 @@ class _PairConvolver:
         ``stack`` is [F, F', ..., F^(6)] on the lattice.  Each entry is (J,),
         shared by every pair, or (R, J) source rows picked by ``j``.  Orders 1
         and 2 use the subtracted first-derivative kernel against stack[o - 1].
+        A kept table reads each block's kernel and mass rows from its tables
+        (built on first use); any other table computes them into block
+        buffers, with the same bits, and keeps nothing.
         """
         if max(orders) > 2:
             raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {max(orders)}")
@@ -459,13 +490,16 @@ class _PairConvolver:
         # order o transforms stack[max(o - 1, 0)] against kernel table min(o, 1)
         spectra = {i: rfft(stack[i] * self.quad_w, self.fft_len, axis=-1)
                    for i in {max(o - 1, 0) for o in orders}}
-        kern = {d: self._kernel_spectrum(d) for d in {min(o, 1) for o in orders}}
-        mass = self._mass_rows() if max(orders) > 0 else None
+        kinds = {min(o, 1) for o in orders}
+        masses = max(orders) > 0
+        if self._keep:
+            kern = {d: self._kernel_spectrum(d) for d in kinds}
+            mass = self._mass_table() if masses else None
         cbuf, rbuf, vbuf = self._buffers()
-        # gather buffers only for tables whose kernel rows repeat
-        gathers = not all(isinstance(block[3], slice) for block in self._blocks)
-        kbuf = {d: np.empty_like(cbuf) if gathers else None for d in kern}
-        mbuf = np.empty_like(vbuf) if gathers else None
+        # row buffers for a streamed table, or a kept one whose kernel rows repeat
+        rowbufs = not (self._keep and all(isinstance(block[3], slice) for block in self._blocks))
+        kbuf = {d: np.empty_like(cbuf) if rowbufs else None for d in kinds}
+        mbuf = np.empty_like(vbuf) if rowbufs and masses else None
         out = {o: np.zeros((self.rows, J)) for o in orders}
         for lo, mid, hi, pick, runs in self._blocks:
             n = mid - lo
@@ -473,9 +507,12 @@ class _PairConvolver:
             w = self.weights[lo:hi]
             big = [r for r in runs if r[2] < n]
             small = [r for r in runs if r[2] >= n]
-            if n:
-                kb = {d: _rows(kern[d], pick, kbuf[d]) for d in kern}
-                mb = None if mass is None else _rows(mass, pick, mbuf)
+            if n and self._keep:
+                kb = {d: _rows(kern[d], pick, kbuf[d]) for d in kinds}
+                mb = _rows(mass, pick, mbuf) if masses else None
+            elif n:
+                kb = {d: self._kernel_rows(d, pick, kbuf[d][:n]) for d in kinds}
+                mb = self._mass_rows(kb[1], mbuf[:n], cbuf, rbuf) if masses else None
             for o in orders:
                 i = max(o - 1, 0)
                 if n:
@@ -578,6 +615,7 @@ class _GriddedIntegrator:
         t = tgrid.nodes
         self.pairs = _PairConvolver(kernel, grid, K + 1, idx_k, t[idx_k], t[idx_j], wt,
                                     j=idx_j)
+        self.pairs.keep_kernels()
         self.terminal = _terminal_profiles(kernel, tgrid, phi_stack, grid)
 
     def solve(self, F, orders):

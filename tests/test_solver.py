@@ -347,19 +347,28 @@ class TestPairEngineBitIdentity:
         return out
 
     def check(self, rows, k, t, s, w, stack, pair_stack=None, j=None, grid=None, kernel=None):
+        """Both table modes against the reference; returns the kept table.
+
+        A streamed table computes each block's kernel rows inside the block
+        and holds none after apply; a kept table holds one row per kernel."""
         grid = self.SG if grid is None else grid
         kernel = self.KERNEL if kernel is None else kernel
-        pairs = _PairConvolver(kernel, grid, rows, k, t, s, w, j=j)
-        every = pairs.apply(stack, (0, 1, 2))
-        for order in range(3):
-            expected = self.reference(grid, rows, k, t, s, w,
-                                      stack if pair_stack is None else pair_stack, order, kernel)
-            assert np.array_equal(every[order], expected)
-        # a subset of the orders gives the same bits
-        for orders in ((0,), (1, 2), (0, 1), (2,)):
-            some = pairs.apply(stack, orders)
-            assert sorted(some) == list(orders)
-            assert all(np.array_equal(some[o], every[o]) for o in orders)
+        expected = [self.reference(grid, rows, k, t, s, w,
+                                   stack if pair_stack is None else pair_stack, order, kernel)
+                    for order in range(3)]
+        for keep in (False, True):
+            pairs = _PairConvolver(kernel, grid, rows, k, t, s, w, j=j)
+            if keep:
+                pairs.keep_kernels()
+            every = pairs.apply(stack, (0, 1, 2))
+            assert all(np.array_equal(every[o], expected[o]) for o in range(3))
+            # a subset of the orders gives the same bits
+            for orders in ((0,), (1, 2), (0, 1), (2,)):
+                some = pairs.apply(stack, orders)
+                assert sorted(some) == list(orders)
+                assert all(np.array_equal(some[o], every[o]) for o in orders)
+            if not keep:
+                assert pairs._spectra == {} and pairs._mass is None
         return pairs
 
     def picard_triangle(self, tgrid, grid, kernel=None):
@@ -457,6 +466,7 @@ class TestPairEngineBitIdentity:
         self.assert_multi_block(pairs)
         assert pairs.num_kernels < pairs.num_transformed // 4
         assert any(not isinstance(pick, slice) for _lo, _mid, _hi, pick, _runs in pairs._blocks)
+        # the kept table holds one spectrum row and one mass row per kernel
         assert len(pairs._spectra[1]) == len(pairs._mass) == pairs.num_kernels
 
     def test_kernels_keyed_by_damping_too(self):
@@ -505,6 +515,23 @@ def test_variable_a_sin_keeps_one_kernel_row_per_distinct_kernel():
     assert (pairs.num_transformed, pairs.num_kernels) == (4753, 295)
     assert all(len(table) == 295 for table in pairs._spectra.values()) and len(pairs._mass) == 295
     assert sum(a.nbytes for a in (*pairs._spectra.values(), pairs._mass)) <= 8 * 2**20
+
+
+def test_one_shot_forcing_tables_stream_their_kernel_rows():
+    # constant_source's grid: K = 100, J = 257, two tables of 3,200 pairs;
+    # tables that kept their 2,028 and 2,560 kernel rows peaked at 36 MB
+    spec = get_scenario("constant_source")
+    cfg = spec.config()
+    tgrid, grid = cfg.time_grid, cfg.space_grid
+    kernel = HeatKernel(spec.build_coeffs().diffusion, horizon=tgrid.horizon)
+    stack = _space_factor_stack(SpaceFactor.constant(1.0), grid)
+    tracemalloc.start()
+    try:
+        _forcing_profiles(kernel, tgrid, stack, np.ones_like, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_next_fast_len_matches_scipy():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import bspdelab
 from bspdelab import scenarios, solver, verify
 from bspdelab.cli import apply_overrides
 from bspdelab.errors import InvalidArgument
-from bspdelab.grid import TimeGrid
+from bspdelab.grid import SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.holder import FieldSample, estimate_norm
+from bspdelab.kernel import DiffusionCoefficient, HeatKernel
 from bspdelab.scenarios import get_scenario
 from bspdelab.solver import _masked_grid, shift_steps
 from bspdelab.stochastic import SpaceFactor, TermSeries
@@ -186,27 +188,35 @@ class TestStochasticOracleCheck:
         assert v.status == "pass"
 
     def test_scenario_peak_rss_is_bounded(self):
-        # The default 10^4-path scenario runs in a child, and os.wait4 reports
-        # that child's peak resident set (ru_maxrss, KiB on Linux).  On Linux
-        # a child's peak starts at the resident set of the process that
-        # spawned it, so a small launcher spawns it rather than this test
-        # process, which holds ensembles of its own.
-        scenario = ("from bspdelab.scenarios import get_scenario; "
-                    "from bspdelab.verify import run_scenario; "
-                    "bundle, _ = run_scenario(get_scenario('stochastic_sinWT')); "
-                    "assert bundle.all_passed")
-        launcher = ("import os, subprocess, sys; "
-                    f"proc = subprocess.Popen([sys.executable, '-c', {scenario!r}]); "
-                    "_, status, usage = os.wait4(proc.pid, 0); "
-                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-        src = str(Path(bspdelab.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", launcher], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        code, maxrss_kib = map(int, out.split())
-        assert code == 0
-        assert maxrss_kib / 1024.0 <= 150.0
+        # the default 10^4-path scenario
+        assert _child_peak_rss_mb("stochastic_sinWT") <= 150.0
+
+
+def _child_peak_rss_mb(scenario_id: str) -> float:
+    """Peak resident set, in MB, of run_scenario(scenario_id) in a child
+    process; the scenario must pass.
+
+    os.wait4 reports the child's peak resident set (ru_maxrss, KiB on
+    Linux).  On Linux a child's peak starts at the resident set of the
+    process that spawned it, so a small launcher spawns it rather than this
+    test process, which holds ensembles of its own.
+    """
+    scenario = ("from bspdelab.scenarios import get_scenario; "
+                "from bspdelab.verify import run_scenario; "
+                f"bundle, _ = run_scenario(get_scenario({scenario_id!r})); "
+                "assert bundle.all_passed")
+    launcher = ("import os, subprocess, sys; "
+                f"proc = subprocess.Popen([sys.executable, '-c', {scenario!r}]); "
+                "_, status, usage = os.wait4(proc.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    src = str(Path(bspdelab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", launcher], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, maxrss_kib = map(int, out.split())
+    assert code == 0
+    return maxrss_kib / 1024.0
 
 
 class TestAprioriStudy:
@@ -250,6 +260,31 @@ class TestKernelSuite:
         assert "kernel.beta_exponent" in ids
         assert any(i.startswith("kernel.normalization") for i in ids)
         assert any(i.startswith("kernel.pointwise_bound") for i in ids)
+
+    def test_semigroup_row_chunks_match_the_full_broadcast(self, bundle):
+        # the two-hop sum as one (1025, 1025) broadcast, as it was before it
+        # ran in row chunks
+        iso = HeatKernel(DiffusionCoefficient.isotropic(1.0), horizon=1.0)
+        g = SpaceGrid(1, 8.0, 1025)
+        nodes = g.nodes().ravel()
+        w = space_quadrature_weights(g)
+        t, r, s = 0.0, 0.3, 0.8
+        conv = np.sum(
+            w[None, :] * iso(r, s, (nodes[:, None] - nodes[None, :])[..., None])
+            * iso(t, r, nodes[None, :, None]), axis=1)
+        err = float(np.max(np.abs(conv - iso(t, s, nodes[:, None]))))
+        semigroup = next(v for v in bundle.verdicts if v.check_id == "kernel.semigroup")
+        assert semigroup.measured["sup_error"] == err
+
+    def test_peak_memory_is_bounded(self):
+        # the full-broadcast semigroup probe peaked at 33 MB under tracemalloc
+        tracemalloc.start()
+        try:
+            run_kernel_suite()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestConvergenceStudies:
@@ -376,6 +411,12 @@ class TestRunScenario:
         rows = artifacts["contraction_vs_beta"]
         assert rows == run_convergence_study(spec, "beta").details["rows"]
         assert rows != run_convergence_study(base, "beta").details["rows"]
+
+    @pytest.mark.parametrize("scenario_id", ["constant_source", "kernel_suite"])
+    def test_one_shot_scenario_peak_rss_is_bounded(self, scenario_id):
+        # kept one-shot pair tables and the full-broadcast semigroup probe
+        # took 75 and 71 MB
+        assert _child_peak_rss_mb(scenario_id) <= 60.0
 
     def test_unknown_check_raises(self):
         spec = dataclasses.replace(get_scenario("kernel_suite"),
