@@ -26,7 +26,7 @@ class SingularRegression(ArithmeticError):
 
 
 class UnsupportedClosedForm(ValueError):
-    """Terminal data outside the closed-form library; fall back to regression."""
+    """Data or sigma outside the closed-form library; no solver route handles it."""
 
 
 class InvalidRoute(InvalidArgument):

@@ -56,7 +56,7 @@ class FieldSample:
     """
 
     def __init__(self, values, space_grid: SpaceGrid, family: str,
-                 time_grid: TimeGrid | None = None, pair_paths: int = MAX_PAIR_PATHS):
+                 time_grid: TimeGrid | None = None):
         if family not in FAMILIES:
             raise InvalidArgument(f"unknown norm family {family!r}; choose from {FAMILIES}")
         if space_grid.dim != 1:
@@ -72,7 +72,6 @@ class FieldSample:
         self.space_grid = space_grid
         self.family = family
         self.time_grid = time_grid
-        self.pair_paths = pair_paths
         self._derivs = {0: (values, np.ones(space_grid.points_per_axis, dtype=bool))}
 
     # -- construction helpers ---------------------------------------------
@@ -111,10 +110,10 @@ class FieldSample:
 
     def _path_subset(self):
         M = self.num_paths
-        if M <= self.pair_paths:
+        if M <= MAX_PAIR_PATHS:
             return slice(None)
-        stride = M // self.pair_paths
-        return slice(0, stride * self.pair_paths, stride)
+        stride = M // MAX_PAIR_PATHS
+        return slice(0, stride * MAX_PAIR_PATHS, stride)
 
 
 def _time_weights(field: FieldSample):
@@ -224,8 +223,7 @@ def _product_field(h: FieldSample, psi: FieldSample) -> FieldSample:
     if h.space_grid.points_per_axis != psi.space_grid.points_per_axis:
         raise InvalidArgument("product requires matching space grids")
     vals = h.values * psi.values  # broadcast over paths/times
-    return FieldSample(vals, psi.space_grid, psi.family, psi.time_grid,
-                       pair_paths=psi.pair_paths)
+    return FieldSample(vals, psi.space_grid, psi.family, psi.time_grid)
 
 
 def check_product_inequalities(h: FieldSample, psi: FieldSample, alpha: float) -> list:
@@ -238,7 +236,7 @@ def check_product_inequalities(h: FieldSample, psi: FieldSample, alpha: float) -
     # every inequality are computed on the identical sample (the pointwise
     # triangle-inequality argument then holds exactly, slack >= 0)
     psi = FieldSample(psi.values[psi._path_subset()], psi.space_grid, psi.family,
-                      psi.time_grid, pair_paths=10**9)
+                      psi.time_grid)
     prod = _product_field(h, psi)
     h0 = estimate_seminorm(h, 0)
     ha = estimate_fractional_seminorm(h, 0, alpha)

@@ -268,15 +268,15 @@ class BumpField:
 # Each table keys its transformed pairs by the bits of (A, damp), one kernel
 # per distinct key: on a uniform grid with a constant frozen a, the Picard
 # table's pairs at one time gap share one kernel.  The Picard table is
-# applied at every iterate, so it keeps one spectrum and one mass row per
-# kernel (keep_kernels); the terminal and forcing tables are applied once,
-# and apply computes each block's kernel rows inside the block, so their
-# memory does not grow with the number of pairs.  Each source row is
-# transformed once per apply.  One pass runs the table in blocks of
-# _PAIR_BLOCK pairs taken by in-row position, so a block's kernel rows,
-# transforms and row sums stay in cache; pairs below the resolution threshold
-# skip the transform, and only the requested orders are formed (semilinear
-# Picard forms D^2 u once, from its last source).  A run is one position's
+# applied at every iterate, so keep_kernels builds its spectra of orders 0
+# and 1 and its mass rows once, one row per kernel; the terminal and forcing
+# tables are applied once, and apply computes each block's kernel rows inside
+# the block, so their memory does not grow with the number of pairs.  Each
+# source row is transformed once per apply.  One pass runs the table in
+# blocks of _PAIR_BLOCK pairs taken by in-row position, so a block's kernel
+# rows, transforms and row sums stay in cache; pairs below the resolution
+# threshold skip the transform, and only the requested orders are formed
+# (semilinear Picard forms D^2 u once, from its last source).  A run is one position's
 # pairs with consecutive rows k and consecutive sources j, so it reads its
 # sources and adds into its rows through slices.  Every row still adds its
 # pairs in pair order, so the result is bit-identical to convolving pair by
@@ -334,8 +334,8 @@ class _PairConvolver:
     row k_p.  Each pair is a Toeplitz row of 2J-1 kernel samples at lattice
     displacements.  A table applied once computes the spectra of each
     block's distinct kernels (the bits of covariance A and damping) inside
-    apply; after keep_kernels() it builds one row per distinct kernel on
-    first use and keeps it for every later apply.  Each source row is
+    apply; keep_kernels() builds one row per distinct kernel of every table
+    at once and keeps them for every later apply.  Each source row is
     transformed once per apply, and each pair costs one inverse FFT.  Pairs
     whose accumulated covariance A is below the resolution threshold use the
     Taylor limit damp * (D^o F + A D^(o+2) F + ...) instead.
@@ -404,9 +404,7 @@ class _PairConvolver:
         J = grid.points_per_axis
         self.fft_len = _next_fast_len(3 * J - 2)
         self.quad_w = space_quadrature_weights(grid)
-        self._keep = False
-        self._spectra = {}
-        self._mass = None
+        self._kept = None
 
     @property
     def num_kernels(self) -> int:
@@ -420,11 +418,20 @@ class _PairConvolver:
                 np.empty((B, self.fft_len)), np.empty((B, J)))
 
     def keep_kernels(self):
-        """Keep the kernel rows across apply calls: the first call that needs
-        an order builds its full table, one row per distinct kernel.  A table
-        applied once leaves this off and computes each block's rows inside
-        the block."""
-        self._keep = True
+        """Build the kernel rows every later apply reads: the spectra of
+        orders 0 and 1 and the mass rows, one row per distinct kernel,
+        _PAIR_BLOCK rows at a time.  A table applied once skips this and
+        computes each block's rows inside the block."""
+        N = self.num_kernels
+        spectra = [np.empty((N, self.fft_len // 2 + 1), dtype=complex) for _ in (0, 1)]
+        mass = np.empty((N, self.grid.points_per_axis))
+        cbuf, rbuf, _vbuf = self._buffers()
+        for lo in range(0, N, _PAIR_BLOCK):
+            ids = slice(lo, lo + _PAIR_BLOCK)
+            for order, spec in enumerate(spectra):
+                self._kernel_rows(order, ids, spec[ids])
+            self._mass_rows(spectra[1][ids], mass[ids], cbuf, rbuf)
+        self._kept = (*spectra, mass)
 
     def _kernel_rows(self, order: int, ids, out: np.ndarray) -> np.ndarray:
         """Spectra of the damped kernel (order 0) or its x-derivative (1) of
@@ -449,27 +456,6 @@ class _PairConvolver:
         out[:] = rbuf[:n, J - 1:2 * J - 1]
         return out
 
-    def _kernel_spectrum(self, order: int) -> np.ndarray:
-        """The kept spectra table of one order, one row per distinct kernel,
-        built _PAIR_BLOCK rows at a time."""
-        if order not in self._spectra:
-            spec = np.empty((self.num_kernels, self.fft_len // 2 + 1), dtype=complex)
-            for lo in range(0, self.num_kernels, _PAIR_BLOCK):
-                self._kernel_rows(order, slice(lo, lo + _PAIR_BLOCK), spec[lo:lo + _PAIR_BLOCK])
-            self._spectra[order] = spec
-        return self._spectra[order]
-
-    def _mass_table(self) -> np.ndarray:
-        """The kept mass rows, one per distinct kernel, from the kept order-1 table."""
-        if self._mass is None:
-            kern = self._kernel_spectrum(1)
-            self._mass = np.empty((self.num_kernels, self.grid.points_per_axis))
-            cbuf, rbuf, _vbuf = self._buffers()
-            for lo in range(0, self.num_kernels, _PAIR_BLOCK):
-                self._mass_rows(kern[lo:lo + _PAIR_BLOCK], self._mass[lo:lo + _PAIR_BLOCK],
-                                cbuf, rbuf)
-        return self._mass
-
     def apply(self, stack, orders) -> dict:
         """{o: (rows, J) sum over pairs of w_p D^o R^{s_p}_{t_p} F_{j_p}} for
         each requested order o in 0, 1, 2.
@@ -477,8 +463,8 @@ class _PairConvolver:
         ``stack`` is [F, F', ..., F^(6)] on the lattice.  Each entry is (J,),
         shared by every pair, or (R, J) source rows picked by ``j``.  Orders 1
         and 2 use the subtracted first-derivative kernel against stack[o - 1].
-        A kept table reads each block's kernel and mass rows from its tables
-        (built on first use); any other table computes them into block
+        A kept table reads each block's kernel and mass rows from the tables
+        keep_kernels built; any other table computes them into block
         buffers, with the same bits, and keeps nothing.
         """
         if max(orders) > 2:
@@ -492,14 +478,9 @@ class _PairConvolver:
                    for i in {max(o - 1, 0) for o in orders}}
         kinds = {min(o, 1) for o in orders}
         masses = max(orders) > 0
-        if self._keep:
-            kern = {d: self._kernel_spectrum(d) for d in kinds}
-            mass = self._mass_table() if masses else None
         cbuf, rbuf, vbuf = self._buffers()
-        # row buffers for a streamed table, or a kept one whose kernel rows repeat
-        rowbufs = not (self._keep and all(isinstance(block[3], slice) for block in self._blocks))
-        kbuf = {d: np.empty_like(cbuf) if rowbufs else None for d in kinds}
-        mbuf = np.empty_like(vbuf) if rowbufs and masses else None
+        kbuf = {d: np.empty_like(cbuf) for d in kinds}
+        mbuf = np.empty_like(vbuf)
         out = {o: np.zeros((self.rows, J)) for o in orders}
         for lo, mid, hi, pick, runs in self._blocks:
             n = mid - lo
@@ -507,9 +488,9 @@ class _PairConvolver:
             w = self.weights[lo:hi]
             big = [r for r in runs if r[2] < n]
             small = [r for r in runs if r[2] >= n]
-            if n and self._keep:
-                kb = {d: _rows(kern[d], pick, kbuf[d]) for d in kinds}
-                mb = _rows(mass, pick, mbuf) if masses else None
+            if n and self._kept is not None:
+                kb = {d: _rows(self._kept[d], pick, kbuf[d]) for d in kinds}
+                mb = _rows(self._kept[2], pick, mbuf) if masses else None
             elif n:
                 kb = {d: self._kernel_rows(d, pick, kbuf[d][:n]) for d in kinds}
                 mb = self._mass_rows(kb[1], mbuf[:n], cbuf, rbuf) if masses else None
@@ -542,11 +523,6 @@ def _difference_to_sixth(stack, grid: SpaceGrid):
     while len(stack) < 7:
         stack.append(fd_derivative(stack[-1], grid, _D1)[0])
     return stack
-
-
-def _stack_from_rows(F: np.ndarray, grid: SpaceGrid):
-    """[F, F', ..., F^(6)] by repeated central differences; rows pass through."""
-    return _difference_to_sixth([np.asarray(F, dtype=float)], grid)
 
 
 def _space_factor_stack(h: SpaceFactor, grid: SpaceGrid):
@@ -615,19 +591,17 @@ class _GriddedIntegrator:
         t = tgrid.nodes
         self.pairs = _PairConvolver(kernel, grid, K + 1, idx_k, t[idx_k], t[idx_j], wt,
                                     j=idx_j)
-        self.pairs.keep_kernels()
         self.terminal = _terminal_profiles(kernel, tgrid, phi_stack, grid)
+        self.pairs.keep_kernels()
 
     def solve(self, F, orders):
         """Profiles dict order -> (K+1, J) of the requested orders for the
-        (K+1, J) source F (None: no source).
+        (K+1, J) source F.
 
         The terminal row of the order-0 profile is the terminal data exactly,
         by construction.
         """
-        if F is None:
-            return {o: self.terminal[o].copy() for o in orders}
-        conv = self.pairs.apply(_stack_from_rows(F, self.grid), orders)
+        conv = self.pairs.apply(_difference_to_sixth([F], self.grid), orders)
         return {o: self.terminal[o] + conv[o] for o in orders}
 
 
@@ -638,20 +612,7 @@ class FieldPart:
     """One separable piece of a solution: profiles(t, x) times a path series."""
 
     profiles: dict  # order -> (K+1, J)
-    series: np.ndarray  # (Mp, K+1); Mp == 1 for deterministic parts
-
-
-class _ColumnProfiles(dict):
-    """A profile table on a column mask; an order is sliced when first read,
-    so a check pays only for the orders it evaluates."""
-
-    def __init__(self, profiles: dict, columns: np.ndarray):
-        super().__init__()
-        self.source, self.columns = profiles, columns
-
-    def __missing__(self, order):
-        sliced = self[order] = self.source[order][:, self.columns]
-        return sliced
+    series: np.ndarray  # (Mp, K+1); Mp == 1 for a part that is the same on every path
 
 
 _DENSE_PATH_CAP = 1024  # most paths a dense evaluation may cover without path_idx
@@ -703,15 +664,15 @@ class SolutionField:
         Its dense evaluations equal ``self.u_dense(o, idx)[..., columns]``
         (and likewise v) in values and in memory layout, columns outermost,
         so a norm or mean over them adds in the same order; only the columns
-        are evaluated.  Each profile order is sliced when first read, once
-        per profile table that parts share.
+        are evaluated.  Every order of a profile table is sliced here, once
+        per table that parts share.
         """
         tables = {}
 
         def cut(part):
             key = id(part.profiles)
             if key not in tables:
-                tables[key] = _ColumnProfiles(part.profiles, columns)
+                tables[key] = {o: p[:, columns] for o, p in part.profiles.items()}
             return FieldPart(tables[key], part.series)
 
         return replace(
@@ -894,46 +855,26 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble,
         paths = _degenerate_paths(tgrid, d)
     kernel = HeatKernel(coeffs.diffusion, horizon=tgrid.horizon)
     sigma = coeffs.sigma
+    profiles = {}
 
-    stacks = {}
-
-    def stack_of(h):
-        key = id(h)
-        if key not in stacks:
-            stacks[key] = _space_factor_stack(h, grid)
-        return stacks[key]
+    def part(term, tau_fn):
+        """The term's series on profiles built once per (space factor, tau_fn):
+        terminal profiles for tau_fn None, forcing profiles otherwise."""
+        key = (id(term.space), id(tau_fn))
+        if key not in profiles:
+            stack = _space_factor_stack(term.space, grid)
+            profiles[key] = (_terminal_profiles(kernel, tgrid, stack, grid) if tau_fn is None
+                             else _forcing_profiles(kernel, tgrid, stack, tau_fn, grid))
+        return FieldPart(profiles[key], term.series)
 
     bsde = solve_bsde_closed(coeffs.terminal, sigma, paths)
-    term_profiles = {}
-
-    def terminal_profiles_of(h):
-        key = id(h)
-        if key not in term_profiles:
-            term_profiles[key] = _terminal_profiles(kernel, tgrid, stack_of(h), grid)
-        return term_profiles[key]
-
-    u_parts = [FieldPart(terminal_profiles_of(t.space), t.series) for t in bsde.phi_terms]
-    v_parts = [
-        [FieldPart(terminal_profiles_of(t.space), t.series) for t in bsde.psi_terms[l]]
-        for l in range(d)
-    ]
-
+    u_parts = [part(t, None) for t in bsde.phi_terms]
+    v_parts = [[part(t, None) for t in bsde.psi_terms[l]] for l in range(d)]
     if coeffs.forcing is not None:
         second = solve_second_family(coeffs.forcing, sigma, paths)
-        force_profiles = {}
-
-        def forcing_profiles_of(h, tau_fn):
-            key = (id(h), id(tau_fn))
-            if key not in force_profiles:
-                force_profiles[key] = _forcing_profiles(
-                    kernel, tgrid, stack_of(h), tau_fn, grid)
-            return force_profiles[key]
-
-        for t in second.y_terms:
-            u_parts.append(FieldPart(forcing_profiles_of(t.space, t.tau_fn), t.series))
+        u_parts += [part(t, t.tau_fn) for t in second.y_terms]
         for l in range(d):
-            for t in second.g_terms[l]:
-                v_parts[l].append(FieldPart(forcing_profiles_of(t.space, t.tau_fn), t.series))
+            v_parts[l] += [part(t, t.tau_fn) for t in second.g_terms[l]]
 
     sol = SolutionField(
         space_grid=grid, time_grid=tgrid, u_parts=u_parts, v_parts=v_parts,
@@ -1065,7 +1006,7 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
     a_tx, b_tx, c_tx = coeffs.sample(t, grid.axis)
     abar_t = abar(t)[:, 0, 0]
 
-    prof = integrator.solve(None, (0, 1, 2))
+    prof = integrator.terminal  # the zeroth iterate: no source
     history = []
     norm_prev = None
     converged = False
@@ -1237,12 +1178,10 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     )
 
 
-def covering_inequality(sol: SolutionField, theta: float, alpha: float,
-                        u0=None) -> dict:
+def covering_inequality(sol: SolutionField, theta: float, alpha: float, u0) -> dict:
     """Smallest C with ||u|| <= 2 sup_z ||eta^z u|| + C ||u||_0 on the sample
-    ``u0`` of u on the whole lattice (default: every path of the solution)."""
+    ``u0`` of u on the whole lattice, (paths, K+1, J)."""
     grid, tgrid = sol.space_grid, sol.time_grid
-    u0 = sol.u_dense(0) if u0 is None else u0
     f = FieldSample(u0, grid, "L2", tgrid)
     lhs = estimate_norm(f, 0, alpha).total
     h0 = estimate_seminorm(f, 0)

@@ -25,7 +25,9 @@ One closed-form family, `solve_second_family`, solves the linear BSDE with
 terminal data f(tau, x) at every terminal time tau at once; forcing reads it
 at every tau, and terminal data Phi reads it at tau = T (`solve_bsde_closed`).
 Closed forms assume a constant deterministic vector sigma; anything richer
-falls back to least-squares regression (`solve_bsde_regression`).
+raises UnsupportedClosedForm.  Least-squares regression
+(`solve_bsde_regression`) is no fallback: it recovers the same solutions from
+samples alone, as an independent cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class TermSeries:
     """One separable piece: space factor times a path-time series."""
 
     space: SpaceFactor
-    series: np.ndarray  # (M, K+1)
+    series: np.ndarray  # (M, K+1); one row when it is the same on every path
 
 
 @dataclass
@@ -294,7 +296,7 @@ class TauSeries:
     """Separable family piece: h(x) * A(t, path) * B(tau)."""
 
     space: SpaceFactor
-    series: np.ndarray  # (M, K+1) in t
+    series: np.ndarray  # (M, K+1) in t; one row when it is the same on every path
     tau_fn: Callable  # smooth B: an array of tau -> B(tau), the same shape
 
 
@@ -351,7 +353,7 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
     grid = paths.time_grid
     W = paths.paths
     M = paths.num_paths
-    ones = np.ones((M, len(grid)))
+    ones = np.ones((1, len(grid)))  # one row, shared by every path
     one_fn = lambda tau: np.ones_like(tau, dtype=float)
 
     y_terms = []
@@ -397,7 +399,7 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
                                 time_grid=grid, num_paths=M)
 
 
-# -- regression fallback ---------------------------------------------------
+# -- regression cross-check ------------------------------------------------
 
 def _poly_basis(W_k: np.ndarray, degree: int) -> np.ndarray:
     """Monomials in the components of W at one time, total degree <= degree."""

@@ -9,6 +9,7 @@ can enter a report untagged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .kernel import (
     probe_sup_kernel_integrability,
 )
 from .scenarios import get_scenario
-from .solver import SolverConfig, _degenerate_paths, _jsonable, _masked_grid, solve
+from .solver import _degenerate_paths, _jsonable, _masked_grid
 from .solver import integral_form_defect, localize, shift_steps, time_shift_norm
 from .stochastic import DataFunctional, SpaceFactor
 
@@ -270,26 +271,27 @@ def run_apriori_study(specs, steps=(50, 100), points=(129, 257)) -> VerdictBundl
     a priori bound: the solution norms are controlled by the data norms with
     a constant that does not blow up under refinement.  Linearity of the
     solve makes the ratio exactly invariant under data scaling, which is the
-    equivariance check.
+    equivariance check.  Each problem is solved through ``spec.solve``, so
+    the spec's own knobs (beta among them) reach every solve.
     """
     bundle = VerdictBundle()
     for spec in specs:
         sid = spec.scenario_id
         base = spec.build_coeffs()
+        problems = {kappa: spec if kappa == 1.0 else dataclasses.replace(
+            spec, build_coeffs=functools.partial(scaled_coefficients, base, kappa))
+            for kappa in _SCALINGS}
         ratios = {}
         lin_dev = 0.0
         for K in steps:
             for J in points:
-                cfg = SolverConfig(time_grid=TimeGrid(spec.horizon, K),
-                                   space_grid=SpaceGrid(1, spec.radius, J))
-                paths = None
-                if spec.num_paths:
-                    paths = spec.paths(num_paths=min(spec.num_paths, _NORM_PATHS),
-                                       time_grid=cfg.time_grid)
                 sols = {}
                 for kappa in _SCALINGS:
-                    coeffs = base if kappa == 1.0 else scaled_coefficients(base, kappa)
-                    sol = sols[kappa] = solve(coeffs, paths, cfg)
+                    sol, coeffs, paths = problems[kappa].solve(
+                        num_paths=min(spec.num_paths, _NORM_PATHS),
+                        time_grid=TimeGrid(spec.horizon, K),
+                        space_grid=SpaceGrid(1, spec.radius, J))
+                    sols[kappa] = sol
                     lhs = solution_norm_lhs(sol, _ALPHA)["total"]
                     rhs = data_norm_rhs(coeffs, sol, paths, _ALPHA)["total"]
                     ratios[(K, J, kappa)] = lhs / rhs
@@ -543,10 +545,8 @@ def _h_study(spec) -> Verdict:
 
 def _beta_study(spec) -> Verdict:
     rows = []
-    coeffs = spec.build_coeffs()
     for beta in _BETAS:
-        cfg = spec.config(beta=beta, max_iter=60)
-        sol = solve(coeffs, None, cfg)
+        sol, _coeffs, _paths = spec.solve(beta=beta, max_iter=60)
         rows.append({
             "beta": beta,
             "contraction_factor": float(sol.info["contraction_factor"]),

@@ -213,7 +213,7 @@ def test_criterion_10_variable_coefficients():
     u_exact, _ = spec.oracle(spec, sol, paths)
     m = sol.trusted
     assert np.max(np.abs(sol.u_dense(0)[0][:, m] - u_exact[:, m])) <= 1e-2
-    cov = covering_inequality(sol, theta=2.0, alpha=0.5)
+    cov = covering_inequality(sol, theta=2.0, alpha=0.5, u0=sol.u_dense(0))
     assert cov["slack"] >= -1e-9
 
 

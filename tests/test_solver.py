@@ -39,11 +39,11 @@ from bspdelab.solver import (
     _SMALL_FACTOR,
     _GriddedIntegrator,
     _PairConvolver,
+    _difference_to_sixth,
     _forcing_profiles,
     _picard_setup,
     _next_fast_len,
     _space_factor_stack,
-    _stack_from_rows,
     integral_form_defect,
     localize,
     solve,
@@ -368,7 +368,7 @@ class TestPairEngineBitIdentity:
                 assert sorted(some) == list(orders)
                 assert all(np.array_equal(some[o], every[o]) for o in orders)
             if not keep:
-                assert pairs._spectra == {} and pairs._mass is None
+                assert pairs._kept is None
         return pairs
 
     def picard_triangle(self, tgrid, grid, kernel=None):
@@ -380,7 +380,7 @@ class TestPairEngineBitIdentity:
         rng = np.random.default_rng(0)
         F = (np.cos(nodes)[:, None] * np.sin(grid.axis)[None, :]
              + 0.1 * rng.standard_normal((K + 1, grid.points_per_axis)))
-        stack = _stack_from_rows(F, grid)
+        stack = _difference_to_sixth([F], grid)
         return self.check(K + 1, k, nodes[k], nodes[j], w, stack,
                           pair_stack=[d[j] for d in stack], j=j, grid=grid, kernel=kernel)
 
@@ -466,8 +466,9 @@ class TestPairEngineBitIdentity:
         self.assert_multi_block(pairs)
         assert pairs.num_kernels < pairs.num_transformed // 4
         assert any(not isinstance(pick, slice) for _lo, _mid, _hi, pick, _runs in pairs._blocks)
-        # the kept table holds one spectrum row and one mass row per kernel
-        assert len(pairs._spectra[1]) == len(pairs._mass) == pairs.num_kernels
+        # the kept tables hold one spectrum row of each order and one mass row per kernel
+        assert len(pairs._kept) == 3
+        assert all(len(table) == pairs.num_kernels for table in pairs._kept)
 
     def test_kernels_keyed_by_damping_too(self):
         # s past the horizon clips the covariance: one A, two dampings, two kernels
@@ -495,7 +496,7 @@ def test_repeat_integrator_solve_allocates_little():
     integrator = _GriddedIntegrator(kernel, tgrid, grid,
                                     _space_factor_stack(SpaceFactor.sine(), grid))
     F = np.cos(tgrid.nodes)[:, None] * np.sin(grid.axis)[None, :]
-    first = integrator.solve(F, (0, 1, 2))  # builds the spectra and mass rows it keeps
+    first = integrator.solve(F, (0, 1, 2))
     tracemalloc.start()
     try:
         again = integrator.solve(F, (0, 1, 2))
@@ -513,8 +514,8 @@ def test_variable_a_sin_keeps_one_kernel_row_per_distinct_kernel():
     pairs = integrator.pairs
     integrator.solve(np.ones((101, 257)), (0, 1, 2))
     assert (pairs.num_transformed, pairs.num_kernels) == (4753, 295)
-    assert all(len(table) == 295 for table in pairs._spectra.values()) and len(pairs._mass) == 295
-    assert sum(a.nbytes for a in (*pairs._spectra.values(), pairs._mass)) <= 8 * 2**20
+    assert len(pairs._kept) == 3 and all(len(table) == 295 for table in pairs._kept)
+    assert sum(a.nbytes for a in pairs._kept) <= 8 * 2**20
 
 
 def test_one_shot_forcing_tables_stream_their_kernel_rows():
@@ -980,12 +981,9 @@ class TestRestrict:
                 if got.any():
                     assert got.strides == ref.strides
 
-    def test_slices_only_the_orders_read_once_per_shared_table(self, stochastic_forced):
+    def test_slices_once_per_shared_table(self, stochastic_forced):
         sol = stochastic_forced[0]
         field = sol.restrict(sol.trusted)
-        field.u_dense(0, [0])
-        tables = {id(p.profiles): p.profiles for p in field.u_parts}
-        assert all(sorted(t.keys()) == [0] for t in tables.values())
         shared = {id(p.profiles) for p in sol.u_parts} & {id(p.profiles) for p in sol.v_parts[0]}
         assert shared  # the check below is not vacuous
         assert len({id(p.profiles) for p in field.u_parts + field.v_parts[0]}) \

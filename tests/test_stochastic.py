@@ -245,6 +245,31 @@ class TestSecondFamily:
         expect = W**2 + (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :21], expect[:, :21])
 
+    def test_path_constant_pieces_have_one_row(self):
+        # every piece that is the same on every path is one shared row, and
+        # the product form sums it out bit for bit as full-height rows
+        paths = sample_paths(64, 1, GRID, seed=3)
+        M, K1 = paths.num_paths, len(GRID)
+        data = DataFunctional(terms=(
+            (SpaceFactor.sine(), PathFactor(CONST)),
+            (SpaceFactor.constant(1.0), PathFactor(BM)),
+            (SpaceFactor.poly([0.5, 1.0]), PathFactor(BM_SQUARED)),
+        ))
+        fam = solve_second_family(data, [0.4], paths)
+        pieces = fam.y_terms + fam.g_terms[0]
+        rows = [len(p.series) for p in pieces]
+        # constant: y; sigma-only: BM's y and g, BM^2's y and g
+        assert rows.count(1) == 5 and rows.count(M) == len(pieces) - 5
+        x = np.linspace(-2.0, 2.0, 9)
+        for tau in (0.3, 1.0):
+            member = fam.at(tau)
+            for terms in (member.phi_terms, member.psi_terms[0]):
+                one = [(t.series, t.space(x)) for t in terms]
+                full = [(np.broadcast_to(s, (M, K1)).copy(), h) for s, h in one]
+                for idx in (None, [5, 0, 63]):
+                    assert np.array_equal(product_dense(one, (M, K1, len(x)), idx),
+                                          product_dense(full, (M, K1, len(x)), idx))
+
 
 SIGMA_2D = (0.3, -0.2)
 THETA_2D = (0.5, 0.4)

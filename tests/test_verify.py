@@ -412,6 +412,33 @@ class TestRunScenario:
         assert rows == run_convergence_study(spec, "beta").details["rows"]
         assert rows != run_convergence_study(base, "beta").details["rows"]
 
+    def test_apriori_study_solves_with_the_spec_beta(self, monkeypatch):
+        betas = []
+        solve = scenarios.solve
+
+        def spy(coeffs, paths, config):
+            betas.append(config.beta)
+            return solve(coeffs, paths, config)
+
+        monkeypatch.setattr(scenarios, "solve", spy)
+        spec = dataclasses.replace(get_scenario("transport_decay"), beta=1.0)
+        run_apriori_study([spec], steps=(20,), points=(65,))
+        assert betas == [1.0, 1.0]  # the unscaled and the scaled problem
+
+    def test_beta_study_solves_through_the_spec_once_per_beta(self, monkeypatch):
+        betas = []
+        spec_solve = scenarios.ScenarioSpec.solve
+
+        def spy(spec, *args, **kwargs):
+            betas.append(kwargs["beta"])
+            return spec_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios.ScenarioSpec, "solve", spy)
+        spec = apply_overrides(get_scenario("beta_sweep"),
+                               {"num_steps": 20, "points_per_axis": 65})
+        run_convergence_study(spec, "beta")
+        assert betas == [0.0, 5.0, 20.0]
+
     @pytest.mark.parametrize("scenario_id", ["constant_source", "kernel_suite"])
     def test_one_shot_scenario_peak_rss_is_bounded(self, scenario_id):
         # kept one-shot pair tables and the full-broadcast semigroup probe
