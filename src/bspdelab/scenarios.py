@@ -58,6 +58,8 @@ class ScenarioSpec:
         return SolverConfig(**kw)
 
     def paths(self, seed=None, num_paths=None, time_grid=None):
+        """The scenario's ensemble (None when it has no paths); its rows are
+        drawn only when a check reads them."""
         if self.num_paths == 0:
             return None
         return sample_paths(num_paths or self.num_paths, 1,

@@ -612,7 +612,7 @@ class FieldPart:
     """One separable piece of a solution: profiles(t, x) times a path series."""
 
     profiles: dict  # order -> (K+1, J)
-    series: np.ndarray  # (Mp, K+1); Mp == 1 for a part that is the same on every path
+    series: object  # a PathSeries (M, K+1), or one (1, K+1) row shared by every path
 
 
 _DENSE_PATH_CAP = 1024  # most paths a dense evaluation may cover without path_idx
@@ -755,7 +755,7 @@ def _trusted_mask(grid: SpaceGrid, Lam: float, horizon: float) -> np.ndarray:
 
 
 def _degenerate_paths(tgrid: TimeGrid, d: int = 1) -> PathEnsemble:
-    return PathEnsemble(np.zeros((1, tgrid.num_steps, d)), tgrid, seed=0)
+    return PathEnsemble.of_increments(np.zeros((1, tgrid.num_steps, d)), tgrid, seed=0)
 
 
 _DEFECT_PATHS = 64  # paths the integral-form defect is measured on

@@ -11,15 +11,21 @@ dense (path, time, space) cube; `product_dense` is the one place that sums
 the product form out, and `backward_defect` the one place that checks a
 solution against the backward integral form.
 
-No check builds a (path, time, lattice) array over a whole 10^4-path
-ensemble.  Checks on a scenario's main solve evaluate a path subset: the
-oracle comparison the first 512 paths (the oracle called once per chunk of
-16), the integral-form defect the first 64, the localized residual the
-first 32, and the CSV export the first 8.  Checks that read only the
+Memory follows the paths read, not the paths declared.  A `PathEnsemble`
+draws its rows on demand, as prefixes of one seeded draw, and a
+path-dependent series is a `PathSeries`: a function of the Brownian rows,
+evaluated only on the paths a caller reads.  A series that is the same on
+every path is one shared (1, K+1) row.  Solving builds no per-path array.
+
+No check reads a whole 10^4-path ensemble.  Checks on a scenario's main
+solve evaluate a path subset: the oracle comparison the first 512 paths
+(the oracle called once per chunk of 16), the integral-form defect the
+first 64, the localized residual the first 32, and the CSV export the
+first 8, so the ensemble draws 512 rows.  Checks that read only the
 trusted region evaluate only its columns (`SolutionField.restrict`).  The
 studies solve only what they measure: the time-shift study the first 64
-paths (`sample_paths` draws them as the first 64 rows of the full
-ensemble), the a priori study at most 128.
+paths, the a priori study at most 128.  Least-squares regression reads
+every row and draws the whole ensemble once.
 
 One closed-form family, `solve_second_family`, solves the linear BSDE with
 terminal data f(tau, x) at every terminal time tau at once; forcing reads it
@@ -45,58 +51,117 @@ from .errors import (
 from .grid import TimeGrid
 
 
-@dataclass(frozen=True)
 class PathEnsemble:
-    """M independent d-dimensional Brownian paths on a uniform time grid."""
+    """M independent d-dimensional Brownian paths on a uniform time grid.
 
-    increments: np.ndarray  # (M, K, d)
-    time_grid: TimeGrid
-    seed: int
+    The increments are the C-ordered rows of
+    ``default_rng(seed).standard_normal((M, K, d)) * sqrt(dt)``, drawn on
+    demand: reading the first n rows draws only those, and the ensemble
+    keeps the longest prefix drawn so far as one array.  A prefix drawn from
+    the same generator is bit-identical to the same rows of the full draw,
+    so an ensemble's memory follows the rows read, not ``num_paths``.
+    """
 
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
+    def __init__(self, num_paths: int, dim: int, time_grid: TimeGrid, seed: int):
+        self.num_paths, self.dim = num_paths, dim
+        self.time_grid, self.seed = time_grid, seed
+        self._drawn = np.empty((0, time_grid.num_steps, dim))
+        self._rng = None
+
+    @classmethod
+    def of_increments(cls, increments, time_grid: TimeGrid, seed: int) -> "PathEnsemble":
+        """The ensemble whose rows are ``increments`` (M, K, d), all drawn."""
+        inc = np.asarray(increments, dtype=float)
         if inc.ndim != 3:
             raise InvalidArgument("increments must have shape (paths, steps, dim)")
-        if inc.shape[1] != self.time_grid.num_steps:
+        if inc.shape[1] != time_grid.num_steps:
             raise InvalidArgument("increment count must match the time grid")
-        object.__setattr__(self, "increments", inc)
+        ens = cls(inc.shape[0], inc.shape[2], time_grid, seed)
+        ens._drawn = inc
+        return ens
+
+    def _head(self, n: int) -> np.ndarray:
+        """The first n rows of the increments, drawing the missing ones."""
+        missing = n - len(self._drawn)
+        if missing > 0:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self.seed)
+            more = self._rng.standard_normal((missing,) + self._drawn.shape[1:])
+            more *= np.sqrt(self.time_grid.dt)
+            self._drawn = np.concatenate([self._drawn, more])
+        return self._drawn[:n]
 
     @property
-    def num_paths(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.increments.shape[2]
+    def increments(self) -> np.ndarray:
+        """Every row, (M, K, d): draws the whole ensemble once."""
+        return self._head(self.num_paths)
 
     @property
     def paths(self) -> np.ndarray:
         """W on the grid nodes, shape (M, K+1, d), W_0 = 0."""
-        M, K, d = self.increments.shape
+        inc = self.increments
+        M, K, d = inc.shape
         out = np.zeros((M, K + 1, d))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:, :])
+        np.cumsum(inc, axis=1, out=out[:, 1:, :])
         return out
 
     def subset(self, path_idx) -> "PathEnsemble":
-        """The paths at ``path_idx``, on the same grid and with the same seed."""
-        return PathEnsemble(self.increments[path_idx], self.time_grid, self.seed)
+        """The paths at ``path_idx`` (indices or a slice), on the same grid
+        and with the same seed; draws rows only up to the largest index."""
+        if isinstance(path_idx, slice):
+            path_idx = range(self.num_paths)[path_idx]
+        idx = np.asarray(path_idx, dtype=int).reshape(-1)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.num_paths):
+            raise IndexError(f"path index out of range for {self.num_paths} paths")
+        rows = self._head(int(idx.max(initial=-1)) + 1)[idx]
+        return PathEnsemble.of_increments(rows, self.time_grid, self.seed)
 
 
 def sample_paths(M: int, d: int, grid: TimeGrid, seed: int = 0) -> PathEnsemble:
+    """M paths of d-dimensional Brownian motion on ``grid``, drawn on demand."""
     if M < 1 or d < 1:
         raise InvalidArgument("need at least one path and one component")
-    rng = np.random.default_rng(seed)
-    inc = rng.standard_normal((M, grid.num_steps, d)) * np.sqrt(grid.dt)
-    return PathEnsemble(increments=inc, time_grid=grid, seed=seed)
+    return PathEnsemble(M, d, grid, seed)
+
+
+class PathSeries:
+    """A path-indexed time series, (num_paths, K+1), evaluated only on the
+    paths read: ``fn`` maps the Brownian rows W (n, K+1, d) of n paths to
+    the series on them, (n, K+1).  Each row depends on its own path only, so
+    any subset of rows has the bits of the same rows of the whole series."""
+
+    def __init__(self, paths: PathEnsemble, fn: Callable):
+        self.paths, self.fn = paths, fn
+
+    def rows(self, path_idx) -> np.ndarray:
+        """The series on the paths at ``path_idx`` (None for every path)."""
+        sub = self.paths if path_idx is None else self.paths.subset(path_idx)
+        return self.fn(sub.paths)
+
+    def scaled(self, c) -> "PathSeries":
+        """The series times the scalar c."""
+        return PathSeries(self.paths, lambda W: self.fn(W) * c)
+
+
+def series_rows(series, path_idx) -> np.ndarray:
+    """A series on the paths at ``path_idx`` (None for all): a PathSeries is
+    evaluated on them, a (1, K+1) row is shared by every path and returned
+    as is, and the rows of an (M, K+1) array are picked."""
+    if isinstance(series, PathSeries):
+        return series.rows(path_idx)
+    if path_idx is None or series.shape[0] == 1:
+        return series
+    return series[path_idx]
 
 
 def product_dense(pieces, shape, path_idx=None) -> np.ndarray:
     """Sum of series(path, t) * profile(t, x) over (series, profile) pairs.
 
-    ``shape`` is the (paths, times, points) result over every path.  A
-    one-row series is shared by every path, otherwise ``path_idx`` (None for
-    all) picks its rows and the result has one row per index; a (J,)
-    profile is constant in t.
+    ``shape`` is the (paths, times, points) result over every path, and
+    ``path_idx`` (None for all) the paths evaluated: the result has one row
+    per index.  Each series is read on those paths only (`series_rows`): a
+    one-row series is shared by every path, and a PathSeries draws and
+    evaluates only the rows asked for.  A (J,) profile is constant in t.
 
     The result is C-ordered unless a (K+1, J) profile has its column axis
     outermost in memory, as a column slice ``profile[:, columns]`` has: then
@@ -113,9 +178,7 @@ def product_dense(pieces, shape, path_idx=None) -> np.ndarray:
     else:
         out = np.zeros(shape)
     for series, profile in pieces:
-        if path_idx is not None and series.shape[0] > 1:
-            series = series[path_idx]
-        out += series[:, :, None] * profile
+        out += series_rows(series, path_idx)[:, :, None] * profile
     return out
 
 
@@ -216,21 +279,22 @@ class PathFactor:
         if self.kind not in (CONST, BM, BM_SQUARED, EXP_MART):
             raise InvalidArgument(f"unknown path factor kind {self.kind!r}")
 
-    def series(self, paths: PathEnsemble) -> np.ndarray:
-        """Factor value at every grid time, shape (M, K+1)."""
-        W = paths.paths
+    def series(self, paths: PathEnsemble):
+        """Factor value at every grid time: one (1, K+1) row for CONST, a
+        PathSeries (M, K+1) otherwise."""
         if self.kind == CONST:
-            return np.ones((paths.num_paths, len(paths.time_grid)))
+            return np.ones((1, len(paths.time_grid)))
+        l, nodes = self.component, paths.time_grid.nodes
         if self.kind == BM:
-            return W[:, :, self.component]
+            return PathSeries(paths, lambda W: W[:, :, l])
         if self.kind == BM_SQUARED:
-            return W[:, :, self.component] ** 2
+            return PathSeries(paths, lambda W: W[:, :, l] ** 2)
         th = np.asarray(self.theta, dtype=float)
-        return np.exp(W @ th - 0.5 * float(th @ th) * paths.time_grid.nodes[None, :])
+        return PathSeries(paths, lambda W: np.exp(W @ th - 0.5 * float(th @ th) * nodes[None, :]))
 
     def terminal(self, paths: PathEnsemble) -> np.ndarray:
-        """Factor value at the terminal time, shape (M,)."""
-        return self.series(paths)[:, -1]
+        """Factor value at the terminal time, shape (M,), or (1,) for CONST."""
+        return series_rows(self.series(paths), None)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -266,7 +330,7 @@ class TermSeries:
     """One separable piece: space factor times a path-time series."""
 
     space: SpaceFactor
-    series: np.ndarray  # (M, K+1); one row when it is the same on every path
+    series: object  # a PathSeries (M, K+1), or one (1, K+1) row shared by every path
 
 
 @dataclass
@@ -296,7 +360,7 @@ class TauSeries:
     """Separable family piece: h(x) * A(t, path) * B(tau)."""
 
     space: SpaceFactor
-    series: np.ndarray  # (M, K+1) in t; one row when it is the same on every path
+    series: object  # a PathSeries (M, K+1) in t, or one (1, K+1) row shared by every path
     tau_fn: Callable  # smooth B: an array of tau -> B(tau), the same shape
 
 
@@ -312,8 +376,11 @@ class SecondFamilySolution:
 
     def at(self, tau: float) -> BsdeSolution:
         """The member with terminal time tau, its B(tau) folded into A."""
+        def scaled(series, b):
+            return series.scaled(b) if isinstance(series, PathSeries) else series * b
+
         def read(terms):
-            return [TermSeries(t.space, t.series * t.tau_fn(tau)) for t in terms]
+            return [TermSeries(t.space, scaled(t.series, t.tau_fn(tau))) for t in terms]
         return BsdeSolution(phi_terms=read(self.y_terms),
                             psi_terms=[read(g) for g in self.g_terms],
                             time_grid=self.time_grid, num_paths=self.num_paths)
@@ -351,52 +418,60 @@ def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> Sec
     d = paths.dim
     sig = _check_sigma(sigma, d)
     grid = paths.time_grid
-    W = paths.paths
-    M = paths.num_paths
-    ones = np.ones((1, len(grid)))  # one row, shared by every path
-    one_fn = lambda tau: np.ones_like(tau, dtype=float)
-
     y_terms = []
     g_terms = [[] for _ in range(d)]
     for h, p in data.terms:
-        if p.kind == CONST:
-            y_terms.append(TauSeries(h, ones.copy(), one_fn))
-        elif p.kind == BM:
-            l = p.component
-            # W_t + sigma_l (tau - t) = (W_t - sigma_l t) + sigma_l tau
-            X = W[:, :, l] - sig[l] * grid.nodes[None, :]
-            y_terms.append(TauSeries(h, X, one_fn))
-            if sig[l] != 0.0:
-                y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
-            g_terms[l].append(TauSeries(h, ones.copy(), one_fn))
-        elif p.kind == BM_SQUARED:
-            l = p.component
-            X = W[:, :, l] - sig[l] * grid.nodes[None, :]
-            # (X + sigma tau)^2 + tau - t, expanded in powers of tau
-            y_terms.append(TauSeries(h, X**2 - grid.nodes[None, :], one_fn))
-            y_terms.append(TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau))
-            g_terms[l].append(TauSeries(h, 2.0 * X, one_fn))
-            if sig[l] != 0.0:
-                # C pow, as tau**2 on a Python float gives it (an array's ** 2 squares)
-                y_terms.append(TauSeries(h, ones.copy(),
-                                         lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
-                g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
-        else:  # EXP_MART
-            th = np.asarray(p.theta, dtype=float)
-            if th.shape != (d,):
-                raise UnsupportedClosedForm("theta length must match path dimension")
-            base = np.exp(
-                W @ th - 0.5 * float(th @ th) * grid.nodes[None, :]
-                - float(th @ sig) * grid.nodes[None, :]
-            )
-            efn = lambda tau, c=float(th @ sig): np.exp(c * tau)
-            y_terms.append(TauSeries(h, base, efn))
-            for l in range(d):
-                if th[l] != 0.0:
-                    g_terms[l].append(TauSeries(h, th[l] * base, efn))
-
+        _add_family_pieces(h, p, sig, paths, y_terms, g_terms)
     return SecondFamilySolution(y_terms=y_terms, g_terms=g_terms,
-                                time_grid=grid, num_paths=M)
+                                time_grid=grid, num_paths=paths.num_paths)
+
+
+def _one_fn(tau):
+    """B(tau) = 1, shared by every family piece that does not depend on tau."""
+    return np.ones_like(tau, dtype=float)
+
+
+def _add_family_pieces(h: SpaceFactor, p: PathFactor, sig: np.ndarray,
+                       paths: PathEnsemble, y_terms: list, g_terms: list):
+    """The family pieces of one separable term h(x) p(path); the
+    path-dependent ones are PathSeries, the rest one shared row."""
+    nodes = paths.time_grid.nodes
+    ones = np.ones((1, len(nodes)))  # one row, shared by every path
+    l = p.component
+    # W_t + sigma_l (tau - t) = X_t + sigma_l tau
+    X = lambda W: W[:, :, l] - sig[l] * nodes[None, :]
+    if p.kind == CONST:
+        y_terms.append(TauSeries(h, ones.copy(), _one_fn))
+    elif p.kind == BM:
+        y_terms.append(TauSeries(h, PathSeries(paths, X), _one_fn))
+        if sig[l] != 0.0:
+            y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
+        g_terms[l].append(TauSeries(h, ones.copy(), _one_fn))
+    elif p.kind == BM_SQUARED:
+        # (X + sigma tau)^2 + tau - t, expanded in powers of tau
+        y_terms.append(TauSeries(h, PathSeries(paths, lambda W: X(W)**2 - nodes[None, :]),
+                                 _one_fn))
+        y_terms.append(TauSeries(h, PathSeries(paths, lambda W: 2.0 * sig[l] * X(W) + ones),
+                                 lambda tau: tau))
+        g_terms[l].append(TauSeries(h, PathSeries(paths, lambda W: 2.0 * X(W)), _one_fn))
+        if sig[l] != 0.0:
+            # C pow, as tau**2 on a Python float gives it (an array's ** 2 squares)
+            y_terms.append(TauSeries(h, ones.copy(),
+                                     lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
+            g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
+    else:  # EXP_MART
+        th = np.asarray(p.theta, dtype=float)
+        if th.shape != (paths.dim,):
+            raise UnsupportedClosedForm("theta length must match path dimension")
+        base = PathSeries(paths, lambda W: np.exp(
+            W @ th - 0.5 * float(th @ th) * nodes[None, :]
+            - float(th @ sig) * nodes[None, :]
+        ))
+        efn = lambda tau, c=float(th @ sig): np.exp(c * tau)
+        y_terms.append(TauSeries(h, base, efn))
+        for k in range(len(th)):
+            if th[k] != 0.0:
+                g_terms[k].append(TauSeries(h, base.scaled(th[k]), efn))
 
 
 # -- regression cross-check ------------------------------------------------
@@ -449,6 +524,7 @@ def solve_bsde_regression(terminal: np.ndarray, sigma,
     M, J = term.shape
     if M != paths.num_paths:
         raise InvalidArgument("terminal sample count must match the ensemble")
+    inc = paths.increments  # every row, drawn once
     W = paths.paths
     K = grid.num_steps
 
@@ -470,7 +546,7 @@ def solve_bsde_regression(terminal: np.ndarray, sigma,
         nxt = phi[:, k + 1, :]  # (M, J)
         targets = [nxt]
         for l in range(d):
-            targets.append(nxt * (paths.increments[:, k, l] / grid.dt)[:, None])
+            targets.append(nxt * (inc[:, k, l] / grid.dt)[:, None])
         rhs = A.T @ np.concatenate(targets, axis=1)
         coef = np.linalg.solve(gram, rhs)
         fitted = A @ coef

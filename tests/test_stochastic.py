@@ -1,9 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from bspdelab import stochastic
 from bspdelab.errors import UnsupportedClosedForm
-from bspdelab.grid import TimeGrid
+from bspdelab.grid import SpaceGrid, TimeGrid
+from bspdelab.kernel import DiffusionCoefficient
+from bspdelab.scenarios import get_scenario
+from bspdelab.solver import CoefficientSet, SolverConfig, solve
 from bspdelab.stochastic import (
     BM,
     BM_SQUARED,
@@ -12,13 +18,16 @@ from bspdelab.stochastic import (
     DataFunctional,
     PathFactor,
     SpaceFactor,
+    TauSeries,
     backward_defect,
     product_dense,
     sample_paths,
+    series_rows,
     solve_bsde_closed,
     solve_bsde_regression,
     solve_second_family,
 )
+from bspdelab.verify import run_scenario
 
 GRID = TimeGrid(1.0, 50)
 
@@ -57,6 +66,80 @@ class TestPathEnsemble:
         assert np.array_equal(sub.increments, paths.increments[idx])
         assert np.array_equal(sub.paths, paths.paths[idx])
         assert sub.time_grid is paths.time_grid and sub.seed == paths.seed
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_read_on_demand_are_the_rows_of_the_full_draw(self, seed, d, monkeypatch):
+        M = 1100
+        full = np.random.default_rng(seed).standard_normal((M, GRID.num_steps, d)) \
+            * np.sqrt(GRID.dt)
+        W = np.concatenate([np.zeros((M, 1, d)), np.cumsum(full, axis=1)], axis=1)
+        drawn = _spy_draws(monkeypatch)
+        ens = sample_paths(M, d, GRID, seed=seed)
+        assert ens.num_paths == M and ens.dim == d and drawn == []
+        # chunked prefix reads, then rows further out, sorted and not
+        for rows in (slice(0, 16), slice(16, 32), np.arange(40), [700, 3, 513],
+                     slice(600, 620), np.array([1099, 0, 512])):
+            sub = ens.subset(rows)
+            assert np.array_equal(sub.increments, full[rows])
+            assert np.array_equal(sub.paths, W[rows])
+        # each read draws only the rows past the prefix drawn before it
+        assert drawn == [[16, 16, 8, 661, 399]]
+        assert np.array_equal(ens.increments, full)
+        assert np.array_equal(ens.paths, W)
+        assert drawn == [[16, 16, 8, 661, 399]]
+
+    def test_subset_draws_only_up_to_its_largest_row(self, monkeypatch):
+        drawn = _spy_draws(monkeypatch)
+        ens = sample_paths(10_000, 1, GRID, seed=42)
+        ens.subset(np.array([63, 5]))
+        ens.subset(slice(0, 32))
+        assert drawn == [[64]]
+        with pytest.raises(IndexError):
+            ens.subset([10_000])
+
+    def test_exp_martingale_exponent_of_a_subset_keeps_the_bits(self):
+        # the matrix-vector product W @ theta at d = 2 is evaluated per path
+        ens = sample_paths(1100, 2, GRID, seed=42)
+        th = np.asarray(THETA_2D)
+        full = ens.paths @ th
+        for idx in (np.arange(16), np.array([1099, 3, 700, 512, 513])):
+            assert np.array_equal(ens.subset(idx).paths @ th, full[idx])
+
+
+def _spy_draws(monkeypatch):
+    """Record the rows of each normal draw, one list per generator that draws."""
+    real = np.random.default_rng
+    drawn = []
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng, self._rows = real(seed), None
+
+        def standard_normal(self, size):
+            if self._rows is None:
+                self._rows = []
+                drawn.append(self._rows)
+            self._rows.append(size[0])
+            return self._rng.standard_normal(size)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return drawn
+
+
+def test_scenario_draws_only_the_rows_its_checks_read(monkeypatch):
+    # stochastic_sinWT declares 10^4 paths; the oracle reads the most, 512
+    drawn = _spy_draws(monkeypatch)
+    spec = get_scenario("stochastic_sinWT")
+    bundle, artifacts = run_scenario(spec)
+    assert bundle.all_passed
+    assert spec.num_paths == 10_000 and drawn
+    assert max(sum(rows) for rows in drawn) == 512
+    summary = json.loads(artifacts["solution"].summary_json(0.0, 0.0))
+    assert summary["num_paths"] == 10_000
 
 
 class TestProductDense:
@@ -257,7 +340,7 @@ class TestSecondFamily:
         ))
         fam = solve_second_family(data, [0.4], paths)
         pieces = fam.y_terms + fam.g_terms[0]
-        rows = [len(p.series) for p in pieces]
+        rows = [len(series_rows(p.series, None)) for p in pieces]
         # constant: y; sigma-only: BM's y and g, BM^2's y and g
         assert rows.count(1) == 5 and rows.count(M) == len(pieces) - 5
         x = np.linspace(-2.0, 2.0, 9)
@@ -265,7 +348,8 @@ class TestSecondFamily:
             member = fam.at(tau)
             for terms in (member.phi_terms, member.psi_terms[0]):
                 one = [(t.series, t.space(x)) for t in terms]
-                full = [(np.broadcast_to(s, (M, K1)).copy(), h) for s, h in one]
+                full = [(np.broadcast_to(series_rows(s, None), (M, K1)).copy(), h)
+                        for s, h in one]
                 for idx in (None, [5, 0, 63]):
                     assert np.array_equal(product_dense(one, (M, K1, len(x)), idx),
                                           product_dense(full, (M, K1, len(x)), idx))
@@ -319,7 +403,125 @@ class TestOneFamily:
         assert sol.time_grid is GRID and sol.num_paths == paths2.num_paths
         assert len(sol.phi_terms) == len(fam.y_terms)
         for t, piece in zip(sol.phi_terms, fam.y_terms):
-            assert np.array_equal(t.series, piece.series * piece.tau_fn(0.4))
+            assert np.array_equal(series_rows(t.series, None),
+                                  series_rows(piece.series, None) * piece.tau_fn(0.4))
+
+
+def eager_second_family(data, sigma, paths):
+    """The family as it was built before series were evaluated per path:
+    every path-dependent piece an (M, K+1) array over the whole ensemble."""
+    d = paths.dim
+    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
+    grid = paths.time_grid
+    W = paths.paths
+    ones = np.ones((1, len(grid)))
+    one_fn = lambda tau: np.ones_like(tau, dtype=float)
+    y_terms, g_terms = [], [[] for _ in range(d)]
+    for h, p in data.terms:
+        if p.kind == CONST:
+            y_terms.append(TauSeries(h, ones.copy(), one_fn))
+        elif p.kind == BM:
+            l = p.component
+            X = W[:, :, l] - sig[l] * grid.nodes[None, :]
+            y_terms.append(TauSeries(h, X, one_fn))
+            if sig[l] != 0.0:
+                y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
+            g_terms[l].append(TauSeries(h, ones.copy(), one_fn))
+        elif p.kind == BM_SQUARED:
+            l = p.component
+            X = W[:, :, l] - sig[l] * grid.nodes[None, :]
+            y_terms.append(TauSeries(h, X**2 - grid.nodes[None, :], one_fn))
+            y_terms.append(TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau))
+            g_terms[l].append(TauSeries(h, 2.0 * X, one_fn))
+            if sig[l] != 0.0:
+                y_terms.append(TauSeries(h, ones.copy(),
+                                         lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
+                g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
+        else:
+            th = np.asarray(p.theta, dtype=float)
+            base = np.exp(W @ th - 0.5 * float(th @ th) * grid.nodes[None, :]
+                          - float(th @ sig) * grid.nodes[None, :])
+            efn = lambda tau, c=float(th @ sig): np.exp(c * tau)
+            y_terms.append(TauSeries(h, base, efn))
+            for l in range(d):
+                if th[l] != 0.0:
+                    g_terms[l].append(TauSeries(h, th[l] * base, efn))
+    return y_terms, g_terms
+
+
+class TestSeriesReadPerPath:
+    """Series evaluated on the rows read have the bits of the eager family,
+    and so does every dense field built from them."""
+
+    M = 600  # past the 512 rows the largest check reads
+    X = np.linspace(-2.0, 2.0, 9)
+    PICKS = [np.arange(0, 40), np.array([599, 3, 512, 0, 513]), [5]]
+
+    @pytest.fixture(scope="class")
+    def paths2(self):
+        return sample_paths(self.M, 2, GRID, seed=11)
+
+    @staticmethod
+    def _same(got, ref):
+        assert np.array_equal(got, ref)
+        assert got.strides == ref.strides
+
+    @pytest.mark.parametrize("kind", list(FAMILY_TERMS) + ["all"])
+    def test_phi_and_psi_match_the_eager_family(self, paths2, kind):
+        kinds = list(FAMILY_TERMS) if kind == "all" else [kind]
+        data = DataFunctional(terms=tuple(FAMILY_TERMS[k] for k in kinds))
+        sol = solve_bsde_closed(data, SIGMA_2D, paths2)
+        y_ref, g_ref = eager_second_family(data, SIGMA_2D, paths2)
+        T = GRID.horizon
+        shape = (self.M, len(GRID), len(self.X))
+        fields = [(sol.phi_dense(self.X), sol.phi_terms, y_ref)]
+        fields += [(sol.psi_dense(l, self.X), sol.psi_terms[l], g_ref[l]) for l in range(2)]
+        for dense, terms, ref in fields:
+            eager = [(t.series * t.tau_fn(T), t.space(self.X)) for t in ref]
+            full = product_dense(eager, shape)
+            self._same(dense, full)
+            lazy = [(t.series, t.space(self.X)) for t in terms]
+            for idx in self.PICKS:
+                self._same(product_dense(lazy, shape, idx), full[idx])
+
+    def test_constant_series_is_one_row_with_the_full_row_values(self, paths2):
+        # constant data builds no (M, K+1) ones, and reads as the ones did
+        h = SpaceFactor.poly([1.0, 0.0, 0.5])
+        const = DataFunctional(terms=((h, PathFactor(CONST)),))
+        assert PathFactor(CONST).series(paths2).shape == (1, len(GRID))
+        ones = np.ones((self.M, len(GRID)))
+        dense = product_dense([(ones, h(self.X))], (self.M, len(GRID), len(self.X)))
+        terminal = product_dense([(ones[:, -1:], h(self.X))], (self.M, 1, len(self.X)))[:, 0]
+        self._same(const.dense(paths2, self.X), dense)
+        self._same(const.terminal_values(paths2, self.X), terminal)
+
+    def test_solution_fields_match_the_eager_family(self, paths2):
+        data = DataFunctional(terms=tuple(FAMILY_TERMS.values()))
+        forcing = DataFunctional(terms=tuple(FAMILY_TERMS[k] for k in ("bm", "bm_squared")))
+        co = CoefficientSet(terminal=data, forcing=forcing, sigma=SIGMA_2D,
+                            diffusion=DiffusionCoefficient.isotropic(0.5))
+        cfg = SolverConfig(time_grid=GRID, space_grid=SpaceGrid(1, 7.0, 65))
+        sol = solve(co, paths2, cfg)
+        # the parts are the terminal member's pieces, then the forcing family's
+        y_t, g_t = eager_second_family(data, SIGMA_2D, paths2)
+        y_f, g_f = eager_second_family(forcing, SIGMA_2D, paths2)
+        at_T = [t.series * t.tau_fn(GRID.horizon) for t in y_t]
+        u_series = at_T + [t.series for t in y_f]
+        v_series = [[t.series * t.tau_fn(GRID.horizon) for t in g_t[l]]
+                    + [t.series for t in g_f[l]] for l in range(2)]
+        eager = dataclasses.replace(
+            sol,
+            u_parts=[dataclasses.replace(p, series=s) for p, s in zip(sol.u_parts, u_series,
+                                                                      strict=True)],
+            v_parts=[[dataclasses.replace(p, series=s) for p, s in zip(parts, v_series[l],
+                                                                       strict=True)]
+                     for l, parts in enumerate(sol.v_parts)])
+        for lazy, ref in ((sol, eager), (sol.restrict(sol.trusted), eager.restrict(sol.trusted))):
+            for idx in self.PICKS:
+                for o in range(3):
+                    self._same(lazy.u_dense(o, idx), ref.u_dense(o, idx))
+                for l in range(2):
+                    self._same(lazy.v_dense(l, 0, idx), ref.v_dense(l, 0, idx))
 
 
 class TestRegression:
@@ -367,7 +569,8 @@ class TestResidualOracle:
         from bspdelab.stochastic import TermSeries
 
         sol.phi_terms.append(
-            TermSeries(SpaceFactor.constant(1.0), 0.1 * np.ones_like(sol.phi_terms[0].series))
+            TermSeries(SpaceFactor.constant(1.0),
+                       0.1 * np.ones_like(series_rows(sol.phi_terms[0].series, None)))
         )
         rms, worst = closed_form_residual(sol, data, [0.0], paths)
         assert rms > 0.01

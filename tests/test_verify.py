@@ -18,7 +18,7 @@ from bspdelab.holder import FieldSample, estimate_norm
 from bspdelab.kernel import DiffusionCoefficient, HeatKernel
 from bspdelab.scenarios import get_scenario
 from bspdelab.solver import _masked_grid, shift_steps
-from bspdelab.stochastic import SpaceFactor, TermSeries
+from bspdelab.stochastic import SpaceFactor, TermSeries, series_rows
 from bspdelab.verify import (
     Verdict,
     VerdictBundle,
@@ -187,23 +187,39 @@ class TestStochasticOracleCheck:
         assert v.measured == _full_cube_measured(spec, sol, paths)
         assert v.status == "pass"
 
-    def test_scenario_peak_rss_is_bounded(self):
-        # the default 10^4-path scenario
-        assert _child_peak_rss_mb("stochastic_sinWT") <= 150.0
+    def test_scenario_peak_rss_is_bounded(self, sinwt_peak_rss_mb):
+        # the default 10^4-path scenario; 87 MB while every path was drawn
+        assert sinwt_peak_rss_mb <= 80.0
+
+    def test_peak_rss_does_not_grow_with_the_declared_paths(self, sinwt_peak_rss_mb):
+        # no check reads more than 512 paths, so 10^5 declared paths cost
+        # what 10^4 do; drawing them all took 270 MB against 87 MB
+        assert _child_peak_rss_mb("stochastic_sinWT", num_paths=100_000) \
+            <= 1.1 * sinwt_peak_rss_mb
 
 
-def _child_peak_rss_mb(scenario_id: str) -> float:
+@pytest.fixture(scope="module")
+def sinwt_peak_rss_mb():
+    return _child_peak_rss_mb("stochastic_sinWT")
+
+
+def _child_peak_rss_mb(scenario_id: str, num_paths: int = None) -> float:
     """Peak resident set, in MB, of run_scenario(scenario_id) in a child
-    process; the scenario must pass.
+    process, at the scenario's own path count unless ``num_paths`` is
+    given; the scenario must pass.
 
     os.wait4 reports the child's peak resident set (ru_maxrss, KiB on
     Linux).  On Linux a child's peak starts at the resident set of the
     process that spawned it, so a small launcher spawns it rather than this
     test process, which holds ensembles of its own.
     """
-    scenario = ("from bspdelab.scenarios import get_scenario; "
+    spec = f"get_scenario({scenario_id!r})"
+    if num_paths is not None:
+        spec = f"dataclasses.replace({spec}, num_paths={num_paths})"
+    scenario = ("import dataclasses; "
+                "from bspdelab.scenarios import get_scenario; "
                 "from bspdelab.verify import run_scenario; "
-                f"bundle, _ = run_scenario(get_scenario({scenario_id!r})); "
+                f"bundle, _ = run_scenario({spec}); "
                 "assert bundle.all_passed")
     launcher = ("import os, subprocess, sys; "
                 f"proc = subprocess.Popen([sys.executable, '-c', {scenario!r}]); "
@@ -386,7 +402,7 @@ class TestRunScenario:
             if corrupt:
                 sol.phi_terms.append(TermSeries(
                     SpaceFactor.constant(1.0),
-                    0.1 * np.ones_like(sol.phi_terms[0].series)))
+                    0.1 * np.ones_like(series_rows(sol.phi_terms[0].series, None))))
             return sol
 
         monkeypatch.setattr(solver, "solve_bsde_closed", solve_bsde_closed)
