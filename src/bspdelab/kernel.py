@@ -126,12 +126,17 @@ class HeatKernel:
         s = np.asarray(s, dtype=float)
         if np.any(s < t):
             raise InvalidInterval(f"need t <= s, got t={t}, s={s}")
+        return self._covariance_over(t, s - t)
+
+    def _covariance_over(self, t, gap) -> np.ndarray:
+        """A over [t, t + gap] with the gap as given, also where t + gap
+        rounds to t."""
         nodes, weights = _gl(_COV_NODES)
-        a = self.diffusion(t[..., None] + (s - t)[..., None] * nodes)
+        a = self.diffusion(t[..., None] + gap[..., None] * nodes)
         out = np.zeros(a.shape[:-3] + (self.dim, self.dim))
         for k, w in enumerate(weights):
             out += w * a[..., k, :, :]
-        return (s - t)[..., None, None] * out
+        return gap[..., None, None] * out
 
     def _antiderivative_table(self):
         if self._table is None:
@@ -236,6 +241,14 @@ def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int = 
     receives the (num,) vector of nodes t and returns one value (or one
     array) per node.
     """
+    return _singular_gap_quadrature(lambda t, gap: fn(t), tau, s, power, num)
+
+
+def _singular_gap_quadrature(fn, tau: float, s: float, power: float, num: int):
+    """singular_time_quadrature of fn(t, gap), which also receives each
+    node's gap to s: s - t, except where t rounds to s.  There the
+    substituted gap itself is carried; with power near -1 the first
+    substituted gaps fall below half an ulp of s."""
     if power <= -1.0:
         raise InvalidArgument("time singularity must be integrable (power > -1)")
     p = 1.0 + power
@@ -245,7 +258,8 @@ def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int = 
     gap = v ** (1.0 / p)
     t_vals = s - gap
     jac = (v_max / p) * v ** (1.0 / p - 1.0)
-    vals = np.asarray(fn(t_vals), dtype=float)
+    held = s - t_vals
+    vals = np.asarray(fn(t_vals, np.where(held > 0.0, held, gap)), dtype=float)
     out = np.tensordot(weights * jac, vals, axes=(0, 0))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -333,7 +347,8 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConsta
 
 
 def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
-    """t -> integral |D^gamma G_{s,t}(x)| |x|^alpha dx over a vector of t.
+    """(t, gap) -> integral |D^gamma G_{s,t}(x)| |x|^alpha dx over vectors of
+    nodes t and their gaps to s, as _singular_gap_quadrature hands them over.
 
     The lattice is given in self-similar coordinates y = x / sqrt(s - t) and
     rescaled per evaluation, so the spatial resolution relative to the kernel
@@ -342,10 +357,13 @@ def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
     """
     n = kernel.dim
 
-    def m(t):
-        scale = np.sqrt(s - t)
+    def m(t, gap):
+        scale = np.sqrt(gap)
         x = unit_nodes * scale[:, None, None]
-        vals = np.abs(kernel.derivative(t, s, x, gamma))
+        # kernel.derivative(t, s, x, gamma) with the gap carried, not s - t
+        det, Ainv = kernel._prep(kernel._covariance_over(t, gap))
+        vals = np.abs(kernel._derivative_given(det[:, None], Ainv[:, None], gap[:, None], x,
+                                               gamma))
         r = np.linalg.norm(x, axis=-1) ** alpha
         # a scalar power per node: in 2-D, the array power rounds differently
         vol = np.array([sc**n for sc in scale])
@@ -420,7 +438,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
         best = 0.0
         for tau, s in tau_s_pairs:
             m = _moment_integrand(kernel, s, nodes, weights, gamma, alpha)
-            best = max(best, singular_time_quadrature(m, tau, s, power))
+            best = max(best, _singular_gap_quadrature(m, tau, s, power, 48))
         levels.append({"points": J, "value": best})
     reports["moment_bound"] = KernelConstantReport(levels[-1]["value"], levels)
 
@@ -494,7 +512,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
     for b in _DAMPING_BETAS:
         kb = kernel.with_beta(b)
         m = _moment_integrand(kb, T, nodes, weights, gamma, alpha)
-        raw.append(singular_time_quadrature(m, 0.0, T, power, num=64))
+        raw.append(_singular_gap_quadrature(m, 0.0, T, power, 64))
     fitted = float(np.polyfit(np.log(np.asarray(_DAMPING_BETAS)), np.log(np.asarray(raw)),
                               1)[0])
     levels = [

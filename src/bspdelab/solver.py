@@ -266,25 +266,32 @@ class BumpField:
 # term, the Gauss-Legendre forcing integral and the trapezoid Picard source
 # integral are three pair tables (k, t, s, w) for the same _PairConvolver.
 # Each table keys its transformed pairs by the bits of (A, damp), one kernel
-# per distinct key: on a uniform grid with a constant frozen a, the Picard
-# table's pairs at one time gap share one kernel.  The Picard table is
-# applied at every iterate, so keep_kernels builds its spectra of orders 0
-# and 1 and its mass rows once, one row per kernel; the terminal and forcing
-# tables are applied once, and apply computes each block's kernel rows inside
-# the block, so their memory does not grow with the number of pairs.  Each
-# source row is transformed once per apply.  One pass runs the table in
-# blocks of _PAIR_BLOCK pairs taken by in-row position, so a block's kernel
-# rows, transforms and row sums stay in cache; pairs below the resolution
-# threshold skip the transform, and only the requested orders are formed
-# (semilinear Picard forms D^2 u once, from its last source).  A run is one position's
-# pairs with consecutive rows k and consecutive sources j, so it reads its
-# sources and adds into its rows through slices.  Every row still adds its
-# pairs in pair order, so the result is bit-identical to convolving pair by
-# pair and summing with np.add.at.
+# per distinct key.  Pairs at one time gap share a kernel only when those
+# bits agree: A is interp(s) - interp(t) on the covariance antiderivative
+# table, so equal gaps at different t differ in the last bits, and
+# variable_a_sin's Picard table has 97 transformed gaps but 295 kernels.
+# The Picard table is applied at every iterate, so keep_kernels builds its
+# spectra of orders 0 and 1 and its mass rows once, one row per kernel; the
+# terminal and forcing tables are applied once, and apply computes each
+# block's kernel rows inside the block, so their memory does not grow with
+# the number of pairs.  Each source row is transformed once per apply.  One
+# pass runs the table in blocks of _PAIR_BLOCK pairs taken by in-row
+# position, so a block's kernel rows, transforms and row sums stay in cache;
+# pairs below the resolution threshold skip the transform, and only the
+# requested orders are formed (semilinear Picard forms D^2 u once, from its
+# last source).  A run is one position's pairs with consecutive rows k and
+# consecutive sources j, so it reads its sources and adds into its rows
+# through slices.  Every row still adds its pairs in pair order, so the
+# result is bit-identical to convolving pair by pair and summing with
+# np.add.at, whatever the block size.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
-_PAIR_BLOCK = 128  # pairs per block of the pair pass
+# pairs per block of the pair pass; at J = 257 (fft_len 800) a block's
+# scratch is a 205 KB product buffer, a 205 KB transform buffer and two
+# 66 KB value buffers, 0.54 MB, plus 0.41 MB of kernel spectra in a table
+# that computes its kernel rows per block
+_PAIR_BLOCK = 32
 
 
 def _next_fast_len(n: int) -> int:
@@ -316,7 +323,8 @@ def _first_occurrence_labels(keys: np.ndarray):
 
 def _rows(table: np.ndarray, pick, buf: np.ndarray) -> np.ndarray:
     """table[pick]: a view for a slice, else one np.take into buf (mode "clip":
-    the indices are in range, and "raise" would buffer the output)."""
+    the indices are in range, and "raise" would buffer the output).  A
+    caller may overwrite buf, never the result: a view is the table."""
     if isinstance(pick, slice):
         return table[pick]
     return np.take(table, pick, axis=0, out=buf[:len(pick)], mode="clip")
@@ -404,6 +412,10 @@ class _PairConvolver:
         J = grid.points_per_axis
         self.fft_len = _next_fast_len(3 * J - 2)
         self.quad_w = space_quadrature_weights(grid)
+        # per-table constants of the kernel and mass rows: the lattice
+        # displacements and the spectrum of the quadrature weights
+        self._z = (np.arange(-(J - 1), J) * grid.h)[None, :]
+        self._ones = rfft(np.ones((1, J)) * self.quad_w, self.fft_len, axis=-1)
         self._kept = None
 
     @property
@@ -412,7 +424,8 @@ class _PairConvolver:
         return len(self._kernel_pairs)
 
     def _buffers(self):
-        """Block work arrays of min(P, _PAIR_BLOCK) rows: spectra, transforms, values."""
+        """Block work arrays of min(P, _PAIR_BLOCK) rows: products of source
+        and kernel spectra, inverse transforms, values."""
         B, J = min(len(self.k), _PAIR_BLOCK), self.grid.points_per_axis
         return (np.empty((B, self.fft_len // 2 + 1), dtype=complex),
                 np.empty((B, self.fft_len)), np.empty((B, J)))
@@ -436,8 +449,7 @@ class _PairConvolver:
     def _kernel_rows(self, order: int, ids, out: np.ndarray) -> np.ndarray:
         """Spectra of the damped kernel (order 0) or its x-derivative (1) of
         the distinct kernels ids (a slice or an index array), into out."""
-        J = self.grid.points_per_axis
-        z = (np.arange(-(J - 1), J) * self.grid.h)[None, :]
+        z = self._z
         p = self._kernel_pairs[ids]
         A = self.A[p, None]
         G = self.damp[p, None] * (4.0 * np.pi * A) ** -0.5 * np.exp(-0.25 * z**2 / A)
@@ -450,8 +462,7 @@ class _PairConvolver:
         orders 1 and 2, from order-1 spectra rows kern into out; cbuf and
         rbuf are scratch of at least len(kern) rows."""
         J, n = self.grid.points_per_axis, len(kern)
-        ones = rfft(np.ones((1, J)) * self.quad_w, self.fft_len, axis=-1)
-        np.multiply(ones, kern, out=cbuf[:n])
+        np.multiply(self._ones, kern, out=cbuf[:n])
         irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
         out[:] = rbuf[:n, J - 1:2 * J - 1]
         return out
@@ -479,33 +490,37 @@ class _PairConvolver:
         kinds = {min(o, 1) for o in orders}
         masses = max(orders) > 0
         cbuf, rbuf, vbuf = self._buffers()
-        kbuf = {d: np.empty_like(cbuf) for d in kinds}
         mbuf = np.empty_like(vbuf)
+        # a streamed table computes a block's spectra of each kind once, for
+        # every order that reads them; a kept table reads its own
+        kern = None if self._kept is not None else {d: np.empty_like(cbuf) for d in kinds}
         out = {o: np.zeros((self.rows, J)) for o in orders}
         for lo, mid, hi, pick, runs in self._blocks:
             n = mid - lo
-            vals = vbuf[:hi - lo]
+            vals = vbuf[:hi - lo]  # the small pairs' weighted values, rows n:
             w = self.weights[lo:hi]
             big = [r for r in runs if r[2] < n]
             small = [r for r in runs if r[2] >= n]
-            if n and self._kept is not None:
-                kb = {d: _rows(self._kept[d], pick, kbuf[d]) for d in kinds}
-                mb = _rows(self._kept[2], pick, mbuf) if masses else None
-            elif n:
-                kb = {d: self._kernel_rows(d, pick, kbuf[d][:n]) for d in kinds}
-                mb = self._mass_rows(kb[1], mbuf[:n], cbuf, rbuf) if masses else None
+            if n and kern is not None:
+                for d in kinds:
+                    self._kernel_rows(d, pick, kern[d][:n])
+                mb = self._mass_rows(kern[1][:n], mbuf[:n], cbuf, rbuf) if masses else None
+            elif n and masses:
+                mb = _rows(self._kept[2], pick, mbuf)
             for o in orders:
-                i = max(o - 1, 0)
+                i, d = max(o - 1, 0), min(o, 1)
                 if n:
+                    # source x kernel into the product buffer, where a kept
+                    # table gathers its kernel rows unless they are a slice
+                    kb = kern[d] if kern is not None else _rows(self._kept[d], pick, cbuf)
                     for _k0, j0, a, b in big:
-                        np.multiply(_source(spectra[i], j0, b - a), kb[min(o, 1)][a:b],
-                                    out=cbuf[a:b])
+                        np.multiply(_source(spectra[i], j0, b - a), kb[a:b], out=cbuf[a:b])
                     irfft(cbuf[:n], self.fft_len, axis=-1, out=rbuf[:n])
                     conv = rbuf[:n, J - 1:2 * J - 1]
                     if o > 0:
                         for _k0, j0, a, b in big:
                             conv[a:b] -= _source(stack[i], j0, b - a) * mb[a:b]
-                    np.multiply(conv, w[:n], out=vals[:n])
+                    conv *= w[:n]
                 for _k0, j0, a, b in small:
                     # Gaussian moment expansion: R F = F + A F'' + (A^2 / 2) F'''' + ...
                     A = self.A[lo + a:lo + b, None]
@@ -514,7 +529,7 @@ class _PairConvolver:
                         limit = limit + coef * _source(stack[o + extra], j0, b - a)
                     np.multiply(self.damp[lo + a:lo + b, None] * limit, w[a:b], out=vals[a:b])
                 for k0, _j0, a, b in runs:
-                    out[o][k0:k0 + b - a] += vals[a:b]
+                    out[o][k0:k0 + b - a] += (conv if a < n else vals)[a:b]
         return out
 
 
@@ -602,7 +617,9 @@ class _GriddedIntegrator:
         by construction.
         """
         conv = self.pairs.apply(_difference_to_sixth([F], self.grid), orders)
-        return {o: self.terminal[o] + conv[o] for o in orders}
+        for o in orders:
+            conv[o] += self.terminal[o]  # IEEE addition commutes: the bits of terminal + conv
+        return conv
 
 
 # -- solution container -----------------------------------------------------
@@ -759,6 +776,7 @@ def _degenerate_paths(tgrid: TimeGrid, d: int = 1) -> PathEnsemble:
 
 
 _DEFECT_PATHS = 64  # paths the integral-form defect is measured on
+_DEFECT_CHUNK = 8  # paths the integral-form defect evaluates at a time
 _LOCALIZE_PATHS = 32  # paths the localized residual is measured on
 _COVERING_CENTERS = 9  # bump centers of the covering inequality
 
@@ -766,7 +784,7 @@ _COVERING_CENTERS = 9  # bump centers of the covering inequality
 class _Sample(NamedTuple):
     """What a certificate reads of a solve and its data on a lattice mask."""
 
-    path_idx: np.ndarray  # the measured paths
+    path_idx: np.ndarray  # the measured paths: paths 0, 1, ..., so also their positions
     u: list  # u, Du, D^2 u, each (Mp, K+1, Jm)
     v: list  # one (Mp, K+1, Jm) per noise component
     abc: tuple  # (a, b, c) on the nodes, each (K+1, Jm); None for an absent b or c
@@ -775,13 +793,16 @@ class _Sample(NamedTuple):
     increments: np.ndarray  # Brownian increments (Mp, K, d); None for a deterministic solve
 
 
-def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, mask):
+def _samples(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, mask,
+             chunk: int):
     """The solve and its data on the lattice points ``mask`` (None: the
     whole lattice), read once; the solve is evaluated on those points only.
 
     A stochastic solve is measured on its first max_paths paths; a
     deterministic one (no paths, or deterministic data on one path) on path 0
-    without increments.
+    without increments.  Returns the number of measured paths and an
+    iterator of one _Sample per chunk of at most ``chunk`` of them, in path
+    order; (a, b, c) is sampled once and shared by every chunk.
     """
     tgrid = sol.time_grid
     if mask is None:
@@ -789,18 +810,26 @@ def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, m
     else:
         field, x = sol.restrict(mask), sol.space_grid.axis[mask]
     pathwise = paths is not None and not (coeffs.is_deterministic() and sol.num_paths == 1)
-    path_idx = np.arange(min(paths.num_paths, max_paths)) if pathwise else np.array([0])
-    sub = paths.subset(path_idx) if pathwise else _degenerate_paths(tgrid, coeffs.noise_dim)
-    u = [field.u_dense(o, path_idx) for o in range(3)]
-    v = [field.v_dense(l, 0, path_idx) for l in range(sol.noise_dim)]
-    f = None
-    if coeffs.forcing is not None:
-        f = coeffs.forcing.dense(sub, x)
-    if coeffs.driver is not None:
-        g = coeffs.driver_rows(tgrid.nodes, x, u[1], u[0], v[0] if v else 0.0)
-        f = g if f is None else f + g
-    return _Sample(path_idx, u, v, coeffs.sample(tgrid.nodes, x), f,
-                   coeffs.terminal.terminal_values(sub, x), sub.increments if pathwise else None)
+    measured = np.arange(min(paths.num_paths, max_paths)) if pathwise else np.array([0])
+    abc = coeffs.sample(tgrid.nodes, x)
+
+    def each():
+        for lo in range(0, len(measured), chunk):
+            path_idx = measured[lo:lo + chunk]
+            sub = paths.subset(path_idx) if pathwise else _degenerate_paths(tgrid,
+                                                                            coeffs.noise_dim)
+            u = [field.u_dense(o, path_idx) for o in range(3)]
+            v = [field.v_dense(l, 0, path_idx) for l in range(sol.noise_dim)]
+            f = None
+            if coeffs.forcing is not None:
+                f = coeffs.forcing.dense(sub, x)
+            if coeffs.driver is not None:
+                g = coeffs.driver_rows(tgrid.nodes, x, u[1], u[0], v[0] if v else 0.0)
+                f = g if f is None else f + g
+            yield _Sample(path_idx, u, v, abc, f, coeffs.terminal.terminal_values(sub, x),
+                          sub.increments if pathwise else None)
+
+    return len(measured), each()
 
 
 # -- residual certification -------------------------------------------------
@@ -811,28 +840,35 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
 
     Deterministic solves integrate the drift by trapezoid; stochastic solves
     use left-endpoint Riemann/Ito sums per path.  Returns (rms, worst) both
-    normalized by 1 + max |Phi|.
+    normalized by 1 + max |Phi|.  The paths are evaluated _DEFECT_CHUNK at a
+    time into one C-ordered (paths, K+1, trusted) defect, so the mean adds
+    in the order of one evaluation of every path at once.
     """
-    smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted)
-    (u0, u1, u2), (a_tx, b_tx, c_tx) = smp.u, smp.abc
+    n, chunks = _samples(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted, _DEFECT_CHUNK)
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
-
-    drift = a_tx[None] * u2
-    if b_tx is not None:
-        drift += b_tx[None] * u1
-    if c_tx is not None:
-        drift += c_tx[None] * u0
-    if smp.f is not None:
-        drift = drift + smp.f
-    for l, vl in enumerate(smp.v):
-        if sig[l] != 0.0:
-            drift = drift + sig[l] * vl
-
-    defect = backward_defect(u0, smp.terminal, drift, sol.time_grid.dt, smp.v, smp.increments)
-    scale = 1.0 + float(np.abs(smp.terminal).max(initial=0.0))
-    rms = float(np.sqrt(np.mean(defect**2)) / scale)
-    worst = float(np.max(np.abs(defect)) / scale)
-    return rms, worst
+    defect = np.empty((n, len(sol.time_grid), int(sol.trusted.sum())))
+    top = worst = 0.0  # max |Phi| and max |defect| so far
+    for smp in chunks:
+        (u0, u1, u2), (a_tx, b_tx, c_tx) = smp.u, smp.abc
+        drift = a_tx[None] * u2
+        if b_tx is not None:
+            drift += b_tx[None] * u1
+        if c_tx is not None:
+            drift += c_tx[None] * u0
+        if smp.f is not None:
+            drift = drift + smp.f
+        for l, vl in enumerate(smp.v):
+            if sig[l] != 0.0:
+                drift = drift + sig[l] * vl
+        part = backward_defect(u0, smp.terminal, drift, sol.time_grid.dt, smp.v,
+                               smp.increments)
+        defect[smp.path_idx] = part
+        # np.maximum, unlike max, keeps a NaN
+        top = np.maximum(top, np.abs(smp.terminal).max(initial=0.0))
+        worst = np.maximum(worst, np.max(np.abs(part)))
+    scale = 1.0 + float(top)
+    rms = float(np.sqrt(np.mean(np.square(defect, out=defect))) / scale)
+    return rms, float(worst / scale)
 
 
 # -- representation route ---------------------------------------------------
@@ -1137,7 +1173,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     bump = BumpField(center=z, radius=theta)
     eta, eta1, eta2 = bump(x), bump.d1(x), bump.d2(x)
 
-    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, None)
+    _, (smp,) = _samples(sol, coeffs, paths, _LOCALIZE_PATHS, None, _LOCALIZE_PATHS)
     (u0, u1, u2), v0 = smp.u, smp.v
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 

@@ -179,8 +179,10 @@ def run_oracle_check(spec, solution, paths) -> Verdict:
             return float(np.sqrt(np.mean(np.square(diff, out=diff))))
 
         def u_chunk(rows):
-            if rows.start == 0:
-                return u_exact
+            nonlocal u_exact
+            if rows.start == 0:  # the first chunk is compared once, then dropped
+                first, u_exact = u_exact, None
+                return first
             return spec.oracle(spec, solution, paths.subset(rows))[0]
 
         measured = {"rms": rms(lambda idx: field.u_dense(0, path_idx=idx), u_chunk)}

@@ -14,8 +14,11 @@ from bspdelab.grid import MultiIndex, SpaceGrid, TimeGrid, space_quadrature_weig
 from bspdelab.kernel import (
     _COV_NODES,
     _TABLE_SIZE,
+    _lattice,
+    _moment_integrand,
     _probe_points,
     _safe_ratio,
+    _singular_gap_quadrature,
     DiffusionCoefficient,
     HeatKernel,
     probe_integral_estimates,
@@ -451,6 +454,27 @@ class TestSingularQuadrature:
         assert len(calls) == 1
         assert np.array_equal(calls[0], 1.5 - ((1.3**0.5) * nodes) ** 2.0)
 
+    def test_gaps_below_the_resolution_of_s_are_carried(self):
+        # power -0.95: the first substituted gaps (s - t)^0.05 = v lie far
+        # below half an ulp of s = 4, so those nodes t round to s
+        calls = []
+
+        def fn(t, gap):
+            calls.append((t, gap))
+            return gap ** -0.95
+
+        val = _singular_gap_quadrature(fn, 0.0, 4.0, -0.95, 48)
+        (t, gap), = calls
+        nodes, _ = _gl_nodes(48)
+        p = 1.0 + -0.95
+        substituted = ((4.0**p) * nodes) ** (1.0 / p)
+        assert np.array_equal(t, 4.0 - substituted)
+        lost = t == 4.0
+        assert lost.sum() >= 10
+        assert np.array_equal(gap[lost], substituted[lost])
+        assert np.array_equal(gap[~lost], 4.0 - t[~lost])
+        assert np.isclose(val, 4.0**p / p, rtol=1e-2)
+
 
 class TestPointwiseBoundProbe:
     def test_order_zero_constant(self):
@@ -658,6 +682,30 @@ class TestBatchedIntegralProbes:
         probe_integral_estimates(HeatKernel(ISO, horizon=4.0), MultiIndex((2,)), 0.5)
         assert len(preps) <= 64
         assert conds == []
+
+
+class TestSmallAlphaIntegralProbes:
+    """gamma of order 2 with a small alpha: power (alpha - 2) / 2 is near -1,
+    and the first substituted gaps fall below half an ulp of s."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_reports_are_finite_and_stable(self, alpha):
+        k = HeatKernel(ISO, horizon=4.0)
+        reports = probe_integral_estimates(k, MultiIndex((2,)), alpha)
+        for key, rep in reports.items():
+            assert np.isfinite(rep.empirical_C), key
+            assert rep.stable, key
+        ex = reports["beta_damped_moment"].extras
+        assert abs(ex["fitted_exponent"] - ex["predicted_exponent"]) <= 0.01
+        # the moment integrand of a constant a is self-similar, C gap^power,
+        # so the largest bound, over (0, T), is C T^(alpha/2) / (alpha/2)
+        J = 2 * 257 - 1
+        nodes, weights = _lattice(1, 8.0 * np.sqrt(2.0), J)
+        unit = _moment_integrand(k, 4.0, nodes, weights, MultiIndex((2,)), alpha)
+        C = unit(np.array([3.0]), np.array([1.0]))[0]
+        level = reports["moment_bound"].levels[-1]
+        assert level["points"] == J
+        assert np.isclose(level["value"], C * 4.0 ** (alpha / 2.0) / (alpha / 2.0), rtol=1e-2)
 
 
 def loop_sup_probe(kernel, alpha, window):

@@ -25,6 +25,7 @@ from bspdelab.stochastic import (
     DataFunctional,
     PathFactor,
     SpaceFactor,
+    backward_defect,
     sample_paths,
     solve_second_family,
 )
@@ -489,8 +490,66 @@ class TestPairEngineBitIdentity:
             _PairConvolver(self.KERNEL, self.SG, 2, [1, 0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
 
 
+class TestPairBlockSize:
+    """apply has the same bits at any _PAIR_BLOCK: every row adds its pairs
+    in pass order, and no inverse FFT row depends on the rows batched with it."""
+
+    BLOCKS = (1, 7, 32, 128)
+
+    @staticmethod
+    def picard_table():
+        # variable_a_sin's production table: K = 100, J = 257, 295 kernels
+        spec = get_scenario("variable_a_sin")
+        cfg = spec.config()
+        tg, grid = cfg.time_grid, cfg.space_grid
+        kernel = HeatKernel(solver._frozen_diffusion(spec.build_coeffs()), horizon=tg.horizon)
+        K, nodes = tg.num_steps, tg.nodes
+        k, j = np.triu_indices(K + 1)
+        w = np.full(k.shape, tg.dt)
+        w[(j == k) | (j == K)] *= 0.5
+        w[k == K] = 0.0
+        F = np.cos(3.0 * nodes)[:, None] * np.sin(grid.axis)[None, :] + 0.01 * nodes[:, None]
+        return (kernel, grid, K + 1, k, nodes[k], nodes[j], w), j, _difference_to_sixth([F], grid)
+
+    @staticmethod
+    def forcing_table():
+        # forcing shape: 40 rows of 9 s nodes, one shared (J,) source
+        tg, grid = TimeGrid(1.0, 40), SpaceGrid(1, 6.0, 129)
+        K, heads = tg.num_steps, tg.nodes[:-1]
+        u = np.linspace(1e-3, 0.98, 9)
+        s = heads[:, None] + ((1.0 - heads)[:, None] * u[None, :]) ** 2
+        kernel = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 0.5 + 0.2 * t,
+                                                             lam=0.5, Lam=0.7))
+        return ((kernel, grid, K + 1, np.repeat(np.arange(K), len(u)), np.repeat(heads, len(u)),
+                 s.ravel(), np.tile(np.linspace(0.1, 0.3, len(u)), K)), None,
+                _space_factor_stack(SpaceFactor.sine(phase=0.3), grid))
+
+    @pytest.mark.parametrize("table", ["picard", "forcing"])
+    def test_apply_is_independent_of_the_block_size(self, table, monkeypatch):
+        args, j, stack = getattr(self, f"{table}_table")()
+        first = None
+        for block in self.BLOCKS:
+            monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+            for keep in (False, True):
+                pairs = _PairConvolver(*args, j=j)
+                assert len(pairs._blocks) == -(-len(pairs.k) // block)
+                if keep:
+                    pairs.keep_kernels()
+                got = pairs.apply(stack, (0, 1, 2))
+                if first is None:
+                    first = got
+                assert all(np.array_equal(got[o], first[o]) for o in range(3)), (block, keep)
+        # both tables mix transformed and small pairs; the Picard table's
+        # repeated kernels make its blocks gather their kernel rows
+        assert 0 < pairs.small.sum() < pairs.small.size
+        if table == "picard":
+            assert any(not isinstance(b[3], slice) for b in pairs._blocks)
+
+
 def test_repeat_integrator_solve_allocates_little():
-    # K = 100, J = 257: 5,151 pairs; a (P, J) array alone would take 10.6 MB
+    # K = 100, J = 257: 5,151 pairs; a (P, J) array alone would take 10.6 MB.
+    # A repeat solve peaks at about 3.75 MiB: its outputs, the source stack
+    # and spectra, and one block's scratch
     tgrid, grid = TimeGrid(1.0, 100), SpaceGrid(1, 6.0, 257)
     kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), beta=8.0, horizon=1.0)
     integrator = _GriddedIntegrator(kernel, tgrid, grid,
@@ -503,7 +562,7 @@ def test_repeat_integrator_solve_allocates_little():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 5 * 2**20
     assert all(np.array_equal(first[o], again[o]) for o in range(3))
 
 
@@ -793,6 +852,78 @@ class TestResidualCertification:
         rms1, _ = integral_form_defect(sol, co)
         assert rms1 > 100.0 * max(rms0, 1e-9)
         assert rms1 > 1e-3
+
+
+def unchunked_defect(sol, co, paths):
+    """integral_form_defect with every measured path evaluated at once."""
+    tg, mask = sol.time_grid, sol.trusted
+    field, x = sol.restrict(mask), sol.space_grid.axis[mask]
+    pathwise = paths is not None and not (co.is_deterministic() and sol.num_paths == 1)
+    idx = np.arange(min(paths.num_paths, 64)) if pathwise else np.array([0])
+    sub = paths.subset(idx) if pathwise else solver._degenerate_paths(tg, co.noise_dim)
+    u0, u1, u2 = (field.u_dense(o, idx) for o in range(3))
+    v = [field.v_dense(l, 0, idx) for l in range(sol.noise_dim)]
+    a, b, c = co.sample(tg.nodes, x)
+    drift = a[None] * u2
+    if b is not None:
+        drift += b[None] * u1
+    if c is not None:
+        drift += c[None] * u0
+    f = None if co.forcing is None else co.forcing.dense(sub, x)
+    if co.driver is not None:
+        g = co.driver_rows(tg.nodes, x, u1, u0, v[0] if v else 0.0)
+        f = g if f is None else f + g
+    if f is not None:
+        drift = drift + f
+    sig = np.atleast_1d(np.asarray(co.sigma, dtype=float))
+    for l, vl in enumerate(v):
+        if sig[l] != 0.0:
+            drift = drift + sig[l] * vl
+    phi = co.terminal.terminal_values(sub, x)
+    defect = backward_defect(u0, phi, drift, tg.dt, v, sub.increments if pathwise else None)
+    assert defect.flags.c_contiguous and len(defect) == len(idx)
+    scale = 1.0 + float(np.abs(phi).max(initial=0.0))
+    return float(np.sqrt(np.mean(defect**2)) / scale), float(np.max(np.abs(defect)) / scale)
+
+
+class TestDefectChunks:
+    """integral_form_defect evaluates 8 paths at a time, with the bits of
+    one evaluation of every measured path."""
+
+    @staticmethod
+    def path_counts(monkeypatch):
+        counts = []
+        dense = SolutionField.u_dense
+
+        def spy(self, order=0, path_idx=None):
+            if order == 0:
+                counts.append(len(path_idx))
+            return dense(self, order, path_idx)
+
+        monkeypatch.setattr(SolutionField, "u_dense", spy)
+        return counts
+
+    @pytest.mark.parametrize("num_paths, chunks", [
+        (None, [8] * 8),  # the catalog's 10,000 paths, of which 64 are measured
+        (61, [8] * 7 + [5]),
+    ])
+    def test_stochastic_sin_wt(self, num_paths, chunks, monkeypatch):
+        spec = get_scenario("stochastic_sinWT")
+        co, paths = spec.build_coeffs(), spec.paths(num_paths=num_paths)
+        sol = solve(co, paths, spec.config())
+        counts = self.path_counts(monkeypatch)
+        got = integral_form_defect(sol, co, paths)
+        assert counts == chunks
+        assert got == unchunked_defect(sol, co, paths)
+
+    def test_deterministic(self, monkeypatch):
+        co = sine_problem(forcing=DataFunctional.deterministic(SpaceFactor.sine()),
+                          driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
+        sol = solve(co, None, config())
+        counts = self.path_counts(monkeypatch)
+        got = integral_form_defect(sol, co)
+        assert counts == [1]
+        assert got == unchunked_defect(sol, co, None)
 
 
 class TestLocalize:
