@@ -8,6 +8,10 @@ one engine:
   * solve_variable_linear     frozen-coefficient Picard for variable a, b, c
   * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v)
 
+The two Picard routes run one loop, ``_picard``, whose source takes every
+term of the data; a route keeps only its checks, its default beta, its
+start iterate and its stopping test.
+
 Space convolutions run on a uniform 1-d lattice, so every kernel application
 is a Toeplitz matrix-vector product.  Only the Picard integrator's pair
 table, applied at every iterate, keeps its kernel rows: one spectrum and one
@@ -278,10 +282,10 @@ class BumpField:
 # pass runs the table in blocks of _PAIR_BLOCK pairs taken by in-row
 # position, so a block's kernel rows, transforms and row sums stay in cache;
 # pairs below the resolution threshold skip the transform, and only the
-# requested orders are formed (semilinear Picard forms D^2 u once, from its
-# last source).  A run is one position's pairs with consecutive rows k and
-# consecutive sources j, so it reads its sources and adds into its rows
-# through slices.  Every row still adds its pairs in pair order, so the
+# requested orders are formed (a Picard iterate asks for the orders its
+# source and stopping test read).  A run is one position's pairs with
+# consecutive rows k and consecutive sources j, so it reads its sources and
+# adds into its rows through slices.  Every row still adds its pairs in pair order, so the
 # result is bit-identical to convolving pair by pair and summing with
 # np.add.at, whatever the block size.
 
@@ -945,7 +949,7 @@ def solve_deterministic_pde(coeffs: CoefficientSet, config: SolverConfig) -> Sol
     return solve(coeffs, None, config)
 
 
-# -- frozen-coefficient Picard ---------------------------------------------
+# -- Picard: one loop for both Picard routes --------------------------------
 
 def _terminal_stack(coeffs: CoefficientSet, grid: SpaceGrid):
     """Derivative stack of a deterministic terminal condition."""
@@ -990,31 +994,88 @@ def _norm_estimate(tgrid, grid, u_stack, mask):
     return estimate_norm(f, 2, _NORM_ALPHA).total
 
 
-def _picard_setup(coeffs: CoefficientSet, config: SolverConfig, beta: float):
-    """What both Picard routes build before iterating: the frozen reference
-    diffusion, the gridded integrator on its damped kernel, the damping rows
-    e^{-beta (T - t)}, the forcing rows (None without forcing) and the
-    trusted mask."""
+def _picard(coeffs: CoefficientSet, config: SolverConfig, beta: float, provenance: str,
+            stop: Callable, stop_orders: tuple, zero_start: bool) -> SolutionField:
+    """The fixed-point map of both Picard routes, iterated in the damped
+    unknown w = e^{-beta (T - t)} u with the damping carried by the kernel.
+
+    Each iterate is the heat potential, for a frozen at x = 0, of the terminal
+    data and of one source that adds every term the data has, in this order:
+    driver(t, x, Du, u, 0) e^{-beta (T - t)}, forcing, (a - abar) D^2 w,
+    b Dw, c w; a term whose coefficient is absent or 0 everywhere is skipped.
+    The zeroth iterate is the terminal profiles, or zeros with zero_start.
+    Each iterate forms order 0 plus the orders its source and ``stop_orders``
+    read; the last iterate's missing orders come from one more apply of its
+    source.  ``stop(w, damp_t, mask, sup_change)`` is the change compared
+    with tol, from the iterate (order -> (K+1, J)), the (K+1, 1) damping,
+    the trusted mask and sup |w_n - w_{n-1}| on it.  At the cap a change
+    that grew over the last two iterates raises AssumptionViolation.
+    """
     tgrid, grid = config.time_grid, config.space_grid
-    T = tgrid.horizon
+    t, x, T = tgrid.nodes, grid.axis, tgrid.horizon
     abar = _frozen_diffusion(coeffs)
-    kernel = HeatKernel(abar, beta=beta, horizon=T)
-    integrator = _GriddedIntegrator(kernel, tgrid, grid, _terminal_stack(coeffs, grid))
-    damp_t = np.exp(-beta * (T - tgrid.nodes))
+    integrator = _GriddedIntegrator(HeatKernel(abar, beta=beta, horizon=T), tgrid, grid,
+                                    _terminal_stack(coeffs, grid))
+    damp_t = np.exp(-beta * (T - t))[:, None]
+    mask = _trusted_mask(grid, coeffs.Lam, T)
     f_tx = None
     if coeffs.forcing is not None:
-        f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), grid.axis)[0]
-    return abar, integrator, damp_t, f_tx, _trusted_mask(grid, coeffs.Lam, T)
+        f_tx = coeffs.forcing.dense(_degenerate_paths(tgrid, 1), x)[0]
+    a_tx, b_tx, c_tx = coeffs.sample(t, x)
+    terms = [(m, o) for m, o in ((a_tx - abar(t)[:, 0, 0][:, None], 2), (b_tx, 1), (c_tx, 0))
+             if m is not None and np.any(m != 0.0)]  # (coefficient, order of w it multiplies)
+    driver_reads = (0, 1) if coeffs.driver is not None else ()  # u and Du
+    orders = tuple(sorted({0, *driver_reads, *stop_orders, *(o for _, o in terms)}))
 
+    def source(w):
+        if coeffs.driver is None:
+            F = np.zeros((len(t), len(x)))
+        else:
+            F = coeffs.driver_rows(t, x, (w[1] / damp_t)[None], (w[0] / damp_t)[None], 0.0)[0]
+            F *= damp_t
+        if f_tx is not None:
+            F += damp_t * f_tx
+        for m, o in terms:
+            F += m * w[o]
+        return F
 
-def _picard_solution(coeffs: CoefficientSet, config: SolverConfig, prof, damp_t,
-                     mask, provenance: str, info: dict) -> SolutionField:
-    """The undamped final iterate as a deterministic SolutionField."""
-    tgrid = config.time_grid
-    profiles = {o: prof[o] / damp_t[:, None] for o in range(3)}
+    w = integrator.terminal
+    if zero_start:
+        w = {o: np.zeros_like(p) for o, p in w.items()}
+    diffs, history = [], []
+    converged = False
+    for it in range(1, config.max_iter + 1):
+        F = source(w)
+        new = integrator.solve(F, orders)
+        diffs.append(float(np.max(np.abs((new[0] - w[0])[:, mask]))))
+        w = new
+        entry = {"iteration": it, "sup_change": diffs[-1],
+                 "rel_change": stop(w, damp_t, mask, diffs[-1])}
+        if len(diffs) > 1 and diffs[-2] > 0:
+            entry["contraction_factor"] = diffs[-1] / diffs[-2]
+        history.append(entry)
+        if entry["rel_change"] < config.tol:
+            converged = True
+            break
+
+    ratios = [h["contraction_factor"] for h in history if "contraction_factor" in h]
+    settled = ratios[1:] if len(ratios) > 1 else ratios
+    factor = float(np.exp(np.mean(np.log(np.maximum(settled, 1e-300))))) if settled else np.nan
+    info = {"iterations": len(history), "history": history, "converged": converged,
+            "beta": beta, "contraction_factor": factor, "contraction_history": ratios}
+    worst = max(ratios, default=np.nan)
+    if worst >= 1.0 or not converged:
+        info["advisory"] = (f"{'converged' if converged else 'iteration cap reached'} with "
+                            f"contraction factors up to {worst:.3g} at beta={beta}; "
+                            "raise beta (doubling is a reasonable schedule)")
+    if not converged and len(diffs) >= 3 and diffs[-1] > diffs[-3]:
+        raise AssumptionViolation(info["advisory"])
+    missing = tuple(o for o in range(3) if o not in orders)
+    if missing:
+        w.update(integrator.solve(F, missing))  # from the last iterate's source
     return SolutionField(
-        space_grid=config.space_grid, time_grid=tgrid,
-        u_parts=[FieldPart(profiles, np.ones((1, tgrid.num_steps + 1)))],
+        space_grid=grid, time_grid=tgrid,
+        u_parts=[FieldPart({o: w[o] / damp_t for o in range(3)}, np.ones((1, len(t))))],
         v_parts=[[] for _ in range(coeffs.noise_dim)],
         num_paths=1, trusted=mask, provenance=provenance, info=info,
     )
@@ -1024,10 +1085,10 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
                           config: SolverConfig) -> SolutionField:
     """Frozen-reference Picard for variable a(t, x), drift b, and zeroth term c.
 
-    Works in the damped unknown e^{-beta (T - t)} u, with the damping carried
-    by the kernel; sources are deterministic lattice fields, so this route is
-    restricted to deterministic data (stochastic variable-coefficient
-    problems are out of scope here).
+    Starts from the terminal profiles and stops when the a priori norm of u
+    changes by less than tol relative to itself.  Sources are deterministic
+    lattice fields, so this route is restricted to deterministic data
+    (stochastic variable-coefficient problems are out of scope here).
     """
     if coeffs.driver is not None:
         raise InvalidRoute("semilinear drivers go through solve_semilinear")
@@ -1036,60 +1097,25 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
             "variable-coefficient iteration is implemented for deterministic data only"
         )
     tgrid, grid = config.time_grid, config.space_grid
+    norms = []
+
+    def norm_change(w, damp_t, mask, _sup_change):
+        norms.append(_norm_estimate(tgrid, grid, [w[o] / damp_t for o in range(3)], mask))
+        return abs(norms[-1] - norms[-2]) / max(norms[-1], 1e-12) if len(norms) > 1 else np.inf
+
     beta = 0.0 if config.beta is None else config.beta
-    t = tgrid.nodes
-    abar, integrator, damp_t, f_tx, mask = _picard_setup(coeffs, config, beta)
-    a_tx, b_tx, c_tx = coeffs.sample(t, grid.axis)
-    abar_t = abar(t)[:, 0, 0]
+    return _picard(coeffs, config, beta, "frozen-picard", norm_change, (0, 1, 2),
+                   zero_start=False)
 
-    prof = integrator.terminal  # the zeroth iterate: no source
-    history = []
-    norm_prev = None
-    converged = False
-    for it in range(1, config.max_iter + 1):
-        F = np.zeros((len(t), grid.points_per_axis))
-        if f_tx is not None:
-            F += damp_t[:, None] * f_tx
-        F += (a_tx - abar_t[:, None]) * prof[2]
-        if b_tx is not None:
-            F += b_tx * prof[1]
-        if c_tx is not None:
-            F += c_tx * prof[0]
-        new_prof = integrator.solve(F, (0, 1, 2))
-        sup_change = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
-        norm = _norm_estimate(tgrid, grid, [new_prof[o] / damp_t[:, None] for o in range(3)],
-                              mask)
-        rel = (abs(norm - norm_prev) / max(norm, 1e-12)) if norm_prev is not None else np.inf
-        history.append({"iteration": it, "norm_u": norm, "norm_v": 0.0,
-                        "sup_change": sup_change, "rel_change": rel})
-        prof = new_prof
-        if norm_prev is not None and rel < config.tol:
-            converged = True
-            break
-        norm_prev = norm
-
-    info = {"iterations": len(history), "history": history, "converged": converged,
-            "beta": beta}
-    if not converged:
-        sups = [h["sup_change"] for h in history]
-        ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1) if sups[i] > 0]
-        info["divergence_report"] = {
-            "contraction_estimates": ratios,
-            "advisory": "iteration cap reached; rerun with beta damping enabled "
-                        "(larger config.beta) if the contraction estimates are near 1",
-        }
-    return _picard_solution(coeffs, config, prof, damp_t, mask, "frozen-picard", info)
-
-
-# -- semilinear Picard ------------------------------------------------------
 
 def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
                      config: SolverConfig) -> SolutionField:
     """Damped Picard iteration for a Lipschitz driver f(t, x, grad u, u, v).
 
-    Iterates in the damped unknown e^{-beta (T - t)} u; the kernel damping
-    turns the Lipschitz bound into a contraction factor that shrinks like
-    L (1 - e^{-beta T}) / beta, so raising beta tightens the loop.
+    The kernel damping turns the Lipschitz bound into a contraction factor
+    that shrinks like L (1 - e^{-beta T}) / beta, so raising beta tightens
+    the loop.  Starts from zero and stops when sup |w_n - w_{n-1}| falls
+    below tol max(1, sup |w_n|) on the trusted region.
     """
     if coeffs.driver is None:
         raise InvalidRoute("solve_semilinear needs a driver; use the linear routes")
@@ -1097,51 +1123,12 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
         raise InvalidRoute("semilinear iteration is implemented for deterministic data only")
     if not coeffs.space_invariant:
         raise InvalidRoute("semilinear iteration needs space-invariant a")
-    t, x = config.time_grid.nodes, config.space_grid.axis
+
+    def sup_rule(w, _damp_t, mask, sup_change):
+        return sup_change / max(1.0, float(np.max(np.abs(w[0][:, mask]))))
+
     beta = 8.0 if config.beta is None else config.beta
-    _, integrator, damp_t, f_tx, mask = _picard_setup(coeffs, config, beta)
-
-    # the driver and the stopping test read u and grad u only
-    prof = {o: np.zeros((len(t), len(x))) for o in (0, 1)}
-    diffs = []
-    history = []
-    converged = False
-    for it in range(1, config.max_iter + 1):
-        u_rows = prof[0] / damp_t[:, None]
-        q_rows = prof[1] / damp_t[:, None]
-        F = coeffs.driver_rows(t, x, q_rows[None], u_rows[None], 0.0)[0]
-        F *= damp_t[:, None]
-        if f_tx is not None:
-            F += damp_t[:, None] * f_tx
-        new_prof = integrator.solve(F, (0, 1))
-        d_m = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
-        diffs.append(d_m)
-        entry = {"iteration": it, "sup_change": d_m}
-        if len(diffs) > 1 and diffs[-2] > 0:
-            entry["contraction_factor"] = diffs[-1] / diffs[-2]
-        history.append(entry)
-        prof = new_prof
-        scale = max(1.0, float(np.max(np.abs(prof[0][:, mask]))))
-        if d_m < config.tol * scale:
-            converged = True
-            break
-
-    ratios = [h["contraction_factor"] for h in history if "contraction_factor" in h]
-    settled = ratios[1:] if len(ratios) > 1 else ratios
-    factor = float(np.exp(np.mean(np.log(np.maximum(settled, 1e-300))))) if settled else np.nan
-    info = {"iterations": len(history), "history": history, "converged": converged,
-            "beta": beta, "contraction_factor": factor,
-            "contraction_history": ratios}
-    if ratios and max(ratios) >= 1.0:
-        info["advisory"] = (
-            f"observed contraction factor {max(ratios):.3g} >= 1 at beta={beta}; "
-            "raise beta (doubling is a reasonable schedule)"
-        )
-    if not converged and len(diffs) >= 3 and diffs[-1] > diffs[-3]:
-        raise AssumptionViolation(info["advisory"] if "advisory" in info else
-                                  f"Picard iteration diverging at beta={beta}; raise beta")
-    prof[2] = integrator.solve(F, (2,))[2]  # D^2 u of the last iterate, from its source
-    return _picard_solution(coeffs, config, prof, damp_t, mask, "semilinear-picard", info)
+    return _picard(coeffs, config, beta, "semilinear-picard", sup_rule, (0,), zero_start=True)
 
 
 # -- localization -----------------------------------------------------------

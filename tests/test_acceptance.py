@@ -143,13 +143,16 @@ def test_criterion_5_stochastic_model_vs_closed_form():
     assert time.time() - t0 < 180.0
 
 
-def test_criterion_6_residual_certification():
-    for sid in ("heat_quadratic", "sin_decay", "transport_decay",
-                "constant_source", "semilinear_mode"):
+def test_criterion_6_residual_certification(picard_run):
+    for sid in ("heat_quadratic", "sin_decay", "constant_source"):
         spec = get_scenario(sid)
         sol, coeffs, paths = spec.solve()
         v = run_residual_check(sol, coeffs, spec.residual_tolerance,
                                paths=paths)
+        assert v.status == "pass", (sid, v.measured)
+    # the Picard scenarios' residual checks, as run_scenario ran them
+    for sid in ("transport_decay", "semilinear_mode"):
+        v = picard_run[sid].verdict(f"residual.{sid}")
         assert v.status == "pass", (sid, v.measured)
     # harness self-test: an injected defect must be caught
     spec = get_scenario("sin_decay")
@@ -206,34 +209,40 @@ def test_criterion_9_time_continuity():
             assert b <= a * 1.2
 
 
-def test_criterion_10_variable_coefficients():
-    spec = get_scenario("variable_a_sin")
-    sol, coeffs, paths = spec.solve()
+def test_criterion_10_variable_coefficients(picard_run):
+    run = picard_run["variable_a_sin"]
+    sol = run.artifacts["solution"]
     assert sol.info["converged"]
-    u_exact, _ = spec.oracle(spec, sol, paths)
-    m = sol.trusted
-    assert np.max(np.abs(sol.u_dense(0)[0][:, m] - u_exact[:, m])) <= 1e-2
+    # the oracle verdict's sup is max |u - u_exact| over every time and the trusted points
+    assert run.verdict("oracle.variable_a_sin").measured["sup"] <= 1e-2
     cov = covering_inequality(sol, theta=2.0, alpha=0.5, u0=sol.u_dense(0))
     assert cov["slack"] >= -1e-9
 
 
-def test_criterion_11_semilinear():
-    spec = get_scenario("semilinear_mode")
-    sol, coeffs, paths = spec.solve()
-    u_exact, _ = spec.oracle(spec, sol, paths)
-    m = sol.trusted
-    assert np.max(np.abs(sol.u_dense(0)[0][:, m] - u_exact[:, m])) <= 1e-3
+def test_criterion_11_semilinear(picard_run):
+    run = picard_run["semilinear_mode"]
+    assert run.verdict("oracle.semilinear_mode").measured["sup"] <= 1e-3
 
     # successive differences decay geometrically
-    diffs = [h["sup_change"] for h in sol.info["history"][1:]]
+    diffs = [h["sup_change"] for h in run.artifacts["solution"].info["history"][1:]]
     ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
     assert np.exp(np.mean(np.log(ratios))) < 1.0
 
-    from bspdelab.verify import run_convergence_study
-    v = run_convergence_study(get_scenario("beta_sweep"), "beta")
+    v = picard_run["beta_sweep"].verdict("convergence.beta.beta_sweep")
     factors = v.measured["factors"]
     assert v.status == "pass"
     assert factors[0] > factors[1] > factors[2]
+
+
+def test_picard_workload_matches_the_benchmark_reference(picard_run, picard_reference,
+                                                         benchmark_harness):
+    # every verdict's status and measured values, at the harness's round-off rule
+    verdicts = {sid: run.bundle.to_json().encode() for sid, run in picard_run.items()}
+    log = []
+    expected, failed = benchmark_harness.check_verdicts(
+        picard_reference, verdicts, picard_reference["seed"], log)
+    assert expected == sum(len(ref) for ref in picard_reference["scenarios"].values()) > 0
+    assert failed == 0, log
 
 
 def test_criterion_12_regression_cross_validation():

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from bspdelab.solver import (
     _PairConvolver,
     _difference_to_sixth,
     _forcing_profiles,
-    _picard_setup,
     _next_fast_len,
     _space_factor_stack,
     integral_form_defect,
@@ -546,6 +546,14 @@ class TestPairBlockSize:
             assert any(not isinstance(b[3], slice) for b in pairs._blocks)
 
 
+def picard_integrator(co, cfg, beta):
+    """The gridded integrator a Picard solve of co builds: the damped kernel
+    of a frozen at x = 0 and the terminal stack."""
+    tgrid, grid = cfg.time_grid, cfg.space_grid
+    kernel = HeatKernel(solver._frozen_diffusion(co), beta=beta, horizon=tgrid.horizon)
+    return _GriddedIntegrator(kernel, tgrid, grid, solver._terminal_stack(co, grid))
+
+
 def test_repeat_integrator_solve_allocates_little():
     # K = 100, J = 257: 5,151 pairs; a (P, J) array alone would take 10.6 MB.
     # A repeat solve peaks at about 3.75 MiB: its outputs, the source stack
@@ -569,7 +577,7 @@ def test_repeat_integrator_solve_allocates_little():
 def test_variable_a_sin_keeps_one_kernel_row_per_distinct_kernel():
     # K = 100, J = 257: 4,753 transformed pairs; a row per pair took 71 MB
     spec = get_scenario("variable_a_sin")
-    _abar, integrator, *_ = _picard_setup(spec.build_coeffs(), spec.config(), 0.0)
+    integrator = picard_integrator(spec.build_coeffs(), spec.config(), 0.0)
     pairs = integrator.pairs
     integrator.solve(np.ones((101, 257)), (0, 1, 2))
     assert (pairs.num_transformed, pairs.num_kernels) == (4753, 295)
@@ -741,9 +749,8 @@ class TestVariableLinear:
         )
         sol = solve_variable_linear(co, None, config(max_iter=2))
         assert not sol.info["converged"]
-        report = sol.info["divergence_report"]
-        assert "contraction_estimates" in report
-        assert "beta" in report["advisory"]
+        assert "contraction_history" in sol.info
+        assert "beta" in sol.info["advisory"]
 
     def test_rejects_stochastic_data(self):
         co = CoefficientSet(
@@ -808,21 +815,113 @@ class TestSemilinear:
         assert len(picard) == sol.info["iterations"] + 1
         assert sum(2 in orders for orders in picard) == 1
 
-        # the same loop forming all three orders every iterate
-        t, x = cfg.time_grid.nodes, cfg.space_grid.axis
-        _, integrator, damp_t, _, mask = _picard_setup(co, cfg, 8.0)
-        prof = {o: np.zeros((len(t), len(x))) for o in range(3)}
-        for it in range(1, cfg.max_iter + 1):
+        # the semilinear reference loop, forming all three orders every iterate
+        profiles, iterations = reference_picard(co, cfg, 8.0, linear=False)
+        assert iterations == sol.info["iterations"]
+        for o in range(3):
+            assert np.array_equal(sol.u_parts[0].profiles[o], profiles[o])
+
+
+def reference_picard(co, cfg, beta, linear):
+    """Reference copies of the two routes' Picard loops, written out apart:
+    frozen-reference (linear: source of forcing, a - abar, b and c; norm
+    stopping test) or semilinear (source of driver and forcing; sup rule).
+    Forms all three orders every iterate, as the orders do not move each
+    other's bits.  Returns (profiles of u, iterations)."""
+    tgrid, grid = cfg.time_grid, cfg.space_grid
+    t, x = tgrid.nodes, grid.axis
+    integrator = picard_integrator(co, cfg, beta)
+    damp_t = np.exp(-beta * (tgrid.horizon - t))
+    mask = solver._trusted_mask(grid, co.Lam, tgrid.horizon)
+    f_tx = None
+    if co.forcing is not None:
+        f_tx = co.forcing.dense(solver._degenerate_paths(tgrid, 1), x)[0]
+    a_tx, b_tx, c_tx = co.sample(t, x)
+    abar_t = solver._frozen_diffusion(co)(t)[:, 0, 0]
+    prof = integrator.terminal if linear else {o: np.zeros((len(t), len(x))) for o in range(3)}
+    norm_prev = None
+    for it in range(1, cfg.max_iter + 1):
+        if linear:
+            F = np.zeros((len(t), len(x)))
+            if f_tx is not None:
+                F += damp_t[:, None] * f_tx
+            F += (a_tx - abar_t[:, None]) * prof[2]
+            if b_tx is not None:
+                F += b_tx * prof[1]
+            if c_tx is not None:
+                F += c_tx * prof[0]
+        else:
             F = co.driver_rows(t, x, (prof[1] / damp_t[:, None])[None],
                                (prof[0] / damp_t[:, None])[None], 0.0)[0] * damp_t[:, None]
-            new_prof = integrator.solve(F, (0, 1, 2))
-            d_m = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
-            prof = new_prof
-            if d_m < cfg.tol * max(1.0, float(np.max(np.abs(prof[0][:, mask])))):
+            if f_tx is not None:
+                F += damp_t[:, None] * f_tx
+        new_prof = integrator.solve(F, (0, 1, 2))
+        d_m = float(np.max(np.abs((new_prof[0] - prof[0])[:, mask])))
+        prof = new_prof
+        if linear:
+            norm = solver._norm_estimate(tgrid, grid,
+                                         [prof[o] / damp_t[:, None] for o in range(3)], mask)
+            if norm_prev is not None and abs(norm - norm_prev) / max(norm, 1e-12) < cfg.tol:
                 break
-        assert it == sol.info["iterations"]
+            norm_prev = norm
+        elif d_m < cfg.tol * max(1.0, float(np.max(np.abs(prof[0][:, mask])))):
+            break
+    return {o: prof[o] / damp_t[:, None] for o in range(3)}, it
+
+
+SMALL = SolverConfig(time_grid=TimeGrid(1.0, 20), space_grid=SpaceGrid(1, 7.0, 65))
+FORCING = DataFunctional.deterministic(SpaceFactor.sine(2.0))
+
+
+class TestOnePicardLoop:
+    @pytest.mark.parametrize("case", ["transport", "variable_a_forcing",
+                                      "semilinear_forcing", "beta_sweep_beta0"])
+    def test_bit_identical_to_a_loop_per_route(self, case):
+        sine = DataFunctional.deterministic(SpaceFactor.sine())
+        co, beta = {
+            "transport": (sine_problem(a=1.0, b_fn=lambda t, x: 1.0), 0.0),
+            "variable_a_forcing": (CoefficientSet(terminal=sine, forcing=FORCING, lam=0.6,
+                                                  Lam=1.4, a_fn=lambda t, x:
+                                                  1.0 + 0.4 * np.sin(x)), 0.0),
+            "semilinear_forcing": (sine_problem(forcing=FORCING, lipschitz=1.3,
+                                                driver=lambda t, x, q, u, v:
+                                                -u + 0.3 * np.sin(q)), 8.0),
+            "beta_sweep_beta0": (get_scenario("beta_sweep").build_coeffs(), 0.0),
+        }[case]
+        linear = co.driver is None
+        sol = solve(co, None, replace(SMALL, beta=beta))
+        assert sol.provenance == ("frozen-picard" if linear else "semilinear-picard")
+        profiles, iterations = reference_picard(co, SMALL, beta, linear)
+        assert sol.info["iterations"] == iterations
         for o in range(3):
-            assert np.array_equal(sol.u_parts[0].profiles[o], prof[o] / damp_t[:, None])
+            assert np.array_equal(sol.u_parts[0].profiles[o], profiles[o]), o
+
+    @pytest.mark.parametrize("term, exact", [
+        ({"b_fn": lambda t, x: 1.0}, lambda lag, x: np.exp(-lag) * np.sin(x + lag)),
+        ({"c_fn": lambda t, x: 0.5}, lambda lag, x: np.exp(-0.5 * lag) * np.sin(x)),
+    ], ids=["b", "c"])
+    def test_driver_problems_keep_their_b_and_c_terms(self, term, exact):
+        # a = 1 on a sine terminal: b = 1 transports the mode, c = 1/2 slows
+        # its decay, and the zero driver changes neither
+        co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+                            diffusion=DiffusionCoefficient.isotropic(1.0),
+                            driver=lambda t, x, q, u, v: 0.0 * u, lipschitz=1e-9, **term)
+        cfg = SolverConfig(time_grid=TG, space_grid=SpaceGrid(1, 10.0, 129))
+        sol = solve(co, None, cfg)
+        assert sol.provenance == "semilinear-picard"
+        u = exact((T - TG.nodes)[:, None], cfg.space_grid.axis[None, :])
+        assert np.abs(sol.u_dense()[0] - u)[:, sol.trusted].max() < 1e-3
+
+    @pytest.mark.parametrize("sid", ["variable_a_sin", "transport_decay", "semilinear_mode"])
+    def test_each_iterate_forms_the_orders_it_reads(self, picard_run, sid):
+        run = picard_run[sid]
+        n = run.artifacts["solution"].info["iterations"]
+        if sid == "semilinear_mode":
+            # the driver reads u and Du, the sup rule u; D^2 u once, at the end
+            assert run.applies == [(0, 1)] * n + [(2,)]
+        else:
+            # the norm rule reads all three orders, so no extra apply
+            assert run.applies == [(0, 1, 2)] * n
 
 
 class TestResidualCertification:
