@@ -235,11 +235,11 @@ def load_config(path: Path) -> dict:
 
 
 def apply_overrides(spec, overrides):
-    """A copy of the catalog entry with config-section knobs applied."""
-    if not overrides:
-        return spec
-    lam = overrides.pop("lam", None)
-    spec = dataclasses.replace(spec, **overrides) if overrides else spec
+    """A copy of the catalog entry with config-section knobs applied; the
+    overrides dict is left as given."""
+    fields = {key: value for key, value in overrides.items() if key != "lam"}
+    lam = overrides.get("lam")
+    spec = dataclasses.replace(spec, **fields) if fields else spec
     if lam is not None:
         base_build = spec.build_coeffs
 
@@ -331,7 +331,7 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
 
-    specs = [apply_overrides(spec, dict(ov)) for spec, ov in cfg["scenarios"]]
+    specs = [apply_overrides(spec, ov) for spec, ov in cfg["scenarios"]]
     planned = [f for s in specs for f in artifact_files(s)]
     write_manifest(out_dir, cfg_path, specs, seed, planned, "started", {})
 

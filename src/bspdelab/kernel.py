@@ -233,22 +233,17 @@ class HeatKernel:
 
 # -- singular time quadrature ---------------------------------------------
 
-def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int = 48):
+def singular_time_quadrature(fn, tau: float, s: float, power: float, num: int):
     """integral_tau^s fn(t) dt where fn(t) ~ (s - t)^power near t = s.
 
     Substitutes v = (s - t)^(1 + power) so the transformed integrand is
-    bounded, then applies Gauss-Legendre.  Requires power > -1.  ``fn``
-    receives the (num,) vector of nodes t and returns one value (or one
-    array) per node.
+    bounded, then applies num-node Gauss-Legendre.  Requires power > -1.
+    ``fn(t, gap)`` receives, once, the (num,) vector of nodes t and each
+    node's gap to s, and returns one value (or one array) per node.  The
+    gap is s - t, except where t rounds to s: there the substituted gap
+    itself is carried, since with power near -1 the first substituted gaps
+    fall below half an ulp of s.
     """
-    return _singular_gap_quadrature(lambda t, gap: fn(t), tau, s, power, num)
-
-
-def _singular_gap_quadrature(fn, tau: float, s: float, power: float, num: int):
-    """singular_time_quadrature of fn(t, gap), which also receives each
-    node's gap to s: s - t, except where t rounds to s.  There the
-    substituted gap itself is carried; with power near -1 the first
-    substituted gaps fall below half an ulp of s."""
     if power <= -1.0:
         raise InvalidArgument("time singularity must be integrable (power > -1)")
     p = 1.0 + power
@@ -266,6 +261,9 @@ def _singular_gap_quadrature(fn, tau: float, s: float, power: float, num: int):
 
 # -- probe reports ---------------------------------------------------------
 
+LEVEL_RATIO = 1.3  # largest max/min of a probe's positive finite levels for it to be stable
+
+
 @dataclass
 class KernelConstantReport:
     """Empirical constant of one kernel-integral estimate."""
@@ -279,7 +277,7 @@ class KernelConstantReport:
         vals = [lv["value"] for lv in self.levels if np.isfinite(lv["value"]) and lv["value"] > 0]
         if len(vals) < 2:
             return np.isfinite(self.empirical_C)
-        return max(vals) / min(vals) <= 1.3
+        return max(vals) / min(vals) <= LEVEL_RATIO
 
 
 def _safe_ratio(num, den):
@@ -348,7 +346,7 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConsta
 
 def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):
     """(t, gap) -> integral |D^gamma G_{s,t}(x)| |x|^alpha dx over vectors of
-    nodes t and their gaps to s, as _singular_gap_quadrature hands them over.
+    nodes t and their gaps to s, as singular_time_quadrature hands them over.
 
     The lattice is given in self-similar coordinates y = x / sqrt(s - t) and
     rescaled per evaluation, so the spatial resolution relative to the kernel
@@ -438,7 +436,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
         best = 0.0
         for tau, s in tau_s_pairs:
             m = _moment_integrand(kernel, s, nodes, weights, gamma, alpha)
-            best = max(best, _singular_gap_quadrature(m, tau, s, power, 48))
+            best = max(best, singular_time_quadrature(m, tau, s, power, 48))
         levels.append({"points": J, "value": best})
     reports["moment_bound"] = KernelConstantReport(levels[-1]["value"], levels)
 
@@ -456,12 +454,12 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
                 if not np.any(mask):
                     continue
 
-                def inner(t):  # called at once, with this pass's mask and s
+                def inner(t, _gap):  # called at once, with this pass's mask and s
                     vals = kernel.derivative(t, s, nodes[mask], gamma)
                     return np.abs(np.sum(weights[mask] * vals, axis=-1))
 
                 for tau, s in tau_s_pairs:
-                    best = max(best, singular_time_quadrature(inner, tau, s, -0.5))
+                    best = max(best, singular_time_quadrature(inner, tau, s, -0.5, 48))
             levels.append({"points": J, "value": best})
         reports["tail_cancellation"] = KernelConstantReport(levels[-1]["value"], levels)
 
@@ -512,7 +510,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
     for b in _DAMPING_BETAS:
         kb = kernel.with_beta(b)
         m = _moment_integrand(kb, T, nodes, weights, gamma, alpha)
-        raw.append(_singular_gap_quadrature(m, 0.0, T, power, 64))
+        raw.append(singular_time_quadrature(m, 0.0, T, power, 64))
     fitted = float(np.polyfit(np.log(np.asarray(_DAMPING_BETAS)), np.log(np.asarray(raw)),
                               1)[0])
     levels = [

@@ -80,16 +80,13 @@ def _grids(spec: ScenarioSpec, sol: SolutionField):
     return sol.time_grid.nodes, sol.space_grid.axis
 
 
-def oracle_sin_decay(spec, sol, paths):
-    t, x = _grids(spec, sol)
-    T = spec.horizon
-    return np.exp(-(T - t)[:, None] / 2.0) * np.sin(x)[None, :], None
-
-
-def oracle_heat_smoke(spec, sol, paths):
-    t, x = _grids(spec, sol)
-    T = spec.horizon
-    return np.exp(-(T - t)[:, None]) * np.sin(x)[None, :], None
+def _sine_mode_oracle(rate):
+    """The oracle of a sine mode decaying at rate: u = e^{-rate (T - t)} sin x."""
+    def oracle(spec, sol, paths):
+        t, x = _grids(spec, sol)
+        T = spec.horizon
+        return np.exp(-rate * (T - t))[:, None] * np.sin(x)[None, :], None
+    return oracle
 
 
 def oracle_heat_quadratic(spec, sol, paths):
@@ -102,12 +99,6 @@ def oracle_transport_decay(spec, sol, paths):
     t, x = _grids(spec, sol)
     T = spec.horizon
     return np.exp(-(T - t))[:, None] * np.sin(x[None, :] + (T - t)[:, None]), None
-
-
-def oracle_semilinear_mode(spec, sol, paths):
-    t, x = _grids(spec, sol)
-    T = spec.horizon
-    return np.exp(-1.5 * (T - t))[:, None] * np.sin(x)[None, :], None
 
 
 def oracle_stochastic_sinWT(spec, sol, paths):
@@ -285,7 +276,7 @@ _register(ScenarioSpec(
     description="small heat solve with a sine terminal, fast sanity pass",
     provenance="closed form e^{-(T-t)} sin x",
     kind="solve",
-    radius=10.0, build_coeffs=_coeffs_heat_smoke, oracle=oracle_heat_smoke,
+    radius=10.0, build_coeffs=_coeffs_heat_smoke, oracle=_sine_mode_oracle(1.0),
     num_steps=20, points_per_axis=97, sup_tolerance=5e-3,
     checks=("residual", "oracle"),
 ))
@@ -303,7 +294,7 @@ _register(ScenarioSpec(
     scenario_id="sin_decay",
     description="half-strength diffusion with sine terminal",
     provenance="Gaussian characteristic function: u = e^{-(T-t)/2} sin x",
-    kind="solve", build_coeffs=_coeffs_sin_decay, oracle=oracle_sin_decay,
+    kind="solve", build_coeffs=_coeffs_sin_decay, oracle=_sine_mode_oracle(0.5),
     checks=("residual", "oracle", "time_shift"),
 ))
 
@@ -350,7 +341,7 @@ _register(ScenarioSpec(
     scenario_id="semilinear_mode",
     description="driver f = -u on a sine mode, damped Picard",
     provenance="mode amplitude ODE: u = e^{-(3/2)(T-t)} sin x",
-    kind="solve", build_coeffs=_coeffs_semilinear_mode, oracle=oracle_semilinear_mode,
+    kind="solve", build_coeffs=_coeffs_semilinear_mode, oracle=_sine_mode_oracle(1.5),
     beta=8.0, checks=("residual", "oracle", "picard"),
 ))
 

@@ -47,7 +47,6 @@ from .grid import MultiIndex, SpaceGrid, TimeGrid, fd_derivative, space_quadratu
 from .holder import FieldSample, estimate_norm, estimate_seminorm
 from .kernel import DiffusionCoefficient, HeatKernel, _gl
 from .stochastic import (
-    CONST,
     DataFunctional,
     PathEnsemble,
     SpaceFactor,
@@ -278,16 +277,21 @@ class BumpField:
 # spectra of orders 0 and 1 and its mass rows once, one row per kernel; the
 # terminal and forcing tables are applied once, and apply computes each
 # block's kernel rows inside the block, so their memory does not grow with
-# the number of pairs.  Each source row is transformed once per apply.  One
-# pass runs the table in blocks of _PAIR_BLOCK pairs taken by in-row
-# position, so a block's kernel rows, transforms and row sums stay in cache;
-# pairs below the resolution threshold skip the transform, and only the
-# requested orders are formed (a Picard iterate asks for the orders its
-# source and stopping test read).  A run is one position's pairs with
-# consecutive rows k and consecutive sources j, so it reads its sources and
-# adds into its rows through slices.  Every row still adds its pairs in pair order, so the
-# result is bit-identical to convolving pair by pair and summing with
-# np.add.at, whatever the block size.
+# the number of pairs.  A kept table gathers a block's kernel rows once per
+# order, straight into the product buffer that the order then multiplies in
+# place, so orders 1 and 2 gather the same rows twice: gathering each kind
+# once into a buffer of its own, as a streamed block computes them, measured
+# slower per Picard solve and raised a repeat solve's peak memory.  Each
+# source row is transformed once per apply.  One pass runs the table in
+# blocks of _PAIR_BLOCK pairs taken by in-row position, so a block's kernel
+# rows, transforms and row sums stay in cache; pairs below the resolution
+# threshold skip the transform, and only the requested orders are formed (a
+# Picard iterate asks for the orders its source and stopping test read).  A
+# run is one position's pairs with consecutive rows k and consecutive
+# sources j, so it reads its sources and adds into its rows through slices.
+# Every row still adds its pairs in pair order, so the result is
+# bit-identical to convolving pair by pair and summing with np.add.at,
+# whatever the block size.
 
 _SMALL_FACTOR = 4.5  # A < 4.5 h^2 means kernel std < 3 h: switch to the expansion
 _QUAD_NODES = 32  # Gauss-Legendre nodes of the forcing integral
@@ -325,12 +329,9 @@ def _first_occurrence_labels(keys: np.ndarray):
     return rank[inverse.reshape(-1)], np.sort(first)
 
 
-def _rows(table: np.ndarray, pick, buf: np.ndarray) -> np.ndarray:
-    """table[pick]: a view for a slice, else one np.take into buf (mode "clip":
-    the indices are in range, and "raise" would buffer the output).  A
-    caller may overwrite buf, never the result: a view is the table."""
-    if isinstance(pick, slice):
-        return table[pick]
+def _rows(table: np.ndarray, pick: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """table[pick] gathered by one np.take into the head of buf (mode "clip":
+    the indices are in range, and "raise" would buffer the output)."""
     return np.take(table, pick, axis=0, out=buf[:len(pick)], mode="clip")
 
 
@@ -354,9 +355,9 @@ class _PairConvolver:
 
     Pairs are stored in pass order: sorted by in-row position, cut into blocks
     of at most _PAIR_BLOCK pairs, each block holding its transformed pairs
-    first.  A block is cut into runs of one position with consecutive k and
-    j, and adds them position by position, so every row sums its pairs in
-    pair order.
+    first, with the kernel id of each.  A block is cut into runs of one
+    position with consecutive k and j, and adds them position by position,
+    so every row sums its pairs in pair order.
     """
 
     def __init__(self, kernel: HeatKernel, grid: SpaceGrid, rows: int, k, t, s, w, j=None):
@@ -390,9 +391,9 @@ class _PairConvolver:
             np.column_stack((self.A[big], self.damp[big])).view(np.uint64))
         self._kernel_pairs = big[first]
         # block (lo, mid, hi, pick, runs): pairs lo:mid are transformed, with
-        # kernel rows pick (a slice when consecutive); pairs mid:hi are small;
-        # each run (k0, j0, a, b) adds buffer rows a:b into rows k0:k0 + b - a
-        # from sources j0:j0 + b - a, in position order
+        # kernel ids pick; pairs mid:hi are small; each run (k0, j0, a, b)
+        # adds buffer rows a:b into rows k0:k0 + b - a from sources
+        # j0:j0 + b - a, in position order
         step = np.ones(P, dtype=bool)  # pair p continues the run of pair p - 1
         step[1:] = (np.diff(pos) == 0) & (np.diff(self.k) == 1)
         if self.j is not None:
@@ -405,10 +406,7 @@ class _PairConvolver:
             mid = lo + int(np.count_nonzero(~self.small[lo:hi]))
             cuts = sorted({lo, mid, hi, *(np.flatnonzero(~step[lo + 1:hi]) + lo + 1).tolist()})
             runs = sorted(zip(cuts[:-1], cuts[1:]), key=lambda r: (pos[r[0]], r[0]))
-            kid = kernel_of[f:f + mid - lo]
-            k0 = int(kid[0]) if len(kid) else 0
-            pick = slice(k0, k0 + len(kid)) if np.all(kid == np.arange(k0, k0 + len(kid))) else kid
-            self._blocks.append((lo, mid, hi, pick,
+            self._blocks.append((lo, mid, hi, kernel_of[f:f + mid - lo],
                                  [(int(self.k[a]), int(j_of[a]), a - lo, b - lo)
                                   for a, b in runs]))
             f += mid - lo
@@ -478,9 +476,9 @@ class _PairConvolver:
         ``stack`` is [F, F', ..., F^(6)] on the lattice.  Each entry is (J,),
         shared by every pair, or (R, J) source rows picked by ``j``.  Orders 1
         and 2 use the subtracted first-derivative kernel against stack[o - 1].
-        A kept table reads each block's kernel and mass rows from the tables
-        keep_kernels built; any other table computes them into block
-        buffers, with the same bits, and keeps nothing.
+        A kept table gathers each block's kernel and mass rows by kernel id
+        from the tables keep_kernels built; any other table computes them
+        into block buffers, with the same bits, and keeps nothing.
         """
         if max(orders) > 2:
             raise UnsupportedOrder(f"convolution derivatives stop at order 2, got {max(orders)}")
@@ -515,7 +513,7 @@ class _PairConvolver:
                 i, d = max(o - 1, 0), min(o, 1)
                 if n:
                     # source x kernel into the product buffer, where a kept
-                    # table gathers its kernel rows unless they are a slice
+                    # table gathers its kernel rows
                     kb = kern[d] if kern is not None else _rows(self._kept[d], pick, cbuf)
                     for _k0, j0, a, b in big:
                         np.multiply(_source(spectra[i], j0, b - a), kb[a:b], out=cbuf[a:b])
@@ -952,13 +950,11 @@ def solve_deterministic_pde(coeffs: CoefficientSet, config: SolverConfig) -> Sol
 # -- Picard: one loop for both Picard routes --------------------------------
 
 def _terminal_stack(coeffs: CoefficientSet, grid: SpaceGrid):
-    """Derivative stack of a deterministic terminal condition."""
-    stacks = [_space_factor_stack(h, grid) for h, p in coeffs.terminal.terms
-              if p.kind == CONST]
-    if len(stacks) != len(coeffs.terminal.terms):
-        raise InvalidRoute("this route needs deterministic terminal data")
+    """Derivative stack of a deterministic terminal condition; both Picard
+    routes reject stochastic data before they call it."""
     out = [np.zeros(grid.points_per_axis) for _ in range(7)]
-    for st in stacks:
+    for h, _p in coeffs.terminal.terms:
+        st = _space_factor_stack(h, grid)
         for o in range(7):
             out[o] = out[o] + st[o]
     return out

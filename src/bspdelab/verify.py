@@ -19,6 +19,7 @@ from .errors import InvalidArgument
 from .grid import MultiIndex, SpaceGrid, TimeGrid, space_quadrature_weights
 from .holder import FieldSample, estimate_norm
 from .kernel import (
+    LEVEL_RATIO,
     DiffusionCoefficient,
     HeatKernel,
     probe_integral_estimates,
@@ -454,7 +455,7 @@ def run_kernel_suite() -> VerdictBundle:
             status=_status(bool(np.isfinite(rep.empirical_C)) and rep.stable),
             measured={"empirical_C": float(rep.empirical_C),
                       "stable": bool(rep.stable)},
-            tolerance={"level_ratio": 1.3},
+            tolerance={"level_ratio": LEVEL_RATIO},
             provenance="probe lattice refinement of the envelope ratio",
         ))
 
@@ -467,7 +468,7 @@ def run_kernel_suite() -> VerdictBundle:
         check_id="kernel.integral_estimates",
         status=_status(all_ok),
         measured={key: float(rep.empirical_C) for key, rep in reports.items()},
-        tolerance={"level_ratio": 1.3},
+        tolerance={"level_ratio": LEVEL_RATIO},
         provenance="grid refinement of each integral probe",
     ))
     ex = reports["beta_damped_moment"].extras

@@ -1,14 +1,15 @@
 """Runs that several test modules read, made once per session.
 
-``picard_run`` runs every scenario of the benchmark's ``picard`` workload
-through ``verify.run_scenario`` at the benchmark reference's seed, so tests
-that read a Picard solve or its verdicts do not solve again.  While a
-scenario runs, every ``_GriddedIntegrator.solve`` call records the orders
-it asks for.
+``picard_run``, ``ensemble_run`` and ``certify_run`` run every scenario of
+the benchmark workload of that name through ``verify.run_scenario`` at the
+benchmark reference's seed, so tests that read a solve or its verdicts do
+not solve again.  While a scenario runs, every ``_GriddedIntegrator.solve``
+call records the orders it asks for.
 """
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ class ScenarioRun(NamedTuple):
     bundle: VerdictBundle
     artifacts: dict  # as run_scenario returns them; a solution's profiles are read-only
     applies: list  # the orders of each _GriddedIntegrator.solve call, in call order
+    seconds: float  # wall time of the run_scenario call
 
     def verdict(self, check_id):
         (found,) = [v for v in self.bundle.verdicts if v.check_id == check_id]
@@ -41,8 +43,10 @@ def benchmark_harness():
 
 
 @pytest.fixture(scope="session")
-def picard_reference():
-    return json.loads((ROOT / "benchmark" / "reference" / "picard.json").read_text())
+def workload_references():
+    """{workload: its benchmark reference}."""
+    return {w: json.loads((ROOT / "benchmark" / "reference" / f"{w}.json").read_text())
+            for w in ("picard", "ensemble", "certify")}
 
 
 def _recording(solve, applies):
@@ -52,18 +56,35 @@ def _recording(solve, applies):
     return spy
 
 
-@pytest.fixture(scope="session")
-def picard_run(picard_reference):
+def workload_run(reference):
     """{scenario id: ScenarioRun} over the reference's scenarios."""
     runs = {}
-    for sid in picard_reference["scenarios"]:
+    for sid in reference["scenarios"]:
         applies = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_GriddedIntegrator, "solve", _recording(_GriddedIntegrator.solve, applies))
-            bundle, artifacts = run_scenario(get_scenario(sid), seed=picard_reference["seed"])
+            start = time.perf_counter()
+            bundle, artifacts = run_scenario(get_scenario(sid), seed=reference["seed"])
+            seconds = time.perf_counter() - start
         if "solution" in artifacts:
-            for part in artifacts["solution"].u_parts:
+            sol = artifacts["solution"]
+            for part in [*sol.u_parts, *(p for parts in sol.v_parts for p in parts)]:
                 for profile in part.profiles.values():
                     profile.flags.writeable = False
-        runs[sid] = ScenarioRun(bundle, artifacts, applies)
+        runs[sid] = ScenarioRun(bundle, artifacts, applies, seconds)
     return runs
+
+
+@pytest.fixture(scope="session")
+def picard_run(workload_references):
+    return workload_run(workload_references["picard"])
+
+
+@pytest.fixture(scope="session")
+def ensemble_run(workload_references):
+    return workload_run(workload_references["ensemble"])
+
+
+@pytest.fixture(scope="session")
+def certify_run(workload_references):
+    return workload_run(workload_references["certify"])

@@ -35,11 +35,7 @@ from bspdelab.stochastic import (
     solve_bsde_closed,
     solve_bsde_regression,
 )
-from bspdelab.verify import (
-    run_apriori_study,
-    run_residual_check,
-    run_time_shift_study,
-)
+from bspdelab.verify import run_apriori_study, run_residual_check
 
 
 def _suite_kernels():
@@ -112,16 +108,14 @@ def test_criterion_3_kernel_estimate_suite():
 
 @pytest.mark.parametrize("sid", ["heat_quadratic", "sin_decay",
                                  "transport_decay", "constant_source"])
-def test_criterion_4_deterministic_closed_forms(sid):
-    spec = get_scenario(sid)
-    t0 = time.time()
-    sol, coeffs, paths = spec.solve()
+def test_criterion_4_deterministic_closed_forms(sid, picard_run, certify_run):
+    run = {**picard_run, **certify_run}[sid]
+    sol = run.artifacts["solution"]
     assert len(sol.time_grid) == 101
     assert sol.space_grid.points_per_axis == 257
-    u_exact, _ = spec.oracle(spec, sol, paths)
-    m = sol.trusted
-    assert np.max(np.abs(sol.u_dense(0)[0][:, m] - u_exact[:, m])) <= 1e-3
-    assert time.time() - t0 < 60.0
+    # the oracle verdict's sup is max |u - u_exact| over every time and the trusted points
+    assert run.verdict(f"oracle.{sid}").measured["sup"] <= 1e-3
+    assert run.seconds < 60.0
 
 
 def test_criterion_5_stochastic_model_vs_closed_form():
@@ -143,16 +137,12 @@ def test_criterion_5_stochastic_model_vs_closed_form():
     assert time.time() - t0 < 180.0
 
 
-def test_criterion_6_residual_certification(picard_run):
-    for sid in ("heat_quadratic", "sin_decay", "constant_source"):
-        spec = get_scenario(sid)
-        sol, coeffs, paths = spec.solve()
-        v = run_residual_check(sol, coeffs, spec.residual_tolerance,
-                               paths=paths)
-        assert v.status == "pass", (sid, v.measured)
-    # the Picard scenarios' residual checks, as run_scenario ran them
-    for sid in ("transport_decay", "semilinear_mode"):
-        v = picard_run[sid].verdict(f"residual.{sid}")
+def test_criterion_6_residual_certification(picard_run, certify_run):
+    # the residual checks of the closed-form and Picard scenarios, as run_scenario ran them
+    runs = {**picard_run, **certify_run}
+    for sid in ("heat_quadratic", "sin_decay", "constant_source",
+                "transport_decay", "semilinear_mode"):
+        v = runs[sid].verdict(f"residual.{sid}")
         assert v.status == "pass", (sid, v.measured)
     # harness self-test: an injected defect must be caught
     spec = get_scenario("sin_decay")
@@ -199,9 +189,11 @@ def test_criterion_8_interpolation_and_product_inequalities(alpha):
             assert all(np.isfinite(level["C"]) for level in c["levels"])
 
 
-def test_criterion_9_time_continuity():
-    bundle = run_time_shift_study(
-        [get_scenario("sin_decay"), get_scenario("stochastic_sinWT")])
+def test_criterion_9_time_continuity(ensemble_run):
+    # time_shift_sweep runs the time-shift study of sin_decay and stochastic_sinWT
+    bundle = ensemble_run["time_shift_sweep"].bundle
+    assert [v.check_id for v in bundle.verdicts] == [
+        "time_shift.sqrt_rate.sin_decay", "time_shift.sqrt_rate.stochastic_sinWT"]
     for v in bundle.sorted():
         assert v.status == "pass", (v.check_id, v.measured)
         ratios = v.measured["ratios"]
@@ -234,14 +226,17 @@ def test_criterion_11_semilinear(picard_run):
     assert factors[0] > factors[1] > factors[2]
 
 
-def test_picard_workload_matches_the_benchmark_reference(picard_run, picard_reference,
-                                                         benchmark_harness):
+@pytest.mark.parametrize("workload", ["picard", "ensemble", "certify"])
+def test_workload_matches_the_benchmark_reference(workload, request, workload_references,
+                                                  benchmark_harness):
     # every verdict's status and measured values, at the harness's round-off rule
-    verdicts = {sid: run.bundle.to_json().encode() for sid, run in picard_run.items()}
+    reference = workload_references[workload]
+    runs = request.getfixturevalue(f"{workload}_run")
+    verdicts = {sid: run.bundle.to_json().encode() for sid, run in runs.items()}
     log = []
     expected, failed = benchmark_harness.check_verdicts(
-        picard_reference, verdicts, picard_reference["seed"], log)
-    assert expected == sum(len(ref) for ref in picard_reference["scenarios"].values()) > 0
+        reference, verdicts, reference["seed"], log)
+    assert expected == sum(len(ref) for ref in reference["scenarios"].values()) > 0
     assert failed == 0, log
 
 

@@ -95,6 +95,13 @@ def test_shipped_configs_load(config):
     assert load_config(config)["scenarios"]
 
 
+def test_one_overrides_dict_applies_twice():
+    ov = {"lam": 0.7}
+    for _ in range(2):
+        assert apply_overrides(get_scenario("heat_smoke"), ov).build_coeffs().lam == 0.7
+    assert ov == {"lam": 0.7}
+
+
 class TestList:
     def test_catalog_contains_required_ids(self, capsys):
         assert main(["list"]) == 0
@@ -156,7 +163,7 @@ class TestRun:
         code, out = smoke_run
         cfg = load_config(resolve_config_path("heat_smoke"))
         planned = [f for spec, ov in cfg["scenarios"]
-                   for f in artifact_files(apply_overrides(spec, dict(ov)))]
+                   for f in artifact_files(apply_overrides(spec, ov))]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["artifacts"] == planned
         on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*")

@@ -18,7 +18,6 @@ from bspdelab.kernel import (
     _moment_integrand,
     _probe_points,
     _safe_ratio,
-    _singular_gap_quadrature,
     DiffusionCoefficient,
     HeatKernel,
     probe_integral_estimates,
@@ -429,23 +428,23 @@ class TestDerivatives:
 
 class TestSingularQuadrature:
     def test_smooth_integrand(self):
-        val = singular_time_quadrature(lambda t: np.cos(t), 0.0, 1.0, 0.0)
+        val = singular_time_quadrature(lambda t, _gap: np.cos(t), 0.0, 1.0, 0.0, 48)
         assert np.isclose(val, np.sin(1.0), atol=1e-10)
 
     def test_power_singularity(self):
         # integral of (1 - t)^(-3/4) over [0, 1] is 4; the residual comes
         # from recomputing 1 - t near the endpoint, not from the quadrature
-        val = singular_time_quadrature(lambda t: (1.0 - t) ** -0.75, 0.0, 1.0, -0.75)
+        val = singular_time_quadrature(lambda t, _gap: (1.0 - t) ** -0.75, 0.0, 1.0, -0.75, 48)
         assert np.isclose(val, 4.0, rtol=1e-5)
 
     def test_nonintegrable_rejected(self):
         with pytest.raises(InvalidArgument):
-            singular_time_quadrature(lambda t: t, 0.0, 1.0, -1.0)
+            singular_time_quadrature(lambda t, _gap: t, 0.0, 1.0, -1.0, 48)
 
     def test_fn_gets_the_node_vector_once(self):
         calls = []
 
-        def fn(t):
+        def fn(t, _gap):
             calls.append(t)
             return np.cos(t)
 
@@ -463,7 +462,7 @@ class TestSingularQuadrature:
             calls.append((t, gap))
             return gap ** -0.95
 
-        val = _singular_gap_quadrature(fn, 0.0, 4.0, -0.95, 48)
+        val = singular_time_quadrature(fn, 0.0, 4.0, -0.95, 48)
         (t, gap), = calls
         nodes, _ = _gl_nodes(48)
         p = 1.0 + -0.95

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import bspdelab
 
-MAX_SETTABLE = 41
+MAX_SETTABLE = 40
 
 
 def settable_values() -> int:
