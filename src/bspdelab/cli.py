@@ -186,52 +186,60 @@ def load_config(path: Path) -> dict:
         spec = CATALOG[sid]
         overrides = {}
         section = f"scenario.{sid}"
-        if section in cp:
-            for key, raw in cp[section].items():
-                if spec.build_coeffs is None:
-                    raise SchemaError(
-                        f"{key} in [{section}]: {sid} builds no coefficients "
-                        "and takes no overrides",
-                        path=path, line=_find_line(path, key, section))
-                if key not in _OVERRIDE_TYPES:
-                    raise SchemaError(
-                        f"unknown key {key!r} in [{section}]; allowed: "
-                        f"{sorted(_OVERRIDE_TYPES)}",
-                        path=path, line=_find_line(path, key, section))
+        for key, raw in (cp[section].items() if section in cp else ()):
+            if spec.build_coeffs is None:
+                problem = (f"{key} in [{section}]: {sid} builds no coefficients "
+                           "and takes no overrides")
+            elif key not in _OVERRIDE_TYPES:
+                problem = (f"unknown key {key!r} in [{section}]; allowed: "
+                           f"{sorted(_OVERRIDE_TYPES)}")
+            else:
                 try:
                     overrides[key] = _OVERRIDE_TYPES[key](raw)
-                    if not math.isfinite(overrides[key]):
-                        raise InvalidArgument("must be finite")
-                    # build the grids, solver config and coefficients the value
-                    # implies now, so a bad one exits 2 here instead of
-                    # crashing the run
-                    built = apply_overrides(spec, {key: overrides[key]})
-                    cfg = built.config()
-                    if key == "lam":
-                        # the solve samples the ellipticity on these grids
-                        built.build_coeffs().check_assumptions(cfg.time_grid,
-                                                               cfg.space_grid)
-                    if "time_shift" in built.checks:
-                        shift_grid(built)
-                    if built.num_paths < 0:
-                        raise InvalidArgument("num_paths must be >= 0")
-                    if built.seed < 0:
-                        raise InvalidArgument("seed must be >= 0")
-                    if (key == "num_paths" and built.num_paths == 0
-                            and not built.build_coeffs().is_deterministic()):
-                        raise InvalidArgument(
-                            "stochastic data needs a path ensemble (num_paths >= 1)")
-                except (InvalidArgument, AssumptionViolation) as e:
-                    raise SchemaError(f"{key} = {raw} in [{section}]: {e}",
-                                      path=path,
-                                      line=_find_line(path, key, section)) from None
                 except ValueError:
-                    raise SchemaError(
-                        f"{key} must be {_OVERRIDE_TYPES[key].__name__}, "
-                        f"got {raw!r}",
-                        path=path, line=_find_line(path, key, section))
+                    problem = f"{key} must be {_OVERRIDE_TYPES[key].__name__}, got {raw!r}"
+                else:
+                    problem = (None if math.isfinite(overrides[key])
+                               else f"{key} = {raw} in [{section}]: must be finite")
+            if problem:
+                raise SchemaError(problem, path=path, line=_find_line(path, key, section))
+        try:
+            _check_overrides(spec, overrides)
+        except (InvalidArgument, AssumptionViolation) as e:
+            # anchored at the first key that fails on its own, else at the last key
+            key, err = list(overrides)[-1], e
+            for k in overrides:
+                try:
+                    _check_overrides(spec, {k: overrides[k]})
+                except (InvalidArgument, AssumptionViolation) as alone:
+                    key, err = k, alone
+                    break
+            raise SchemaError(f"{key} = {cp[section][key]} in [{section}]: {err}",
+                              path=path, line=_find_line(path, key, section)) from None
         scenarios.append((spec, overrides))
     return {"scenarios": scenarios, "seed": seed, "out": out}
+
+
+def _check_overrides(spec, overrides):
+    """Build the grids, solver config and coefficients that a section's
+    overrides imply together, so a bad set exits 2 at load time instead of
+    crashing the run."""
+    if not overrides:
+        return
+    built = apply_overrides(spec, overrides)
+    cfg = built.config()
+    if "lam" in overrides:
+        # the solve samples the ellipticity on these grids
+        built.build_coeffs().check_assumptions(cfg.time_grid, cfg.space_grid)
+    if "time_shift" in built.checks:
+        shift_grid(built)
+    if built.num_paths < 0:
+        raise InvalidArgument("num_paths must be >= 0")
+    if built.seed < 0:
+        raise InvalidArgument("seed must be >= 0")
+    if ("num_paths" in overrides and built.num_paths == 0
+            and not built.build_coeffs().is_deterministic()):
+        raise InvalidArgument("stochastic data needs a path ensemble (num_paths >= 1)")
 
 
 def apply_overrides(spec, overrides):

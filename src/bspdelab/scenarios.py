@@ -141,7 +141,8 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
     scenario grid (the finer lattice shares every coarse node).  Boundary
     cells copy their neighbor (diffusion never reaches the comparison region
     over a unit horizon on these wide boxes).  a, b and c are sampled once
-    per coarse step, on all of its sub-step times.
+    per coarse step, on all of its sub-step times; a driver adds
+    f(t, x, Du, u, 0) at each sub-step, with Du the central difference.
     """
     if grid.dim != 1:
         raise InvalidArgument("the finite-difference oracle is 1-d")
@@ -170,16 +171,19 @@ def finite_difference_oracle(coeffs: CoefficientSet, tgrid: TimeGrid,
             lap[0] = lap[1]
             lap[-1] = lap[-2]
             rhs = a_rows[i] * lap
-            if b_rows is not None:
+            if b_rows is not None or coeffs.driver is not None:
                 grad = np.empty_like(u)
                 grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
                 grad[0] = grad[1]
                 grad[-1] = grad[-2]
+            if b_rows is not None:
                 rhs += b_rows[i] * grad
             if c_rows is not None:
                 rhs += c_rows[i] * u
             if coeffs.forcing is not None:
                 rhs += forcing[k]
+            if coeffs.driver is not None:
+                rhs += coeffs.driver(times[i], x, grad, u, 0.0)
             u = u + delta * rhs
         t = tgrid.nodes[k]
         out[k] = u[::_FD_REFINE]

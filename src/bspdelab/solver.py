@@ -6,7 +6,8 @@ one engine:
 
   * solve_model               explicit representation, space-invariant a and sigma
   * solve_variable_linear     frozen-coefficient Picard for variable a, b, c
-  * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v)
+  * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v),
+                              with a, b, c as in the frozen-coefficient route
 
 The two Picard routes run one loop, ``_picard``, whose source takes every
 term of the data; a route keeps only its checks, its default beta, its
@@ -683,16 +684,10 @@ class SolutionField:
         Its dense evaluations equal ``self.u_dense(o, idx)[..., columns]``
         (and likewise v) in values and in memory layout, columns outermost,
         so a norm or mean over them adds in the same order; only the columns
-        are evaluated.  Every order of a profile table is sliced here, once
-        per table that parts share.
+        are evaluated.  Each part slices every order of its own profiles.
         """
-        tables = {}
-
         def cut(part):
-            key = id(part.profiles)
-            if key not in tables:
-                tables[key] = {o: p[:, columns] for o, p in part.profiles.items()}
-            return FieldPart(tables[key], part.series)
+            return FieldPart({o: p[:, columns] for o, p in part.profiles.items()}, part.series)
 
         return replace(
             self, space_grid=_masked_grid(self.space_grid, columns),
@@ -778,7 +773,6 @@ def _degenerate_paths(tgrid: TimeGrid, d: int = 1) -> PathEnsemble:
 
 
 _DEFECT_PATHS = 64  # paths the integral-form defect is measured on
-_DEFECT_CHUNK = 8  # paths the integral-form defect evaluates at a time
 _LOCALIZE_PATHS = 32  # paths the localized residual is measured on
 _COVERING_CENTERS = 9  # bump centers of the covering inequality
 
@@ -786,7 +780,6 @@ _COVERING_CENTERS = 9  # bump centers of the covering inequality
 class _Sample(NamedTuple):
     """What a certificate reads of a solve and its data on a lattice mask."""
 
-    path_idx: np.ndarray  # the measured paths: paths 0, 1, ..., so also their positions
     u: list  # u, Du, D^2 u, each (Mp, K+1, Jm)
     v: list  # one (Mp, K+1, Jm) per noise component
     abc: tuple  # (a, b, c) on the nodes, each (K+1, Jm); None for an absent b or c
@@ -795,16 +788,14 @@ class _Sample(NamedTuple):
     increments: np.ndarray  # Brownian increments (Mp, K, d); None for a deterministic solve
 
 
-def _samples(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, mask,
-             chunk: int):
+def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int,
+            mask) -> _Sample:
     """The solve and its data on the lattice points ``mask`` (None: the
     whole lattice), read once; the solve is evaluated on those points only.
 
     A stochastic solve is measured on its first max_paths paths; a
     deterministic one (no paths, or deterministic data on one path) on path 0
-    without increments.  Returns the number of measured paths and an
-    iterator of one _Sample per chunk of at most ``chunk`` of them, in path
-    order; (a, b, c) is sampled once and shared by every chunk.
+    without increments.
     """
     tgrid = sol.time_grid
     if mask is None:
@@ -812,26 +803,22 @@ def _samples(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int, 
     else:
         field, x = sol.restrict(mask), sol.space_grid.axis[mask]
     pathwise = paths is not None and not (coeffs.is_deterministic() and sol.num_paths == 1)
-    measured = np.arange(min(paths.num_paths, max_paths)) if pathwise else np.array([0])
-    abc = coeffs.sample(tgrid.nodes, x)
-
-    def each():
-        for lo in range(0, len(measured), chunk):
-            path_idx = measured[lo:lo + chunk]
-            sub = paths.subset(path_idx) if pathwise else _degenerate_paths(tgrid,
-                                                                            coeffs.noise_dim)
-            u = [field.u_dense(o, path_idx) for o in range(3)]
-            v = [field.v_dense(l, 0, path_idx) for l in range(sol.noise_dim)]
-            f = None
-            if coeffs.forcing is not None:
-                f = coeffs.forcing.dense(sub, x)
-            if coeffs.driver is not None:
-                g = coeffs.driver_rows(tgrid.nodes, x, u[1], u[0], v[0] if v else 0.0)
-                f = g if f is None else f + g
-            yield _Sample(path_idx, u, v, abc, f, coeffs.terminal.terminal_values(sub, x),
-                          sub.increments if pathwise else None)
-
-    return len(measured), each()
+    if pathwise:
+        path_idx = np.arange(min(paths.num_paths, max_paths))
+        sub = paths.subset(path_idx)
+    else:
+        path_idx, sub = np.array([0]), _degenerate_paths(tgrid, coeffs.noise_dim)
+    u = [field.u_dense(o, path_idx) for o in range(3)]
+    v = [field.v_dense(l, 0, path_idx) for l in range(sol.noise_dim)]
+    f = None
+    if coeffs.forcing is not None:
+        f = coeffs.forcing.dense(sub, x)
+    if coeffs.driver is not None:
+        g = coeffs.driver_rows(tgrid.nodes, x, u[1], u[0], v[0] if v else 0.0)
+        f = g if f is None else f + g
+    return _Sample(u, v, coeffs.sample(tgrid.nodes, x), f,
+                   coeffs.terminal.terminal_values(sub, x),
+                   sub.increments if pathwise else None)
 
 
 # -- residual certification -------------------------------------------------
@@ -842,35 +829,28 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
 
     Deterministic solves integrate the drift by trapezoid; stochastic solves
     use left-endpoint Riemann/Ito sums per path.  Returns (rms, worst) both
-    normalized by 1 + max |Phi|.  The paths are evaluated _DEFECT_CHUNK at a
-    time into one C-ordered (paths, K+1, trusted) defect, so the mean adds
-    in the order of one evaluation of every path at once.
+    normalized by 1 + max |Phi|.  Every measured path is evaluated at once,
+    on the trusted columns only.
     """
-    n, chunks = _samples(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted, _DEFECT_CHUNK)
+    smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted)
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
-    defect = np.empty((n, len(sol.time_grid), int(sol.trusted.sum())))
-    top = worst = 0.0  # max |Phi| and max |defect| so far
-    for smp in chunks:
-        (u0, u1, u2), (a_tx, b_tx, c_tx) = smp.u, smp.abc
-        drift = a_tx[None] * u2
-        if b_tx is not None:
-            drift += b_tx[None] * u1
-        if c_tx is not None:
-            drift += c_tx[None] * u0
-        if smp.f is not None:
-            drift = drift + smp.f
-        for l, vl in enumerate(smp.v):
-            if sig[l] != 0.0:
-                drift = drift + sig[l] * vl
-        part = backward_defect(u0, smp.terminal, drift, sol.time_grid.dt, smp.v,
-                               smp.increments)
-        defect[smp.path_idx] = part
-        # np.maximum, unlike max, keeps a NaN
-        top = np.maximum(top, np.abs(smp.terminal).max(initial=0.0))
-        worst = np.maximum(worst, np.max(np.abs(part)))
-    scale = 1.0 + float(top)
+    (u0, u1, u2), (a_tx, b_tx, c_tx) = smp.u, smp.abc
+    drift = a_tx[None] * u2
+    if b_tx is not None:
+        drift += b_tx[None] * u1
+    if c_tx is not None:
+        drift += c_tx[None] * u0
+    if smp.f is not None:
+        drift = drift + smp.f
+    for l, vl in enumerate(smp.v):
+        if sig[l] != 0.0:
+            drift = drift + sig[l] * vl
+    defect = backward_defect(u0, smp.terminal, drift, sol.time_grid.dt, smp.v,
+                             smp.increments)
+    scale = 1.0 + float(np.abs(smp.terminal).max(initial=0.0))
+    worst = float(np.max(np.abs(defect)) / scale)
     rms = float(np.sqrt(np.mean(np.square(defect, out=defect))) / scale)
-    return rms, float(worst / scale)
+    return rms, worst
 
 
 # -- representation route ---------------------------------------------------
@@ -1108,7 +1088,9 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
                      config: SolverConfig) -> SolutionField:
     """Damped Picard iteration for a Lipschitz driver f(t, x, grad u, u, v).
 
-    The kernel damping turns the Lipschitz bound into a contraction factor
+    a may vary in x, and b and c may be present: the source carries
+    (a - abar) D^2 w, b Dw and c w as in the frozen-reference route.  The
+    kernel damping turns the Lipschitz bound into a contraction factor
     that shrinks like L (1 - e^{-beta T}) / beta, so raising beta tightens
     the loop.  Starts from zero and stops when sup |w_n - w_{n-1}| falls
     below tol max(1, sup |w_n|) on the trusted region.
@@ -1117,8 +1099,6 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
         raise InvalidRoute("solve_semilinear needs a driver; use the linear routes")
     if not coeffs.is_deterministic():
         raise InvalidRoute("semilinear iteration is implemented for deterministic data only")
-    if not coeffs.space_invariant:
-        raise InvalidRoute("semilinear iteration needs space-invariant a")
 
     def sup_rule(w, _damp_t, mask, sup_change):
         return sup_change / max(1.0, float(np.max(np.abs(w[0][:, mask]))))
@@ -1156,7 +1136,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     bump = BumpField(center=z, radius=theta)
     eta, eta1, eta2 = bump(x), bump.d1(x), bump.d2(x)
 
-    _, (smp,) = _samples(sol, coeffs, paths, _LOCALIZE_PATHS, None, _LOCALIZE_PATHS)
+    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, None)
     (u0, u1, u2), v0 = smp.u, smp.v
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 

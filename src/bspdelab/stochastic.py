@@ -20,12 +20,13 @@ every path is one shared (1, K+1) row.  Solving builds no per-path array.
 No check reads a whole 10^4-path ensemble.  Checks on a scenario's main
 solve evaluate a path subset: the oracle comparison the first 512 paths
 (the oracle called once per chunk of 16), the integral-form defect the
-first 64, the localized residual the first 32, and the CSV export the
-first 8, so the ensemble draws 512 rows.  Checks that read only the
-trusted region evaluate only its columns (`SolutionField.restrict`).  The
-studies solve only what they measure: the time-shift study the first 64
-paths, the a priori study at most 128.  Least-squares regression reads
-every row and draws the whole ensemble once.
+first 64 and the localized residual the first 32 (each one sample of the
+solve, read at once), and the CSV export the first 8, so the ensemble
+draws 512 rows.  Checks that read only the trusted region evaluate only
+its columns (`SolutionField.restrict`).  The studies solve only what they
+measure: the time-shift study the first 64 paths, the a priori study at
+most 128.  Least-squares regression reads every row and draws the whole
+ensemble once.
 
 One closed-form family, `solve_second_family`, solves the linear BSDE with
 terminal data f(tau, x) at every terminal time tau at once; forcing reads it

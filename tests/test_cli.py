@@ -261,6 +261,24 @@ class TestRun:
         assert code == 2
         assert "bad.ini:6" in capsys.readouterr().err
 
+    def test_keys_of_a_section_are_checked_together(self, tmp_path):
+        # lam = 0.65 fails on the catalog's radius 12, where a dips to 0.6,
+        # but holds on [-1, 1], where a >= 0.663
+        p = tmp_path / "ok.ini"
+        p.write_text("[run]\nscenarios = variable_a_sin\n"
+                     "[scenario.variable_a_sin]\nlam = 0.65\nradius = 1.0\n")
+        ((spec, overrides),) = load_config(p)["scenarios"]
+        assert spec.scenario_id == "variable_a_sin"
+        assert overrides == {"lam": 0.65, "radius": 1.0}
+
+    def test_anchor_is_at_the_bad_key_of_a_section(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nscenarios = variable_a_sin\n"
+                     "[scenario.variable_a_sin]\nradius = 1.0\nnum_steps = 0\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "bad.ini:5: num_steps = 0 in [scenario.variable_a_sin]" \
+            in capsys.readouterr().err
+
     def test_run_key_anchor_is_in_the_run_section(self, tmp_path, capsys):
         p = tmp_path / "bad_seed.ini"
         p.write_text("[scenario.heat_smoke]\nseed = 3\n\n"

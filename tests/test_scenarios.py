@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -11,7 +13,7 @@ from bspdelab.scenarios import (
     get_scenario,
     list_scenarios,
 )
-from bspdelab.solver import CoefficientSet, _degenerate_paths
+from bspdelab.solver import CoefficientSet, _degenerate_paths, _trusted_mask
 from bspdelab.stochastic import DataFunctional, SpaceFactor
 
 REQUIRED_IDS = {
@@ -206,6 +208,18 @@ class TestFiniteDifferenceOracle:
         u = finite_difference_oracle(coeffs, tgrid, grid)
         assert calls == {"a": 0 if space_invariant else 6, "b": 6, "c": 6}
         assert np.array_equal(u, self.per_sub_step(coeffs, tgrid, grid))
+
+    @pytest.mark.parametrize("sid", ["heat_smoke", "heat_quadratic", "sin_decay",
+                                     "constant_source", "transport_decay",
+                                     "semilinear_mode", "abs_kink"])
+    def test_agrees_with_the_closed_form_oracle(self, sid):
+        # the two oracles check each other on the scenario's own grids
+        spec = get_scenario(sid)
+        coeffs, tgrid, grid = spec.build_coeffs(), spec.time_grid(), spec.space_grid()
+        exact, _ = spec.oracle(spec, SimpleNamespace(time_grid=tgrid, space_grid=grid), None)
+        fd = finite_difference_oracle(coeffs, tgrid, grid)
+        trusted = _trusted_mask(grid, coeffs.Lam, tgrid.horizon)
+        assert np.max(np.abs(fd - exact)[:, trusted]) <= 1e-3
 
     def test_rejects_2d(self):
         spec = get_scenario("sin_decay")
