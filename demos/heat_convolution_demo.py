@@ -22,7 +22,8 @@ def main():
         u_exact, _ = spec.oracle(spec, sol, paths)
         m = sol.trusted
         err = np.max(np.abs(sol.u_dense(0)[0][:, m] - u_exact[:, m]))
-        verdict = run_residual_check(sol, coeffs, spec.residual_tolerance)
+        verdict = run_residual_check(sol, coeffs, spec.residual_tolerance,
+                                     check_id=f"residual.{sid}")
         print(f"{sid:<16} sup error {err:9.3e}   residual rms "
               f"{verdict.measured['rms']:9.3e}   [{spec.provenance}]")
 

@@ -1,6 +1,6 @@
 """Command-line front end: configs, run orchestration, artifact emission.
 
-Configs are flat INI files: a [run] section lists scenarios (keys
+Configs are flat INI files: a [run] section lists one or more scenarios (keys
 scenarios, seed and out, nothing else), and optional [scenario.<id>]
 sections override per-scenario knobs.  An override applies
 to every check of its scenario, the scenario's own studies included.  The
@@ -141,6 +141,9 @@ def load_config(path: Path) -> dict:
                           path=path, line=_find_line(path, "[run]"))
     ids = [s.strip() for s in run["scenarios"].replace("\n", ",").split(",")
            if s.strip()]
+    if not ids:
+        raise SchemaError("[run] scenarios lists no scenario",
+                          path=path, line=_find_line(path, "scenarios", "run"))
     for n, sid in enumerate(ids):
         if sid not in CATALOG:
             raise SchemaError(
@@ -237,6 +240,8 @@ def _check_overrides(spec, overrides):
         raise InvalidArgument("num_paths must be >= 0")
     if built.seed < 0:
         raise InvalidArgument("seed must be >= 0")
+    if min(built.sup_tolerance, built.residual_tolerance) <= 0.0:
+        raise InvalidArgument("sup_tolerance and residual_tolerance must be > 0")
     if ("num_paths" in overrides and built.num_paths == 0
             and not built.build_coeffs().is_deterministic()):
         raise InvalidArgument("stochastic data needs a path ensemble (num_paths >= 1)")

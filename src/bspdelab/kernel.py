@@ -49,7 +49,6 @@ class DiffusionCoefficient:
     dim: int
     lam: float
     Lam: float
-    label: str = "a"
 
     def __post_init__(self):
         if not (0.0 < self.lam <= self.Lam):
@@ -62,27 +61,23 @@ class DiffusionCoefficient:
                                t.shape + (self.dim, self.dim))
 
     @classmethod
-    def constant(cls, matrix, label="const"):
+    def constant(cls, matrix):
         """a(t) = matrix, bounded by its extreme eigenvalues."""
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         eig = np.linalg.eigvalsh(m)
         return cls(fn=lambda t, _m=m: _m, dim=m.shape[0],
-                   lam=float(eig.min()), Lam=float(eig.max()), label=label)
+                   lam=float(eig.min()), Lam=float(eig.max()))
 
     @classmethod
-    def isotropic(cls, value: float, dim: int = 1, label=None):
-        return cls.constant(
-            value * np.eye(dim), label=label or f"{value}*I"
-        )
+    def isotropic(cls, value: float, dim: int = 1):
+        return cls.constant(value * np.eye(dim))
 
     @classmethod
-    def time_scaled(cls, scale_fn, dim=1, *, lam: float, Lam: float, label="scaled"):
+    def time_scaled(cls, scale_fn, dim=1, *, lam: float, Lam: float):
         """a(t) = scale_fn(t) * I with a scalar positive scale bounded by
         [lam, Lam] over the horizon; ``scale_fn`` takes an array of times."""
-        return cls(
-            fn=lambda t: np.multiply.outer(scale_fn(t), np.eye(dim)),
-            dim=dim, lam=lam, Lam=Lam, label=label,
-        )
+        return cls(fn=lambda t: np.multiply.outer(scale_fn(t), np.eye(dim)),
+                   dim=dim, lam=lam, Lam=Lam)
 
 
 def _contract(a, b):
@@ -529,8 +524,6 @@ _SUP_GAPS = 240  # geometric gaps r of the windowed supremum
 @dataclass
 class SupKernelProbe:
     value: float
-    alpha: float
-    window: float
     warning: str | None = None
 
 
@@ -557,4 +550,4 @@ def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: flo
     sup_vals = kernel(0.0, gaps, nodes).max(axis=0)
     mask = rad > 0
     value = float(np.sum(weights[mask] * sup_vals[mask] * rad[mask] ** (2.0 * alpha)))
-    return SupKernelProbe(value=value, alpha=alpha, window=window, warning=warning)
+    return SupKernelProbe(value=value, warning=warning)

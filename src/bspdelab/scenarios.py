@@ -21,6 +21,9 @@ from .solver import CoefficientSet, SolverConfig, SolutionField, _degenerate_pat
 from .stochastic import BM, DataFunctional, PathFactor, SpaceFactor, sample_paths
 
 
+_SOLVE_CHECKS = ("residual", "oracle", "picard", "localization")  # checks that read the solve
+
+
 @dataclass
 class ScenarioSpec:
     """One runnable configuration with its oracle and tolerances."""
@@ -28,7 +31,6 @@ class ScenarioSpec:
     scenario_id: str
     description: str
     provenance: str  # where the expected values come from
-    kind: str  # "solve", "study"
     build_coeffs: Callable = None  # () -> CoefficientSet
     # (spec, solution, paths) -> (u_exact, v_exact or None); a path-dependent
     # u_exact has one row per path of ``paths``, the sample it is compared on
@@ -44,6 +46,11 @@ class ScenarioSpec:
     residual_tolerance: float = 5e-3
     checks: tuple = ("residual",)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """The kind: "solve" when a check reads the scenario's own solve, else "study"."""
+        return "solve" if any(c in _SOLVE_CHECKS for c in self.checks) else "study"
 
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.num_steps)
@@ -76,33 +83,33 @@ class ScenarioSpec:
 
 # -- oracles ----------------------------------------------------------------
 
-def _grids(spec: ScenarioSpec, sol: SolutionField):
+def _grids(sol: SolutionField):
     return sol.time_grid.nodes, sol.space_grid.axis
 
 
 def _sine_mode_oracle(rate):
     """The oracle of a sine mode decaying at rate: u = e^{-rate (T - t)} sin x."""
     def oracle(spec, sol, paths):
-        t, x = _grids(spec, sol)
+        t, x = _grids(sol)
         T = spec.horizon
         return np.exp(-rate * (T - t))[:, None] * np.sin(x)[None, :], None
     return oracle
 
 
 def oracle_heat_quadratic(spec, sol, paths):
-    t, x = _grids(spec, sol)
+    t, x = _grids(sol)
     T = spec.horizon
     return x[None, :] ** 2 + 2.0 * (T - t)[:, None], None
 
 
 def oracle_transport_decay(spec, sol, paths):
-    t, x = _grids(spec, sol)
+    t, x = _grids(sol)
     T = spec.horizon
     return np.exp(-(T - t))[:, None] * np.sin(x[None, :] + (T - t)[:, None]), None
 
 
 def oracle_stochastic_sinWT(spec, sol, paths):
-    t, x = _grids(spec, sol)
+    t, x = _grids(sol)
     T = spec.horizon
     W = paths.paths[:, :, 0]
     amp = np.exp(-(T - t) / 2.0)
@@ -118,7 +125,7 @@ _erf = np.vectorize(math.erf, otypes=[float])
 
 def oracle_abs_kink(spec, sol, paths):
     """Heat smoothing of |x| with a = 1: Gaussian mean-absolute-value formula."""
-    t, x = _grids(spec, sol)
+    t, x = _grids(sol)
     T = spec.horizon
     A = np.maximum(T - t, 1e-300)[:, None]
     s = np.sqrt(2.0 * A)
@@ -203,18 +210,17 @@ def _sine_terminal():
 
 def _coeffs_heat_smoke():
     return CoefficientSet(terminal=_sine_terminal(),
-                          diffusion=DiffusionCoefficient.isotropic(1.0), label="heat_smoke")
+                          diffusion=DiffusionCoefficient.isotropic(1.0))
 
 
 def _coeffs_heat_quadratic():
     return CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.poly([0, 0, 1])),
-                          diffusion=DiffusionCoefficient.isotropic(1.0),
-                          label="heat_quadratic")
+                          diffusion=DiffusionCoefficient.isotropic(1.0))
 
 
 def _coeffs_sin_decay():
     return CoefficientSet(terminal=_sine_terminal(),
-                          diffusion=DiffusionCoefficient.isotropic(0.5), label="sin_decay")
+                          diffusion=DiffusionCoefficient.isotropic(0.5))
 
 
 def _coeffs_constant_source():
@@ -222,47 +228,43 @@ def _coeffs_constant_source():
         terminal=DataFunctional.deterministic(SpaceFactor.constant(0.0)),
         diffusion=DiffusionCoefficient.isotropic(1.0),
         forcing=DataFunctional.deterministic(SpaceFactor.constant(1.0)),
-        label="constant_source",
     )
 
 
 def _coeffs_transport_decay():
     return CoefficientSet(terminal=_sine_terminal(),
                           diffusion=DiffusionCoefficient.isotropic(1.0),
-                          b_fn=lambda t, x: 1.0, label="transport_decay")
+                          b_fn=lambda t, x: 1.0)
 
 
 def _coeffs_variable_a():
     return CoefficientSet(terminal=_sine_terminal(),
                           a_fn=lambda t, x: 1.0 + 0.4 * np.sin(x),
-                          lam=0.6, Lam=1.4, label="variable_a_sin")
+                          lam=0.6, Lam=1.4)
 
 
 def _coeffs_semilinear_mode():
     return CoefficientSet(terminal=_sine_terminal(),
                           diffusion=DiffusionCoefficient.isotropic(0.5),
-                          driver=lambda t, x, q, u, v: -u, lipschitz=1.0,
-                          label="semilinear_mode")
+                          driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
 
 
 def _coeffs_beta_sweep():
     return CoefficientSet(terminal=_sine_terminal(),
                           diffusion=DiffusionCoefficient.isotropic(0.5),
-                          driver=lambda t, x, q, u, v: 2.0 * u, lipschitz=2.0,
-                          label="beta_sweep")
+                          driver=lambda t, x, q, u, v: 2.0 * u, lipschitz=2.0)
 
 
 def _coeffs_stochastic_sinWT():
     return CoefficientSet(
         terminal=DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),)),
         diffusion=DiffusionCoefficient.isotropic(0.5), sigma=(0.0,),
-        label="stochastic_sinWT",
     )
 
 
 def _coeffs_abs_kink():
     return CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.abs_value()),
-                          diffusion=DiffusionCoefficient.isotropic(1.0), label="abs_kink")
+                          diffusion=DiffusionCoefficient.isotropic(1.0))
 
 
 # -- catalog ----------------------------------------------------------------
@@ -279,7 +281,6 @@ _register(ScenarioSpec(
     scenario_id="heat_smoke",
     description="small heat solve with a sine terminal, fast sanity pass",
     provenance="closed form e^{-(T-t)} sin x",
-    kind="solve",
     radius=10.0, build_coeffs=_coeffs_heat_smoke, oracle=_sine_mode_oracle(1.0),
     num_steps=20, points_per_axis=97, sup_tolerance=5e-3,
     checks=("residual", "oracle"),
@@ -289,7 +290,6 @@ _register(ScenarioSpec(
     scenario_id="heat_quadratic",
     description="heat equation with quadratic terminal data",
     provenance="Gaussian second moment: u = x^2 + 2(T-t)",
-    kind="solve",
     radius=10.0, build_coeffs=_coeffs_heat_quadratic, oracle=oracle_heat_quadratic,
     checks=("residual", "oracle"),
 ))
@@ -298,7 +298,7 @@ _register(ScenarioSpec(
     scenario_id="sin_decay",
     description="half-strength diffusion with sine terminal",
     provenance="Gaussian characteristic function: u = e^{-(T-t)/2} sin x",
-    kind="solve", build_coeffs=_coeffs_sin_decay, oracle=_sine_mode_oracle(0.5),
+    build_coeffs=_coeffs_sin_decay, oracle=_sine_mode_oracle(0.5),
     checks=("residual", "oracle", "time_shift"),
 ))
 
@@ -306,7 +306,6 @@ _register(ScenarioSpec(
     scenario_id="constant_source",
     description="zero terminal with unit forcing",
     provenance="constant source integrates: u = T - t",
-    kind="solve",
     radius=10.0, build_coeffs=_coeffs_constant_source,
     oracle=lambda spec, sol, paths: (
         (spec.horizon - sol.time_grid.nodes)[:, None]
@@ -318,7 +317,7 @@ _register(ScenarioSpec(
     scenario_id="stochastic_sinWT",
     description="stochastic terminal sin(x) W_T, explicit representation",
     provenance="Ito substitution: u = W_t e^{-(T-t)/2} sin x, v = e^{-(T-t)/2} sin x",
-    kind="solve", build_coeffs=_coeffs_stochastic_sinWT, oracle=oracle_stochastic_sinWT,
+    build_coeffs=_coeffs_stochastic_sinWT, oracle=oracle_stochastic_sinWT,
     num_paths=10_000, seed=42,
     checks=("residual", "oracle", "time_shift"),
 ))
@@ -327,7 +326,6 @@ _register(ScenarioSpec(
     scenario_id="variable_a_sin",
     description="space-dependent diffusion 1 + 0.4 sin x via frozen-reference iteration",
     provenance="method-of-lines finite differences at 4x finer grid",
-    kind="solve",
     radius=12.0, build_coeffs=_coeffs_variable_a, oracle=oracle_variable_a,
     sup_tolerance=1e-2, checks=("residual", "oracle", "localization"),
 ))
@@ -336,7 +334,6 @@ _register(ScenarioSpec(
     scenario_id="transport_decay",
     description="unit drift with unit diffusion and sine terminal",
     provenance="characteristics: u = e^{-(T-t)} sin(x + T - t)",
-    kind="solve",
     radius=10.0, build_coeffs=_coeffs_transport_decay, oracle=oracle_transport_decay,
     checks=("residual", "oracle"),
 ))
@@ -345,7 +342,7 @@ _register(ScenarioSpec(
     scenario_id="semilinear_mode",
     description="driver f = -u on a sine mode, damped Picard",
     provenance="mode amplitude ODE: u = e^{-(3/2)(T-t)} sin x",
-    kind="solve", build_coeffs=_coeffs_semilinear_mode, oracle=_sine_mode_oracle(1.5),
+    build_coeffs=_coeffs_semilinear_mode, oracle=_sine_mode_oracle(1.5),
     beta=8.0, checks=("residual", "oracle", "picard"),
 ))
 
@@ -353,7 +350,6 @@ _register(ScenarioSpec(
     scenario_id="abs_kink",
     description="terminal |x| for the spatial refinement study",
     provenance="Gaussian mean absolute value: x erf(x / (2 sqrt(T-t))) + tail term",
-    kind="solve",
     radius=10.0, build_coeffs=_coeffs_abs_kink, oracle=oracle_abs_kink,
     sup_tolerance=5e-4, checks=("oracle", "h_convergence"),
     extras={"t_max": 0.5},
@@ -363,7 +359,7 @@ _register(ScenarioSpec(
     scenario_id="beta_sweep",
     description="contraction factor of the damped Picard loop over beta in {0, 5, 20}",
     provenance="iteration history comparison",
-    kind="study", build_coeffs=_coeffs_beta_sweep,
+    build_coeffs=_coeffs_beta_sweep,
     num_steps=50, points_per_axis=129, checks=("beta_sweep",),
 ))
 
@@ -371,14 +367,14 @@ _register(ScenarioSpec(
     scenario_id="kernel_suite",
     description="kernel normalization, identity, and estimate probes",
     provenance="kernel mass and Gaussian derivative formulas",
-    kind="study", checks=("kernel",),
+    checks=("kernel",),
 ))
 
 _register(ScenarioSpec(
     scenario_id="apriori_study",
     description="norm-ratio stability across grid refinement and data scaling",
     provenance="refinement study over K x J x kappa",
-    kind="study", checks=("apriori",),
+    checks=("apriori",),
     extras={"scenarios": ("sin_decay", "heat_quadratic")},
 ))
 
@@ -386,7 +382,7 @@ _register(ScenarioSpec(
     scenario_id="time_shift_sweep",
     description="sqrt-rate of the time-shift norm on sin_decay and stochastic_sinWT",
     provenance="one-sided sqrt(tau) bound",
-    kind="study", checks=("time_shift",),
+    checks=("time_shift",),
     extras={"scenarios": ("sin_decay", "stochastic_sinWT")},
 ))
 

@@ -9,9 +9,10 @@ one engine:
   * solve_semilinear          damped Picard for a Lipschitz driver f(t,x,q,u,v),
                               with a, b, c as in the frozen-coefficient route
 
-The two Picard routes run one loop, ``_picard``, whose source takes every
-term of the data; a route keeps only its checks, its default beta, its
-start iterate and its stopping test.
+``solve_model(coeffs, paths, config)`` reads the ensemble; the two Picard
+routes take ``(coeffs, config)`` and reject stochastic data.  They run one
+loop, ``_picard``, whose source takes every term of the data; a route keeps
+only its checks, its default beta, its start iterate and its stopping test.
 
 Space convolutions run on a uniform 1-d lattice, so every kernel application
 is a Toeplitz matrix-vector product.  Only the Picard integrator's pair
@@ -94,7 +95,6 @@ class CoefficientSet:
     lipschitz: float = 0.0
     lam: float = None
     Lam: float = None
-    label: str = ""
 
     def __post_init__(self):
         if (self.diffusion is None) == (self.a_fn is None):
@@ -911,14 +911,14 @@ def solve(coeffs: CoefficientSet, paths: PathEnsemble, config: SolverConfig) -> 
 
     A driver goes to damped Picard; space-invariant a with no b and no c to
     the explicit representation; anything else to frozen-reference Picard.
-    ``paths`` may be None for deterministic data.
+    ``paths`` may be None for deterministic data; only solve_model reads it.
     """
     coeffs.check_assumptions(config.time_grid, config.space_grid)
     if coeffs.driver is not None:
-        return solve_semilinear(coeffs, paths, config)
+        return solve_semilinear(coeffs, config)
     if coeffs.space_invariant and coeffs.b_fn is None and coeffs.c_fn is None:
         return solve_model(coeffs, paths, config)
-    return solve_variable_linear(coeffs, paths, config)
+    return solve_variable_linear(coeffs, config)
 
 
 def solve_deterministic_pde(coeffs: CoefficientSet, config: SolverConfig) -> SolutionField:
@@ -945,7 +945,7 @@ def _frozen_diffusion(coeffs: CoefficientSet) -> DiffusionCoefficient:
     if coeffs.space_invariant:
         return coeffs.diffusion
     return DiffusionCoefficient(fn=lambda t: coeffs.a_values(t, 0.0)[..., None, None],
-                                dim=1, lam=coeffs.lam, Lam=coeffs.Lam, label="frozen@0.0")
+                                dim=1, lam=coeffs.lam, Lam=coeffs.Lam)
 
 
 _NORM_ALPHA = 0.5  # Holder exponent of the convergence-test, covering and time-shift norms
@@ -1057,14 +1057,13 @@ def _picard(coeffs: CoefficientSet, config: SolverConfig, beta: float, provenanc
     )
 
 
-def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
-                          config: SolverConfig) -> SolutionField:
+def solve_variable_linear(coeffs: CoefficientSet, config: SolverConfig) -> SolutionField:
     """Frozen-reference Picard for variable a(t, x), drift b, and zeroth term c.
 
     Starts from the terminal profiles and stops when the a priori norm of u
     changes by less than tol relative to itself.  Sources are deterministic
-    lattice fields, so this route is restricted to deterministic data
-    (stochastic variable-coefficient problems are out of scope here).
+    lattice fields, so this route takes no paths and rejects stochastic
+    data (stochastic variable-coefficient problems are out of scope here).
     """
     if coeffs.driver is not None:
         raise InvalidRoute("semilinear drivers go through solve_semilinear")
@@ -1084,8 +1083,7 @@ def solve_variable_linear(coeffs: CoefficientSet, paths: PathEnsemble,
                    zero_start=False)
 
 
-def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
-                     config: SolverConfig) -> SolutionField:
+def solve_semilinear(coeffs: CoefficientSet, config: SolverConfig) -> SolutionField:
     """Damped Picard iteration for a Lipschitz driver f(t, x, grad u, u, v).
 
     a may vary in x, and b and c may be present: the source carries
@@ -1093,7 +1091,8 @@ def solve_semilinear(coeffs: CoefficientSet, paths: PathEnsemble,
     kernel damping turns the Lipschitz bound into a contraction factor
     that shrinks like L (1 - e^{-beta T}) / beta, so raising beta tightens
     the loop.  Starts from zero and stops when sup |w_n - w_{n-1}| falls
-    below tol max(1, sup |w_n|) on the trusted region.
+    below tol max(1, sup |w_n|) on the trusted region.  Takes no paths, so
+    stochastic data is rejected.
     """
     if coeffs.driver is None:
         raise InvalidRoute("solve_semilinear needs a driver; use the linear routes")

@@ -214,7 +214,6 @@ def backward_defect(u, terminal, drift, dt: float, v=(), dW=None) -> np.ndarray:
 class SpaceFactor:
     """Closed-form scalar factor h(x) with derivatives, x scalar (n = 1)."""
 
-    label: str
     fn: Callable
     d1: Callable
     d2: Callable
@@ -226,7 +225,6 @@ class SpaceFactor:
     @classmethod
     def sine(cls, freq: float = 1.0, phase: float = 0.0):
         return cls(
-            label=f"sin({freq}x+{phase})",
             fn=lambda x: np.sin(freq * x + phase),
             d1=lambda x: freq * np.cos(freq * x + phase),
             d2=lambda x: -freq**2 * np.sin(freq * x + phase),
@@ -236,15 +234,11 @@ class SpaceFactor:
     @classmethod
     def poly(cls, coeffs):
         c = np.polynomial.Polynomial(list(coeffs))
-        return cls(
-            label=f"poly{tuple(coeffs)}",
-            fn=c, d1=c.deriv(1), d2=c.deriv(2), d3=c.deriv(3),
-        )
+        return cls(fn=c, d1=c.deriv(1), d2=c.deriv(2), d3=c.deriv(3))
 
     @classmethod
     def constant(cls, value: float):
         return cls(
-            label=f"const({value})",
             fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
             d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -256,7 +250,6 @@ class SpaceFactor:
         # |x| is C^alpha but not C^1 at the origin; derivative fields are the
         # a.e. ones and the kink is the point of the scenario using it
         return cls(
-            label="abs",
             fn=lambda x: np.abs(x),
             d1=lambda x: np.sign(x),
             d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),

@@ -124,13 +124,12 @@ def _status(ok: bool) -> str:
 
 # -- residual certification -------------------------------------------------
 
-def run_residual_check(solution, coeffs, tolerance: float, paths=None,
-                       check_id: str = None) -> Verdict:
-    """Certify the integral-form defect of a solution against its data."""
+def run_residual_check(solution, coeffs, tolerance: float, paths=None, *,
+                       check_id: str) -> Verdict:
+    """Certify the integral-form defect of a solution as verdict ``check_id``."""
     rms, worst = integral_form_defect(solution, coeffs, paths=paths)
-    cid = check_id or f"residual.{coeffs.label or 'unnamed'}"
     return Verdict(
-        check_id=cid,
+        check_id=check_id,
         status=_status(rms <= tolerance),
         measured={"rms": rms, "worst": worst},
         tolerance={"rms": tolerance},
@@ -211,6 +210,8 @@ _SHIFT_PATHS = 64  # paths the time-shift study solves and measures norms on
 _RATIO_SPREAD = 1.3  # allowed max/min of the norm ratio over the lattice
 _EQUIVARIANCE_TOL = 1e-10  # allowed relative deviation from linearity in the data
 _SCALINGS = (1.0, 10.0)  # data scalings of the a priori lattice, unscaled first
+_APRIORI_STEPS = (50, 100)  # time steps of the a priori lattice
+_APRIORI_POINTS = (129, 257)  # points per axis of the a priori lattice
 
 
 def solution_norm_lhs(sol, alpha: float) -> dict:
@@ -249,7 +250,6 @@ def data_norm_rhs(coeffs, sol, paths, alpha: float) -> dict:
 
 def _scale_factor(h: SpaceFactor, kappa: float) -> SpaceFactor:
     return SpaceFactor(
-        label=f"{kappa}*{h.label}",
         fn=lambda x, f=h.fn: kappa * f(x),
         d1=lambda x, f=h.d1: kappa * f(x),
         d2=lambda x, f=h.d2: kappa * f(x),
@@ -267,11 +267,10 @@ def scaled_coefficients(coeffs, kappa: float):
         forcing = DataFunctional(terms=tuple(
             (_scale_factor(h, kappa), p) for h, p in forcing.terms
         ))
-    return dataclasses.replace(coeffs, terminal=term, forcing=forcing,
-                               label=f"{coeffs.label}~x{kappa}")
+    return dataclasses.replace(coeffs, terminal=term, forcing=forcing)
 
 
-def run_apriori_study(specs, steps=(50, 100), points=(129, 257)) -> VerdictBundle:
+def run_apriori_study(specs) -> VerdictBundle:
     """Norm ratio LHS/RHS across grid refinement and data scaling, per spec.
 
     A stable ratio across the lattice is the empirical counterpart of the
@@ -290,8 +289,8 @@ def run_apriori_study(specs, steps=(50, 100), points=(129, 257)) -> VerdictBundl
             for kappa in _SCALINGS}
         ratios = {}
         lin_dev = 0.0
-        for K in steps:
-            for J in points:
+        for K in _APRIORI_STEPS:
+            for J in _APRIORI_POINTS:
                 sols = {}
                 for kappa in _SCALINGS:
                     sol, coeffs, paths = problems[kappa].solve(
@@ -328,7 +327,7 @@ def run_apriori_study(specs, steps=(50, 100), points=(129, 257)) -> VerdictBundl
         k0, k1 = _SCALINGS[0], _SCALINGS[-1]
         ratio_dev = max(
             abs(ratios[(K, J, k1)] / ratios[(K, J, k0)] - 1.0)
-            for K in steps for J in points
+            for K in _APRIORI_STEPS for J in _APRIORI_POINTS
         )
         bundle.add(Verdict(
             check_id=f"apriori.scaling_equivariance.{sid}",

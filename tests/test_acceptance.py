@@ -148,7 +148,8 @@ def test_criterion_6_residual_certification(picard_run, certify_run):
     spec = get_scenario("sin_decay")
     sol, coeffs, _ = spec.solve()
     sol.u_parts[0].profiles[0][10:20] += 0.1
-    v = run_residual_check(sol, coeffs, spec.residual_tolerance)
+    v = run_residual_check(sol, coeffs, spec.residual_tolerance,
+                           check_id=f"residual.{spec.scenario_id}")
     assert v.status == "fail"
 
 

@@ -236,12 +236,15 @@ class TestRun:
         ("heat_smoke", "sup_tolerance = nan", "must be finite", 4),
         ("semilinear_mode", "beta = inf", "must be finite", 4),
         ("stochastic_sinWT", "seed = -1", "seed must be >= 0", 4),
+        ("heat_smoke", "sup_tolerance = -1", "must be > 0", 4),
+        ("heat_smoke", "residual_tolerance = 0", "must be > 0", 4),
     ], ids=["lam", "lam_above_Lam", "lam_above_least_a", "points_per_axis", "num_paths",
             "num_paths_zero_stochastic", "beta",
             "kernel_suite", "apriori_study", "time_shift_sweep",
             "horizon_off_shift_grid", "horizon_below_shift", "unlisted_section",
             "duplicate_id", "key_prefix_of_earlier_key", "radius_nan",
-            "horizon_inf", "sup_tolerance_nan", "beta_inf", "seed_negative"])
+            "horizon_inf", "sup_tolerance_nan", "beta_inf", "seed_negative",
+            "sup_tolerance_negative", "residual_tolerance_zero"])
     def test_schema_violation_exits_two(self, tmp_path, capsys, sid, line, expected, at):
         p = tmp_path / "bad.ini"
         section = sid.split(",")[0]
@@ -305,6 +308,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert "unknown key 'sede' in [run]" in err
         assert "bad.ini:3" in err
+
+    def test_empty_scenario_list_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nseed = 1\nscenarios =\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "bad.ini:3: [run] scenarios lists no scenario" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_default_section_exits_two(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"

@@ -359,7 +359,7 @@ class TestDerivatives:
             for gamma in map(MultiIndex, gammas[dim]):
                 for gap in (0.1, 1.0):
                     total = np.sum(w * k.derivative(0.0, gap, g.nodes(), gamma))
-                    assert abs(total) < 1e-6, (a.label, gamma, gap)
+                    assert abs(total) < 1e-6, (dim, a.Lam, gamma, gap)
 
     def test_against_finite_differences(self):
         k = HeatKernel(SCALED)

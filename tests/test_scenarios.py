@@ -1,14 +1,19 @@
+import ast
+import inspect
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from bspdelab import verify
 from bspdelab.errors import InvalidArgument
 from bspdelab.grid import SpaceGrid, TimeGrid
 from bspdelab.kernel import DiffusionCoefficient
 from bspdelab.scenarios import (
     CATALOG,
+    _SOLVE_CHECKS,
     finite_difference_oracle,
     get_scenario,
     list_scenarios,
@@ -53,6 +58,18 @@ class TestCatalog:
             assert spec.provenance.strip()
             assert spec.description.strip()
             assert spec.kind in ("solve", "study")
+
+    def test_every_catalog_check_is_dispatched(self):
+        # a misspelt check would flip the derived kind; read the names
+        # run_scenario compares ``check`` with, without running anything
+        tree = ast.parse(textwrap.dedent(inspect.getsource(verify.run_scenario)))
+        known = {node.comparators[0].value for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                 and node.left.id == "check"
+                 and isinstance(node.comparators[0], ast.Constant)}
+        assert set(_SOLVE_CHECKS) <= known
+        for spec in list_scenarios():
+            assert set(spec.checks) <= known, (spec.scenario_id, spec.checks)
 
     def test_solve_scenarios_have_builders(self):
         for spec in list_scenarios():

@@ -730,7 +730,7 @@ class TestVariableLinear:
 
     def test_transport_with_decay(self):
         co = sine_problem(a=1.0, b_fn=lambda t, x: 1.0)
-        sol = solve_variable_linear(co, None, config(tol=1e-7))
+        sol = solve_variable_linear(co, config(tol=1e-7))
         exact = np.exp(-(T - TG.nodes))[:, None] * np.sin(X[None, :] + (T - TG.nodes)[:, None])
         assert np.abs(sol.u_dense()[0] - exact)[:, sol.trusted].max() < 1e-3
         assert sol.info["converged"]
@@ -740,7 +740,7 @@ class TestVariableLinear:
             terminal=DataFunctional.deterministic(SpaceFactor.sine()),
             a_fn=lambda t, x: 1.0 + 0.4 * np.sin(x), lam=0.6, Lam=1.4,
         )
-        sol = solve_variable_linear(co, None, config())
+        sol = solve_variable_linear(co, config())
         assert sol.info["converged"]
         assert integral_form_defect(sol, co)[0] < 1e-3
 
@@ -749,7 +749,7 @@ class TestVariableLinear:
             terminal=DataFunctional.deterministic(SpaceFactor.sine()),
             a_fn=lambda t, x: 1.0 + 0.4 * np.sin(x), lam=0.6, Lam=1.4,
         )
-        sol = solve_variable_linear(co, None, config(max_iter=2))
+        sol = solve_variable_linear(co, config(max_iter=2))
         assert not sol.info["converged"]
         assert "contraction_history" in sol.info
         assert "beta" in sol.info["advisory"]
@@ -760,13 +760,13 @@ class TestVariableLinear:
             a_fn=lambda t, x: 1.0 + 0.4 * np.sin(x), lam=0.6, Lam=1.4,
         )
         with pytest.raises(InvalidRoute):
-            solve_variable_linear(co, sample_paths(10, 1, TG, seed=0), config())
+            solve_variable_linear(co, config())
 
 
 class TestSemilinear:
     def test_mode_oracle(self):
         co = sine_problem(driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
-        sol = solve_semilinear(co, None, config())
+        sol = solve_semilinear(co, config())
         exact = np.exp(-1.5 * (T - TG.nodes))[:, None] * np.sin(X)[None, :]
         assert np.abs(sol.u_dense()[0] - exact)[:, sol.trusted].max() < 1e-3
 
@@ -774,7 +774,7 @@ class TestSemilinear:
         # a driver ignoring (q, u, v) must settle after one real update
         co = sine_problem(a=1.0,
                           driver=lambda t, x, q, u, v: np.zeros_like(x), lipschitz=1e-12)
-        sol = solve_semilinear(co, None, config())
+        sol = solve_semilinear(co, config())
         assert sol.info["iterations"] <= 2
         exact = np.exp(-(T - TG.nodes))[:, None] * np.sin(X)[None, :]
         assert np.abs(sol.u_dense()[0] - exact)[:, sol.trusted].max() < 1e-3
@@ -783,13 +783,13 @@ class TestSemilinear:
         factors = {}
         for beta in (0.0, 5.0, 20.0):
             co = sine_problem(driver=lambda t, x, q, u, v: 2.0 * u, lipschitz=2.0)
-            sol = solve_semilinear(co, None, config(beta=beta, tol=1e-8))
+            sol = solve_semilinear(co, config(beta=beta, tol=1e-8))
             factors[beta] = sol.info["contraction_factor"]
         assert factors[0.0] > factors[5.0] > factors[20.0]
 
     def test_geometric_decay_of_differences(self):
         co = sine_problem(driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
-        sol = solve_semilinear(co, None, config(beta=8.0, tol=1e-10))
+        sol = solve_semilinear(co, config(beta=8.0, tol=1e-10))
         sups = [h["sup_change"] for h in sol.info["history"]]
         # past the first transient, successive differences shrink geometrically
         ratios = [sups[i + 1] / sups[i] for i in range(1, len(sups) - 1)]
@@ -797,7 +797,7 @@ class TestSemilinear:
 
     def test_requires_driver(self):
         with pytest.raises(InvalidRoute):
-            solve_semilinear(sine_problem(), None, config())
+            solve_semilinear(sine_problem(), config())
 
     def test_variable_a_driver_matches_finite_differences(self):
         # a = 1 + 0.4 sin x under a driver of Lipschitz constant 1.2, on
@@ -823,7 +823,7 @@ class TestSemilinear:
             return apply(self, stack, orders)
 
         monkeypatch.setattr(_PairConvolver, "apply", spy)
-        sol = solve_semilinear(co, None, cfg)
+        sol = solve_semilinear(co, cfg)
         monkeypatch.undo()
         picard = [orders for P, orders in requests if P == (K + 1) * (K + 2) // 2]
         assert len(picard) == sol.info["iterations"] + 1

@@ -106,7 +106,8 @@ class TestVerdictBundle:
 class TestResidualCheck:
     def test_clean_solution_passes(self, smoke):
         spec, sol, coeffs, paths = smoke
-        v = run_residual_check(sol, coeffs, spec.residual_tolerance)
+        v = run_residual_check(sol, coeffs, spec.residual_tolerance,
+                               check_id=f"residual.{spec.scenario_id}")
         assert v.status == "pass"
         assert v.measured["rms"] <= spec.residual_tolerance
 
@@ -114,12 +115,13 @@ class TestResidualCheck:
         spec, sol, coeffs, paths = smoke
         sol2, _, _ = spec.solve()
         sol2.u_parts[0].profiles[0][5:10] += 0.1
-        v = run_residual_check(sol2, coeffs, spec.residual_tolerance)
+        v = run_residual_check(sol2, coeffs, spec.residual_tolerance,
+                               check_id=f"residual.{spec.scenario_id}")
         assert v.status == "fail"
 
     def test_tight_tolerance_fails_honestly(self, smoke):
         spec, sol, coeffs, paths = smoke
-        v = run_residual_check(sol, coeffs, 1e-12)
+        v = run_residual_check(sol, coeffs, 1e-12, check_id=f"residual.{spec.scenario_id}")
         assert v.status == "fail"
 
 
@@ -238,8 +240,10 @@ def _child_peak_rss_mb(scenario_id: str, num_paths: int = None) -> float:
 class TestAprioriStudy:
     @pytest.fixture(scope="class")
     def bundle(self):
-        return run_apriori_study([get_scenario("sin_decay")],
-                                 steps=(20, 40), points=(65, 129))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_APRIORI_STEPS", (20, 40))
+            mp.setattr(verify, "_APRIORI_POINTS", (65, 129))
+            return run_apriori_study([get_scenario("sin_decay")])
 
     def test_ratio_spread_within_bound(self, bundle):
         v = [x for x in bundle.verdicts if "ratio_spread" in x.check_id][0]
@@ -438,7 +442,9 @@ class TestRunScenario:
 
         monkeypatch.setattr(scenarios, "solve", spy)
         spec = dataclasses.replace(get_scenario("transport_decay"), beta=1.0)
-        run_apriori_study([spec], steps=(20,), points=(65,))
+        monkeypatch.setattr(verify, "_APRIORI_STEPS", (20,))
+        monkeypatch.setattr(verify, "_APRIORI_POINTS", (65,))
+        run_apriori_study([spec])
         assert betas == [1.0, 1.0]  # the unscaled and the scaled problem
 
     def test_beta_study_solves_through_the_spec_once_per_beta(self, monkeypatch):
