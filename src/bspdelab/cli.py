@@ -103,7 +103,8 @@ def resolve_config_path(arg: str) -> Path:
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """The parsed INI file; SchemaError with a file:line anchor if unreadable."""
+    """The parsed INI file; SchemaError with a file:line anchor if unreadable
+    or if it has a [DEFAULT] section."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -113,6 +114,10 @@ def _read_ini(path) -> configparser.ConfigParser:
     except configparser.Error as e:
         line = getattr(e, "lineno", None)
         raise SchemaError(str(e).replace("\n", " "), path=path, line=line)
+    if cp.defaults():
+        # configparser copies [DEFAULT] keys into every section
+        raise SchemaError("unexpected section [DEFAULT]; its keys would apply "
+                          "to every section", path=path, line=_find_line(path, "[default]"))
     return cp
 
 
@@ -126,11 +131,6 @@ def load_config(path: Path) -> dict:
     cp = _read_ini(path)
     if "run" not in cp:
         raise SchemaError("missing required [run] section", path=path, line=1)
-    if cp.defaults():
-        # configparser copies [DEFAULT] keys into every section
-        raise SchemaError("unexpected section [DEFAULT]; only [run] and "
-                          "[scenario.<id>] are recognized",
-                          path=path, line=_find_line(path, "[default]"))
     run = cp["run"]
     for key in run:
         if key not in _RUN_KEYS:
@@ -389,7 +389,7 @@ def _load_custom_catalog(path: str):
     """A custom catalog file selects bundled scenarios by section name.
 
     Raises SchemaError with a file:line anchor on a section that names no
-    catalog scenario.
+    catalog scenario, or on any key: a catalog section takes none.
     """
     cp = _read_ini(path)
     for section in cp.sections():
@@ -397,6 +397,9 @@ def _load_custom_catalog(path: str):
             raise SchemaError(f"section [{section}] names an unknown scenario; "
                               f"known: {sorted(CATALOG)}",
                               path=path, line=_find_line(path, f"[{section}]"))
+        for key in cp[section]:
+            raise SchemaError(f"key {key!r} in [{section}]: a catalog section takes no keys",
+                              path=path, line=_find_line(path, key, section))
     return [CATALOG[section] for section in cp.sections()]
 
 

@@ -302,10 +302,7 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConsta
     """Smallest C with |D^gamma G| <= C (s-t)^{-(n+|g|)/2} exp(-c |x|^2/(s-t)).
 
     The decay rate c is fixed at 1/8, strictly interior to (0, 1/4), and the
-    gaps s - t run geometrically from T/256 to T; the report also records
-    whether the boundary rate c = 1/4 is usable for this diffusion (it
-    generally is not once the kernel is anisotropic or carries derivative
-    prefactors).
+    gaps s - t run geometrically from T/256 to T.
     """
     if gamma.order > 3:
         raise UnsupportedOrder("pointwise bound probes support |gamma| <= 3")
@@ -323,20 +320,7 @@ def probe_pointwise_bound(kernel: HeatKernel, gamma: MultiIndex) -> KernelConsta
         bound = scale[:, None] * np.exp(-_DECAY_C * r2 / time_gaps[:, None])
         report_levels.append({"points": count,
                               "value": float(np.max(_safe_ratio(vals, bound)))})
-    C = report_levels[-1]["value"]
-
-    # boundary-rate check: with c = 1/4 the ratio must stay bounded along the
-    # probe radii for the rate to be admissible; the largest gap (the last)
-    # keeps the ratio out of underflow
-    gap = float(np.max(time_gaps))
-    ratio = _safe_ratio(vals[-1], gap ** (-(n + g) / 2.0) * np.exp(-0.25 * r2 / gap))
-    r2_max = np.max(r2)
-    far = np.max(ratio[r2 >= r2_max - 1e-9])
-    mid = np.max(ratio[(r2 >= 0.2 * r2_max) & (r2 <= 0.3 * r2_max)])
-    boundary_usable = bool(far <= 10.0 * max(mid, 1e-300))
-
-    return KernelConstantReport(C, report_levels,
-                                extras={"boundary_rate_usable": boundary_usable})
+    return KernelConstantReport(report_levels[-1]["value"], report_levels)
 
 
 def _moment_integrand(kernel, s, unit_nodes, unit_weights, gamma, alpha):

@@ -793,16 +793,16 @@ def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int,
     """The solve and its data on the lattice points ``mask`` (None: the
     whole lattice), read once; the solve is evaluated on those points only.
 
-    A stochastic solve is measured on its first max_paths paths; a
-    deterministic one (no paths, or deterministic data on one path) on path 0
-    without increments.
+    Stochastic data is measured on its first max_paths paths; deterministic
+    data (or no paths) on path 0 without increments, however many paths it
+    was solved on, so the defect integrates it by trapezoid.
     """
     tgrid = sol.time_grid
     if mask is None:
         field, x = sol, sol.space_grid.axis
     else:
         field, x = sol.restrict(mask), sol.space_grid.axis[mask]
-    pathwise = paths is not None and not (coeffs.is_deterministic() and sol.num_paths == 1)
+    pathwise = paths is not None and not coeffs.is_deterministic()
     if pathwise:
         path_idx = np.arange(min(paths.num_paths, max_paths))
         sub = paths.subset(path_idx)
@@ -1110,10 +1110,8 @@ def solve_semilinear(coeffs: CoefficientSet, config: SolverConfig) -> SolutionFi
 
 @dataclass
 class LocalizedProblem:
-    """The seven-term source f^z_theta of (u eta, v eta) plus checks."""
+    """The localized residual and the covering inequality at one bump."""
 
-    f_loc: np.ndarray
-    source_terms: dict
     residual_rms: float
     covering: dict
 
@@ -1123,10 +1121,12 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     """Multiply the solution by the bump at (z, theta) and rebuild its equation.
 
     The localized pair (u eta, v eta) satisfies the frozen-at-z equation with
-    a seven-term source; the rms residual of that equation is reported, to be
-    compared with the parent's ``integral_form_defect``.  Also evaluates the
-    covering inequality ||h|| <= 2 sup_z ||eta^z h|| + C ||h||_0 on the
-    sample, reporting the smallest admissible C.
+    the source f^z_theta: the a-commutator, the b, c and forcing terms the
+    data has, and the gradient and Hessian cutoff terms.  The rms residual of
+    that equation is reported, to be compared with the parent's
+    ``integral_form_defect``.  Also evaluates the covering inequality
+    ||h|| <= 2 sup_z ||eta^z h|| + C ||h||_0 on the sample, reporting the
+    smallest admissible C.
     """
     for o in (1, 2):
         if not all(o in p.profiles for p in sol.u_parts):
@@ -1140,25 +1140,21 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
     a_tx, b_tx, c_tx = smp.abc  # (K+1, J)
-    b_tx, c_tx = (np.zeros_like(a_tx) if m is None else m for m in (b_tx, c_tx))
     a_tz = coeffs.a_values(sol.time_grid.nodes, z)
-    f_tx = np.zeros_like(u0) if smp.f is None else smp.f
-
-    terms = {
-        "a_commutator": (a_tx - a_tz[:, None])[None] * u2 * eta,
-        "sigma_commutator": np.zeros_like(u0),  # sigma is constant in x here
-        "drift": b_tx[None] * u1 * eta,
-        "zeroth": c_tx[None] * u0 * eta,
-        "forcing": f_tx * eta,
-        "gradient_cutoff": -2.0 * a_tz[None, :, None] * u1 * eta1,
-        "hessian_cutoff": -a_tz[None, :, None] * u0 * eta2,
-    }
-    f_loc = sum(terms.values())
+    f_loc = (a_tx - a_tz[:, None])[None] * u2 * eta
+    if b_tx is not None:
+        f_loc += b_tx[None] * u1 * eta
+    if c_tx is not None:
+        f_loc += c_tx[None] * u0 * eta
+    if smp.f is not None:
+        f_loc += smp.f * eta
+    f_loc += -2.0 * a_tz[None, :, None] * u1 * eta1
+    f_loc += -a_tz[None, :, None] * u0 * eta2
     u_loc = u0 * eta
     v_loc = [vl * eta for vl in v0]
     phi_loc = u0[:, -1] * eta
 
-    # frozen-equation residual of (u eta, v eta) with the seven-term source
+    # frozen-equation residual of (u eta, v eta) with the source f^z_theta
     w2 = u2 * eta + 2.0 * u1 * eta1 + u0 * eta2
     drift = a_tz[None, :, None] * w2 + f_loc
     for l, vl in enumerate(v_loc):
@@ -1169,19 +1165,15 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     scale = 1.0 + float(np.abs(phi_loc).max(initial=0.0))
     rms = float(np.sqrt(np.mean(defect**2)) / scale)
 
-    covering = covering_inequality(sol, theta, _NORM_ALPHA, u0=u0)
-
-    return LocalizedProblem(
-        f_loc=f_loc, source_terms=terms, residual_rms=rms, covering=covering,
-    )
+    return LocalizedProblem(residual_rms=rms, covering=covering_inequality(sol, theta, u0))
 
 
-def covering_inequality(sol: SolutionField, theta: float, alpha: float, u0) -> dict:
+def covering_inequality(sol: SolutionField, theta: float, u0) -> dict:
     """Smallest C with ||u|| <= 2 sup_z ||eta^z u|| + C ||u||_0 on the sample
     ``u0`` of u on the whole lattice, (paths, K+1, J)."""
     grid, tgrid = sol.space_grid, sol.time_grid
     f = FieldSample(u0, grid, "L2", tgrid)
-    lhs = estimate_norm(f, 0, alpha).total
+    lhs = estimate_norm(f, 0, _NORM_ALPHA).total
     h0 = estimate_seminorm(f, 0)
     span = grid.radius - 2.0 * theta
     centers = np.linspace(-max(span, 0.0), max(span, 0.0), _COVERING_CENTERS)
@@ -1189,7 +1181,7 @@ def covering_inequality(sol: SolutionField, theta: float, alpha: float, u0) -> d
     for z in centers:
         eta = BumpField(center=float(z), radius=theta)(grid.axis)
         g = FieldSample(u0 * eta, grid, "L2", tgrid)
-        masked_best = max(masked_best, estimate_norm(g, 0, alpha).total)
+        masked_best = max(masked_best, estimate_norm(g, 0, _NORM_ALPHA).total)
     C = 0.0 if h0 == 0.0 else max(0.0, (lhs - 2.0 * masked_best) / h0)
     slack = 2.0 * masked_best + C * h0 - lhs
     return {"C": C, "slack": slack}

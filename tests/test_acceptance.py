@@ -208,7 +208,7 @@ def test_criterion_10_variable_coefficients(picard_run):
     assert sol.info["converged"]
     # the oracle verdict's sup is max |u - u_exact| over every time and the trusted points
     assert run.verdict("oracle.variable_a_sin").measured["sup"] <= 1e-2
-    cov = covering_inequality(sol, theta=2.0, alpha=0.5, u0=sol.u_dense(0))
+    cov = covering_inequality(sol, theta=2.0, u0=sol.u_dense(0))
     assert cov["slack"] >= -1e-9
 
 

@@ -138,6 +138,22 @@ class TestList:
         assert f"{p}:3:" in captured.err
         assert "heat_smok" in captured.err
 
+    def test_default_section_exits_2_with_anchor(self, tmp_path, capsys):
+        p = tmp_path / "cat.ini"
+        p.write_text("[DEFAULT]\nx = 1\n")
+        assert main(["list", "--catalog", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{p}:1: unexpected section [DEFAULT]" in captured.err
+
+    def test_key_in_a_catalog_section_exits_2_with_anchor(self, tmp_path, capsys):
+        p = tmp_path / "cat.ini"
+        p.write_text("[sin_decay]\n[heat_smoke]\nnum_steps = 5\n")
+        assert main(["list", "--catalog", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{p}:3: key 'num_steps' in [heat_smoke]" in captured.err
+
 
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):

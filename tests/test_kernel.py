@@ -482,14 +482,6 @@ class TestPointwiseBoundProbe:
         assert np.isfinite(rep.empirical_C)
         assert rep.stable
 
-    def test_boundary_rate_flagged_for_anisotropic(self):
-        rep = probe_pointwise_bound(HeatKernel(ANISO, horizon=1.0), MultiIndex((0, 0)))
-        assert not rep.extras["boundary_rate_usable"]
-
-    def test_boundary_rate_fine_for_isotropic_plain(self):
-        rep = probe_pointwise_bound(HeatKernel(ISO, horizon=1.0), MultiIndex((0,)))
-        assert rep.extras["boundary_rate_usable"]
-
     def test_damping_shrinks_constant(self):
         k0 = HeatKernel(ISO, horizon=1.0)
         r0 = probe_pointwise_bound(k0, MultiIndex((2,)))
@@ -720,8 +712,8 @@ def loop_sup_probe(kernel, alpha, window):
 
 
 def loop_pointwise(kernel, gamma):
-    """The pointwise probe with one derivative call per time gap: the level
-    values and the boundary-rate flag."""
+    """The pointwise probe's level values, with one derivative call per time
+    gap."""
     T, n, g = kernel.horizon, kernel.dim, gamma.order
     time_gaps = np.geomspace(T / 256.0, T, 9)
     levels = []
@@ -734,13 +726,7 @@ def loop_pointwise(kernel, gamma):
             bound = gap ** (-(n + g) / 2.0) * np.exp(-0.125 * r2 / gap)
             best = max(best, float(np.max(_safe_ratio(vals, bound))))
         levels.append({"points": count, "value": best})
-    gap = float(np.max(time_gaps))
-    vals = np.abs(kernel.derivative(0.0, gap, pts, gamma))
-    ratio = _safe_ratio(vals, gap ** (-(n + g) / 2.0) * np.exp(-0.25 * r2 / gap))
-    r2_max = np.max(r2)
-    far = np.max(ratio[r2 >= r2_max - 1e-9])
-    mid = np.max(ratio[(r2 >= 0.2 * r2_max) & (r2 <= 0.3 * r2_max)])
-    return levels, bool(far <= 10.0 * max(mid, 1e-300))
+    return levels
 
 
 PROBE_CASES = [DiffusionCoefficient.isotropic(1.0), DiffusionCoefficient.isotropic(1.0, 2),
@@ -765,10 +751,9 @@ class TestProbesEqualPerGapLoops:
         gammas = [(order,) + (0,) * (k.dim - 1) for order in range(4)]
         for gamma in map(MultiIndex, gammas + ([(1, 1)] if k.dim == 2 else [])):
             rep = probe_pointwise_bound(k, gamma)
-            levels, usable = loop_pointwise(k, gamma)
+            levels = loop_pointwise(k, gamma)
             assert rep.levels == levels, gamma
             assert rep.empirical_C == levels[-1]["value"]
-            assert rep.extras == {"boundary_rate_usable": usable}
 
 
 class TestKernelSuite:

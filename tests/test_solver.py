@@ -971,7 +971,7 @@ def unchunked_defect(sol, co, paths):
     """integral_form_defect with every measured path evaluated at once."""
     tg, mask = sol.time_grid, sol.trusted
     field, x = sol.restrict(mask), sol.space_grid.axis[mask]
-    pathwise = paths is not None and not (co.is_deterministic() and sol.num_paths == 1)
+    pathwise = paths is not None and not co.is_deterministic()
     idx = np.arange(min(paths.num_paths, 64)) if pathwise else np.array([0])
     sub = paths.subset(idx) if pathwise else solver._degenerate_paths(tg, co.noise_dim)
     u0, u1, u2 = (field.u_dense(o, idx) for o in range(3))
@@ -1015,6 +1015,14 @@ class TestDefectIsOneEvaluation:
         sol = solve(co, None, config())
         assert integral_form_defect(sol, co) == unchunked_defect(sol, co, None)
 
+    def test_deterministic_data_on_several_paths_uses_the_trapezoid(self):
+        # the paths add nothing to deterministic data, so neither may the defect
+        co = sine_problem(forcing=DataFunctional.deterministic(SpaceFactor.sine()))
+        paths = sample_paths(5, 1, TG, seed=3)
+        sol = solve(co, paths, config())
+        assert sol.num_paths == 5
+        assert integral_form_defect(sol, co, paths) == integral_form_defect(sol, co)
+
 
 class TestLocalize:
     def test_residual_within_parent_budget(self, sine_solution):
@@ -1027,17 +1035,12 @@ class TestLocalize:
         assert loc.covering["slack"] >= -1e-9
         assert np.isfinite(loc.covering["C"])
 
-    def test_commutators_vanish_on_plateau(self, sine_solution):
-        loc = localize(sine_solution, sine_problem(), z=0.0, theta=3.0)
-        inside = np.abs(X) <= 2.9
-        assert np.abs(loc.source_terms["gradient_cutoff"][..., inside]).max() == 0.0
-        assert np.abs(loc.source_terms["hessian_cutoff"][..., inside]).max() == 0.0
-
-    def test_seven_source_terms(self, sine_solution):
-        loc = localize(sine_solution, sine_problem(), z=0.1, theta=0.6)
-        assert len(loc.source_terms) == 7
-        total = sum(loc.source_terms.values())
-        assert np.allclose(total, loc.f_loc)
+    def test_commutators_vanish_on_plateau(self):
+        # the cutoff source terms carry eta' and eta'', which are 0 where eta = 1
+        bump = BumpField(0.0, 3.0)
+        inside = X[np.abs(X) <= 2.9]
+        assert np.abs(bump.d1(inside)).max() == 0.0
+        assert np.abs(bump.d2(inside)).max() == 0.0
 
     def test_forcing_and_driver_both_enter_the_source(self):
         co = sine_problem(forcing=DataFunctional.deterministic(SpaceFactor.sine()),
@@ -1057,6 +1060,77 @@ class TestLocalize:
         parent_rms, _ = integral_form_defect(sol, co, paths)
         loc = localize(sol, co, z=0.0, theta=2.0, paths=paths)
         assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
+
+
+def seven_term_localized_rms(sol, co, z, theta, paths):
+    """localize's residual with its source summed from all seven terms: zero
+    arrays stand in for a constant-in-x sigma and an absent b, c or forcing."""
+    x = sol.space_grid.axis
+    bump = BumpField(center=z, radius=theta)
+    eta, eta1, eta2 = bump(x), bump.d1(x), bump.d2(x)
+    pathwise = paths is not None and not co.is_deterministic()
+    idx = np.arange(min(paths.num_paths, 32)) if pathwise else np.array([0])
+    sub = paths.subset(idx) if pathwise else solver._degenerate_paths(sol.time_grid, co.noise_dim)
+    u0, u1, u2 = (sol.u_dense(o, idx) for o in range(3))
+    v0 = [sol.v_dense(l, 0, idx) for l in range(sol.noise_dim)]
+    a_tx, b_tx, c_tx = co.sample(sol.time_grid.nodes, x)
+    b_tx, c_tx = (np.zeros_like(a_tx) if m is None else m for m in (b_tx, c_tx))
+    a_tz = co.a_values(sol.time_grid.nodes, z)
+    f_tx = np.zeros_like(u0) if co.forcing is None else co.forcing.dense(sub, x)
+    if co.driver is not None:
+        g = co.driver_rows(sol.time_grid.nodes, x, u1, u0, v0[0] if v0 else 0.0)
+        f_tx = g if co.forcing is None else f_tx + g
+    terms = [
+        (a_tx - a_tz[:, None])[None] * u2 * eta,
+        np.zeros_like(u0),
+        b_tx[None] * u1 * eta,
+        c_tx[None] * u0 * eta,
+        f_tx * eta,
+        -2.0 * a_tz[None, :, None] * u1 * eta1,
+        -a_tz[None, :, None] * u0 * eta2,
+    ]
+    f_loc = sum(terms)
+    u_loc, v_loc, phi_loc = u0 * eta, [vl * eta for vl in v0], u0[:, -1] * eta
+    w2 = u2 * eta + 2.0 * u1 * eta1 + u0 * eta2
+    drift = a_tz[None, :, None] * w2 + f_loc
+    sig = np.atleast_1d(np.asarray(co.sigma, dtype=float))
+    for l, vl in enumerate(v_loc):
+        if sig[l] != 0.0:
+            drift = drift + sig[l] * vl
+    defect = backward_defect(u_loc, phi_loc, drift, sol.time_grid.dt, v_loc,
+                             sub.increments if pathwise else None)[..., sol.trusted]
+    return float(np.sqrt(np.mean(defect**2)) / (1.0 + float(np.abs(phi_loc).max(initial=0.0))))
+
+
+class TestLocalizedSourceSkipsAbsentTerms:
+    """localize sums only the terms the data has, and keeps the bits of the
+    seven-term sum."""
+
+    @pytest.fixture(scope="class")
+    def variable_abc(self):
+        co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+                            forcing=FORCING, lam=0.6, Lam=1.4,
+                            a_fn=lambda t, x: 1.0 + 0.4 * np.sin(x),
+                            b_fn=lambda t, x: np.cos(x), c_fn=lambda t, x: 0.5)
+        return solve(co, None, SMALL), co, None
+
+    @pytest.fixture(scope="class")
+    def driver_forcing(self):
+        co = sine_problem(forcing=FORCING, lipschitz=1.3,
+                          driver=lambda t, x, q, u, v: -u + 0.3 * np.sin(q))
+        return solve(co, None, SMALL), co, None
+
+    @pytest.mark.parametrize("theta", [0.6, 2.0])
+    @pytest.mark.parametrize("case", ["variable_abc", "driver_forcing"])
+    def test_deterministic_data(self, request, case, theta):
+        sol, co, paths = request.getfixturevalue(case)
+        loc = localize(sol, co, z=0.0, theta=theta, paths=paths)
+        assert loc.residual_rms == seven_term_localized_rms(sol, co, 0.0, theta, paths)
+
+    def test_stochastic_data_under_sigma(self, stochastic_forced):
+        sol, co, paths = stochastic_forced
+        loc = localize(sol, co, z=0.0, theta=0.6, paths=paths)
+        assert loc.residual_rms == seven_term_localized_rms(sol, co, 0.0, 0.6, paths)
 
 
 class TestOneSample:
