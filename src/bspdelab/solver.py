@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .grid import MultiIndex, SpaceGrid, TimeGrid, fd_derivative, space_quadrature_weights
-from .holder import FieldSample, estimate_norm, estimate_seminorm
+from .holder import FieldSample, estimate_norm
 from .kernel import DiffusionCoefficient, HeatKernel, _gl
 from .stochastic import (
     DataFunctional,
@@ -59,7 +59,7 @@ from .stochastic import (
 )
 
 _D1 = MultiIndex((1,))
-_ASSUMPTION_SAMPLES = 64  # random (t, x) points of each sampled assumption check
+_PROBE_STEP = 0.5  # the step of q, u and v in the driver's Lipschitz probe
 
 
 # -- problem data -----------------------------------------------------------
@@ -154,39 +154,39 @@ class CoefficientSet:
         return True
 
     def check_assumptions(self, time_grid: TimeGrid, space_grid: SpaceGrid):
-        """Sampled ellipticity / boundedness / Lipschitz checks at 64 seeded
-        random points each, one call of each function for all of them.
-
-        Raises AssumptionViolation naming the first failing point; silent on success.
+        """Ellipticity / boundedness / Lipschitz checks at every (t_k, x_j) node
+        of the lattice the solve reads, through its own ``sample`` and
+        ``driver_rows``; the driver at values spread over [-3, 3] and at a step
+        of q, of u and of v each.  Raises AssumptionViolation naming the first
+        failing node, time-major; silent on success.
         """
-        rng = np.random.default_rng(0)
-        ts = rng.uniform(0.0, time_grid.horizon, _ASSUMPTION_SAMPLES)
-        xs = rng.uniform(-space_grid.radius, space_grid.radius, _ASSUMPTION_SAMPLES)
+        t, x = time_grid.nodes, space_grid.axis
 
         def first_failure(bad, message):
             if np.any(bad):
-                i = int(np.argmax(bad))
-                raise AssumptionViolation(message(i, f"(t={ts[i]:.4g}, x={xs[i]:.4g})"))
+                k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                raise AssumptionViolation(message((k, j), f"(t={t[k]:.4g}, x={x[j]:.4g})"))
 
-        a = self.a_values(ts, xs)
+        a, b, c = self.sample(t, x)
         first_failure(~((self.lam - 1e-12 <= a) & (a <= self.Lam + 1e-12)),
                       lambda i, at: f"ellipticity violated at {at}: a={a[i]:.6g} "
                                     f"outside [{self.lam}, {self.Lam}]")
-        for name, fn in (("b", self.b_fn), ("c", self.c_fn)):
-            if fn is not None:
-                first_failure(~np.isfinite(_broadcast(fn(ts, xs), ts, xs)),
+        for name, values in (("b", b), ("c", c)):
+            if values is not None:
+                first_failure(~np.isfinite(values),
                               lambda i, at: f"coefficient {name} is not finite at {at}")
         if self.driver is not None:
             if self.lipschitz <= 0.0:
                 raise AssumptionViolation("semilinear driver needs a positive Lipschitz constant")
-            # one pair of (q, u, v) draws at each of the same points
-            (q1, u1, v1), (q2, u2, v2) = rng.standard_normal((2, 3, _ASSUMPTION_SAMPLES))
-            lhs = np.abs(_broadcast(self.driver(ts, xs, q1, u1, v1), ts, xs)
-                         - _broadcast(self.driver(ts, xs, q2, u2, v2), ts, xs))
-            rhs = self.lipschitz * (np.abs(q1 - q2) + np.abs(u1 - u2) + np.abs(v1 - v2))
+            # rows of the probe axis: the base values, then q, u and v stepped
+            s = np.linspace(-3.0, 3.0, a.size).reshape(a.shape)
+            q, u, v = s + _PROBE_STEP * np.eye(4, 3, k=-1).T[:, :, None, None]
+            f = self.driver_rows(t, x, q, u, v)
+            lhs = np.abs(f[1:] - f[0]).max(axis=0)
+            rhs = self.lipschitz * _PROBE_STEP
             first_failure(lhs > rhs + 1e-9,
                           lambda i, at: f"driver violates its Lipschitz bound at {at}: "
-                                        f"{lhs[i]:.4g} > {rhs[i]:.4g}")
+                                        f"{lhs[i]:.4g} > {rhs:.4g}")
 
 
 @dataclass
@@ -1173,8 +1173,8 @@ def covering_inequality(sol: SolutionField, theta: float, u0) -> dict:
     ``u0`` of u on the whole lattice, (paths, K+1, J)."""
     grid, tgrid = sol.space_grid, sol.time_grid
     f = FieldSample(u0, grid, "L2", tgrid)
-    lhs = estimate_norm(f, 0, _NORM_ALPHA).total
-    h0 = estimate_seminorm(f, 0)
+    report = estimate_norm(f, 0, _NORM_ALPHA)
+    lhs, h0 = report.total, report.seminorms[0]
     span = grid.radius - 2.0 * theta
     centers = np.linspace(-max(span, 0.0), max(span, 0.0), _COVERING_CENTERS)
     masked_best = 0.0
@@ -1200,14 +1200,15 @@ def shift_steps(tgrid: TimeGrid, tau: float) -> int:
     return int(round(r))
 
 
-def time_shift_norm(sol: SolutionField, tau: float) -> float:
-    """Restricted-interval norm ||u(.) - u(. - tau)||_{1/2, L2, tau} over
-    every path of the solution, so at most 1024 paths (the dense cap)."""
+def time_shift_norms(sol: SolutionField, taus) -> list:
+    """Restricted-interval norms ||u(.) - u(. - tau)||_{1/2, L2, tau}, one per
+    tau, over every path of the solution (at most 1024, the dense cap); every
+    tau is checked before the trusted u is evaluated, once."""
     tgrid = sol.time_grid
-    r = shift_steps(tgrid, tau)
+    steps = [shift_steps(tgrid, tau) for tau in taus]
     field = sol.restrict(sol.trusted)
     u = field.u_dense(0)
-    diff = u[:, r:, :] - u[:, :-r, :]
-    sub_grid = TimeGrid(tgrid.horizon - tau, tgrid.num_steps - r)
-    f = FieldSample(diff, field.space_grid, "L2", sub_grid)
-    return estimate_norm(f, 0, _NORM_ALPHA).total
+    diffs = (FieldSample(u[:, r:, :] - u[:, :-r, :], field.space_grid, "L2",
+                         TimeGrid(tgrid.horizon - tau, tgrid.num_steps - r))
+             for tau, r in zip(taus, steps))
+    return [estimate_norm(f, 0, _NORM_ALPHA).total for f in diffs]

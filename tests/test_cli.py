@@ -445,3 +445,27 @@ for sid in ("heat_smoke", "abs_kink"):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_set_up_and_heat_smoke_run_draw_no_random_number():
+    # set-up (the import and load_config of a workload) loads neither
+    # numpy.random nor scipy, and a deterministic run draws no random number
+    code = f"""
+import sys
+from bspdelab import cli
+
+cli.load_config({str(WORKLOAD_DIR / "picard.ini")!r})
+loaded = sorted(m for m in sys.modules if m.startswith(("numpy.random", "scipy")))
+assert not loaded, loaded
+
+from bspdelab import verify
+from bspdelab.scenarios import get_scenario
+
+bundle, _ = verify.run_scenario(get_scenario("heat_smoke"))
+assert bundle.all_passed
+assert "numpy.random" not in sys.modules
+"""
+    src = str(Path(bspdelab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -51,7 +51,7 @@ from bspdelab.solver import (
     solve_model,
     solve_semilinear,
     solve_variable_linear,
-    time_shift_norm,
+    time_shift_norms,
 )
 from bspdelab.verify import solution_norm_lhs
 
@@ -106,10 +106,29 @@ class TestCoefficientSet:
         )
         co.check_assumptions(TG, SG)
 
-    def test_driver_lipschitz_checked(self):
-        co = sine_problem(driver=lambda t, x, q, u, v: u**2, lipschitz=1.0)
+    @pytest.mark.parametrize("driver", [
+        lambda t, x, q, u, v: u**2,
+        lambda t, x, q, u, v: 3.0 * np.sin(u),
+        lambda t, x, q, u, v: 2.0 * q,
+        lambda t, x, q, u, v: 1.5 * v,
+    ], ids=["u^2", "3sin_u", "2q", "1.5v"])
+    def test_driver_lipschitz_checked(self, driver):
+        co = sine_problem(driver=driver, lipschitz=1.0)
         with pytest.raises(AssumptionViolation, match="Lipschitz"):
             co.check_assumptions(TG, SG)
+
+    def test_ellipticity_checked_at_every_lattice_node(self):
+        # a dip of a below lam, narrower than the lattice spacing, centred on
+        # one node the solve reads and 0.34 from any point a draw of 64 random
+        # (t, x) points from default_rng(0) would probe
+        x0 = X[50]
+        co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()),
+                            a_fn=lambda t, x: 1.0 - 0.9 * np.exp(-((x - x0) / 0.05) ** 2),
+                            lam=0.5, Lam=1.0)
+        with pytest.raises(AssumptionViolation) as err:
+            co.check_assumptions(TG, SG)
+        assert str(err.value).startswith(
+            f"ellipticity violated at (t={TG.nodes[0]:.4g}, x={x0:.4g})")
 
     def test_inverted_bounds_rejected(self):
         phi = DataFunctional.deterministic(SpaceFactor.sine())
@@ -157,42 +176,39 @@ class TestCoefficientSet:
                              for k, tk in enumerate(t)], axis=1)
             assert np.array_equal(co.driver_rows(t, X, q, u, vv), rows)
 
+    @staticmethod
+    def first_node(bad):
+        """The (t, x) text of the first True node of a (K+1, J) mask, time-major."""
+        k, j = np.argwhere(bad)[0]
+        assert (k, j) != (0, 0)
+        return f"(t={TG.nodes[k]:.4g}, x={X[j]:.4g})"
+
     @pytest.mark.parametrize("data, fails, message", [
-        (dict(a_fn=lambda t, x: 1.0 + 2.0 * np.sin(x), lam=0.3, Lam=3.0),
-         lambda t, x: 1.0 + 2.0 * np.sin(x) < 0.3, "ellipticity violated"),
+        (dict(a_fn=lambda t, x: 1.0 + 2.0 * np.cos(x), lam=0.3, Lam=3.0),
+         lambda t, x: 1.0 + 2.0 * np.cos(x) < 0.3, "ellipticity violated"),
         (dict(diffusion=DiffusionCoefficient.isotropic(1.0),
               b_fn=lambda t, x: np.where(x > 3.0, np.inf, 1.0)),
          lambda t, x: x > 3.0, "coefficient b is not finite"),
         (dict(diffusion=DiffusionCoefficient.isotropic(1.0),
-              c_fn=lambda t, x: np.where(t < 0.1, np.nan, 0.0)),
-         lambda t, x: t < 0.1, "coefficient c is not finite"),
+              c_fn=lambda t, x: np.where(t > 0.5, np.nan, 0.0)),
+         lambda t, x: t > 0.5, "coefficient c is not finite"),
     ], ids=["a", "b", "c"])
     def test_assumption_message_names_first_failing_point(self, data, fails, message):
         co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.sine()), **data)
-        rng = np.random.default_rng(0)  # the check's 64 seeded points
-        ts = rng.uniform(0.0, TG.horizon, 64)
-        xs = rng.uniform(-SG.radius, SG.radius, 64)
-        i = int(np.argmax(fails(ts, xs)))
-        assert i > 0 and fails(ts[i], xs[i])
+        at = self.first_node(fails(TG.nodes[:, None], X) * np.ones((len(TG), len(X))))
         with pytest.raises(AssumptionViolation) as err:
             co.check_assumptions(TG, SG)
-        assert str(err.value).startswith(f"{message} at (t={ts[i]:.4g}, x={xs[i]:.4g})")
+        assert str(err.value).startswith(f"{message} at {at}")
 
     def test_lipschitz_message_names_first_failing_point(self):
         co = sine_problem(driver=lambda t, x, q, u, v: np.where(x > 5.0, 5.0 * u, u),
                           lipschitz=1.0)
-        rng = np.random.default_rng(0)  # the check's 64 seeded points and pairs
-        ts = rng.uniform(0.0, TG.horizon, 64)
-        xs = rng.uniform(-SG.radius, SG.radius, 64)
-        (q1, u1, v1), (q2, u2, v2) = rng.standard_normal((2, 3, 64))
-        lhs = np.where(xs > 5.0, 5.0, 1.0) * np.abs(u1 - u2)
-        bad = lhs > np.abs(q1 - q2) + np.abs(u1 - u2) + np.abs(v1 - v2) + 1e-9
-        i = int(np.argmax(bad))
-        assert bad[i] and i > 0
+        # a step of u by 0.5 moves the driver by 2.5 where x > 5, by 0.5 elsewhere
+        at = self.first_node(np.broadcast_to(X > 5.0, (len(TG), len(X))))
         with pytest.raises(AssumptionViolation) as err:
             co.check_assumptions(TG, SG)
         assert str(err.value).startswith(
-            f"driver violates its Lipschitz bound at (t={ts[i]:.4g}, x={xs[i]:.4g})")
+            f"driver violates its Lipschitz bound at {at}: 2.5 > 0.5")
 
     def test_is_deterministic(self):
         assert sine_problem().is_deterministic()
@@ -1176,21 +1192,34 @@ class TestOneSample:
 class TestTimeShift:
     def test_rejects_zero_and_off_grid(self, sine_solution):
         with pytest.raises(InvalidShift):
-            time_shift_norm(sine_solution, 0.0)
+            time_shift_norms(sine_solution, [0.0])
         with pytest.raises(InvalidShift):
-            time_shift_norm(sine_solution, TG.dt * 1.5)
+            time_shift_norms(sine_solution, [TG.dt * 1.5])
         with pytest.raises(InvalidShift):
-            time_shift_norm(sine_solution, T + TG.dt)
+            time_shift_norms(sine_solution, [T + TG.dt])
 
     def test_time_constant_solution_shift_zero(self):
         co = CoefficientSet(terminal=DataFunctional.deterministic(SpaceFactor.poly([0, 1])),
                             diffusion=DiffusionCoefficient.isotropic(1.0))
         sol = solve(co, None, config())
-        assert time_shift_norm(sol, 0.1) < 1e-5
+        assert time_shift_norms(sol, [0.1])[0] < 1e-5
+
+    def test_every_tau_checked_before_one_evaluation(self, sine_solution, monkeypatch):
+        calls = []
+        dense = SolutionField.u_dense
+        monkeypatch.setattr(SolutionField, "u_dense",
+                            lambda sol, *a, **k: calls.append(a) or dense(sol, *a, **k))
+        with pytest.raises(InvalidShift):
+            time_shift_norms(sine_solution, [0.2, 0.1, TG.dt * 1.5])
+        assert calls == []
+        norms = time_shift_norms(sine_solution, [0.2, 0.1, 0.04])
+        assert len(calls) == 1
+        assert norms == [time_shift_norms(sine_solution, [tau])[0] for tau in (0.2, 0.1, 0.04)]
 
     def test_sqrt_rate_trend(self, sine_solution):
-        ratios = [time_shift_norm(sine_solution, tau) / np.sqrt(tau)
-                  for tau in (0.2, 0.1, 0.04)]
+        taus = (0.2, 0.1, 0.04)
+        ratios = [norm / np.sqrt(tau)
+                  for tau, norm in zip(taus, time_shift_norms(sine_solution, taus))]
         for a, b in zip(ratios, ratios[1:]):
             assert b <= 1.2 * a
 
@@ -1281,7 +1310,7 @@ class TestRestrict:
         cases = [stochastic_forced, sine_problem_solution]
 
         def measure():
-            return [(time_shift_norm(sol, 0.2), solution_norm_lhs(sol, 0.5),
+            return [(time_shift_norms(sol, [0.2]), solution_norm_lhs(sol, 0.5),
                      integral_form_defect(sol, co, paths)) for sol, co, paths in cases]
 
         new = measure()

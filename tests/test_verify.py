@@ -495,13 +495,13 @@ class TestCallsPerSample:
 
         return dataclasses.replace(spec, build_coeffs=build, oracle=None), calls
 
-    # transport_decay: assumptions, solve, defect; semilinear_mode: two for
-    # the Lipschitz pairs, one per Picard iterate, defect; variable_a_sin:
+    # transport_decay: assumptions, solve, defect; semilinear_mode: one for
+    # the Lipschitz probe, one per Picard iterate, defect; variable_a_sin:
     # assumptions, solve (with two for the frozen reference), defect, localize
     # (with one for a at the bump center)
     @pytest.mark.parametrize("sid, field, count", [
         ("transport_decay", "b_fn", 3),
-        ("semilinear_mode", "driver", 10),
+        ("semilinear_mode", "driver", 9),
         ("variable_a_sin", "a_fn", 7),
     ])
     def test_coefficient_calls_per_run_scenario(self, sid, field, count):
@@ -509,7 +509,7 @@ class TestCallsPerSample:
         _, artifacts = run_scenario(spec)
         assert len(calls) == count
         if field == "driver":
-            assert count == 3 + artifacts["solution"].info["iterations"]
+            assert count == 2 + artifacts["solution"].info["iterations"]
 
     def test_b_and_c_called_once_per_certificate(self):
         calls = {"b": 0, "c": 0}
