@@ -1,18 +1,20 @@
 """Command-line front end: configs, run orchestration, artifact emission.
 
 Configs are flat INI files: a [run] section lists one or more scenarios (keys
-scenarios, seed and out, nothing else), and optional [scenario.<id>]
-sections override per-scenario knobs.  An override applies
-to every check of its scenario, the scenario's own studies included.  The
-studies that build no coefficients (kernel_suite, apriori_study,
-time_shift_sweep) take no overrides: any key in their section is a schema
-violation, and so is a horizon the time-shift study cannot shift on.  Runs
-write a manifest before anything else, listing the files
-``verify.artifact_files`` plans, then per-scenario verdict JSON, solution
-CSV, and plot-data CSV files.  A scenario that raises writes its traceback
-to ``<id>/error.txt`` and is marked "errored" in the manifest; the others
-still run.  Exit codes: 0 clean, 1 at least one failed verdict, 2 config
-schema violation or bad command line, 3 at least one scenario errored.
+scenarios, seed and out, nothing else), and an optional [scenario.<id>]
+section sets numeric fields of that scenario's ScenarioSpec, one per key.
+Loading a config gives the list of overridden specs; each key is checked
+at its own line, on the spec with the section's earlier keys applied.  An
+override applies to every check of its scenario, the scenario's own studies
+included.  The studies that build no coefficients (kernel_suite,
+apriori_study, time_shift_sweep) take no overrides: any key in their
+section is a schema violation, and so is a horizon the time-shift study
+cannot shift on.  Runs write a manifest before anything else, listing the
+files ``verify.artifact_files`` plans, then per-scenario verdict JSON,
+solution CSV, and plot-data CSV files.  A scenario that raises writes its
+traceback to ``<id>/error.txt`` and is marked "errored" in the manifest; the
+others still run.  Exit codes: 0 clean, 1 at least one failed verdict, 2
+config schema violation or bad command line, 3 at least one scenario errored.
 """
 
 from __future__ import annotations
@@ -29,26 +31,18 @@ import time
 import traceback
 from pathlib import Path
 
-from .errors import AssumptionViolation, InvalidArgument
-from .scenarios import CATALOG, list_scenarios
+from .errors import InvalidArgument
+from .scenarios import CATALOG, ScenarioSpec, list_scenarios
 from .verify import artifact_files, run_scenario, shift_grid
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 _RUN_KEYS = ("scenarios", "seed", "out")
 
-_OVERRIDE_TYPES = {
-    "num_steps": int,
-    "points_per_axis": int,
-    "num_paths": int,
-    "seed": int,
-    "radius": float,
-    "horizon": float,
-    "beta": float,
-    "sup_tolerance": float,
-    "residual_tolerance": float,
-    "lam": float,
-}
+# a [scenario.<id>] key sets the ScenarioSpec field of its name; the numeric
+# fields are the settable ones (annotations are strings in scenarios.py)
+_OVERRIDE_TYPES = {f.name: {"int": int, "float": float}[f.type]
+                   for f in dataclasses.fields(ScenarioSpec) if f.type in ("int", "float")}
 
 
 class SchemaError(Exception):
@@ -124,9 +118,10 @@ def _read_ini(path) -> configparser.ConfigParser:
 def load_config(path: Path) -> dict:
     """Parse and validate a run config.
 
-    Returns {"scenarios": [(spec, overrides), ...], "seed": int|None,
-    "out": str|None}.  Raises SchemaError with a file:line anchor on any
-    violation.
+    Returns {"scenarios": [spec, ...], "seed": int|None, "out": str|None},
+    each spec the catalog entry with its section's keys applied in order.
+    A key is checked as it is applied, so SchemaError, anchored at the
+    file:line of the first violation, names the key at fault.
     """
     cp = _read_ini(path)
     if "run" not in cp:
@@ -187,79 +182,51 @@ def load_config(path: Path) -> dict:
     scenarios = []
     for sid in ids:
         spec = CATALOG[sid]
-        overrides = {}
         section = f"scenario.{sid}"
         for key, raw in (cp[section].items() if section in cp else ()):
-            if spec.build_coeffs is None:
-                problem = (f"{key} in [{section}]: {sid} builds no coefficients "
-                           "and takes no overrides")
-            elif key not in _OVERRIDE_TYPES:
-                problem = (f"unknown key {key!r} in [{section}]; allowed: "
-                           f"{sorted(_OVERRIDE_TYPES)}")
-            else:
-                try:
-                    overrides[key] = _OVERRIDE_TYPES[key](raw)
-                except ValueError:
-                    problem = f"{key} must be {_OVERRIDE_TYPES[key].__name__}, got {raw!r}"
-                else:
-                    problem = (None if math.isfinite(overrides[key])
-                               else f"{key} = {raw} in [{section}]: must be finite")
-            if problem:
-                raise SchemaError(problem, path=path, line=_find_line(path, key, section))
-        try:
-            _check_overrides(spec, overrides)
-        except (InvalidArgument, AssumptionViolation) as e:
-            # anchored at the first key that fails on its own, else at the last key
-            key, err = list(overrides)[-1], e
-            for k in overrides:
-                try:
-                    _check_overrides(spec, {k: overrides[k]})
-                except (InvalidArgument, AssumptionViolation) as alone:
-                    key, err = k, alone
-                    break
-            raise SchemaError(f"{key} = {cp[section][key]} in [{section}]: {err}",
-                              path=path, line=_find_line(path, key, section)) from None
-        scenarios.append((spec, overrides))
+            try:
+                spec = _override(spec, section, key, raw)
+            except InvalidArgument as e:
+                raise SchemaError(str(e), path=path,
+                                  line=_find_line(path, key, section)) from None
+        scenarios.append(spec)
     return {"scenarios": scenarios, "seed": seed, "out": out}
 
 
-def _check_overrides(spec, overrides):
-    """Build the grids, solver config and coefficients that a section's
-    overrides imply together, so a bad set exits 2 at load time instead of
-    crashing the run."""
-    if not overrides:
-        return
-    built = apply_overrides(spec, overrides)
-    cfg = built.config()
-    if "lam" in overrides:
-        # the solve samples the ellipticity on these grids
-        built.build_coeffs().check_assumptions(cfg.time_grid, cfg.space_grid)
-    if "time_shift" in built.checks:
-        shift_grid(built)
-    if built.num_paths < 0:
-        raise InvalidArgument("num_paths must be >= 0")
-    if built.seed < 0:
-        raise InvalidArgument("seed must be >= 0")
-    if min(built.sup_tolerance, built.residual_tolerance) <= 0.0:
-        raise InvalidArgument("sup_tolerance and residual_tolerance must be > 0")
-    if ("num_paths" in overrides and built.num_paths == 0
-            and not built.build_coeffs().is_deterministic()):
-        raise InvalidArgument("stochastic data needs a path ensemble (num_paths >= 1)")
-
-
-def apply_overrides(spec, overrides):
-    """A copy of the catalog entry with config-section knobs applied; the
-    overrides dict is left as given."""
-    fields = {key: value for key, value in overrides.items() if key != "lam"}
-    lam = overrides.get("lam")
-    spec = dataclasses.replace(spec, **fields) if fields else spec
-    if lam is not None:
-        base_build = spec.build_coeffs
-
-        def build():
-            return dataclasses.replace(base_build(), lam=lam)
-
-        spec = dataclasses.replace(spec, build_coeffs=build)
+def _override(spec, section, key, raw):
+    """``spec`` with one section key set to its raw value, checked so that a
+    bad value exits 2 at load time instead of crashing the run: the spec's
+    grids and solver config must build.  InvalidArgument carries the message
+    to report at the key's line."""
+    if spec.build_coeffs is None:
+        raise InvalidArgument(f"{key} in [{section}]: {spec.scenario_id} builds no "
+                              "coefficients and takes no overrides")
+    if key not in _OVERRIDE_TYPES:
+        raise InvalidArgument(f"unknown key {key!r} in [{section}]; allowed: "
+                              f"{sorted(_OVERRIDE_TYPES)}")
+    kind = _OVERRIDE_TYPES[key]
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise InvalidArgument(f"{key} must be {kind.__name__}, got {raw!r}") from None
+    try:
+        if not math.isfinite(value):
+            raise InvalidArgument("must be finite")
+        spec = dataclasses.replace(spec, **{key: value})
+        spec.config()
+        if "time_shift" in spec.checks:
+            shift_grid(spec)
+        if spec.num_paths < 0:
+            raise InvalidArgument("num_paths must be >= 0")
+        if spec.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
+        if min(spec.sup_tolerance, spec.residual_tolerance) <= 0.0:
+            raise InvalidArgument("sup_tolerance and residual_tolerance must be > 0")
+        if (key == "num_paths" and spec.num_paths == 0
+                and not spec.build_coeffs().is_deterministic()):
+            raise InvalidArgument("stochastic data needs a path ensemble (num_paths >= 1)")
+    except InvalidArgument as e:
+        raise InvalidArgument(f"{key} = {raw} in [{section}]: {e}") from None
     return spec
 
 
@@ -344,7 +311,7 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
 
-    specs = [apply_overrides(spec, ov) for spec, ov in cfg["scenarios"]]
+    specs = cfg["scenarios"]
     planned = [f for s in specs for f in artifact_files(s)]
     write_manifest(out_dir, cfg_path, specs, seed, planned, "started", {})
 
@@ -385,33 +352,8 @@ def cmd_run(args) -> int:
     return 3 if errors else 1 if failed else 0
 
 
-def _load_custom_catalog(path: str):
-    """A custom catalog file selects bundled scenarios by section name.
-
-    Raises SchemaError with a file:line anchor on a section that names no
-    catalog scenario, or on any key: a catalog section takes none.
-    """
-    cp = _read_ini(path)
-    for section in cp.sections():
-        if section not in CATALOG:
-            raise SchemaError(f"section [{section}] names an unknown scenario; "
-                              f"known: {sorted(CATALOG)}",
-                              path=path, line=_find_line(path, f"[{section}]"))
-        for key in cp[section]:
-            raise SchemaError(f"key {key!r} in [{section}]: a catalog section takes no keys",
-                              path=path, line=_find_line(path, key, section))
-    return [CATALOG[section] for section in cp.sections()]
-
-
 def cmd_list(args) -> int:
-    if args.catalog is not None:
-        try:
-            entries = _load_custom_catalog(args.catalog)
-        except SchemaError as e:
-            print(e.anchored(), file=sys.stderr)
-            return 2
-    else:
-        entries = list_scenarios()
+    entries = list_scenarios()
     if args.json:
         print(json.dumps([
             {"id": s.scenario_id, "kind": s.kind,
@@ -457,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lst = sub.add_parser("list", help="print the scenario catalog")
     lst.add_argument("--json", action="store_true")
-    lst.add_argument("--catalog", default=None,
-                     help="custom catalog file selecting bundled scenarios")
     lst.set_defaults(fn=cmd_list)
     return parser
 

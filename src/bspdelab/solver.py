@@ -780,7 +780,7 @@ _COVERING_CENTERS = 9  # bump centers of the covering inequality
 class _Sample(NamedTuple):
     """What a certificate reads of a solve and its data on a lattice mask."""
 
-    u: list  # u, Du, D^2 u, each (Mp, K+1, Jm)
+    u: dict  # derivative order -> (Mp, K+1, Jm), the orders asked for
     v: list  # one (Mp, K+1, Jm) per noise component
     abc: tuple  # (a, b, c) on the nodes, each (K+1, Jm); None for an absent b or c
     f: np.ndarray  # forcing plus driver, (Mp, K+1, Jm); None without either
@@ -789,9 +789,10 @@ class _Sample(NamedTuple):
 
 
 def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int,
-            mask) -> _Sample:
+            mask, orders) -> _Sample:
     """The solve and its data on the lattice points ``mask`` (None: the
-    whole lattice), read once; the solve is evaluated on those points only.
+    whole lattice), read once; the solve is evaluated on those points and
+    in the derivative ``orders`` only (a driver reads orders 0 and 1).
 
     Stochastic data is measured on its first max_paths paths; deterministic
     data (or no paths) on path 0 without increments, however many paths it
@@ -808,7 +809,7 @@ def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int,
         sub = paths.subset(path_idx)
     else:
         path_idx, sub = np.array([0]), _degenerate_paths(tgrid, coeffs.noise_dim)
-    u = [field.u_dense(o, path_idx) for o in range(3)]
+    u = {o: field.u_dense(o, path_idx) for o in orders}
     v = [field.v_dense(l, 0, path_idx) for l in range(sol.noise_dim)]
     f = None
     if coeffs.forcing is not None:
@@ -832,20 +833,22 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     normalized by 1 + max |Phi|.  Every measured path is evaluated at once,
     on the trusted columns only.
     """
-    smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted)
+    reads_du = coeffs.b_fn is not None or coeffs.driver is not None
+    smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted,
+                  (0, 1, 2) if reads_du else (0, 2))
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
-    (u0, u1, u2), (a_tx, b_tx, c_tx) = smp.u, smp.abc
-    drift = a_tx[None] * u2
+    u, (a_tx, b_tx, c_tx) = smp.u, smp.abc
+    drift = a_tx[None] * u[2]
     if b_tx is not None:
-        drift += b_tx[None] * u1
+        drift += b_tx[None] * u[1]
     if c_tx is not None:
-        drift += c_tx[None] * u0
+        drift += c_tx[None] * u[0]
     if smp.f is not None:
         drift = drift + smp.f
     for l, vl in enumerate(smp.v):
         if sig[l] != 0.0:
             drift = drift + sig[l] * vl
-    defect = backward_defect(u0, smp.terminal, drift, sol.time_grid.dt, smp.v,
+    defect = backward_defect(u[0], smp.terminal, drift, sol.time_grid.dt, smp.v,
                              smp.increments)
     scale = 1.0 + float(np.abs(smp.terminal).max(initial=0.0))
     worst = float(np.max(np.abs(defect)) / scale)
@@ -1023,7 +1026,11 @@ def _picard(coeffs: CoefficientSet, config: SolverConfig, beta: float, provenanc
     for it in range(1, config.max_iter + 1):
         F = source(w)
         new = integrator.solve(F, orders)
-        diffs.append(float(np.max(np.abs((new[0] - w[0])[:, mask]))))
+        change = new[0] - w[0]
+        np.abs(change, out=change)
+        diffs.append(float(np.max(change[:, mask])))
+        peak_inside = diffs[-1] == change.max()
+        del change  # held through the next solve, it would raise the peak memory
         w = new
         entry = {"iteration": it, "sup_change": diffs[-1],
                  "rel_change": stop(w, damp_t, mask, diffs[-1])}
@@ -1041,9 +1048,11 @@ def _picard(coeffs: CoefficientSet, config: SolverConfig, beta: float, provenanc
             "beta": beta, "contraction_factor": factor, "contraction_history": ratios}
     worst = max(ratios, default=np.nan)
     if worst >= 1.0 or not converged:
+        # the belt outside the trusted region is spoilt by the truncated box
+        peak = "inside" if peak_inside else "in the belt outside"
         info["advisory"] = (f"{'converged' if converged else 'iteration cap reached'} with "
-                            f"contraction factors up to {worst:.3g} at beta={beta}; "
-                            "raise beta (doubling is a reasonable schedule)")
+                            f"contraction factors up to {worst:.3g} at beta={beta}; the "
+                            f"last change is largest {peak} the trusted region")
     if not converged and len(diffs) >= 3 and diffs[-1] > diffs[-3]:
         raise AssumptionViolation(info["advisory"])
     missing = tuple(o for o in range(3) if o not in orders)
@@ -1135,8 +1144,8 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     bump = BumpField(center=z, radius=theta)
     eta, eta1, eta2 = bump(x), bump.d1(x), bump.d2(x)
 
-    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, None)
-    (u0, u1, u2), v0 = smp.u, smp.v
+    smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, None, (0, 1, 2))
+    (u0, u1, u2), v0 = (smp.u[o] for o in range(3)), smp.v
     sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
     a_tx, b_tx, c_tx = smp.abc  # (K+1, J)

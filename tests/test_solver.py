@@ -768,7 +768,8 @@ class TestVariableLinear:
         sol = solve_variable_linear(co, config(max_iter=2))
         assert not sol.info["converged"]
         assert "contraction_history" in sol.info
-        assert "beta" in sol.info["advisory"]
+        assert "beta=0.0; the last change is largest" in sol.info["advisory"]
+        assert sol.info["advisory"].endswith("the trusted region")
 
     def test_rejects_stochastic_data(self):
         co = CoefficientSet(
@@ -777,6 +778,21 @@ class TestVariableLinear:
         )
         with pytest.raises(InvalidRoute):
             solve_variable_linear(co, config())
+
+
+@pytest.mark.parametrize(
+    "sid", ["heat_smoke", "heat_quadratic", "sin_decay", "abs_kink", "constant_source"])
+def test_picard_route_agrees_with_the_representation_route(sid):
+    # space-invariant a with no b and no c: solve takes the representation
+    # route, and the frozen-reference Picard route must give the same field
+    spec = get_scenario(sid)
+    coeffs, cfg = spec.build_coeffs(), spec.config()
+    picard, model = solve_variable_linear(coeffs, cfg), solve(coeffs, None, cfg)
+    assert model.provenance == "representation"
+    assert np.array_equal(picard.trusted, model.trusted)
+    for o in range(3):
+        diff = picard.u_dense(o) - model.u_dense(o)
+        assert np.abs(diff[..., model.trusted]).max() <= 1e-12, o
 
 
 class TestSemilinear:
@@ -1150,7 +1166,9 @@ class TestLocalizedSourceSkipsAbsentTerms:
 
 
 class TestOneSample:
-    def test_certificates_read_u_once_per_order(self, sine_solution, monkeypatch):
+    @pytest.fixture
+    def read_orders(self, monkeypatch):
+        """The orders of every u_dense call, in call order."""
         orders = []
         dense = SolutionField.u_dense
 
@@ -1159,11 +1177,23 @@ class TestOneSample:
             return dense(self, order, path_idx)
 
         monkeypatch.setattr(SolutionField, "u_dense", spy)
+        return orders
+
+    def test_certificates_read_u_once_per_order(self, sine_solution, read_orders):
+        # with neither b nor a driver, the defect does not read Du
         integral_form_defect(sine_solution, sine_problem())
-        assert sorted(orders) == [0, 1, 2]
-        orders.clear()
+        assert sorted(read_orders) == [0, 2]
+        read_orders.clear()
         localize(sine_solution, sine_problem(), z=0.0, theta=2.0)
-        assert sorted(orders) == [0, 1, 2]
+        assert sorted(read_orders) == [0, 1, 2]
+
+    @pytest.mark.parametrize("kw", [
+        {"b_fn": lambda t, x: 0.5},
+        {"driver": lambda t, x, q, u, v: -u, "lipschitz": 1.0},
+    ], ids=["drift", "driver"])
+    def test_defect_reads_du_for_a_drift_or_a_driver(self, sine_solution, read_orders, kw):
+        integral_form_defect(sine_solution, sine_problem(**kw))
+        assert sorted(read_orders) == [0, 1, 2]
 
     def test_forcing_profiles_take_arrays_of_tau(self):
         tg, grid = TimeGrid(1.0, 10), SpaceGrid(1, 7.0, 65)

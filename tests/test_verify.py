@@ -11,7 +11,6 @@ import pytest
 
 import bspdelab
 from bspdelab import scenarios, solver, verify
-from bspdelab.cli import apply_overrides
 from bspdelab.errors import InvalidArgument
 from bspdelab.grid import SpaceGrid, TimeGrid, space_quadrature_weights
 from bspdelab.holder import FieldSample, estimate_norm
@@ -143,7 +142,7 @@ class TestOracleCheck:
         # a num_paths override gives a deterministic solve more paths than a
         # dense evaluation may cover; the oracle check and the h-study read
         # path 0 only, so the run still passes
-        spec = apply_overrides(get_scenario(sid), {"num_paths": 1025})
+        spec = dataclasses.replace(get_scenario(sid), num_paths=1025)
         bundle, _ = run_scenario(spec)
         assert f"{check}.{sid}" in {v.check_id for v in bundle.verdicts}
         assert bundle.all_passed
@@ -426,7 +425,7 @@ class TestRunScenario:
 
     def test_study_runs_on_the_overridden_spec(self):
         base = get_scenario("beta_sweep")
-        spec = apply_overrides(base, {"num_steps": 20, "points_per_axis": 65})
+        spec = dataclasses.replace(base, num_steps=20, points_per_axis=65)
         bundle, artifacts = run_scenario(spec)
         rows = artifacts["contraction_vs_beta"]
         assert rows == run_convergence_study(spec, "beta").details["rows"]
@@ -456,8 +455,8 @@ class TestRunScenario:
             return spec_solve(spec, *args, **kwargs)
 
         monkeypatch.setattr(scenarios.ScenarioSpec, "solve", spy)
-        spec = apply_overrides(get_scenario("beta_sweep"),
-                               {"num_steps": 20, "points_per_axis": 65})
+        spec = dataclasses.replace(get_scenario("beta_sweep"),
+                                   num_steps=20, points_per_axis=65)
         run_convergence_study(spec, "beta")
         assert betas == [0.0, 5.0, 20.0]
 
