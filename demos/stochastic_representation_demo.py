@@ -34,7 +34,7 @@ def main():
     term = coeffs.terminal.terminal_values(p, x)
     reg = solve_bsde_regression(term, coeffs.sigma, p)
     closed = solve_bsde_closed(coeffs.terminal, coeffs.sigma, p)
-    err = np.sqrt(np.mean((reg.phi - closed.phi_dense(x)) ** 2))
+    err = np.sqrt(np.mean((reg.phi - closed.phi_dense(x, grid.horizon)) ** 2))
     print(f"regression vs closed conditional expectation: rms {err:.3e} "
           f"(shrinks like one over root of the ensemble size)")
 

@@ -195,11 +195,7 @@ def estimate_fractional_seminorm(field: FieldSample, m: int, alpha: float) -> fl
     chunk = max(1, 10_000_000 // max(1, vals[:, :, 0].size))
     for start in range(0, len(i), chunk):
         ii, jj = i[start:start + chunk], j[start:start + chunk]
-        sq = (vals[:, :, ii] - vals[:, :, jj]) ** 2
-        if field.family == "S2":
-            norms = np.sqrt(sq.max(axis=1).mean(axis=0))
-        else:  # Linf
-            norms = np.sqrt(sq.max(axis=(0, 1)))
+        norms = _family_norms_per_x(field, vals[:, :, ii] - vals[:, :, jj])
         best = max(best, float(np.max(norms / dist[start:start + chunk])))
     return best
 

@@ -23,8 +23,9 @@ block by block inside that call.  Each source row is transformed once, and
 each (t, s) pair costs one inverse FFT; the sum over pairs is bit for bit
 the per-pair FFT convolution summed in pair order.  When the kernel width
 drops below the lattice resolution the quadrature is replaced by the
-two-term expansion R_t^s F = F + A F'' + O(A^2), which is what keeps the
-short-time end of the time integrals honest.
+moment expansion R_t^s F = F + A F'' + (A^2 / 2) F'''' + O(A^3), which is
+what keeps the short-time end of the time integrals honest; its F'''' is why
+each space factor's stack is differenced out to the sixth derivative.
 
 Only n = 1 is wired here; the kernel module itself handles general n.
 """
@@ -55,7 +56,6 @@ from .stochastic import (
     backward_defect,
     product_dense,
     solve_bsde_closed,
-    solve_second_family,
 )
 
 _D1 = MultiIndex((1,))
@@ -878,24 +878,26 @@ def solve_model(coeffs: CoefficientSet, paths: PathEnsemble,
     sigma = coeffs.sigma
     profiles = {}
 
-    def part(term, tau_fn):
-        """The term's series on profiles built once per (space factor, tau_fn):
+    def part(space, series, tau_fn):
+        """The series on profiles built once per (space factor, tau_fn):
         terminal profiles for tau_fn None, forcing profiles otherwise."""
-        key = (id(term.space), id(tau_fn))
+        key = (id(space), id(tau_fn))
         if key not in profiles:
-            stack = _space_factor_stack(term.space, grid)
+            stack = _space_factor_stack(space, grid)
             profiles[key] = (_terminal_profiles(kernel, tgrid, stack, grid) if tau_fn is None
                              else _forcing_profiles(kernel, tgrid, stack, tau_fn, grid))
-        return FieldPart(profiles[key], term.series)
+        return FieldPart(profiles[key], series)
 
+    # terminal data reads the family at tau = T; forcing integrates it over tau
     bsde = solve_bsde_closed(coeffs.terminal, sigma, paths)
-    u_parts = [part(t, None) for t in bsde.phi_terms]
-    v_parts = [[part(t, None) for t in bsde.psi_terms[l]] for l in range(d)]
+    T = bsde.time_grid.horizon
+    u_parts = [part(t.space, t.series_at(T), None) for t in bsde.phi_terms]
+    v_parts = [[part(t.space, t.series_at(T), None) for t in g] for g in bsde.psi_terms]
     if coeffs.forcing is not None:
-        second = solve_second_family(coeffs.forcing, sigma, paths)
-        u_parts += [part(t, t.tau_fn) for t in second.y_terms]
+        family = solve_bsde_closed(coeffs.forcing, sigma, paths)
+        u_parts += [part(t.space, t.series, t.tau_fn) for t in family.phi_terms]
         for l in range(d):
-            v_parts[l] += [part(t, t.tau_fn) for t in second.g_terms[l]]
+            v_parts[l] += [part(t.space, t.series, t.tau_fn) for t in family.psi_terms[l]]
 
     sol = SolutionField(
         space_grid=grid, time_grid=tgrid, u_parts=u_parts, v_parts=v_parts,

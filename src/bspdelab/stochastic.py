@@ -28,13 +28,14 @@ measure: the time-shift study the first 64 paths, the a priori study at
 most 128.  Least-squares regression reads every row and draws the whole
 ensemble once.
 
-One closed-form family, `solve_second_family`, solves the linear BSDE with
-terminal data f(tau, x) at every terminal time tau at once; forcing reads it
-at every tau, and terminal data Phi reads it at tau = T (`solve_bsde_closed`).
-Closed forms assume a constant deterministic vector sigma; anything richer
-raises UnsupportedClosedForm.  Least-squares regression
-(`solve_bsde_regression`) is no fallback: it recovers the same solutions from
-samples alone, as an independent cross-check of the closed forms.
+One closed-form solver, `solve_bsde_closed`, solves the linear BSDE with
+terminal data f(tau, x) at every terminal time tau at once and returns the
+family; ``phi_dense(x, tau)`` and ``psi_dense(l, x, tau)`` read it at any tau.
+Forcing reads it at every tau, and terminal data Phi at tau = T.  Closed
+forms assume a constant deterministic vector sigma; anything richer raises
+UnsupportedClosedForm.  Least-squares regression (`solve_bsde_regression`)
+is no fallback: it recovers the same solutions from samples alone, as an
+independent cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -320,36 +321,6 @@ class DataFunctional:
 # -- BSDE solutions in product form ---------------------------------------
 
 @dataclass
-class TermSeries:
-    """One separable piece: space factor times a path-time series."""
-
-    space: SpaceFactor
-    series: object  # a PathSeries (M, K+1), or one (1, K+1) row shared by every path
-
-
-@dataclass
-class BsdeSolution:
-    """Solution (phi, psi) for one terminal time as sums of product terms;
-    `SecondFamilySolution.at` reads it off the family."""
-
-    phi_terms: list  # of TermSeries
-    psi_terms: list  # psi_terms[l] is a list of TermSeries
-    time_grid: TimeGrid
-    num_paths: int
-
-    def _dense(self, terms, x) -> np.ndarray:
-        x = np.atleast_1d(x)
-        return product_dense([(t.series, t.space(x)) for t in terms],
-                             (self.num_paths, len(self.time_grid), len(x)))
-
-    def phi_dense(self, x) -> np.ndarray:
-        return self._dense(self.phi_terms, x)
-
-    def psi_dense(self, l: int, x) -> np.ndarray:
-        return self._dense(self.psi_terms[l], x)
-
-
-@dataclass
 class TauSeries:
     """Separable family piece: h(x) * A(t, path) * B(tau)."""
 
@@ -357,27 +328,34 @@ class TauSeries:
     series: object  # a PathSeries (M, K+1) in t, or one (1, K+1) row shared by every path
     tau_fn: Callable  # smooth B: an array of tau -> B(tau), the same shape
 
+    def series_at(self, tau: float):
+        """A(t, path) * B(tau): the piece's series at terminal time tau."""
+        b = self.tau_fn(tau)
+        return self.series.scaled(b) if isinstance(self.series, PathSeries) else self.series * b
+
 
 @dataclass
-class SecondFamilySolution:
-    """Family (Y(.;tau), g(.;tau)) for all terminal times tau at once; at
-    tau = T it is the solution for terminal data."""
+class BsdeSolution:
+    """Family (Y(.;tau), g(.;tau)) for every terminal time tau at once, as
+    sums of TauSeries; at tau = T it is the solution for terminal data."""
 
-    y_terms: list  # of TauSeries
-    g_terms: list  # g_terms[l] is a list of TauSeries
+    phi_terms: list  # of TauSeries
+    psi_terms: list  # psi_terms[l] is a list of TauSeries
     time_grid: TimeGrid
     num_paths: int
 
-    def at(self, tau: float) -> BsdeSolution:
-        """The member with terminal time tau, its B(tau) folded into A."""
-        def scaled(series, b):
-            return series.scaled(b) if isinstance(series, PathSeries) else series * b
+    def _dense(self, terms, x, tau) -> np.ndarray:
+        x = np.atleast_1d(x)
+        return product_dense([(t.series_at(tau), t.space(x)) for t in terms],
+                             (self.num_paths, len(self.time_grid), len(x)))
 
-        def read(terms):
-            return [TermSeries(t.space, scaled(t.series, t.tau_fn(tau))) for t in terms]
-        return BsdeSolution(phi_terms=read(self.y_terms),
-                            psi_terms=[read(g) for g in self.g_terms],
-                            time_grid=self.time_grid, num_paths=self.num_paths)
+    def phi_dense(self, x, tau: float) -> np.ndarray:
+        """Y(t; tau) per path at every grid time, (M, K+1, len(x))."""
+        return self._dense(self.phi_terms, x, tau)
+
+    def psi_dense(self, l: int, x, tau: float) -> np.ndarray:
+        """g_l(t; tau) per path at every grid time, (M, K+1, len(x))."""
+        return self._dense(self.psi_terms[l], x, tau)
 
 
 def _check_sigma(sigma, d: int) -> np.ndarray:
@@ -392,32 +370,25 @@ def _check_sigma(sigma, d: int) -> np.ndarray:
 
 
 def solve_bsde_closed(data: DataFunctional, sigma, paths: PathEnsemble) -> BsdeSolution:
-    """Closed-form (phi, psi) for library terminal data under constant sigma:
-    the family of `solve_second_family` read at tau = T."""
-    return solve_second_family(data, sigma, paths).at(paths.time_grid.horizon)
-
-
-def solve_second_family(data: DataFunctional, sigma, paths: PathEnsemble) -> SecondFamilySolution:
     """Closed-form family (Y(.;tau), g(.;tau)) with terminal data f(tau, x)
     at every terminal time tau, for data built from library path factors.
 
     Each separable term contributes independently (the equation is linear).
     The tau-dependence of every library factor is polynomial or exponential,
     so Y(t; tau) = sum_p h(x) A_p(t, path) B_p(tau) with smooth B_p; the
-    solver folds tau into deterministic time integrals, and `at(T)` is the
-    solution for terminal data.  Constant and W^l terms are exact at the
-    discrete level; (W^l)^2 and exponential-martingale terms carry an
-    O(sqrt(dt)) pathwise discretization residual.
+    solver folds tau into deterministic time integrals, and the member at
+    tau = T is the solution for terminal data.  Constant and W^l terms are
+    exact at the discrete level; (W^l)^2 and exponential-martingale terms
+    carry an O(sqrt(dt)) pathwise discretization residual.
     """
     d = paths.dim
     sig = _check_sigma(sigma, d)
-    grid = paths.time_grid
-    y_terms = []
-    g_terms = [[] for _ in range(d)]
+    phi_terms = []
+    psi_terms = [[] for _ in range(d)]
     for h, p in data.terms:
-        _add_family_pieces(h, p, sig, paths, y_terms, g_terms)
-    return SecondFamilySolution(y_terms=y_terms, g_terms=g_terms,
-                                time_grid=grid, num_paths=paths.num_paths)
+        _add_family_pieces(h, p, sig, paths, phi_terms, psi_terms)
+    return BsdeSolution(phi_terms=phi_terms, psi_terms=psi_terms,
+                        time_grid=paths.time_grid, num_paths=paths.num_paths)
 
 
 def _one_fn(tau):
@@ -426,7 +397,7 @@ def _one_fn(tau):
 
 
 def _add_family_pieces(h: SpaceFactor, p: PathFactor, sig: np.ndarray,
-                       paths: PathEnsemble, y_terms: list, g_terms: list):
+                       paths: PathEnsemble, phi_terms: list, psi_terms: list):
     """The family pieces of one separable term h(x) p(path); the
     path-dependent ones are PathSeries, the rest one shared row."""
     nodes = paths.time_grid.nodes
@@ -435,24 +406,24 @@ def _add_family_pieces(h: SpaceFactor, p: PathFactor, sig: np.ndarray,
     # W_t + sigma_l (tau - t) = X_t + sigma_l tau
     X = lambda W: W[:, :, l] - sig[l] * nodes[None, :]
     if p.kind == CONST:
-        y_terms.append(TauSeries(h, ones.copy(), _one_fn))
+        phi_terms.append(TauSeries(h, ones.copy(), _one_fn))
     elif p.kind == BM:
-        y_terms.append(TauSeries(h, PathSeries(paths, X), _one_fn))
+        phi_terms.append(TauSeries(h, PathSeries(paths, X), _one_fn))
         if sig[l] != 0.0:
-            y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
-        g_terms[l].append(TauSeries(h, ones.copy(), _one_fn))
+            phi_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
+        psi_terms[l].append(TauSeries(h, ones.copy(), _one_fn))
     elif p.kind == BM_SQUARED:
         # (X + sigma tau)^2 + tau - t, expanded in powers of tau
-        y_terms.append(TauSeries(h, PathSeries(paths, lambda W: X(W)**2 - nodes[None, :]),
-                                 _one_fn))
-        y_terms.append(TauSeries(h, PathSeries(paths, lambda W: 2.0 * sig[l] * X(W) + ones),
-                                 lambda tau: tau))
-        g_terms[l].append(TauSeries(h, PathSeries(paths, lambda W: 2.0 * X(W)), _one_fn))
+        phi_terms.append(TauSeries(h, PathSeries(paths, lambda W: X(W)**2 - nodes[None, :]),
+                                   _one_fn))
+        phi_terms.append(TauSeries(h, PathSeries(paths, lambda W: 2.0 * sig[l] * X(W) + ones),
+                                   lambda tau: tau))
+        psi_terms[l].append(TauSeries(h, PathSeries(paths, lambda W: 2.0 * X(W)), _one_fn))
         if sig[l] != 0.0:
             # C pow, as tau**2 on a Python float gives it (an array's ** 2 squares)
-            y_terms.append(TauSeries(h, ones.copy(),
-                                     lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
-            g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
+            phi_terms.append(TauSeries(h, ones.copy(),
+                                       lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
+            psi_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
     else:  # EXP_MART
         th = np.asarray(p.theta, dtype=float)
         if th.shape != (paths.dim,):
@@ -462,10 +433,10 @@ def _add_family_pieces(h: SpaceFactor, p: PathFactor, sig: np.ndarray,
             - float(th @ sig) * nodes[None, :]
         ))
         efn = lambda tau, c=float(th @ sig): np.exp(c * tau)
-        y_terms.append(TauSeries(h, base, efn))
+        phi_terms.append(TauSeries(h, base, efn))
         for k in range(len(th)):
             if th[k] != 0.0:
-                g_terms[k].append(TauSeries(h, base.scaled(th[k]), efn))
+                psi_terms[k].append(TauSeries(h, base.scaled(th[k]), efn))
 
 
 # -- regression cross-check ------------------------------------------------

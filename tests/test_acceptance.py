@@ -258,7 +258,7 @@ def test_criterion_12_regression_cross_validation():
         term = df.terminal_values(paths, x)
         reg = solve_bsde_regression(term, [0.0], paths)
         closed = solve_bsde_closed(df, [0.0], paths)
-        phi_exact = closed.phi_dense(x)
+        phi_exact = closed.phi_dense(x, paths.time_grid.horizon)
         for k in (5, 25, 45):
             # sampling scale of the fitted conditional expectation: the
             # martingale residual times sqrt(basis / ensemble size)

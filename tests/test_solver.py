@@ -28,7 +28,7 @@ from bspdelab.stochastic import (
     SpaceFactor,
     backward_defect,
     sample_paths,
-    solve_second_family,
+    solve_bsde_closed,
 )
 from bspdelab.solver import (
     BumpField,
@@ -1199,7 +1199,7 @@ class TestOneSample:
         tg, grid = TimeGrid(1.0, 10), SpaceGrid(1, 7.0, 65)
         data = DataFunctional(terms=tuple((SpaceFactor.sine(), PathFactor(kind, 0, (0.5,)))
                                           for kind in (BM, BM_SQUARED, EXP_MART)))
-        family = solve_second_family(data, (0.3,), sample_paths(4, 1, tg, seed=3))
+        family = solve_bsde_closed(data, (0.3,), sample_paths(4, 1, tg, seed=3))
         s, c = 0.3, 0.5 * 0.3
         # B(tau) of each piece as a call per scalar tau: BM, then BM^2, then EXP_MART
         one = lambda tau: 1.0
@@ -1209,7 +1209,7 @@ class TestOneSample:
         kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), horizon=1.0)
         stack = _space_factor_stack(SpaceFactor.sine(), grid)
         taus = np.random.default_rng(2).uniform(0.0, 5.0, 10_000)
-        for pieces, refs in zip((family.y_terms, family.g_terms[0]), reference, strict=True):
+        for pieces, refs in zip((family.phi_terms, family.psi_terms[0]), reference, strict=True):
             assert len(pieces) == len(refs)
             for piece, ref in zip(pieces, refs):
                 assert np.array_equal(piece.tau_fn(taus), np.vectorize(ref)(taus))

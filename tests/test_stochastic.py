@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +28,12 @@ from bspdelab.stochastic import (
     series_rows,
     solve_bsde_closed,
     solve_bsde_regression,
-    solve_second_family,
 )
 from bspdelab.verify import run_scenario
 
 GRID = TimeGrid(1.0, 50)
+T = GRID.horizon
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +211,8 @@ class TestClosedForms:
         data = DataFunctional.deterministic(SpaceFactor.sine())
         sol = solve_bsde_closed(data, [0.0], paths)
         x = np.array([0.3])
-        assert np.allclose(sol.phi_dense(x), np.sin(0.3))
-        assert np.allclose(sol.psi_dense(0, x), 0.0)
+        assert np.allclose(sol.phi_dense(x, T), np.sin(0.3))
+        assert np.allclose(sol.psi_dense(0, x, T), 0.0)
         assert closed_form_residual(sol, data, [0.0], paths)[0] < 1e-12
 
     def test_sin_times_wt(self, paths):
@@ -216,8 +220,8 @@ class TestClosedForms:
         sol = solve_bsde_closed(data, [0.0], paths)
         x = np.array([0.5, 1.2])
         W = paths.paths[:, :, 0]
-        assert np.allclose(sol.phi_dense(x), W[:, :, None] * np.sin(x)[None, None, :])
-        assert np.allclose(sol.psi_dense(0, x), np.sin(x)[None, None, :] * np.ones_like(W)[:, :, None])
+        assert np.allclose(sol.phi_dense(x, T), W[:, :, None] * np.sin(x)[None, None, :])
+        assert np.allclose(sol.psi_dense(0, x, T), np.sin(x)[None, None, :] * np.ones_like(W)[:, :, None])
         assert closed_form_residual(sol, data, [0.0], paths)[0] < 1e-12
 
     def test_drifted_bm(self, paths):
@@ -227,7 +231,7 @@ class TestClosedForms:
         sol = solve_bsde_closed(data, [s0], paths)
         x = np.array([0.0])
         expect = paths.paths[:, :, 0] + s0 * (GRID.horizon - GRID.nodes)[None, :]
-        assert np.allclose(sol.phi_dense(x)[:, :, 0], expect)
+        assert np.allclose(sol.phi_dense(x, T)[:, :, 0], expect)
         assert closed_form_residual(sol, data, [s0], paths)[0] < 1e-12
 
     def test_bm_squared_ito(self, paths):
@@ -236,8 +240,8 @@ class TestClosedForms:
         x = np.array([0.0])
         W = paths.paths[:, :, 0]
         rem = GRID.horizon - GRID.nodes
-        assert np.allclose(sol.phi_dense(x)[:, :, 0], W**2 + rem[None, :])
-        assert np.allclose(sol.psi_dense(0, x)[:, :, 0], 2.0 * W)
+        assert np.allclose(sol.phi_dense(x, T)[:, :, 0], W**2 + rem[None, :])
+        assert np.allclose(sol.psi_dense(0, x, T)[:, :, 0], 2.0 * W)
         # quadratic-variation residual is O(sqrt(dt)), not zero
         assert closed_form_residual(sol, data, [0.0], paths)[0] < 5.0 / np.sqrt(GRID.num_steps)
 
@@ -249,8 +253,8 @@ class TestClosedForms:
         sol = solve_bsde_closed(data, [0.0], paths)
         W = paths.paths[:, :, 0]
         expect = np.exp(th * W - 0.5 * th**2 * GRID.nodes[None, :])
-        assert np.allclose(sol.phi_dense([0.0])[:, :, 0], expect)
-        psi = sol.psi_dense(0, [0.0])[:, :, 0]
+        assert np.allclose(sol.phi_dense([0.0], T)[:, :, 0], expect)
+        psi = sol.psi_dense(0, [0.0], T)[:, :, 0]
         assert np.allclose(psi, th * expect)
 
     def test_zero_terminal(self, paths):
@@ -266,7 +270,7 @@ class TestClosedForms:
         s1 = solve_bsde_closed(d1, [0.0], paths)
         s2 = solve_bsde_closed(d2, [0.0], paths)
         s12 = solve_bsde_closed(both, [0.0], paths)
-        assert np.allclose(s12.phi_dense(x), s1.phi_dense(x) + s2.phi_dense(x))
+        assert np.allclose(s12.phi_dense(x, T), s1.phi_dense(x, T) + s2.phi_dense(x, T))
 
     def test_time_varying_sigma_rejected(self, paths):
         data = DataFunctional.deterministic(SpaceFactor.sine())
@@ -282,49 +286,49 @@ class TestClosedForms:
         )
         sol = solve_bsde_closed(data, [0.3], paths)
         x = np.array([-0.5, 0.1, 2.0])
-        assert np.allclose(sol.phi_dense(x)[:, -1, :], data.terminal_values(paths, x))
+        assert np.allclose(sol.phi_dense(x, T)[:, -1, :], data.terminal_values(paths, x))
 
 
 class TestSecondFamily:
     def test_deterministic_forcing(self, paths):
         data = DataFunctional.deterministic(SpaceFactor.sine())
-        fam = solve_second_family(data, [0.0], paths)
+        fam = solve_bsde_closed(data, [0.0], paths)
         x = np.array([0.2])
         for tau in (0.3, 0.8):
-            y = fam.at(tau).phi_dense(x)
+            y = fam.phi_dense(x, tau)
             assert np.allclose(y, np.sin(0.2))
-            assert np.allclose(fam.at(tau).psi_dense(0, x), 0.0)
+            assert np.allclose(fam.psi_dense(0, x, tau), 0.0)
 
     def test_bm_forcing_terminal_identity(self, paths):
         data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),))
-        fam = solve_second_family(data, [0.0], paths)
+        fam = solve_bsde_closed(data, [0.0], paths)
         x = np.array([0.4])
         W = paths.paths[:, :, 0]
         for k in (10, 25, 49):
             tau = GRID.nodes[k]
-            y = fam.at(tau).phi_dense(x)
+            y = fam.phi_dense(x, tau)
             # Y(t; tau) = sin(x) W_t for t <= tau; at t = tau equals f(tau, x)
             assert np.allclose(y[:, k, 0], np.sin(0.4) * W[:, k])
             assert np.allclose(y[:, : k + 1, 0], np.sin(0.4) * W[:, : k + 1])
-            g = fam.at(tau).psi_dense(0, x)
+            g = fam.psi_dense(0, x, tau)
             assert np.allclose(g[:, : k + 1, 0], np.sin(0.4))
 
     def test_drifted_bm_forcing(self, paths):
         s0 = 0.6
         data = DataFunctional(terms=((SpaceFactor.constant(1.0), PathFactor(BM)),))
-        fam = solve_second_family(data, [s0], paths)
+        fam = solve_bsde_closed(data, [s0], paths)
         W = paths.paths[:, :, 0]
         tau = GRID.nodes[30]
-        y = fam.at(tau).phi_dense([0.0])[:, :, 0]
+        y = fam.phi_dense([0.0], tau)[:, :, 0]
         expect = W + s0 * (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :31], expect[:, :31])
 
     def test_bm_squared_forcing(self, paths):
         data = DataFunctional(terms=((SpaceFactor.constant(1.0), PathFactor(BM_SQUARED)),))
-        fam = solve_second_family(data, [0.0], paths)
+        fam = solve_bsde_closed(data, [0.0], paths)
         W = paths.paths[:, :, 0]
         tau = GRID.nodes[20]
-        y = fam.at(tau).phi_dense([0.0])[:, :, 0]
+        y = fam.phi_dense([0.0], tau)[:, :, 0]
         expect = W**2 + (tau - GRID.nodes)[None, :]
         assert np.allclose(y[:, :21], expect[:, :21])
 
@@ -338,16 +342,15 @@ class TestSecondFamily:
             (SpaceFactor.constant(1.0), PathFactor(BM)),
             (SpaceFactor.poly([0.5, 1.0]), PathFactor(BM_SQUARED)),
         ))
-        fam = solve_second_family(data, [0.4], paths)
-        pieces = fam.y_terms + fam.g_terms[0]
+        fam = solve_bsde_closed(data, [0.4], paths)
+        pieces = fam.phi_terms + fam.psi_terms[0]
         rows = [len(series_rows(p.series, None)) for p in pieces]
         # constant: y; sigma-only: BM's y and g, BM^2's y and g
         assert rows.count(1) == 5 and rows.count(M) == len(pieces) - 5
         x = np.linspace(-2.0, 2.0, 9)
         for tau in (0.3, 1.0):
-            member = fam.at(tau)
-            for terms in (member.phi_terms, member.psi_terms[0]):
-                one = [(t.series, t.space(x)) for t in terms]
+            for terms in (fam.phi_terms, fam.psi_terms[0]):
+                one = [(t.series_at(tau), t.space(x)) for t in terms]
                 full = [(np.broadcast_to(series_rows(s, None), (M, K1)).copy(), h)
                         for s, h in one]
                 for idx in (None, [5, 0, 63]):
@@ -380,9 +383,9 @@ class TestOneFamily:
         data = DataFunctional(terms=tuple(FAMILY_TERMS[k] for k in kinds))
         sol = solve_bsde_closed(data, SIGMA_2D, paths2)
         phi_ref, psi_ref = first_family_reference(data, SIGMA_2D, paths2, self.X)
-        assert np.abs(sol.phi_dense(self.X) - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        assert np.abs(sol.phi_dense(self.X, T) - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
         for l in range(2):
-            err = np.abs(sol.psi_dense(l, self.X) - psi_ref[l]).max()
+            err = np.abs(sol.psi_dense(l, self.X, T) - psi_ref[l]).max()
             assert err <= 1e-12 * np.abs(psi_ref[l]).max()
 
     @pytest.mark.parametrize("kind", ["const", "bm", "exp_mart"])
@@ -392,19 +395,23 @@ class TestOneFamily:
         sol = solve_bsde_closed(data, (0.0, 0.0), paths2)
         phi_ref, psi_ref = first_family_reference(data, (0.0, 0.0), paths2, self.X)
         assert len(sol.phi_terms) == 1
-        assert np.array_equal(sol.phi_dense(self.X), phi_ref)
+        assert np.array_equal(sol.phi_dense(self.X, T), phi_ref)
         for l in range(2):
-            assert np.array_equal(sol.psi_dense(l, self.X), psi_ref[l])
+            assert np.array_equal(sol.psi_dense(l, self.X, T), psi_ref[l])
 
-    def test_at_reads_every_terminal_time(self, paths2):
+    def test_dense_reads_every_terminal_time(self, paths2):
         data = DataFunctional(terms=tuple(FAMILY_TERMS.values()))
-        fam = solve_second_family(data, SIGMA_2D, paths2)
-        sol = fam.at(0.4)
-        assert sol.time_grid is GRID and sol.num_paths == paths2.num_paths
-        assert len(sol.phi_terms) == len(fam.y_terms)
-        for t, piece in zip(sol.phi_terms, fam.y_terms):
-            assert np.array_equal(series_rows(t.series, None),
-                                  series_rows(piece.series, None) * piece.tau_fn(0.4))
+        fam = solve_bsde_closed(data, SIGMA_2D, paths2)
+        assert fam.time_grid is GRID and fam.num_paths == paths2.num_paths
+        shape = (paths2.num_paths, len(GRID), len(self.X))
+
+        def ref(terms, tau):
+            return product_dense([(series_rows(t.series, None) * t.tau_fn(tau), t.space(self.X))
+                                  for t in terms], shape)
+        for tau in (0.4, T):
+            assert np.array_equal(fam.phi_dense(self.X, tau), ref(fam.phi_terms, tau))
+            for l in range(2):
+                assert np.array_equal(fam.psi_dense(l, self.X, tau), ref(fam.psi_terms[l], tau))
 
 
 def eager_second_family(data, sigma, paths):
@@ -416,37 +423,37 @@ def eager_second_family(data, sigma, paths):
     W = paths.paths
     ones = np.ones((1, len(grid)))
     one_fn = lambda tau: np.ones_like(tau, dtype=float)
-    y_terms, g_terms = [], [[] for _ in range(d)]
+    phi_terms, psi_terms = [], [[] for _ in range(d)]
     for h, p in data.terms:
         if p.kind == CONST:
-            y_terms.append(TauSeries(h, ones.copy(), one_fn))
+            phi_terms.append(TauSeries(h, ones.copy(), one_fn))
         elif p.kind == BM:
             l = p.component
             X = W[:, :, l] - sig[l] * grid.nodes[None, :]
-            y_terms.append(TauSeries(h, X, one_fn))
+            phi_terms.append(TauSeries(h, X, one_fn))
             if sig[l] != 0.0:
-                y_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
-            g_terms[l].append(TauSeries(h, ones.copy(), one_fn))
+                phi_terms.append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: s * tau))
+            psi_terms[l].append(TauSeries(h, ones.copy(), one_fn))
         elif p.kind == BM_SQUARED:
             l = p.component
             X = W[:, :, l] - sig[l] * grid.nodes[None, :]
-            y_terms.append(TauSeries(h, X**2 - grid.nodes[None, :], one_fn))
-            y_terms.append(TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau))
-            g_terms[l].append(TauSeries(h, 2.0 * X, one_fn))
+            phi_terms.append(TauSeries(h, X**2 - grid.nodes[None, :], one_fn))
+            phi_terms.append(TauSeries(h, 2.0 * sig[l] * X + ones, lambda tau: tau))
+            psi_terms[l].append(TauSeries(h, 2.0 * X, one_fn))
             if sig[l] != 0.0:
-                y_terms.append(TauSeries(h, ones.copy(),
-                                         lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
-                g_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
+                phi_terms.append(TauSeries(h, ones.copy(),
+                                           lambda tau, s=sig[l]: s**2 * np.float_power(tau, 2)))
+                psi_terms[l].append(TauSeries(h, ones.copy(), lambda tau, s=sig[l]: 2.0 * s * tau))
         else:
             th = np.asarray(p.theta, dtype=float)
             base = np.exp(W @ th - 0.5 * float(th @ th) * grid.nodes[None, :]
                           - float(th @ sig) * grid.nodes[None, :])
             efn = lambda tau, c=float(th @ sig): np.exp(c * tau)
-            y_terms.append(TauSeries(h, base, efn))
+            phi_terms.append(TauSeries(h, base, efn))
             for l in range(d):
                 if th[l] != 0.0:
-                    g_terms[l].append(TauSeries(h, th[l] * base, efn))
-    return y_terms, g_terms
+                    psi_terms[l].append(TauSeries(h, th[l] * base, efn))
+    return phi_terms, psi_terms
 
 
 class TestSeriesReadPerPath:
@@ -472,15 +479,14 @@ class TestSeriesReadPerPath:
         data = DataFunctional(terms=tuple(FAMILY_TERMS[k] for k in kinds))
         sol = solve_bsde_closed(data, SIGMA_2D, paths2)
         y_ref, g_ref = eager_second_family(data, SIGMA_2D, paths2)
-        T = GRID.horizon
         shape = (self.M, len(GRID), len(self.X))
-        fields = [(sol.phi_dense(self.X), sol.phi_terms, y_ref)]
-        fields += [(sol.psi_dense(l, self.X), sol.psi_terms[l], g_ref[l]) for l in range(2)]
+        fields = [(sol.phi_dense(self.X, T), sol.phi_terms, y_ref)]
+        fields += [(sol.psi_dense(l, self.X, T), sol.psi_terms[l], g_ref[l]) for l in range(2)]
         for dense, terms, ref in fields:
             eager = [(t.series * t.tau_fn(T), t.space(self.X)) for t in ref]
             full = product_dense(eager, shape)
             self._same(dense, full)
-            lazy = [(t.series, t.space(self.X)) for t in terms]
+            lazy = [(t.series_at(T), t.space(self.X)) for t in terms]
             for idx in self.PICKS:
                 self._same(product_dense(lazy, shape, idx), full[idx])
 
@@ -505,9 +511,9 @@ class TestSeriesReadPerPath:
         # the parts are the terminal member's pieces, then the forcing family's
         y_t, g_t = eager_second_family(data, SIGMA_2D, paths2)
         y_f, g_f = eager_second_family(forcing, SIGMA_2D, paths2)
-        at_T = [t.series * t.tau_fn(GRID.horizon) for t in y_t]
+        at_T = [t.series * t.tau_fn(T) for t in y_t]
         u_series = at_T + [t.series for t in y_f]
-        v_series = [[t.series * t.tau_fn(GRID.horizon) for t in g_t[l]]
+        v_series = [[t.series * t.tau_fn(T) for t in g_t[l]]
                     + [t.series for t in g_f[l]] for l in range(2)]
         eager = dataclasses.replace(
             sol,
@@ -566,11 +572,10 @@ class TestResidualOracle:
     def test_residual_flags_corruption(self, paths):
         data = DataFunctional(terms=((SpaceFactor.sine(), PathFactor(BM)),))
         sol = solve_bsde_closed(data, [0.0], paths)
-        from bspdelab.stochastic import TermSeries
-
         sol.phi_terms.append(
-            TermSeries(SpaceFactor.constant(1.0),
-                       0.1 * np.ones_like(series_rows(sol.phi_terms[0].series, None)))
+            TauSeries(SpaceFactor.constant(1.0),
+                      0.1 * np.ones_like(series_rows(sol.phi_terms[0].series, None)),
+                      lambda tau: np.ones_like(tau, dtype=float))
         )
         rms, worst = closed_form_residual(sol, data, [0.0], paths)
         assert rms > 0.01
@@ -585,7 +590,7 @@ class TestResidualOracle:
         sol = solve_bsde_closed(data, [0.3], paths)
         x = np.array([-1.0, 0.0, 0.7])
         phi_ref, _ = first_family_reference(data, [0.3], paths, x)
-        assert np.abs(sol.phi_dense(x) - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        assert np.abs(sol.phi_dense(x, T) - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
 
 
 def closed_form_residual(sol, data, sigma, paths, x=(-1.0, 0.0, 0.7)):
@@ -593,10 +598,11 @@ def closed_form_residual(sol, data, sigma, paths, x=(-1.0, 0.0, 0.7)):
     the sample points ``x``, scaled by 1 + max |Phi|."""
     x = np.asarray(x)
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    psi = [sol.psi_dense(l, x) for l in range(paths.dim)]
+    T = paths.time_grid.horizon
+    psi = [sol.psi_dense(l, x, T) for l in range(paths.dim)]
     terminal = data.terminal_values(paths, x)
     drift = np.einsum("l,lmkj->mkj", sig, np.asarray(psi))
-    defect = backward_defect(sol.phi_dense(x), terminal, drift, paths.time_grid.dt,
+    defect = backward_defect(sol.phi_dense(x, T), terminal, drift, paths.time_grid.dt,
                              psi, paths.increments)
     scale = 1.0 + np.abs(terminal).max()
     return (float(np.sqrt(np.mean(defect**2)) / scale),
@@ -640,3 +646,14 @@ def first_family_reference(data, sigma, paths, x):
                     psi[l].append((th[l] * series, hx))
     shape = (paths.num_paths, len(grid), len(x))
     return product_dense(phi, shape), [product_dense(q, shape) for q in psi]
+
+
+class TestDemo:
+    def test_stochastic_representation_demo_runs(self, capsys):
+        # the demo prints the representation route's u and v errors against
+        # the Ito oracle, then regression's distance to the closed form
+        runpy.run_path(str(DEMOS / "stochastic_representation_demo.py"))["main"]()
+        out = capsys.readouterr().out
+        u_err, v_err, reg_err = (float(m) for m in re.findall(r"rms(?: error)? (\S+)", out))
+        assert u_err < 1e-6 and v_err < 1e-6
+        assert reg_err < 0.05

@@ -16,7 +16,7 @@ from bspdelab import cli
 
 MAX_SETTABLE = 34
 MAX_DATACLASS_DEFAULTS = 35
-MAX_DATACLASS_FIELDS = 98
+MAX_DATACLASS_FIELDS = 92
 MAX_OVERRIDE_KEYS = 9
 MAX_CLI_OPTIONS = 5
 

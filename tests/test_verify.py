@@ -17,7 +17,7 @@ from bspdelab.holder import FieldSample, estimate_norm
 from bspdelab.kernel import DiffusionCoefficient, HeatKernel
 from bspdelab.scenarios import get_scenario
 from bspdelab.solver import _masked_grid, shift_steps
-from bspdelab.stochastic import SpaceFactor, TermSeries, series_rows
+from bspdelab.stochastic import SpaceFactor, TauSeries, series_rows
 from bspdelab.verify import (
     Verdict,
     VerdictBundle,
@@ -403,9 +403,10 @@ class TestRunScenario:
         def solve_bsde_closed(data, sigma, paths):
             sol = real(data, sigma, paths)
             if corrupt:
-                sol.phi_terms.append(TermSeries(
+                sol.phi_terms.append(TauSeries(
                     SpaceFactor.constant(1.0),
-                    0.1 * np.ones_like(series_rows(sol.phi_terms[0].series, None))))
+                    0.1 * np.ones_like(series_rows(sol.phi_terms[0].series, None)),
+                    lambda tau: np.ones_like(tau, dtype=float)))
             return sol
 
         monkeypatch.setattr(solver, "solve_bsde_closed", solve_bsde_closed)
@@ -534,12 +535,16 @@ class TestCallsPerSample:
 
     def test_tau_factor_called_once_per_quadrature(self, monkeypatch):
         calls = {}
-        family = solver.solve_second_family
+        closed = solver.solve_bsde_closed
+        spec = get_scenario("constant_source")
+        coeffs = spec.build_coeffs()
 
         def spied(data, sigma, paths):
-            fam = family(data, sigma, paths)
+            fam = closed(data, sigma, paths)
+            if data is not coeffs.forcing:
+                return fam  # the terminal member reads each B once, at T: no quadrature
             spies = {}  # one spy per distinct B, so shared ones stay shared
-            for piece in fam.y_terms + [p for g in fam.g_terms for p in g]:
+            for piece in fam.phi_terms + [p for g in fam.psi_terms for p in g]:
                 fn = piece.tau_fn
                 if id(fn) not in spies:
                     def spy(tau, fn=fn, key=len(spies)):
@@ -549,7 +554,7 @@ class TestCallsPerSample:
                 piece.tau_fn = spies[id(fn)]
             return fam
 
-        monkeypatch.setattr(solver, "solve_second_family", spied)
-        run_scenario(get_scenario("constant_source"))
+        monkeypatch.setattr(solver, "solve_bsde_closed", spied)
+        run_scenario(dataclasses.replace(spec, build_coeffs=lambda: coeffs))
         # the plain and the substituted quadrature of the one forcing piece
         assert calls == {0: 2}
