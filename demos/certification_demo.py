@@ -11,19 +11,20 @@ from bspdelab.verify import (
     run_apriori_study,
     run_kernel_suite,
     run_time_shift_study,
+    table,
 )
 
 
 def main():
     print("kernel probe suite")
-    print(run_kernel_suite().table())
+    print(table(run_kernel_suite()))
 
     print("\nnorm-ratio stability under refinement and data scaling")
     specs = [get_scenario("sin_decay"), get_scenario("heat_quadratic")]
-    print(run_apriori_study(specs).table())
+    print(table(run_apriori_study(specs)))
 
     print("\nsquare-root modulus of time continuity")
-    print(run_time_shift_study([get_scenario("sin_decay")]).table())
+    print(table(run_time_shift_study([get_scenario("sin_decay")])))
 
 
 if __name__ == "__main__":

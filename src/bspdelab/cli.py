@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .errors import InvalidArgument
 from .scenarios import CATALOG, ScenarioSpec, list_scenarios
-from .verify import artifact_files, run_scenario, shift_grid
+from .verify import artifact_files, run_scenario, shift_grid, table, to_json
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -270,13 +270,13 @@ def write_manifest(out_dir: Path, config_path, specs, seed, artifacts, status,
 
 def _run_one(spec, seed, out_dir: Path):
     """Run one scenario and write the files ``artifact_files`` plans."""
-    bundle, artifacts = run_scenario(spec, seed=seed)
+    verdicts, artifacts = run_scenario(spec, seed=seed)
     (out_dir / spec.scenario_id).mkdir(exist_ok=True)
     files = artifact_files(spec)
     for rel in files:
         path = out_dir / rel
         if path.name == "verdicts.json":
-            path.write_text(bundle.to_json())
+            path.write_text(to_json(verdicts))
         elif path.name == "solution.csv":
             artifacts["solution"].to_csv(path)
         elif path.name == "summary.json":
@@ -285,7 +285,7 @@ def _run_one(spec, seed, out_dir: Path):
                 residual["rms"], residual["worst"]) + "\n")
         else:
             _write_rows_csv(path, artifacts[path.stem])
-    return bundle, files
+    return verdicts, files
 
 
 def cmd_run(args) -> int:
@@ -341,10 +341,10 @@ def cmd_run(args) -> int:
             emitted.append(f"{spec.scenario_id}/error.txt")
             print(f"errored: {result} (traceback in {spec.scenario_id}/error.txt)")
             continue
-        bundle, written = result
+        verdicts, written = result
         emitted.extend(written)
-        print(bundle.table())
-        failed = failed or not bundle.all_passed
+        print(table(verdicts))
+        failed = failed or any(v.status == "fail" for v in verdicts)
 
     status = "errored" if errors else "failed" if failed else "completed"
     write_manifest(out_dir, cfg_path, specs, seed, emitted, status, errors)

@@ -836,7 +836,6 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
     reads_du = coeffs.b_fn is not None or coeffs.driver is not None
     smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted,
                   (0, 1, 2) if reads_du else (0, 2))
-    sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
     u, (a_tx, b_tx, c_tx) = smp.u, smp.abc
     drift = a_tx[None] * u[2]
     if b_tx is not None:
@@ -845,12 +844,22 @@ def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
         drift += c_tx[None] * u[0]
     if smp.f is not None:
         drift = drift + smp.f
-    for l, vl in enumerate(smp.v):
+    return _defect_size(u[0], smp.terminal, drift, smp.v, smp.increments,
+                        coeffs.sigma, sol.time_grid.dt, None)
+
+
+def _defect_size(u, terminal, drift, v, increments, sigma, dt: float, columns):
+    """(rms, worst) of ``backward_defect`` with sigma . v added to the drift,
+    on the lattice ``columns`` (None: all), both normalized by 1 + max |Phi|
+    of the whole ``terminal``; the one measure of both certificates."""
+    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
+    for l, vl in enumerate(v):
         if sig[l] != 0.0:
             drift = drift + sig[l] * vl
-    defect = backward_defect(u[0], smp.terminal, drift, sol.time_grid.dt, smp.v,
-                             smp.increments)
-    scale = 1.0 + float(np.abs(smp.terminal).max(initial=0.0))
+    defect = backward_defect(u, terminal, drift, dt, v, increments)
+    if columns is not None:
+        defect = defect[..., columns]
+    scale = 1.0 + float(np.abs(terminal).max(initial=0.0))
     worst = float(np.max(np.abs(defect)) / scale)
     rms = float(np.sqrt(np.mean(np.square(defect, out=defect))) / scale)
     return rms, worst
@@ -1148,7 +1157,6 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
 
     smp = _sample(sol, coeffs, paths, _LOCALIZE_PATHS, None, (0, 1, 2))
     (u0, u1, u2), v0 = (smp.u[o] for o in range(3)), smp.v
-    sig = np.atleast_1d(np.asarray(coeffs.sigma, dtype=float))
 
     a_tx, b_tx, c_tx = smp.abc  # (K+1, J)
     a_tz = coeffs.a_values(sol.time_grid.nodes, z)
@@ -1168,14 +1176,8 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     # frozen-equation residual of (u eta, v eta) with the source f^z_theta
     w2 = u2 * eta + 2.0 * u1 * eta1 + u0 * eta2
     drift = a_tz[None, :, None] * w2 + f_loc
-    for l, vl in enumerate(v_loc):
-        if sig[l] != 0.0:
-            drift = drift + sig[l] * vl
-    defect = backward_defect(u_loc, phi_loc, drift, sol.time_grid.dt, v_loc,
-                             smp.increments)[..., sol.trusted]
-    scale = 1.0 + float(np.abs(phi_loc).max(initial=0.0))
-    rms = float(np.sqrt(np.mean(defect**2)) / scale)
-
+    rms, _ = _defect_size(u_loc, phi_loc, drift, v_loc, smp.increments, coeffs.sigma,
+                          sol.time_grid.dt, sol.trusted)
     return LocalizedProblem(residual_rms=rms, covering=covering_inequality(sol, theta, u0))
 
 

@@ -3,7 +3,8 @@
 Every check produces a Verdict whose ``provenance`` field records where the
 expected value comes from (a closed form, an independent discretization, an
 exact identity).  The schema refuses verdicts without one, so no expectation
-can enter a report untagged.
+can enter a report untagged.  A verdict passes or fails; a run's verdicts are
+a plain list, which ``to_json`` and ``table`` render.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .solver import _degenerate_paths, _jsonable, _masked_grid
 from .solver import integral_form_defect, localize, shift_steps, time_shift_norms
 from .stochastic import DataFunctional, SpaceFactor
 
-STATUSES = ("pass", "fail", "advisory")
+STATUSES = ("pass", "fail")
 
 
 @dataclass
@@ -53,10 +54,6 @@ class Verdict:
                 "every verdict must state where its expected value comes from"
             )
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
     def to_dict(self) -> dict:
         return {
             "check_id": self.check_id,
@@ -68,48 +65,27 @@ class Verdict:
         }
 
 
-@dataclass
-class VerdictBundle:
-    """Ordered, serializable collection of verdicts for one run."""
+def _sorted(verdicts) -> list:
+    return sorted(verdicts, key=lambda v: v.check_id)
 
-    verdicts: list = field(default_factory=list)
 
-    def add(self, verdict: Verdict):
-        self.verdicts.append(verdict)
-        return verdict
+def to_json(verdicts) -> str:
+    """The verdicts as the JSON a run writes, sorted by check id."""
+    return json.dumps([v.to_dict() for v in _sorted(verdicts)],
+                      sort_keys=True, indent=2) + "\n"
 
-    def extend(self, other: "VerdictBundle"):
-        self.verdicts.extend(other.verdicts)
-        return self
 
-    def sorted(self):
-        return sorted(self.verdicts, key=lambda v: v.check_id)
-
-    @property
-    def failures(self):
-        return [v for v in self.verdicts if v.status == "fail"]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> str:
-        return json.dumps([v.to_dict() for v in self.sorted()],
-                          sort_keys=True, indent=2) + "\n"
-
-    def table(self) -> str:
-        width = max([len(v.check_id) for v in self.verdicts] + [8])
-        lines = [f"{'check':<{width}}  status    measured"]
-        for v in self.sorted():
-            meas = ", ".join(f"{k}={_fmt(val)}" for k, val in
-                             sorted(_jsonable(v.measured).items()))
-            lines.append(f"{v.check_id:<{width}}  {v.status:<8}  {meas}")
-        counts = {s: sum(1 for v in self.verdicts if v.status == s) for s in STATUSES}
-        lines.append(
-            f"{counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['advisory']} advisory"
-        )
-        return "\n".join(lines)
+def table(verdicts) -> str:
+    """The verdicts as a console table, sorted by check id, with counts."""
+    width = max([len(v.check_id) for v in verdicts] + [8])
+    lines = [f"{'check':<{width}}  status    measured"]
+    for v in _sorted(verdicts):
+        meas = ", ".join(f"{k}={_fmt(val)}" for k, val in
+                         sorted(_jsonable(v.measured).items()))
+        lines.append(f"{v.check_id:<{width}}  {v.status:<8}  {meas}")
+    failed = sum(v.status == "fail" for v in verdicts)
+    lines.append(f"{len(verdicts) - failed} pass, {failed} fail")
+    return "\n".join(lines)
 
 
 def _fmt(val):
@@ -149,12 +125,6 @@ def run_oracle_check(spec, solution, paths) -> Verdict:
     trusted columns only, so no (512, K+1, J) cube is built.  An oracle
     that returns one deterministic (K+1, J) field is called once.
     """
-    if spec.oracle is None:
-        return Verdict(
-            check_id=f"oracle.{spec.scenario_id}", status="advisory",
-            measured={"note": "no oracle registered"}, tolerance={},
-            provenance="scenario catalog", details={},
-        )
     n = 0 if paths is None else min(paths.num_paths, _ORACLE_PATHS)
     chunks = [slice(start, min(start + _ORACLE_CHUNK, n))
               for start in range(0, n, _ORACLE_CHUNK)]
@@ -270,7 +240,7 @@ def scaled_coefficients(coeffs, kappa: float):
     return dataclasses.replace(coeffs, terminal=term, forcing=forcing)
 
 
-def run_apriori_study(specs) -> VerdictBundle:
+def run_apriori_study(specs) -> list:
     """Norm ratio LHS/RHS across grid refinement and data scaling, per spec.
 
     A stable ratio across the lattice is the empirical counterpart of the
@@ -280,7 +250,7 @@ def run_apriori_study(specs) -> VerdictBundle:
     equivariance check.  Each problem is solved through ``spec.solve``, so
     the spec's own knobs (beta among them) reach every solve.
     """
-    bundle = VerdictBundle()
+    verdicts = []
     for spec in specs:
         sid = spec.scenario_id
         base = spec.build_coeffs()
@@ -314,7 +284,7 @@ def run_apriori_study(specs) -> VerdictBundle:
                             np.max(np.abs(ua - rel * ub)) / scale))
         vals = list(ratios.values())
         spread = max(vals) / min(vals)
-        bundle.add(Verdict(
+        verdicts.append(Verdict(
             check_id=f"apriori.ratio_spread.{sid}",
             status=_status(spread <= _RATIO_SPREAD),
             measured={"spread": spread, "min_ratio": min(vals),
@@ -329,7 +299,7 @@ def run_apriori_study(specs) -> VerdictBundle:
             abs(ratios[(K, J, k1)] / ratios[(K, J, k0)] - 1.0)
             for K in _APRIORI_STEPS for J in _APRIORI_POINTS
         )
-        bundle.add(Verdict(
+        verdicts.append(Verdict(
             check_id=f"apriori.scaling_equivariance.{sid}",
             status=_status(lin_dev <= _EQUIVARIANCE_TOL),
             measured={"max_relative_deviation": lin_dev},
@@ -337,7 +307,7 @@ def run_apriori_study(specs) -> VerdictBundle:
             provenance="linearity of the solve in the data",
             details={"ratio_deviation": ratio_dev},
         ))
-    return bundle
+    return verdicts
 
 
 # -- kernel suite -----------------------------------------------------------
@@ -367,10 +337,10 @@ _SEMIGROUP_ROWS = 64
 _EXPONENT_WINDOW = 0.3  # fitted vs predicted damping exponent
 
 
-def run_kernel_suite() -> VerdictBundle:
+def run_kernel_suite() -> list:
     """Normalization, derivative identities, semigroup property, and the
     empirical constants of the kernel estimates."""
-    bundle = VerdictBundle()
+    verdicts = []
     horizon = _KERNEL_HORIZON
     rng = np.random.default_rng(_KERNEL_SEED)
 
@@ -382,7 +352,7 @@ def run_kernel_suite() -> VerdictBundle:
         worst = 0.0
         for gap in (0.1, horizon):
             worst = max(worst, abs(float(np.sum(w * k(0.0, gap, nodes))) - 1.0))
-        bundle.add(Verdict(
+        verdicts.append(Verdict(
             check_id=f"kernel.normalization.{label}",
             status=_status(worst <= _MASS_TOL),
             measured={"mass_error": worst}, tolerance={"mass_error": _MASS_TOL},
@@ -394,7 +364,7 @@ def run_kernel_suite() -> VerdictBundle:
             for gap in (0.1, horizon):
                 m = float(np.sum(w * k.derivative(0.0, gap, nodes, MultiIndex(gcomp))))
                 worst_d = max(worst_d, abs(m))
-        bundle.add(Verdict(
+        verdicts.append(Verdict(
             check_id=f"kernel.derivative_mass.{label}",
             status=_status(worst_d <= _MASS_TOL),
             measured={"mass_error": worst_d}, tolerance={"mass_error": _MASS_TOL},
@@ -422,7 +392,7 @@ def run_kernel_suite() -> VerdictBundle:
         bwd = -float(scaled(t)[0, 0]) * d2
         scale = max(abs(fwd), 1e-3)
         worst = max(worst, abs(ds - fwd) / scale, abs(dt - bwd) / scale)
-    bundle.add(Verdict(
+    verdicts.append(Verdict(
         check_id="kernel.derivative_identities",
         status=_status(worst <= _IDENTITY_TOL),
         measured={"relative_error": worst},
@@ -443,7 +413,7 @@ def run_kernel_suite() -> VerdictBundle:
         for lo in range(0, len(nodes), _SEMIGROUP_ROWS)])
     direct = iso(t, s, nodes[:, None])
     err = float(np.max(np.abs(conv - direct)))
-    bundle.add(Verdict(
+    verdicts.append(Verdict(
         check_id="kernel.semigroup",
         status=_status(err <= _SEMIGROUP_TOL),
         measured={"sup_error": err}, tolerance={"sup_error": _SEMIGROUP_TOL},
@@ -453,7 +423,7 @@ def run_kernel_suite() -> VerdictBundle:
     # pointwise Gaussian-envelope constants for derivative orders 0..3
     for order in range(4):
         rep = probe_pointwise_bound(iso, MultiIndex((order,)))
-        bundle.add(Verdict(
+        verdicts.append(Verdict(
             check_id=f"kernel.pointwise_bound.d{order}",
             status=_status(bool(np.isfinite(rep.empirical_C)) and rep.stable),
             measured={"empirical_C": float(rep.empirical_C),
@@ -467,7 +437,7 @@ def run_kernel_suite() -> VerdictBundle:
     reports = probe_integral_estimates(klong, MultiIndex((2,)), 0.5)
     all_ok = all(np.isfinite(rep.empirical_C) and rep.stable
                  for rep in reports.values())
-    bundle.add(Verdict(
+    verdicts.append(Verdict(
         check_id="kernel.integral_estimates",
         status=_status(all_ok),
         measured={key: float(rep.empirical_C) for key, rep in reports.items()},
@@ -476,7 +446,7 @@ def run_kernel_suite() -> VerdictBundle:
     ))
     ex = reports["beta_damped_moment"].extras
     dev = abs(ex["fitted_exponent"] - ex["predicted_exponent"])
-    bundle.add(Verdict(
+    verdicts.append(Verdict(
         check_id="kernel.beta_exponent",
         status=_status(dev <= _EXPONENT_WINDOW),
         measured={"fitted": float(ex["fitted_exponent"]),
@@ -486,14 +456,14 @@ def run_kernel_suite() -> VerdictBundle:
     ))
 
     probe = probe_sup_kernel_integrability(iso, 0.5, horizon / 4.0)
-    bundle.add(Verdict(
+    verdicts.append(Verdict(
         check_id="kernel.sup_integrability",
         status=_status(bool(np.isfinite(probe.value)) and probe.warning is None),
         measured={"value": float(probe.value)},
         tolerance={"finite": 1.0},
         provenance="windowed supremum under the moment weight",
     ))
-    return bundle
+    return verdicts
 
 
 # -- convergence studies ----------------------------------------------------
@@ -588,13 +558,13 @@ def shift_grid(spec) -> TimeGrid:
     return tgrid
 
 
-def run_time_shift_study(specs) -> VerdictBundle:
+def run_time_shift_study(specs) -> list:
     """Shift-norm over sqrt(tau) must not grow as tau shrinks, per spec.
 
     The one-sided bound predicts shift_norm <= C sqrt(tau); the ratio is
     allowed a relative wobble of 20% to absorb sampling noise.
     """
-    bundle = VerdictBundle()
+    verdicts = []
     for spec in specs:
         sid = spec.scenario_id
         sol, coeffs, paths = spec.solve(time_grid=shift_grid(spec),
@@ -604,7 +574,7 @@ def run_time_shift_study(specs) -> VerdictBundle:
         ratios = [r["ratio"] for r in rows]
         ok = all(ratios[i + 1] <= ratios[i] * (1.0 + _SHIFT_SLACK)
                  for i in range(len(ratios) - 1))
-        bundle.add(Verdict(
+        verdicts.append(Verdict(
             check_id=f"time_shift.sqrt_rate.{sid}",
             status=_status(ok),
             measured={"ratios": ratios},
@@ -612,7 +582,7 @@ def run_time_shift_study(specs) -> VerdictBundle:
             provenance="square-root modulus of continuity in time",
             details={"rows": rows},
         ))
-    return bundle
+    return verdicts
 
 
 # -- scenario orchestration -------------------------------------------------
@@ -656,17 +626,22 @@ def run_scenario(spec, seed: int = None):
     included; a "solve" scenario is solved and its integral-form defect
     measured once first.
 
-    Returns (bundle, artifacts); artifacts maps file stems to a SolutionField
-    (exported as CSV), its measured defect {"rms", "worst"} (exported with
-    the solve's summary), or a list of row dicts (exported as a plot-data
-    CSV).  ``artifact_files`` lists the files they become.
+    Returns (verdicts, artifacts): a list of Verdict, and a map from file
+    stems to a SolutionField (exported as CSV), its measured defect {"rms",
+    "worst"} (exported with the solve's summary), or a list of row dicts
+    (exported as a plot-data CSV).  ``artifact_files`` lists the files they
+    become.  A scenario whose checks read its oracle but that has none
+    raises InvalidArgument before anything runs.
     """
-    bundle = VerdictBundle()
+    if spec.oracle is None and {"oracle", "h_convergence"} & set(spec.checks):
+        raise InvalidArgument(
+            f"scenario {spec.scenario_id} checks against an oracle it does not have")
+    verdicts = []
     artifacts = {}
 
-    def add_plot(check, verdicts):
-        for stem, v in zip(_plot_stems(spec, check), verdicts, strict=True):
-            bundle.add(v)
+    def add_plot(check, study):
+        for stem, v in zip(_plot_stems(spec, check), study, strict=True):
+            verdicts.append(v)
             artifacts[stem] = v.details["rows"]
 
     sol = coeffs = paths = residual = None
@@ -678,20 +653,20 @@ def run_scenario(spec, seed: int = None):
         artifacts["summary"] = residual.measured
     for check in spec.checks:
         if check == "residual":
-            bundle.add(residual)
+            verdicts.append(residual)
         elif check == "oracle":
-            bundle.add(run_oracle_check(spec, sol, paths))
+            verdicts.append(run_oracle_check(spec, sol, paths))
         elif check == "h_convergence":
             add_plot(check, [run_convergence_study(spec, "h")])
         elif check == "beta_sweep":
             add_plot(check, [run_convergence_study(spec, "beta")])
         elif check == "time_shift":
-            add_plot(check, run_time_shift_study(_targets(spec)).verdicts)
+            add_plot(check, run_time_shift_study(_targets(spec)))
         elif check == "picard":
             hist = sol.info.get("history", [])
             factor = sol.info.get("contraction_factor")
             ok = factor is not None and factor < 1.0
-            bundle.add(Verdict(
+            verdicts.append(Verdict(
                 check_id=f"picard.contraction.{spec.scenario_id}",
                 status=_status(bool(ok)),
                 measured={"contraction_factor": float(factor)
@@ -703,7 +678,7 @@ def run_scenario(spec, seed: int = None):
         elif check == "localization":
             loc = localize(sol, coeffs, z=0.0, theta=2.0, paths=paths)
             cov = loc.covering
-            bundle.add(Verdict(
+            verdicts.append(Verdict(
                 check_id=f"localization.covering.{spec.scenario_id}",
                 status=_status(cov["slack"] >= -1e-9),
                 measured={"slack": float(cov["slack"]),
@@ -713,10 +688,10 @@ def run_scenario(spec, seed: int = None):
                 provenance="cutoff covering of the norm by windowed pieces",
             ))
         elif check == "kernel":
-            bundle.extend(run_kernel_suite())
+            verdicts.extend(run_kernel_suite())
         elif check == "apriori":
-            bundle.extend(run_apriori_study(_targets(spec)))
+            verdicts.extend(run_apriori_study(_targets(spec)))
         else:
             raise InvalidArgument(
                 f"unknown check {check!r} in scenario {spec.scenario_id}")
-    return bundle, artifacts
+    return verdicts, artifacts

@@ -17,19 +17,19 @@ import pytest
 
 from bspdelab.scenarios import get_scenario
 from bspdelab.solver import _GriddedIntegrator
-from bspdelab.verify import VerdictBundle, run_scenario
+from bspdelab.verify import run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 class ScenarioRun(NamedTuple):
-    bundle: VerdictBundle
+    verdicts: list  # of Verdict, as run_scenario returns them
     artifacts: dict  # as run_scenario returns them; a solution's profiles are read-only
     applies: list  # the orders of each _GriddedIntegrator.solve call, in call order
     seconds: float  # wall time of the run_scenario call
 
     def verdict(self, check_id):
-        (found,) = [v for v in self.bundle.verdicts if v.check_id == check_id]
+        (found,) = [v for v in self.verdicts if v.check_id == check_id]
         return found
 
 
@@ -64,14 +64,14 @@ def workload_run(reference):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_GriddedIntegrator, "solve", _recording(_GriddedIntegrator.solve, applies))
             start = time.perf_counter()
-            bundle, artifacts = run_scenario(get_scenario(sid), seed=reference["seed"])
+            verdicts, artifacts = run_scenario(get_scenario(sid), seed=reference["seed"])
             seconds = time.perf_counter() - start
         if "solution" in artifacts:
             sol = artifacts["solution"]
             for part in [*sol.u_parts, *(p for parts in sol.v_parts for p in parts)]:
                 for profile in part.profiles.values():
                     profile.flags.writeable = False
-        runs[sid] = ScenarioRun(bundle, artifacts, applies, seconds)
+        runs[sid] = ScenarioRun(verdicts, artifacts, applies, seconds)
     return runs
 
 

@@ -35,7 +35,7 @@ from bspdelab.stochastic import (
     solve_bsde_closed,
     solve_bsde_regression,
 )
-from bspdelab.verify import run_apriori_study, run_residual_check
+from bspdelab.verify import run_apriori_study, run_residual_check, to_json
 
 
 def _suite_kernels():
@@ -159,8 +159,8 @@ LINEAR_SCENARIOS = ("heat_smoke", "heat_quadratic", "sin_decay",
 
 
 def test_criterion_7_apriori_ratio_stability():
-    bundle = run_apriori_study([get_scenario(sid) for sid in LINEAR_SCENARIOS])
-    for v in bundle.sorted():
+    verdicts = run_apriori_study([get_scenario(sid) for sid in LINEAR_SCENARIOS])
+    for v in sorted(verdicts, key=lambda x: x.check_id):
         if "ratio_spread" in v.check_id:
             assert np.isfinite(v.measured["max_ratio"]), v.check_id
             assert v.measured["spread"] <= 1.3, (v.check_id, v.measured)
@@ -192,10 +192,10 @@ def test_criterion_8_interpolation_and_product_inequalities(alpha):
 
 def test_criterion_9_time_continuity(ensemble_run):
     # time_shift_sweep runs the time-shift study of sin_decay and stochastic_sinWT
-    bundle = ensemble_run["time_shift_sweep"].bundle
-    assert [v.check_id for v in bundle.verdicts] == [
+    verdicts = ensemble_run["time_shift_sweep"].verdicts
+    assert [v.check_id for v in verdicts] == [
         "time_shift.sqrt_rate.sin_decay", "time_shift.sqrt_rate.stochastic_sinWT"]
-    for v in bundle.sorted():
+    for v in verdicts:
         assert v.status == "pass", (v.check_id, v.measured)
         ratios = v.measured["ratios"]
         for a, b in zip(ratios, ratios[1:]):
@@ -233,7 +233,7 @@ def test_workload_matches_the_benchmark_reference(workload, request, workload_re
     # every verdict's status and measured values, at the harness's round-off rule
     reference = workload_references[workload]
     runs = request.getfixturevalue(f"{workload}_run")
-    verdicts = {sid: run.bundle.to_json().encode() for sid, run in runs.items()}
+    verdicts = {sid: to_json(run.verdicts).encode() for sid, run in runs.items()}
     log = []
     expected, failed = benchmark_harness.check_verdicts(
         reference, verdicts, reference["seed"], log)

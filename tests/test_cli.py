@@ -344,6 +344,21 @@ class TestRun:
         assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_verdict_exits_one(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_scenario
+
+        def run_scenario(spec, seed=None):
+            verdicts, artifacts = real(spec, seed=seed)
+            if spec.scenario_id == "heat_smoke":
+                verdicts[0] = dataclasses.replace(verdicts[0], status="fail")
+            return verdicts, artifacts
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        out = tmp_path / "o"
+        assert main(["run", "heat_smoke", "--out", str(out)]) == 1
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        assert "1 pass, 1 fail" in capsys.readouterr().out.splitlines()
+
     @pytest.fixture
     def heat_smoke_raises(self, monkeypatch):
         real = cli.run_scenario
@@ -397,8 +412,8 @@ def scipy_modules():
 cli.load_config(cli.resolve_config_path("full"))
 assert not scipy_modules(), scipy_modules()
 for sid in ("heat_smoke", "abs_kink"):
-    bundle, _ = verify.run_scenario(get_scenario(sid), seed=0)
-    assert bundle.all_passed
+    verdicts, _ = verify.run_scenario(get_scenario(sid), seed=0)
+    assert all(v.status == "pass" for v in verdicts)
     assert not scipy_modules(), (sid, scipy_modules())
 """
     src = str(Path(bspdelab.__file__).parents[1])
@@ -421,8 +436,8 @@ assert not loaded, loaded
 from bspdelab import verify
 from bspdelab.scenarios import get_scenario
 
-bundle, _ = verify.run_scenario(get_scenario("heat_smoke"))
-assert bundle.all_passed
+verdicts, _ = verify.run_scenario(get_scenario("heat_smoke"))
+assert all(v.status == "pass" for v in verdicts)
 assert "numpy.random" not in sys.modules
 """
     src = str(Path(bspdelab.__file__).parents[1])

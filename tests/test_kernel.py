@@ -785,7 +785,7 @@ class TestKernelSuite:
             bwd = -float(scaled(t)[0, 0]) * d2_i
             scale = max(abs(fwd), 1e-3)
             worst = max(worst, abs(ds_i - fwd) / scale, abs(dt_i - bwd) / scale)
-        (verdict,) = [v for v in run_kernel_suite().verdicts
+        (verdict,) = [v for v in run_kernel_suite()
                       if v.check_id == "kernel.derivative_identities"]
         assert verdict.measured == {"relative_error": worst}
 

@@ -71,6 +71,11 @@ class TestCatalog:
         for spec in list_scenarios():
             assert set(spec.checks) <= known, (spec.scenario_id, spec.checks)
 
+    def test_every_oracle_check_has_an_oracle(self):
+        for spec in list_scenarios():
+            if {"oracle", "h_convergence"} & set(spec.checks):
+                assert spec.oracle is not None, spec.scenario_id
+
     def test_solve_scenarios_have_builders(self):
         for spec in list_scenarios():
             if spec.kind == "solve":

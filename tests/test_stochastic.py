@@ -138,8 +138,8 @@ def test_scenario_draws_only_the_rows_its_checks_read(monkeypatch):
     # stochastic_sinWT declares 10^4 paths; the oracle reads the most, 512
     drawn = _spy_draws(monkeypatch)
     spec = get_scenario("stochastic_sinWT")
-    bundle, artifacts = run_scenario(spec)
-    assert bundle.all_passed
+    verdicts, artifacts = run_scenario(spec)
+    assert all(v.status == "pass" for v in verdicts)
     assert spec.num_paths == 10_000 and drawn
     assert max(sum(rows) for rows in drawn) == 512
     summary = json.loads(artifacts["solution"].summary_json(0.0, 0.0))

@@ -15,8 +15,8 @@ import bspdelab
 from bspdelab import cli
 
 MAX_SETTABLE = 34
-MAX_DATACLASS_DEFAULTS = 35
-MAX_DATACLASS_FIELDS = 92
+MAX_DATACLASS_DEFAULTS = 34
+MAX_DATACLASS_FIELDS = 91
 MAX_OVERRIDE_KEYS = 9
 MAX_CLI_OPTIONS = 5
 

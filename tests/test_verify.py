@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -19,8 +21,8 @@ from bspdelab.scenarios import get_scenario
 from bspdelab.solver import _masked_grid, shift_steps
 from bspdelab.stochastic import SpaceFactor, TauSeries, series_rows
 from bspdelab.verify import (
+    STATUSES,
     Verdict,
-    VerdictBundle,
     data_norm_rhs,
     run_apriori_study,
     run_convergence_study,
@@ -32,7 +34,11 @@ from bspdelab.verify import (
     scaled_coefficients,
     shift_grid,
     solution_norm_lhs,
+    table,
+    to_json,
 )
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +55,14 @@ def _verdict(check_id="x", status="pass", provenance="closed form"):
 
 class TestVerdictSchema:
     def test_status_restricted(self):
-        with pytest.raises(InvalidArgument):
-            _verdict(status="maybe")
+        assert STATUSES == ("pass", "fail")
+        for status in ("maybe", "advisory"):
+            with pytest.raises(InvalidArgument):
+                _verdict(status=status)
 
     def test_untagged_expectation_refused(self):
         with pytest.raises(InvalidArgument):
             _verdict(provenance="   ")
-
-    def test_advisory_counts_as_not_failed(self):
-        assert _verdict(status="advisory").passed
-        assert not _verdict(status="fail").passed
 
     def test_to_dict_round_trips_through_json(self):
         d = _verdict().to_dict()
@@ -72,34 +76,22 @@ class TestVerdictSchema:
             == '{"flag": false, "n": 3, "stable": true}'
 
 
-class TestVerdictBundle:
+class TestVerdictList:
     def test_sorted_by_check_id(self):
-        b = VerdictBundle()
-        b.add(_verdict("b"))
-        b.add(_verdict("a"))
-        assert [v.check_id for v in b.sorted()] == ["a", "b"]
+        verdicts = [_verdict("b"), _verdict("a")]
+        assert [d["check_id"] for d in json.loads(to_json(verdicts))] == ["a", "b"]
+        assert [line.split()[0] for line in table(verdicts).splitlines()[1:3]] == ["a", "b"]
 
     def test_json_is_byte_stable(self):
         def build():
-            b = VerdictBundle()
-            b.add(_verdict("z"))
-            b.add(_verdict("a", status="advisory"))
-            return b.to_json()
+            return to_json([_verdict("z"), _verdict("a", status="fail")])
         assert build() == build()
-
-    def test_failures_drive_all_passed(self):
-        b = VerdictBundle()
-        b.add(_verdict("a"))
-        assert b.all_passed
-        b.add(_verdict("b", status="fail"))
-        assert not b.all_passed
-        assert len(b.failures) == 1
+        assert build().endswith("]\n")
 
     def test_table_reports_counts(self):
-        b = VerdictBundle()
-        b.add(_verdict("a"))
-        b.add(_verdict("b", status="fail"))
-        assert "1 pass, 1 fail, 0 advisory" in b.table()
+        assert table([_verdict("a")]).splitlines()[-1] == "1 pass, 0 fail"
+        out = table([_verdict("a"), _verdict("b", status="fail")])
+        assert out.splitlines()[-1] == "1 pass, 1 fail"
 
 
 class TestResidualCheck:
@@ -143,9 +135,9 @@ class TestOracleCheck:
         # dense evaluation may cover; the oracle check and the h-study read
         # path 0 only, so the run still passes
         spec = dataclasses.replace(get_scenario(sid), num_paths=1025)
-        bundle, _ = run_scenario(spec)
-        assert f"{check}.{sid}" in {v.check_id for v in bundle.verdicts}
-        assert bundle.all_passed
+        verdicts, _ = run_scenario(spec)
+        assert f"{check}.{sid}" in {v.check_id for v in verdicts}
+        assert all(v.status == "pass" for v in verdicts)
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +212,8 @@ def _child_peak_rss_mb(scenario_id: str, num_paths: int = None) -> float:
     scenario = ("import dataclasses; "
                 "from bspdelab.scenarios import get_scenario; "
                 "from bspdelab.verify import run_scenario; "
-                f"bundle, _ = run_scenario({spec}); "
-                "assert bundle.all_passed")
+                f"verdicts, _ = run_scenario({spec}); "
+                "assert all(v.status == 'pass' for v in verdicts)")
     launcher = ("import os, subprocess, sys; "
                 f"proc = subprocess.Popen([sys.executable, '-c', {scenario!r}]); "
                 "_, status, usage = os.wait4(proc.pid, 0); "
@@ -238,19 +230,19 @@ def _child_peak_rss_mb(scenario_id: str, num_paths: int = None) -> float:
 
 class TestAprioriStudy:
     @pytest.fixture(scope="class")
-    def bundle(self):
+    def verdicts(self):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_APRIORI_STEPS", (20, 40))
             mp.setattr(verify, "_APRIORI_POINTS", (65, 129))
             return run_apriori_study([get_scenario("sin_decay")])
 
-    def test_ratio_spread_within_bound(self, bundle):
-        v = [x for x in bundle.verdicts if "ratio_spread" in x.check_id][0]
+    def test_ratio_spread_within_bound(self, verdicts):
+        v = [x for x in verdicts if "ratio_spread" in x.check_id][0]
         assert v.status == "pass"
         assert v.measured["spread"] <= 1.3
 
-    def test_scaling_equivariance(self, bundle):
-        v = [x for x in bundle.verdicts if "equivariance" in x.check_id][0]
+    def test_scaling_equivariance(self, verdicts):
+        v = [x for x in verdicts if "equivariance" in x.check_id][0]
         assert v.status == "pass"
         assert v.measured["max_relative_deviation"] <= 1e-10
 
@@ -267,20 +259,20 @@ class TestAprioriStudy:
 
 class TestKernelSuite:
     @pytest.fixture(scope="class")
-    def bundle(self):
+    def verdicts(self):
         return run_kernel_suite()
 
-    def test_everything_passes(self, bundle):
-        assert bundle.all_passed, bundle.table()
+    def test_everything_passes(self, verdicts):
+        assert all(v.status == "pass" for v in verdicts), table(verdicts)
 
-    def test_covers_the_probe_families(self, bundle):
-        ids = {v.check_id for v in bundle.verdicts}
+    def test_covers_the_probe_families(self, verdicts):
+        ids = {v.check_id for v in verdicts}
         assert "kernel.semigroup" in ids
         assert "kernel.beta_exponent" in ids
         assert any(i.startswith("kernel.normalization") for i in ids)
         assert any(i.startswith("kernel.pointwise_bound") for i in ids)
 
-    def test_semigroup_row_chunks_match_the_full_broadcast(self, bundle):
+    def test_semigroup_row_chunks_match_the_full_broadcast(self, verdicts):
         # the two-hop sum as one (1025, 1025) broadcast, as it was before it
         # ran in row chunks
         iso = HeatKernel(DiffusionCoefficient.isotropic(1.0), horizon=1.0)
@@ -292,7 +284,7 @@ class TestKernelSuite:
             w[None, :] * iso(r, s, (nodes[:, None] - nodes[None, :])[..., None])
             * iso(t, r, nodes[None, :, None]), axis=1)
         err = float(np.max(np.abs(conv - iso(t, s, nodes[:, None]))))
-        semigroup = next(v for v in bundle.verdicts if v.check_id == "kernel.semigroup")
+        semigroup = next(v for v in verdicts if v.check_id == "kernel.semigroup")
         assert semigroup.measured["sup_error"] == err
 
     def test_peak_memory_is_bounded(self):
@@ -320,9 +312,9 @@ class TestConvergenceStudies:
 
 class TestTimeShiftStudy:
     def test_sqrt_rate_on_sin_decay(self):
-        b = run_time_shift_study([get_scenario("sin_decay")])
-        assert b.all_passed
-        rows = b.verdicts[0].details["rows"]
+        verdicts = run_time_shift_study([get_scenario("sin_decay")])
+        assert all(v.status == "pass" for v in verdicts)
+        rows = verdicts[0].details["rows"]
         assert [r["tau"] for r in rows] == [0.2, 0.1, 0.05, 0.025]
 
     def test_stochastic_spec_solves_the_64_paths_it_measures(self, monkeypatch):
@@ -335,7 +327,7 @@ class TestTimeShiftStudy:
             return real(M, *a, **k)
 
         monkeypatch.setattr(scenarios, "sample_paths", sample_paths)
-        rows = run_time_shift_study([spec]).verdicts[0].details["rows"]
+        rows = run_time_shift_study([spec])[0].details["rows"]
         assert drawn == [64]
         # the same norms on the first 64 paths of the whole ensemble's solve
         sol, _, _ = spec.solve(time_grid=shift_grid(spec))
@@ -366,8 +358,8 @@ class TestNormHelpers:
 class TestRunScenario:
     def test_smoke_bundle_and_artifacts(self):
         spec = get_scenario("heat_smoke")
-        bundle, artifacts = run_scenario(spec)
-        assert bundle.all_passed
+        verdicts, artifacts = run_scenario(spec)
+        assert all(v.status == "pass" for v in verdicts)
         assert "solution" in artifacts
 
     def test_solve_is_certified_once(self, monkeypatch):
@@ -380,15 +372,23 @@ class TestRunScenario:
 
         monkeypatch.setattr(solver, "integral_form_defect", counted)
         monkeypatch.setattr(verify, "integral_form_defect", counted)
-        bundle, artifacts = run_scenario(get_scenario("sin_decay"))
+        verdicts, artifacts = run_scenario(get_scenario("sin_decay"))
         assert len(calls) == 1
-        residual = [v for v in bundle.verdicts if v.check_id == "residual.sin_decay"]
+        residual = [v for v in verdicts if v.check_id == "residual.sin_decay"]
         assert len(residual) == 1
         assert artifacts["summary"] == residual[0].measured
 
+    @pytest.mark.parametrize("sid", ["heat_smoke", "abs_kink"])
+    def test_missing_oracle_is_refused(self, sid):
+        # heat_smoke reads its oracle in the oracle check, abs_kink in the
+        # oracle check and the h study
+        spec = dataclasses.replace(get_scenario(sid), oracle=None)
+        with pytest.raises(InvalidArgument, match=f"scenario {sid} "):
+            run_scenario(spec)
+
     def test_solve_without_residual_check_is_certified(self):
-        bundle, artifacts = run_scenario(get_scenario("abs_kink"))
-        assert not [v for v in bundle.verdicts if v.check_id.startswith("residual.")]
+        verdicts, artifacts = run_scenario(get_scenario("abs_kink"))
+        assert not [v for v in verdicts if v.check_id.startswith("residual.")]
         assert np.isfinite(artifacts["summary"]["rms"])
         assert np.isfinite(artifacts["summary"]["worst"])
 
@@ -412,14 +412,13 @@ class TestRunScenario:
         monkeypatch.setattr(solver, "solve_bsde_closed", solve_bsde_closed)
         spec = dataclasses.replace(get_scenario("stochastic_sinWT"), num_paths=200,
                                    checks=("residual",))
-        bundle, _ = run_scenario(spec)
-        [residual] = bundle.verdicts
+        [residual], _ = run_scenario(spec)
         assert residual.check_id == "residual.stochastic_sinWT"
         assert residual.status == status
 
     def test_beta_sweep_rows(self):
         spec = get_scenario("beta_sweep")
-        bundle, artifacts = run_scenario(spec)
+        _, artifacts = run_scenario(spec)
         rows = artifacts["contraction_vs_beta"]
         assert [r["beta"] for r in rows] == [0.0, 5.0, 20.0]
         assert set(rows[0]) == {"beta", "contraction_factor", "iterations"}
@@ -427,7 +426,7 @@ class TestRunScenario:
     def test_study_runs_on_the_overridden_spec(self):
         base = get_scenario("beta_sweep")
         spec = dataclasses.replace(base, num_steps=20, points_per_axis=65)
-        bundle, artifacts = run_scenario(spec)
+        _, artifacts = run_scenario(spec)
         rows = artifacts["contraction_vs_beta"]
         assert rows == run_convergence_study(spec, "beta").details["rows"]
         assert rows != run_convergence_study(base, "beta").details["rows"]
@@ -480,7 +479,7 @@ class TestCallsPerSample:
     @staticmethod
     def counted(sid, field):
         """The catalog spec with a call counter on one coefficient function,
-        and no oracle (the finite-difference oracle steps on its own)."""
+        and no oracle check (the finite-difference oracle steps on its own)."""
         spec, calls = get_scenario(sid), []
 
         def build():
@@ -493,7 +492,8 @@ class TestCallsPerSample:
 
             return dataclasses.replace(co, **{field: spy})
 
-        return dataclasses.replace(spec, build_coeffs=build, oracle=None), calls
+        checks = tuple(c for c in spec.checks if c != "oracle")
+        return dataclasses.replace(spec, build_coeffs=build, checks=checks), calls
 
     # transport_decay: assumptions, solve, defect; semilinear_mode: one for
     # the Lipschitz probe, one per Picard iterate, defect; variable_a_sin:
@@ -558,3 +558,13 @@ class TestCallsPerSample:
         run_scenario(dataclasses.replace(spec, build_coeffs=lambda: coeffs))
         # the plain and the substituted quadrature of the one forcing piece
         assert calls == {0: 2}
+
+
+class TestDemo:
+    def test_certification_demo_runs(self, capsys):
+        # the demo prints the kernel suite's, the a priori study's and the
+        # time-shift study's tables, each ending in its counts
+        runpy.run_path(str(DEMOS / "certification_demo.py"))["main"]()
+        counts = re.findall(r"^(\d+) pass, (\d+) fail$", capsys.readouterr().out, re.M)
+        assert len(counts) == 3
+        assert all(int(passed) > 0 and failed == "0" for passed, failed in counts)
