@@ -48,7 +48,7 @@ _OVERRIDE_TYPES = {f.name: {"int": int, "float": float}[f.type]
 class SchemaError(Exception):
     """Config violates the documented schema; carries a file anchor."""
 
-    def __init__(self, message, path=None, line=None):
+    def __init__(self, message, path, line=None):
         self.path = path
         self.line = line
         super().__init__(message)

@@ -92,8 +92,8 @@ def _contract(a, b):
 class HeatKernel:
     """The heat potential with optional exponential damping in s - t."""
 
-    def __init__(self, diffusion: DiffusionCoefficient, beta: float = 0.0,
-                 horizon: float = 1.0):
+    def __init__(self, diffusion: DiffusionCoefficient, beta: float = 0.0, *,
+                 horizon: float):
         if beta < 0.0:
             raise InvalidArgument("damping beta must be >= 0")
         self.diffusion = diffusion
@@ -143,12 +143,14 @@ class HeatKernel:
 
     def covariance_pairs(self, t_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
         """A_{s_i, t_i} for paired endpoint vectors; linear interpolation of the
-        antiderivative of a (error O((T/table)^2), negligible at desk scale)."""
+        antiderivative of a (error O((T/table)^2), negligible at desk scale).
+        Endpoints must lie in [0, horizon]; round-off outside it is clipped."""
         grid, vals = self._antiderivative_table()
         t_arr = np.asarray(t_arr, dtype=float)
         s_arr = np.asarray(s_arr, dtype=float)
-        if np.any(s_arr - t_arr < -1e-12):
-            raise InvalidInterval("pair endpoints must satisfy t <= s")
+        if (np.any(s_arr - t_arr < -1e-12) or np.any(t_arr < -1e-12)
+                or np.any(s_arr > self.horizon + 1e-12)):
+            raise InvalidInterval(f"pair endpoints need 0 <= t <= s <= horizon = {self.horizon}")
 
         def interp(tq):
             tq = np.clip(tq, 0.0, self.horizon)
@@ -503,6 +505,7 @@ def probe_integral_estimates(kernel: HeatKernel, gamma: MultiIndex, alpha: float
 
 
 _SUP_GAPS = 240  # geometric gaps r of the windowed supremum
+_SUP_POINTS = (257, 97)  # lattice points per axis of the windowed supremum: n = 1, n > 1
 
 
 @dataclass
@@ -511,9 +514,10 @@ class SupKernelProbe:
     warning: str | None = None
 
 
-def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: float,
-                                   grid: SpaceGrid | None = None) -> SupKernelProbe:
-    """integral sup_{r in [0, window]} G_{r,0}(y) |y|^{2 alpha} dy on the grid.
+def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float,
+                                   window: float) -> SupKernelProbe:
+    """integral sup_{r in [0, window]} G_{r,0}(y) |y|^{2 alpha} dy on a lattice
+    of _SUP_POINTS points per axis over the kernel's reach.
 
     The integral is finite only because the sup is taken *after* the moment
     weight tames the short-time concentration; windows beyond T/4 leave the
@@ -524,9 +528,8 @@ def probe_sup_kernel_integrability(kernel: HeatKernel, alpha: float, window: flo
     warning = None
     if window > kernel.horizon / 4.0 + 1e-12:
         warning = "window exceeds T/4; outside the lemma's proof regime"
-    if grid is None:
-        R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * kernel.horizon)
-        grid = SpaceGrid(kernel.dim, R, 257 if kernel.dim == 1 else 97)
+    R = 1.0 + 6.0 * np.sqrt(2.0 * kernel.diffusion.Lam * kernel.horizon)
+    grid = SpaceGrid(kernel.dim, R, _SUP_POINTS[kernel.dim > 1])
     nodes, weights = grid.nodes(), space_quadrature_weights(grid).ravel()
     rad = np.linalg.norm(nodes, axis=-1)
 

@@ -33,7 +33,7 @@ Only n = 1 is wired here; the kernel module itself handles general n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -197,11 +197,8 @@ class SolverConfig:
     space_grid: SpaceGrid
     beta: float = None  # damping; None means route default (0 linear, 8 semilinear)
     max_iter: int = 40
-    tol: float = 1e-6
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise InvalidArgument("tolerance must be positive")
         if self.max_iter < 1:
             raise InvalidArgument("iteration cap must be >= 1")
         if self.beta is not None and self.beta < 0.0:
@@ -636,6 +633,7 @@ class FieldPart:
 
 
 _DENSE_PATH_CAP = 1024  # most paths a dense evaluation may cover without path_idx
+_CSV_PATHS = 8  # paths a solution CSV exports
 
 
 @dataclass
@@ -653,8 +651,8 @@ class SolutionField:
     v_parts: list  # per noise component, each a list of FieldPart
     num_paths: int
     trusted: np.ndarray
-    provenance: str = ""
-    info: dict = dataclass_field(default_factory=dict)
+    provenance: str
+    info: dict
 
     @property
     def noise_dim(self) -> int:
@@ -695,16 +693,14 @@ class SolutionField:
             v_parts=[[cut(p) for p in parts] for parts in self.v_parts],
             trusted=np.ones(int(columns.sum()), dtype=bool))
 
-    def to_csv(self, path, path_ids=None):
-        """Columnar export: path_id, t, x, u, v_1..v_d.
+    def to_csv(self, path):
+        """Columnar export of the first _CSV_PATHS paths: path_id, t, x, u, v_1..v_d.
 
         Each (path, time) block of lines is one %-format: the block's path
         and time prefix is put once in front of every line of the file's
         row templates, which hold x.
         """
-        if path_ids is None:
-            path_ids = list(range(min(self.num_paths, 8)))
-        path_ids = list(path_ids)
+        path_ids = list(range(min(self.num_paths, _CSV_PATHS)))
         u = self.u_dense(0, path_ids)
         v = [self.v_dense(l, 0, path_ids) for l in range(self.noise_dim)]
         m = 1 + self.noise_dim
@@ -794,16 +790,18 @@ def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int,
     whole lattice), read once; the solve is evaluated on those points and
     in the derivative ``orders`` only (a driver reads orders 0 and 1).
 
-    Stochastic data is measured on its first max_paths paths; deterministic
-    data (or no paths) on path 0 without increments, however many paths it
-    was solved on, so the defect integrates it by trapezoid.
+    Stochastic data is measured on the first max_paths of its paths, which
+    it needs; deterministic data on path 0 without increments, however many
+    paths it was solved on, so the defect integrates it by trapezoid.
     """
+    pathwise = not coeffs.is_deterministic()
+    if pathwise and paths is None:
+        raise InvalidArgument("stochastic data is measured on the paths it was solved on")
     tgrid = sol.time_grid
     if mask is None:
         field, x = sol, sol.space_grid.axis
     else:
         field, x = sol.restrict(mask), sol.space_grid.axis[mask]
-    pathwise = paths is not None and not coeffs.is_deterministic()
     if pathwise:
         path_idx = np.arange(min(paths.num_paths, max_paths))
         sub = paths.subset(path_idx)
@@ -825,13 +823,13 @@ def _sample(sol: SolutionField, coeffs: CoefficientSet, paths, max_paths: int,
 # -- residual certification -------------------------------------------------
 
 def integral_form_defect(sol: SolutionField, coeffs: CoefficientSet,
-                         paths: PathEnsemble = None):
+                         paths: PathEnsemble | None):
     """Defect of the backward integral form on the trusted region.
 
     Deterministic solves integrate the drift by trapezoid; stochastic solves
     use left-endpoint Riemann/Ito sums per path.  Returns (rms, worst) both
     normalized by 1 + max |Phi|.  Every measured path is evaluated at once,
-    on the trusted columns only.
+    on the trusted columns only; ``paths`` is None only for deterministic data.
     """
     reads_du = coeffs.b_fn is not None or coeffs.driver is not None
     smp = _sample(sol, coeffs, paths, _DEFECT_PATHS, sol.trusted,
@@ -963,6 +961,7 @@ def _frozen_diffusion(coeffs: CoefficientSet) -> DiffusionCoefficient:
 
 
 _NORM_ALPHA = 0.5  # Holder exponent of the convergence-test, covering and time-shift norms
+_PICARD_TOL = 1e-6  # a Picard loop stops once its relative change falls below this
 
 
 def _masked_grid(grid: SpaceGrid, mask: np.ndarray) -> SpaceGrid:
@@ -997,7 +996,7 @@ def _picard(coeffs: CoefficientSet, config: SolverConfig, beta: float, provenanc
     Each iterate forms order 0 plus the orders its source and ``stop_orders``
     read; the last iterate's missing orders come from one more apply of its
     source.  ``stop(w, damp_t, mask, sup_change)`` is the change compared
-    with tol, from the iterate (order -> (K+1, J)), the (K+1, 1) damping,
+    with _PICARD_TOL, from the iterate (order -> (K+1, J)), the (K+1, 1) damping,
     the trusted mask and sup |w_n - w_{n-1}| on it.  At the cap a change
     that grew over the last two iterates raises AssumptionViolation.
     """
@@ -1048,7 +1047,7 @@ def _picard(coeffs: CoefficientSet, config: SolverConfig, beta: float, provenanc
         if len(diffs) > 1 and diffs[-2] > 0:
             entry["contraction_factor"] = diffs[-1] / diffs[-2]
         history.append(entry)
-        if entry["rel_change"] < config.tol:
+        if entry["rel_change"] < _PICARD_TOL:
             converged = True
             break
 
@@ -1081,9 +1080,9 @@ def solve_variable_linear(coeffs: CoefficientSet, config: SolverConfig) -> Solut
     """Frozen-reference Picard for variable a(t, x), drift b, and zeroth term c.
 
     Starts from the terminal profiles and stops when the a priori norm of u
-    changes by less than tol relative to itself.  Sources are deterministic
-    lattice fields, so this route takes no paths and rejects stochastic
-    data (stochastic variable-coefficient problems are out of scope here).
+    changes by less than _PICARD_TOL relative to itself.  Sources are
+    deterministic lattice fields, so this route takes no paths and rejects
+    stochastic data (stochastic variable-coefficient problems are out of scope here).
     """
     if coeffs.driver is not None:
         raise InvalidRoute("semilinear drivers go through solve_semilinear")
@@ -1111,8 +1110,8 @@ def solve_semilinear(coeffs: CoefficientSet, config: SolverConfig) -> SolutionFi
     kernel damping turns the Lipschitz bound into a contraction factor
     that shrinks like L (1 - e^{-beta T}) / beta, so raising beta tightens
     the loop.  Starts from zero and stops when sup |w_n - w_{n-1}| falls
-    below tol max(1, sup |w_n|) on the trusted region.  Takes no paths, so
-    stochastic data is rejected.
+    below _PICARD_TOL max(1, sup |w_n|) on the trusted region.  Takes no
+    paths, so stochastic data is rejected.
     """
     if coeffs.driver is None:
         raise InvalidRoute("solve_semilinear needs a driver; use the linear routes")
@@ -1137,7 +1136,7 @@ class LocalizedProblem:
 
 
 def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
-             paths: PathEnsemble = None) -> LocalizedProblem:
+             paths: PathEnsemble | None) -> LocalizedProblem:
     """Multiply the solution by the bump at (z, theta) and rebuild its equation.
 
     The localized pair (u eta, v eta) satisfies the frozen-at-z equation with
@@ -1146,7 +1145,7 @@ def localize(sol: SolutionField, coeffs: CoefficientSet, z: float, theta: float,
     that equation is reported, to be compared with the parent's
     ``integral_form_defect``.  Also evaluates the covering inequality
     ||h|| <= 2 sup_z ||eta^z h|| + C ||h||_0 on the sample, reporting the
-    smallest admissible C.
+    smallest admissible C.  ``paths`` is None only for deterministic data.
     """
     for o in (1, 2):
         if not all(o in p.profiles for p in sol.u_parts):

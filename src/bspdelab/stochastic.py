@@ -119,7 +119,7 @@ class PathEnsemble:
         return PathEnsemble.of_increments(rows, self.time_grid, self.seed)
 
 
-def sample_paths(M: int, d: int, grid: TimeGrid, seed: int = 0) -> PathEnsemble:
+def sample_paths(M: int, d: int, grid: TimeGrid, seed: int) -> PathEnsemble:
     """M paths of d-dimensional Brownian motion on ``grid``, drawn on demand."""
     if M < 1 or d < 1:
         raise InvalidArgument("need at least one path and one component")
@@ -190,13 +190,13 @@ def _tail_sum(step: np.ndarray) -> np.ndarray:
     return np.concatenate([tail, np.zeros_like(step[:, :1])], axis=1)
 
 
-def backward_defect(u, terminal, drift, dt: float, v=(), dW=None) -> np.ndarray:
+def backward_defect(u, terminal, drift, dt: float, v, dW) -> np.ndarray:
     """u - (Phi + int_t^T drift ds - sum_l int_t^T v_l dW^l) on every node.
 
     ``u`` and ``drift`` are (Mp, K+1, J), ``terminal`` is (Mp, J) and ``v``
     holds one (Mp, K+1, J) array per noise component.  With increments
     ``dW`` (Mp, K, d) both integrals are left-endpoint Riemann/Ito sums per
-    path; without them the drift integral is the trapezoid rule and v drops.
+    path; with dW None the drift integral is the trapezoid rule and v drops.
     """
     if dW is None:
         R = np.cumsum((drift * dt)[:, ::-1], axis=1)[:, ::-1]

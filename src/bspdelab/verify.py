@@ -100,9 +100,10 @@ def _status(ok: bool) -> str:
 
 # -- residual certification -------------------------------------------------
 
-def run_residual_check(solution, coeffs, tolerance: float, paths=None, *,
+def run_residual_check(solution, coeffs, tolerance: float, paths, *,
                        check_id: str) -> Verdict:
-    """Certify the integral-form defect of a solution as verdict ``check_id``."""
+    """Certify the integral-form defect of a solution, measured on the
+    ``paths`` it was solved on (None for deterministic data), as ``check_id``."""
     rms, worst = integral_form_defect(solution, coeffs, paths=paths)
     return Verdict(
         check_id=check_id,
@@ -201,7 +202,9 @@ def solution_norm_lhs(sol, alpha: float) -> dict:
 
 
 def data_norm_rhs(coeffs, sol, paths, alpha: float) -> dict:
-    """Norms of the problem data on the same trusted region."""
+    """Norms of the problem data on the same trusted region, on ``paths``."""
+    if paths is None and not coeffs.is_deterministic():
+        raise InvalidArgument("stochastic data is measured on the paths it was solved on")
     mask = sol.trusted
     sub = _masked_grid(sol.space_grid, mask)
     x = sol.space_grid.axis[mask]
@@ -621,7 +624,7 @@ def artifact_files(spec) -> list:
     return [f"{spec.scenario_id}/{name}" for name in files]
 
 
-def run_scenario(spec, seed: int = None):
+def run_scenario(spec, seed: int | None):
     """Run every check of one scenario on the spec as given, overrides
     included; a "solve" scenario is solved and its integral-form defect
     measured once first.

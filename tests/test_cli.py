@@ -436,7 +436,7 @@ assert not loaded, loaded
 from bspdelab import verify
 from bspdelab.scenarios import get_scenario
 
-verdicts, _ = verify.run_scenario(get_scenario("heat_smoke"))
+verdicts, _ = verify.run_scenario(get_scenario("heat_smoke"), seed=None)
 assert all(v.status == "pass" for v in verdicts)
 assert "numpy.random" not in sys.modules
 """

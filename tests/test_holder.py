@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bspdelab.errors import InvalidArgument
-from bspdelab.grid import SpaceGrid, TimeGrid
+from bspdelab.grid import SpaceGrid, TimeGrid, time_quadrature_weights
 from bspdelab.holder import (
     FieldSample,
     HolderIndex,
@@ -18,7 +18,13 @@ TGRID = TimeGrid(horizon=1.0, num_steps=20)
 
 
 def det_field(fn, family="Linf", grid=GRID, tgrid=None):
-    return FieldSample.deterministic(fn, grid, family, tgrid)
+    """Sample fn(t, x) (or fn(x) when no time grid) on a single path, in one
+    call on the lattice x and the grid times t as a column."""
+    x = grid.axis
+    rows = 1 if tgrid is None else len(tgrid)
+    vals = fn(x) if tgrid is None else fn(tgrid.nodes[:, None], x)
+    return FieldSample((np.asarray(vals, dtype=float) * np.ones((rows, len(x))))[None],
+                       grid, family, tgrid)
 
 
 class TestHolderIndex:
@@ -36,12 +42,12 @@ class TestSeminorms:
         assert np.isclose(estimate_seminorm(f, 0), 3.0)
 
     def test_linear_first_derivative_s2(self):
-        f = FieldSample.deterministic(lambda t, x: x, GRID, "S2", TGRID)
+        f = det_field(lambda t, x: x, family="S2", tgrid=TGRID)
         assert np.isclose(estimate_seminorm(f, 1), 1.0, atol=1e-10)
 
     def test_l2_time_integral(self):
         # psi(t, x) = t has L2-in-time norm sqrt(int t^2) = 1/sqrt(3)
-        f = FieldSample.deterministic(lambda t, x: t, GRID, "L2", TGRID)
+        f = det_field(lambda t, x: t, family="L2", tgrid=TGRID)
         val = estimate_seminorm(f, 0)
         assert abs(val - 1.0 / np.sqrt(3.0)) < 1e-2
 
@@ -59,7 +65,7 @@ class TestSeminorms:
         assert np.isclose(est, oracle, rtol=1e-12)
 
     def test_scaling_equivariance(self):
-        f = FieldSample.deterministic(lambda t, x: np.sin(3 * x) + t, GRID, "L2", TGRID)
+        f = det_field(lambda t, x: np.sin(3 * x) + t, family="L2", tgrid=TGRID)
         g = FieldSample(f.values * 7.0, GRID, "L2", TGRID)
         for k in (0, 1, 2):
             assert np.isclose(estimate_seminorm(g, k), 7.0 * estimate_seminorm(f, k), rtol=1e-12)
@@ -94,8 +100,6 @@ class TestFractional:
         f = FieldSample(vals, grid, "L2", tg)
         got = estimate_fractional_seminorm(f, 0, 0.5)
         # brute force over pairs
-        from bspdelab.grid import time_quadrature_weights
-
         w = time_quadrature_weights(tg)
         best = 0.0
         for i in range(33):
@@ -104,6 +108,23 @@ class TestFractional:
                 n = np.sqrt(np.einsum("mt,t->m", diff**2, w).mean())
                 best = max(best, n / abs(grid.axis[i] - grid.axis[j]) ** 0.5)
         assert np.isclose(got, best, rtol=1e-10)
+
+    @pytest.mark.parametrize("family", ["L2", "Linf"])
+    def test_every_pair_counts_on_a_fine_grid(self, family):
+        # J = 513: the quotient is the max over all J (J - 1) / 2 pairs
+        grid, alpha = SpaceGrid(1, 1.0, 513), 0.5
+        if family == "L2":
+            f = det_field(lambda t, x: np.sin(2 * x) * (1 + t), family, grid, TGRID)
+            w = time_quadrature_weights(TGRID)
+        else:
+            f = det_field(lambda x: np.abs(x) ** 0.7, family, grid)
+        x, vals = grid.axis, f.values[0]
+        i, j = np.triu_indices(len(x), k=1)
+        diff = vals[:, i] - vals[:, j]
+        norms = (np.sqrt(np.einsum("tp,t->p", diff**2, w)) if family == "L2"
+                 else np.abs(diff).max(axis=0))
+        best = float(np.max(norms / np.abs(x[i] - x[j]) ** alpha))
+        assert np.isclose(estimate_fractional_seminorm(f, 0, alpha), best, rtol=1e-10)
 
     def test_refinement_monotone(self):
         coarse = det_field(lambda x: np.sin(4 * x), grid=SpaceGrid(1, 1.0, 51))
@@ -115,14 +136,14 @@ class TestFractional:
 
 class TestNormReport:
     def test_decomposition(self):
-        f = FieldSample.deterministic(lambda t, x: np.sin(2 * x) * (1 + t), GRID, "L2", TGRID)
+        f = det_field(lambda t, x: np.sin(2 * x) * (1 + t), family="L2", tgrid=TGRID)
         rep = estimate_norm(f, 1, 0.5)
         assert np.isclose(rep.total, sum(rep.seminorms) + rep.fractional, rtol=1e-14)
         assert all(s >= 0 for s in rep.seminorms)
 
     def test_triangle_inequality(self):
-        f = FieldSample.deterministic(lambda t, x: np.sin(2 * x), GRID, "L2", TGRID)
-        g = FieldSample.deterministic(lambda t, x: np.cos(3 * x) * t, GRID, "L2", TGRID)
+        f = det_field(lambda t, x: np.sin(2 * x), family="L2", tgrid=TGRID)
+        g = det_field(lambda t, x: np.cos(3 * x) * t, family="L2", tgrid=TGRID)
         s = FieldSample(f.values + g.values, GRID, "L2", TGRID)
         rs = estimate_norm(s, 0, 0.5)
         rf = estimate_norm(f, 0, 0.5)
@@ -140,7 +161,7 @@ class TestNormReport:
 class TestProductInequalities:
     def test_unit_factor(self):
         h = det_field(lambda x: 1.0, family="Linf")
-        psi = FieldSample.deterministic(lambda t, x: np.sin(2 * x), GRID, "L2", TGRID)
+        psi = det_field(lambda t, x: np.sin(2 * x), family="L2", tgrid=TGRID)
         checks = check_product_inequalities(h, psi, 0.5)
         frac = [c for c in checks if c["check"] == "frac_product"][0]
         assert abs(frac["slack"]) < 1e-12

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bspdelab import kernel as kernel_module
 from bspdelab.errors import (
     AssumptionViolation,
     IllConditionedKernel,
@@ -63,12 +64,12 @@ class TestDiffusionCoefficient:
 
 class TestCovariance:
     def test_constant_integrand(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         assert np.allclose(k.covariance(0.2, 0.7), 0.5 * np.eye(1))
 
     def test_linear_integrand(self):
         k = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 1.0 + t, dim=1,
-                                                        lam=1.0, Lam=2.0))
+                                                        lam=1.0, Lam=2.0), horizon=1.0)
         assert np.allclose(k.covariance(0.0, 1.0), 1.5 * np.eye(1), atol=1e-13)
 
     def test_time_scaled_needs_explicit_bounds(self):
@@ -77,16 +78,16 @@ class TestCovariance:
             DiffusionCoefficient.time_scaled(lambda t: 1.0 + t)
 
     def test_empty_interval(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         assert np.allclose(k.covariance(0.4, 0.4), 0.0)
 
     def test_reversed_interval_rejected(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         with pytest.raises(InvalidInterval):
             k.covariance(0.7, 0.2)
 
     def test_additivity(self):
-        k = HeatKernel(SCALED)
+        k = HeatKernel(SCALED, horizon=1.0)
         a1 = k.covariance(0.1, 0.4) + k.covariance(0.4, 0.9)
         assert np.allclose(a1, k.covariance(0.1, 0.9), atol=1e-13)
 
@@ -96,6 +97,23 @@ class TestCovariance:
         batch = k.covariance_pairs(t_arr, np.full_like(t_arr, 0.9))
         for t, A in zip(t_arr, batch):
             assert np.allclose(A, k.covariance(t, 0.9), atol=1e-7)
+
+    def test_horizon_is_required(self):
+        with pytest.raises(TypeError):
+            HeatKernel(DiffusionCoefficient.isotropic(1.0))
+
+    def test_pair_endpoints_past_the_horizon_rejected(self):
+        # A = 2 over [0, 2], which a table over [0, 1] cannot give
+        k = HeatKernel(ISO, horizon=1.0)
+        with pytest.raises(InvalidInterval, match="horizon"):
+            k.covariance_pairs([0.0], [2.0])
+        with pytest.raises(InvalidInterval, match="horizon"):
+            k.covariance_pairs([-0.1], [0.5])
+
+    def test_pair_endpoints_off_by_round_off_clipped(self):
+        k = HeatKernel(ISO, horizon=1.0)
+        A = k.covariance_pairs([-1e-13, 0.0], [1.0, 1.0 + 1e-13])
+        assert np.array_equal(A, k.covariance_pairs([0.0, 0.0], [1.0, 1.0]))
 
     @pytest.mark.parametrize("diffusion", [
         ISO, SCALED, DiffusionCoefficient(
@@ -132,7 +150,7 @@ class TestVectorEndpoints:
 
     @pytest.mark.parametrize("diffusion", VECTOR_CASES, ids=VECTOR_IDS)
     def test_covariance_rows_equal_scalar_calls(self, diffusion):
-        k = HeatKernel(diffusion)
+        k = HeatKernel(diffusion, horizon=1.0)
         rows = k.covariance(T_VEC, S_VEC)
         assert rows.shape == (len(T_VEC), k.dim, k.dim)
         for t, s, A in zip(T_VEC, S_VEC, rows):
@@ -142,7 +160,7 @@ class TestVectorEndpoints:
 
     @pytest.mark.parametrize("diffusion", VECTOR_CASES, ids=VECTOR_IDS)
     def test_derivative_rows_equal_scalar_calls(self, diffusion):
-        k = HeatKernel(diffusion, beta=3.0)
+        k = HeatKernel(diffusion, beta=3.0, horizon=1.0)
         x = np.random.default_rng(3).uniform(-3.0, 3.0, size=(11, k.dim))
         s_vec = np.geomspace(1e-3, 1.0, 7)
         for gamma in gammas_up_to_three(k.dim):
@@ -153,7 +171,7 @@ class TestVectorEndpoints:
 
     @pytest.mark.parametrize("diffusion", VECTOR_CASES, ids=VECTOR_IDS)
     def test_call_is_the_zero_order_derivative(self, diffusion):
-        k = HeatKernel(diffusion, beta=3.0)
+        k = HeatKernel(diffusion, beta=3.0, horizon=1.0)
         zero = MultiIndex((0,) * k.dim)
         x = np.random.default_rng(4).uniform(-3.0, 3.0, size=(11, k.dim))
         assert np.array_equal(k(0.1, 0.6, x), k.derivative(0.1, 0.6, x, zero))
@@ -163,7 +181,7 @@ class TestVectorEndpoints:
             assert np.array_equal(row, k(t, s, x))
 
     def test_reversed_interval_in_a_vector_rejected(self):
-        k = HeatKernel(SCALED)
+        k = HeatKernel(SCALED, horizon=1.0)
         with pytest.raises(InvalidInterval):
             k.covariance(np.array([0.1, 0.7]), np.array([0.5, 0.2]))
         with pytest.raises(InvalidInterval):
@@ -219,7 +237,7 @@ class TestConstantDiffusion:
 
     @pytest.mark.parametrize("diffusion", CONSTANTS, ids=CONSTANT_IDS)
     def test_covariance_equals_node_loop(self, diffusion):
-        k = HeatKernel(diffusion)
+        k = HeatKernel(diffusion, horizon=1.0)
         for t, s in [(0.0, 1.0), (0.2, 0.7), (0.13, 0.377), (0.0, 1e-9), (0.4, 0.4)]:
             A = k.covariance(t, s)
             assert A.shape == (k.dim, k.dim)
@@ -280,7 +298,7 @@ class TestOneEvaluationOfA:
 
 class TestEval:
     def test_standard_value_at_origin(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         assert np.isclose(k(0.0, 0.25, [0.0]), np.pi**-0.5)
 
     def test_normalization(self):
@@ -293,26 +311,26 @@ class TestEval:
                 assert abs(mass - 1.0) < 1e-6
 
     def test_damping_factor(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         kb = k.with_beta(2.0)
         x = np.array([0.3])
         assert np.isclose(kb(0.0, 0.5, x), np.exp(-1.0) * k(0.0, 0.5, x))
 
     def test_degenerate_interval_rejected(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         with pytest.raises(InvalidInterval):
             k(0.5, 0.5, [0.0])
 
     @pytest.mark.parametrize("a", [0.0, -1.0])
     def test_nonpositive_1x1_covariance_rejected(self, a):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         with pytest.raises(InvalidInterval):
             k._prep(np.array([[a]]))
         with pytest.raises(InvalidInterval):
             k._prep(np.array([[[1.0]], [[a]]]))
 
     def test_ill_conditioned_2x2_covariance_rejected(self):
-        k = HeatKernel(ANISO)
+        k = HeatKernel(ANISO, horizon=1.0)
         with pytest.raises(IllConditionedKernel):
             k._prep(np.diag([1.0, 1e-14]))
         with pytest.raises(IllConditionedKernel):
@@ -322,28 +340,28 @@ class TestEval:
         skew = DiffusionCoefficient(
             fn=lambda t: np.diag([1.0, 1e-14]), dim=2, lam=1e-14, Lam=1.0
         )
-        k = HeatKernel(skew)
+        k = HeatKernel(skew, horizon=1.0)
         with pytest.raises(IllConditionedKernel):
             k(0.0, 0.5, [0.0, 0.0])
 
     def test_symmetry(self):
-        k = HeatKernel(ANISO)
+        k = HeatKernel(ANISO, horizon=1.0)
         x = np.array([0.4, -0.7])
         assert np.isclose(k(0.0, 0.3, x), k(0.0, 0.3, -x))
 
     def test_positivity(self):
-        k = HeatKernel(SCALED)
+        k = HeatKernel(SCALED, horizon=1.0)
         g = standard_grid(1, 2.0, J=101)
         assert np.all(k(0.0, 0.5, g.nodes()) > 0.0)
 
 
 class TestDerivatives:
     def test_odd_symmetry_at_origin(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         assert k.derivative(0.0, 0.5, [0.0], MultiIndex((1,))) == 0.0
 
     def test_first_derivative_odd(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         x = np.array([0.6])
         g1 = k.derivative(0.0, 0.5, x, MultiIndex((1,)))
         g2 = k.derivative(0.0, 0.5, -x, MultiIndex((1,)))
@@ -362,7 +380,7 @@ class TestDerivatives:
                     assert abs(total) < 1e-6, (dim, a.Lam, gamma, gap)
 
     def test_against_finite_differences(self):
-        k = HeatKernel(SCALED)
+        k = HeatKernel(SCALED, horizon=1.0)
         x0, eps = 0.45, 1e-5
         t, s = 0.1, 0.7
         d1 = k.derivative(t, s, [x0], MultiIndex((1,)))
@@ -379,7 +397,7 @@ class TestDerivatives:
         assert np.isclose(d3, fd3, rtol=1e-8)
 
     def test_mixed_derivative_2d(self):
-        k = HeatKernel(ANISO)
+        k = HeatKernel(ANISO, horizon=1.0)
         x0 = np.array([0.3, -0.4])
         eps = 1e-5
         d = k.derivative(0.0, 0.5, x0, MultiIndex((1, 1)))
@@ -392,14 +410,14 @@ class TestDerivatives:
         assert np.isclose(d, fd, rtol=1e-4)
 
     def test_order_four_rejected(self):
-        k = HeatKernel(ISO)
+        k = HeatKernel(ISO, horizon=1.0)
         with pytest.raises(UnsupportedOrder):
             k.derivative(0.0, 0.5, [0.1], MultiIndex((4,)))
 
     def test_fundamental_solution_identities(self):
         # forward: d/ds G = a(s) d2G; backward: d/dt G = -a(t) d2G
         rng = np.random.default_rng(7)
-        k = HeatKernel(SCALED)
+        k = HeatKernel(SCALED, horizon=1.0)
         eps = 1e-6
         for _ in range(100):
             t = rng.uniform(0.0, 0.4)
@@ -803,12 +821,11 @@ class TestKernelSuite:
 
 
 class TestSupKernelProbe:
-    def test_finite_and_refinement_stable(self):
+    def test_finite_and_refinement_stable(self, monkeypatch):
         k = HeatKernel(ISO, horizon=1.0)
         a = probe_sup_kernel_integrability(k, 0.25, 0.125)
-        fine = probe_sup_kernel_integrability(
-            k, 0.25, 0.125, grid=SpaceGrid(1, 1.0 + 6 * np.sqrt(2.0), 513)
-        )
+        monkeypatch.setattr(kernel_module, "_SUP_POINTS", (513, 97))
+        fine = probe_sup_kernel_integrability(k, 0.25, 0.125)
         assert np.isfinite(a.value) and a.warning is None
         assert abs(fine.value - a.value) / a.value < 0.10
 

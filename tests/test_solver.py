@@ -53,7 +53,7 @@ from bspdelab.solver import (
     solve_variable_linear,
     time_shift_norms,
 )
-from bspdelab.verify import solution_norm_lhs
+from bspdelab.verify import data_norm_rhs, solution_norm_lhs
 
 TG = TimeGrid(1.0, 50)
 SG = SpaceGrid(1, 7.0, 129)
@@ -222,8 +222,6 @@ class TestCoefficientSet:
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
-            config(tol=0.0)
-        with pytest.raises(InvalidArgument):
             config(max_iter=0)
         with pytest.raises(InvalidArgument):
             config(beta=-1.0)
@@ -329,7 +327,7 @@ class TestPairEngineBitIdentity:
     SG = SpaceGrid(1, 6.0, 65)
     TG = TimeGrid(1.0, 12)
     KERNEL = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 0.4 + 0.3 * np.sin(3.0 * t),
-                                                         lam=0.1, Lam=0.7), beta=0.7)
+                                                         lam=0.1, Lam=0.7), beta=0.7, horizon=1.0)
 
     def reference(self, grid, rows, k, t, s, w, stack, order, kernel):
         J = grid.points_per_axis
@@ -474,13 +472,15 @@ class TestPairEngineBitIdentity:
         s = t + rng.choice([0.0, 1e-3, 0.3, 1.0], P) * rng.uniform(0.5, 1.0, P)
         w = rng.uniform(0.5, 2.0, P)
         stack = [rng.standard_normal((P, self.SG.points_per_axis)) for _ in range(7)]
-        pairs = self.check(rows, k, t, s, w, stack, j=np.arange(P))
+        # s reaches 1.8, inside a horizon of 2
+        kernel = HeatKernel(self.KERNEL.diffusion, beta=self.KERNEL.beta, horizon=2.0)
+        pairs = self.check(rows, k, t, s, w, stack, j=np.arange(P), kernel=kernel)
         self.assert_multi_block(pairs)
         assert 0 < pairs.small.sum() < pairs.small.size
 
     def test_constant_a_table_repeats_kernels(self):
         # a constant a on a uniform grid: pairs at one time gap share a kernel
-        kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), beta=0.7)
+        kernel = HeatKernel(DiffusionCoefficient.isotropic(0.5), beta=0.7, horizon=1.0)
         pairs = self.picard_triangle(TimeGrid(1.0, 32), self.SG, kernel=kernel)
         self.assert_multi_block(pairs)
         assert pairs.num_kernels < pairs.num_transformed // 4
@@ -490,8 +490,10 @@ class TestPairEngineBitIdentity:
         assert all(len(table) == pairs.num_kernels for table in pairs._kept)
 
     def test_kernels_keyed_by_damping_too(self):
-        # s past the horizon clips the covariance: one A, two dampings, two kernels
-        k, t, s = np.arange(4), np.full(4, 0.4), np.array([1.1, 1.4, 1.1, 1.4])
+        # s past the horizon by round-off clips the covariance: one A, two
+        # dampings, two kernels
+        k, t = np.arange(4), np.full(4, 0.4)
+        s = 1.0 + np.array([2e-13, 8e-13, 2e-13, 8e-13])
         stack = _space_factor_stack(SpaceFactor.sine(phase=0.3), self.SG)
         pairs = self.check(4, k, t, s, np.ones(4), stack)
         assert len(set(pairs.A.tolist())) == 1
@@ -537,7 +539,7 @@ class TestPairBlockSize:
         u = np.linspace(1e-3, 0.98, 9)
         s = heads[:, None] + ((1.0 - heads)[:, None] * u[None, :]) ** 2
         kernel = HeatKernel(DiffusionCoefficient.time_scaled(lambda t: 0.5 + 0.2 * t,
-                                                             lam=0.5, Lam=0.7))
+                                                             lam=0.5, Lam=0.7), horizon=1.0)
         return ((kernel, grid, K + 1, np.repeat(np.arange(K), len(u)), np.repeat(heads, len(u)),
                  s.ravel(), np.tile(np.linspace(0.1, 0.3, len(u)), K)), None,
                 _space_factor_stack(SpaceFactor.sine(phase=0.3), grid))
@@ -744,9 +746,10 @@ class TestVariableLinear:
         assert sol.info["iterations"] == 1
         assert sol.provenance == "representation"
 
-    def test_transport_with_decay(self):
+    def test_transport_with_decay(self, monkeypatch):
+        monkeypatch.setattr(solver, "_PICARD_TOL", 1e-7)
         co = sine_problem(a=1.0, b_fn=lambda t, x: 1.0)
-        sol = solve_variable_linear(co, config(tol=1e-7))
+        sol = solve_variable_linear(co, config())
         exact = np.exp(-(T - TG.nodes))[:, None] * np.sin(X[None, :] + (T - TG.nodes)[:, None])
         assert np.abs(sol.u_dense()[0] - exact)[:, sol.trusted].max() < 1e-3
         assert sol.info["converged"]
@@ -758,7 +761,7 @@ class TestVariableLinear:
         )
         sol = solve_variable_linear(co, config())
         assert sol.info["converged"]
-        assert integral_form_defect(sol, co)[0] < 1e-3
+        assert integral_form_defect(sol, co, paths=None)[0] < 1e-3
 
     def test_divergence_report_on_tight_cap(self):
         co = CoefficientSet(
@@ -811,17 +814,19 @@ class TestSemilinear:
         exact = np.exp(-(T - TG.nodes))[:, None] * np.sin(X)[None, :]
         assert np.abs(sol.u_dense()[0] - exact)[:, sol.trusted].max() < 1e-3
 
-    def test_contraction_factor_decreases_in_beta(self):
+    def test_contraction_factor_decreases_in_beta(self, monkeypatch):
+        monkeypatch.setattr(solver, "_PICARD_TOL", 1e-8)
         factors = {}
         for beta in (0.0, 5.0, 20.0):
             co = sine_problem(driver=lambda t, x, q, u, v: 2.0 * u, lipschitz=2.0)
-            sol = solve_semilinear(co, config(beta=beta, tol=1e-8))
+            sol = solve_semilinear(co, config(beta=beta))
             factors[beta] = sol.info["contraction_factor"]
         assert factors[0.0] > factors[5.0] > factors[20.0]
 
-    def test_geometric_decay_of_differences(self):
+    def test_geometric_decay_of_differences(self, monkeypatch):
+        monkeypatch.setattr(solver, "_PICARD_TOL", 1e-10)
         co = sine_problem(driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
-        sol = solve_semilinear(co, config(beta=8.0, tol=1e-10))
+        sol = solve_semilinear(co, config(beta=8.0))
         sups = [h["sup_change"] for h in sol.info["history"]]
         # past the first transient, successive differences shrink geometrically
         ratios = [sups[i + 1] / sups[i] for i in range(1, len(sups) - 1)]
@@ -907,10 +912,11 @@ def reference_picard(co, cfg, beta, linear):
         if linear:
             norm = solver._norm_estimate(tgrid, grid,
                                          [prof[o] / damp_t[:, None] for o in range(3)], mask)
-            if norm_prev is not None and abs(norm - norm_prev) / max(norm, 1e-12) < cfg.tol:
+            if (norm_prev is not None
+                    and abs(norm - norm_prev) / max(norm, 1e-12) < solver._PICARD_TOL):
                 break
             norm_prev = norm
-        elif d_m < cfg.tol * max(1.0, float(np.max(np.abs(prof[0][:, mask])))):
+        elif d_m < solver._PICARD_TOL * max(1.0, float(np.max(np.abs(prof[0][:, mask])))):
             break
     return {o: prof[o] / damp_t[:, None] for o in range(3)}, it
 
@@ -972,7 +978,7 @@ class TestOnePicardLoop:
 
 class TestResidualCertification:
     def test_clean_solution_small_residual(self, sine_solution):
-        assert integral_form_defect(sine_solution, sine_problem())[0] < 1e-4
+        assert integral_form_defect(sine_solution, sine_problem(), paths=None)[0] < 1e-4
 
     @pytest.mark.parametrize("co", [
         sine_problem(),
@@ -991,10 +997,10 @@ class TestResidualCertification:
     def test_injected_defect_is_flagged(self):
         co = sine_problem()
         sol = solve(co, None, config())
-        rms0, _ = integral_form_defect(sol, co)
+        rms0, _ = integral_form_defect(sol, co, paths=None)
         sol.u_parts[0].profiles[0] = sol.u_parts[0].profiles[0].copy()
         sol.u_parts[0].profiles[0][10:20] += 0.1
-        rms1, _ = integral_form_defect(sol, co)
+        rms1, _ = integral_form_defect(sol, co, paths=None)
         assert rms1 > 100.0 * max(rms0, 1e-9)
         assert rms1 > 1e-3
 
@@ -1045,7 +1051,7 @@ class TestDefectIsOneEvaluation:
         co = sine_problem(forcing=DataFunctional.deterministic(SpaceFactor.sine()),
                           driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
         sol = solve(co, None, config())
-        assert integral_form_defect(sol, co) == unchunked_defect(sol, co, None)
+        assert integral_form_defect(sol, co, paths=None) == unchunked_defect(sol, co, None)
 
     def test_deterministic_data_on_several_paths_uses_the_trapezoid(self):
         # the paths add nothing to deterministic data, so neither may the defect
@@ -1053,17 +1059,29 @@ class TestDefectIsOneEvaluation:
         paths = sample_paths(5, 1, TG, seed=3)
         sol = solve(co, paths, config())
         assert sol.num_paths == 5
-        assert integral_form_defect(sol, co, paths) == integral_form_defect(sol, co)
+        assert integral_form_defect(sol, co, paths) == integral_form_defect(sol, co, paths=None)
+
+
+def test_stochastic_certificates_need_the_paths(ensemble_run):
+    # without its paths a stochastic solve would be measured as deterministic
+    sol = ensemble_run["stochastic_sinWT"].artifacts["solution"]
+    co = get_scenario("stochastic_sinWT").build_coeffs()
+    with pytest.raises(InvalidArgument, match="paths"):
+        integral_form_defect(sol, co, paths=None)
+    with pytest.raises(InvalidArgument, match="paths"):
+        localize(sol, co, z=0.0, theta=2.0, paths=None)
+    with pytest.raises(InvalidArgument, match="paths"):
+        data_norm_rhs(co, sol, None, 0.5)
 
 
 class TestLocalize:
     def test_residual_within_parent_budget(self, sine_solution):
-        loc = localize(sine_solution, sine_problem(), z=0.2, theta=0.4)
-        parent_rms, _ = integral_form_defect(sine_solution, sine_problem())
+        loc = localize(sine_solution, sine_problem(), z=0.2, theta=0.4, paths=None)
+        parent_rms, _ = integral_form_defect(sine_solution, sine_problem(), paths=None)
         assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
 
     def test_covering_inequality_slack(self, sine_solution):
-        loc = localize(sine_solution, sine_problem(), z=0.0, theta=0.5)
+        loc = localize(sine_solution, sine_problem(), z=0.0, theta=0.5, paths=None)
         assert loc.covering["slack"] >= -1e-9
         assert np.isfinite(loc.covering["C"])
 
@@ -1078,8 +1096,8 @@ class TestLocalize:
         co = sine_problem(forcing=DataFunctional.deterministic(SpaceFactor.sine()),
                           driver=lambda t, x, q, u, v: -u, lipschitz=1.0)
         sol = solve(co, None, config())
-        parent_rms, _ = integral_form_defect(sol, co)
-        loc = localize(sol, co, z=0.0, theta=2.0)
+        parent_rms, _ = integral_form_defect(sol, co, paths=None)
+        loc = localize(sol, co, z=0.0, theta=2.0, paths=None)
         assert loc.residual_rms <= 10.0 * max(parent_rms, 1e-9)
 
     def test_one_path_stochastic_solve_uses_ito_sums(self):
@@ -1181,10 +1199,10 @@ class TestOneSample:
 
     def test_certificates_read_u_once_per_order(self, sine_solution, read_orders):
         # with neither b nor a driver, the defect does not read Du
-        integral_form_defect(sine_solution, sine_problem())
+        integral_form_defect(sine_solution, sine_problem(), paths=None)
         assert sorted(read_orders) == [0, 2]
         read_orders.clear()
-        localize(sine_solution, sine_problem(), z=0.0, theta=2.0)
+        localize(sine_solution, sine_problem(), z=0.0, theta=2.0, paths=None)
         assert sorted(read_orders) == [0, 1, 2]
 
     @pytest.mark.parametrize("kw", [
@@ -1192,7 +1210,7 @@ class TestOneSample:
         {"driver": lambda t, x, q, u, v: -u, "lipschitz": 1.0},
     ], ids=["drift", "driver"])
     def test_defect_reads_du_for_a_drift_or_a_driver(self, sine_solution, read_orders, kw):
-        integral_form_defect(sine_solution, sine_problem(**kw))
+        integral_form_defect(sine_solution, sine_problem(**kw), paths=None)
         assert sorted(read_orders) == [0, 1, 2]
 
     def test_forcing_profiles_take_arrays_of_tau(self):
@@ -1261,7 +1279,7 @@ class TestDenseEvaluation:
         part = FieldPart({0: np.ones((len(TG), len(X)))}, series)
         return SolutionField(space_grid=SG, time_grid=TG, u_parts=[part],
                              v_parts=[[part]], num_paths=num_paths,
-                             trusted=np.ones(len(X), dtype=bool))
+                             trusted=np.ones(len(X), dtype=bool), provenance="", info={})
 
     def test_whole_ensemble_above_cap_raises(self):
         sol = self.field(_DENSE_PATH_CAP + 1)
@@ -1385,20 +1403,19 @@ class TestSolutionFieldExport:
         return SolutionField(space_grid=sg, time_grid=tg,
                              u_parts=[part(1), part(num_paths)],
                              v_parts=[[part(num_paths)] for _ in range(noise_dim)],
-                             num_paths=num_paths, trusted=np.ones(len(sg.axis), dtype=bool))
+                             num_paths=num_paths, trusted=np.ones(len(sg.axis), dtype=bool),
+                             provenance="", info={})
 
     @pytest.mark.parametrize("noise_dim", [0, 1, 2])
-    @pytest.mark.parametrize("path_ids", [None, "explicit"])
+    @pytest.mark.parametrize("path_ids", [None])  # the export's own path set
     def test_csv_bytes_equal_csv_writer(self, noise_dim, path_ids, tmp_path):
         sol = self.field(noise_dim)
-        if path_ids == "explicit":
-            path_ids = np.array([0]) if sol.num_paths == 1 else np.array([7, 0, 10, 7])
         with np.errstate(invalid="ignore"):  # inf - inf in the product sum
-            sol.to_csv(tmp_path / "fast.csv", path_ids)
+            sol.to_csv(tmp_path / "fast.csv")
             csv_writer_export(sol, tmp_path / "ref.csv", path_ids)
         ref = (tmp_path / "ref.csv").read_bytes()
         assert ref.count(b"\r\n") == 1 + len(sol.time_grid) * sol.space_grid.points_per_axis * (
-            min(sol.num_paths, 8) if path_ids is None else len(path_ids))
+            min(sol.num_paths, 8))
         assert (tmp_path / "fast.csv").read_bytes() == ref
 
     def test_csv_columns(self, sine_solution, tmp_path):
@@ -1411,7 +1428,7 @@ class TestSolutionFieldExport:
         float(first[3])  # u parses
 
     def test_summary_json(self, sine_solution):
-        rms, worst = integral_form_defect(sine_solution, sine_problem())
+        rms, worst = integral_form_defect(sine_solution, sine_problem(), paths=None)
         payload = json.loads(sine_solution.summary_json(rms, worst))
         for key in ("provenance", "residual_rms", "residual_worst", "grid", "info"):
             assert key in payload

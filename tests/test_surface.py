@@ -6,6 +6,13 @@ must fill and carry.  A run config's [scenario.<id>] key and a command-line
 option are knobs a user may set.  Each count may only fall: a change that
 adds a knob or a field raises its cap in its own diff, so the addition is
 visible in review.
+
+Data constructors may default data: a CoefficientSet without b, c or a
+driver, a ScenarioSpec's grid, a one-dimensional isotropic diffusion.  A
+routine may not default how it runs: a parameter keeps a default only if
+the run path calls it both with and without that argument.  A knob no run
+sets is a module constant, and an input that changes the answer (the
+paths of a stochastic solve, a kernel's horizon, a seed) is required.
 """
 
 import ast
@@ -14,9 +21,9 @@ from pathlib import Path
 import bspdelab
 from bspdelab import cli
 
-MAX_SETTABLE = 34
-MAX_DATACLASS_DEFAULTS = 34
-MAX_DATACLASS_FIELDS = 91
+MAX_SETTABLE = 21
+MAX_DATACLASS_DEFAULTS = 31
+MAX_DATACLASS_FIELDS = 90
 MAX_OVERRIDE_KEYS = 9
 MAX_CLI_OPTIONS = 5
 
