@@ -11,17 +11,17 @@ apriori_study, time_shift_sweep) take no overrides: any key in their
 section is a schema violation, and so is a horizon the time-shift study
 cannot shift on.  Runs write a manifest before anything else, listing the
 files ``verify.artifact_files`` plans, then per-scenario verdict JSON,
-solution CSV, and plot-data CSV files.  A scenario that raises writes its
-traceback to ``<id>/error.txt`` and is marked "errored" in the manifest; the
-others still run.  Exit codes: 0 clean, 1 at least one failed verdict, 2
-config schema violation or bad command line, 3 at least one scenario errored.
+solution CSV (trusted columns only), and plot-data CSV files, every CSV
+through one writer.  A scenario that raises writes its traceback to
+``<id>/error.txt`` and is marked "errored" in the manifest; the others
+still run.  Exit codes: 0 clean, 1 at least one failed verdict, 2 config
+schema violation or bad command line, 3 at least one scenario errored.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import math
@@ -31,6 +31,8 @@ import time
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InvalidArgument
 from .scenarios import CATALOG, ScenarioSpec, list_scenarios
 from .verify import artifact_files, run_scenario, shift_grid, table, to_json
@@ -38,6 +40,7 @@ from .verify import artifact_files, run_scenario, shift_grid, table, to_json
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 _RUN_KEYS = ("scenarios", "seed", "out")
+_CSV_PATHS = 8  # paths a solution CSV exports
 
 # a [scenario.<id>] key sets the ScenarioSpec field of its name; the numeric
 # fields are the settable ones (annotations are strings in scenarios.py)
@@ -232,17 +235,32 @@ def _override(spec, section, key, raw):
 
 # -- artifact emission ------------------------------------------------------
 
-def _write_rows_csv(path: Path, rows):
-    """Plot-data CSV: header from row keys, 17 significant digits."""
-    keys = list(rows[0].keys())
+def _write_csv(path: Path, columns: dict):
+    """A CSV of ``columns`` (name -> equal-length list or array): a column
+    is written at %.17g if its first value is a float, else at %s, with CRLF
+    line ends; these are the bytes csv.writer gives for such cells."""
+    cols = list(columns.values())
+    line = ",".join("%.17g" if isinstance(c[0], float) else "%s" for c in cols) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(keys)
-        for row in rows:
-            wr.writerow([
-                f"{v:.17g}" if isinstance(v, float) else str(v)
-                for v in (row[k] for k in keys)
-            ])
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(line % row for row in zip(*cols))
+
+
+def _solution_columns(sol) -> dict:
+    """solution.csv's columns over the first _CSV_PATHS paths, every time and
+    the trusted columns, read through ``restrict`` so the untrusted belt is
+    never formed.  x comes from the parent lattice: the restricted grid
+    rebuilds the same points only to the last bits."""
+    ids = list(range(min(sol.num_paths, _CSV_PATHS)))
+    field = sol.restrict(sol.trusted)
+    x, t = sol.space_grid.axis[sol.trusted], sol.time_grid.nodes
+    columns = {"path_id": np.repeat(ids, len(t) * len(x)),
+               "t": np.tile(np.repeat(t, len(x)), len(ids)),
+               "x": np.tile(x, len(ids) * len(t)),
+               "u": field.u_dense(0, ids).ravel()}
+    for l in range(sol.noise_dim):
+        columns[f"v_{l + 1}"] = field.v_dense(l, 0, ids).ravel()
+    return columns
 
 
 def write_manifest(out_dir: Path, config_path, specs, seed, artifacts, status,
@@ -278,13 +296,14 @@ def _run_one(spec, seed, out_dir: Path):
         if path.name == "verdicts.json":
             path.write_text(to_json(verdicts))
         elif path.name == "solution.csv":
-            artifacts["solution"].to_csv(path)
+            _write_csv(path, _solution_columns(artifacts["solution"]))
         elif path.name == "summary.json":
             residual = artifacts["summary"]
             path.write_text(artifacts["solution"].summary_json(
                 residual["rms"], residual["worst"]) + "\n")
         else:
-            _write_rows_csv(path, artifacts[path.stem])
+            rows = artifacts[path.stem]
+            _write_csv(path, {k: [r[k] for r in rows] for k in rows[0]})
     return verdicts, files
 
 

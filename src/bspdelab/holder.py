@@ -33,16 +33,12 @@ FAMILIES = ("L2", "S2", "L2Omega", "Linf")
 MAX_PAIR_PATHS = 128
 
 
-@dataclass(frozen=True)
-class HolderIndex:
-    m: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise InvalidArgument("integer order m must be >= 0")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidArgument("alpha must lie strictly inside (0, 1)")
+def check_holder_index(m: int, alpha: float):
+    """Raise InvalidArgument unless m >= 0 and 0 < alpha < 1."""
+    if m < 0:
+        raise InvalidArgument("integer order m must be >= 0")
+    if not (0.0 < alpha < 1.0):
+        raise InvalidArgument("alpha must lie strictly inside (0, 1)")
 
 
 class FieldSample:
@@ -130,7 +126,7 @@ def estimate_seminorm(field: FieldSample, k: int) -> float:
 
 def estimate_fractional_seminorm(field: FieldSample, m: int, alpha: float) -> float:
     """[psi]_{m+alpha}: max over all grid pairs of the difference quotient."""
-    HolderIndex(m, alpha)
+    check_holder_index(m, alpha)
     vals, valid = field.derivative(m)
     sub = field._path_subset()
     vals = vals[sub]
@@ -174,7 +170,7 @@ class HolderReport:
 
 def estimate_norm(field: FieldSample, m: int, alpha: float) -> HolderReport:
     """Full ||psi||_{m+alpha} report: integer seminorms plus fractional part."""
-    HolderIndex(m, alpha)
+    check_holder_index(m, alpha)
     semis = [estimate_seminorm(field, k) for k in range(m + 1)]
     frac = estimate_fractional_seminorm(field, m, alpha)
     return HolderReport(seminorms=semis, fractional=frac, total=float(sum(semis) + frac))
@@ -192,7 +188,7 @@ def check_product_inequalities(h: FieldSample, psi: FieldSample, alpha: float) -
     factors' seminorms; h is measured in the pathwise-uniform family."""
     if h.family != "Linf":
         raise InvalidArgument("the first factor must carry the Linf family tag")
-    HolderIndex(0, alpha)
+    check_holder_index(0, alpha)
     # restrict to the pair-enumeration path subset up front so both sides of
     # every inequality are computed on the identical sample (the pointwise
     # triangle-inequality argument then holds exactly, slack >= 0)
@@ -223,7 +219,7 @@ def check_interpolation(field: FieldSample, alpha: float, eps_values) -> list:
         [psi]_s <= eps [psi]_{2+alpha} + C [psi]_0,  s in {2, 1+alpha, 1, alpha},
 
     per eps, with a growth flag if C outruns the eps^(-2/alpha) envelope."""
-    HolderIndex(0, alpha)
+    check_holder_index(0, alpha)
     top = estimate_fractional_seminorm(field, 2, alpha)
     base = estimate_seminorm(field, 0)
     lhs_list = [

@@ -633,7 +633,6 @@ class FieldPart:
 
 
 _DENSE_PATH_CAP = 1024  # most paths a dense evaluation may cover without path_idx
-_CSV_PATHS = 8  # paths a solution CSV exports
 
 
 @dataclass
@@ -693,30 +692,6 @@ class SolutionField:
             v_parts=[[cut(p) for p in parts] for parts in self.v_parts],
             trusted=np.ones(int(columns.sum()), dtype=bool))
 
-    def to_csv(self, path):
-        """Columnar export of the first _CSV_PATHS paths: path_id, t, x, u, v_1..v_d.
-
-        Each (path, time) block of lines is one %-format: the block's path
-        and time prefix is put once in front of every line of the file's
-        row templates, which hold x.
-        """
-        path_ids = list(range(min(self.num_paths, _CSV_PATHS)))
-        u = self.u_dense(0, path_ids)
-        v = [self.v_dense(l, 0, path_ids) for l in range(self.noise_dim)]
-        m = 1 + self.noise_dim
-        values = ",%.17g" * m + "\r\n"
-        rows = [f"{xj:.17g}{values}" for xj in self.space_grid.axis]
-        flat = [None] * (len(rows) * m)  # one block's u, v_1, ..., v_d, line by line
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["path_id", "t", "x", "u"]
-                              + [f"v_{l + 1}" for l in range(self.noise_dim)]) + "\r\n")
-            for mi, pid in enumerate(path_ids):
-                for k, tk in enumerate(self.time_grid.nodes):
-                    prefix = f"{pid},{tk:.17g},"
-                    for col, field in enumerate([u] + v):
-                        flat[col::m] = field[mi, k].tolist()
-                    fh.write((prefix + prefix.join(rows)) % tuple(flat))
-
     def summary_json(self, residual_rms: float, residual_worst: float) -> str:
         """The solve's summary, with the integral-form defect measured on it."""
         payload = {
@@ -731,6 +706,7 @@ class SolutionField:
                 "horizon": self.time_grid.horizon,
                 "points_per_axis": self.space_grid.points_per_axis,
                 "radius": self.space_grid.radius,
+                "trusted_radius": float(self.space_grid.axis[self.trusted].max()),
             },
             "info": _jsonable(self.info),
         }

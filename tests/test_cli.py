@@ -128,6 +128,23 @@ class TestList:
         assert "unrecognized arguments: --catalog" in capsys.readouterr().err
 
 
+class TestWriteCsv:
+    def test_plot_rows_equal_csv_writer(self, tmp_path):
+        rows = [{"points": 65, "h": 0.3125, "error": float("inf")},
+                {"points": 129, "h": -0.0, "error": float("nan")},
+                {"points": 257, "h": 0.1, "error": 1e-300}]
+        cli._write_csv(tmp_path / "fast.csv", {k: [r[k] for r in rows] for k in rows[0]})
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(list(rows[0]))
+            for row in rows:
+                wr.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
+                             for v in row.values()])
+        ref = (tmp_path / "ref.csv").read_bytes()
+        assert ref.splitlines()[1:3] == [b"65,0.3125,inf", b"129,-0,nan"]
+        assert (tmp_path / "fast.csv").read_bytes() == ref
+
+
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "out"

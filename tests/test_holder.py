@@ -5,7 +5,7 @@ from bspdelab.errors import InvalidArgument
 from bspdelab.grid import SpaceGrid, TimeGrid, time_quadrature_weights
 from bspdelab.holder import (
     FieldSample,
-    HolderIndex,
+    check_holder_index,
     check_interpolation,
     check_product_inequalities,
     estimate_fractional_seminorm,
@@ -30,10 +30,10 @@ def det_field(fn, family="Linf", grid=GRID, tgrid=None):
 class TestHolderIndex:
     def test_alpha_interior(self):
         with pytest.raises(InvalidArgument):
-            HolderIndex(0, 1.0)
+            check_holder_index(0, 1.0)
         with pytest.raises(InvalidArgument):
-            HolderIndex(0, 0.0)
-        HolderIndex(2, 0.5)
+            check_holder_index(0, 0.0)
+        check_holder_index(2, 0.5)
 
 
 class TestSeminorms:

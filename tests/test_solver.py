@@ -8,7 +8,7 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from bspdelab import solver
+from bspdelab import cli, solver
 from bspdelab.errors import (
     AssumptionViolation,
     InvalidArgument,
@@ -1366,14 +1366,15 @@ class TestRestrict:
         assert new == measure()
 
 
-def csv_writer_export(sol, path, path_ids=None):
-    """Reference export: one csv.writer row per (path, time, space) node."""
+def csv_writer_export(sol, path, columns, path_ids=None):
+    """Reference export: one csv.writer row per (path, time, space) node,
+    over the lattice points ``columns`` (a boolean mask)."""
     if path_ids is None:
         path_ids = list(range(min(sol.num_paths, 8)))
     path_ids = list(path_ids)
-    u = sol.u_dense(0, path_ids)
-    v = [sol.v_dense(l, 0, path_ids) for l in range(sol.noise_dim)]
-    x, t = sol.space_grid.axis, sol.time_grid.nodes
+    u = sol.u_dense(0, path_ids)[..., columns]
+    v = [sol.v_dense(l, 0, path_ids)[..., columns] for l in range(sol.noise_dim)]
+    x, t = sol.space_grid.axis[columns], sol.time_grid.nodes
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["path_id", "t", "x", "u"]
@@ -1386,6 +1387,11 @@ def csv_writer_export(sol, path, path_ids=None):
                     wr.writerow(row)
 
 
+def export(sol, path):
+    """``solution.csv`` as ``bspdelab run`` writes it."""
+    cli._write_csv(path, cli._solution_columns(sol))
+
+
 class TestSolutionFieldExport:
     @staticmethod
     def field(noise_dim):
@@ -1395,37 +1401,53 @@ class TestSolutionFieldExport:
         def part(num_paths):
             profile = rng.standard_normal((len(tg), len(sg.axis))) * 10.0 ** rng.integers(
                 -300, 300, size=(len(tg), len(sg.axis)))
-            profile[0, :3] = [np.inf, -np.inf, np.nan]
-            profile[1, 0] = 0.0
+            # the specials sit inside the trusted columns 1..7
+            profile[0, 1:4] = [np.inf, -np.inf, np.nan]
+            profile[1, 1] = 0.0
             return FieldPart({0: profile}, rng.standard_normal((num_paths, len(tg))))
 
         num_paths = 1 if noise_dim == 0 else 11
         return SolutionField(space_grid=sg, time_grid=tg,
                              u_parts=[part(1), part(num_paths)],
                              v_parts=[[part(num_paths)] for _ in range(noise_dim)],
-                             num_paths=num_paths, trusted=np.ones(len(sg.axis), dtype=bool),
+                             num_paths=num_paths, trusted=sg.interior_mask(2.25),
                              provenance="", info={})
 
     @pytest.mark.parametrize("noise_dim", [0, 1, 2])
     @pytest.mark.parametrize("path_ids", [None])  # the export's own path set
     def test_csv_bytes_equal_csv_writer(self, noise_dim, path_ids, tmp_path):
         sol = self.field(noise_dim)
+        assert 0 < sol.trusted.sum() < len(sol.trusted)
         with np.errstate(invalid="ignore"):  # inf - inf in the product sum
-            sol.to_csv(tmp_path / "fast.csv")
-            csv_writer_export(sol, tmp_path / "ref.csv", path_ids)
+            export(sol, tmp_path / "fast.csv")
+            csv_writer_export(sol, tmp_path / "ref.csv", sol.trusted, path_ids)
         ref = (tmp_path / "ref.csv").read_bytes()
-        assert ref.count(b"\r\n") == 1 + len(sol.time_grid) * sol.space_grid.points_per_axis * (
+        assert ref.count(b"\r\n") == 1 + len(sol.time_grid) * sol.trusted.sum() * (
             min(sol.num_paths, 8))
         assert (tmp_path / "fast.csv").read_bytes() == ref
 
     def test_csv_columns(self, sine_solution, tmp_path):
         out = tmp_path / "field.csv"
-        sine_solution.to_csv(out)
+        export(sine_solution, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "path_id,t,x,u,v_1"
         first = lines[1].split(",")
         assert len(first) == 5
         float(first[3])  # u parses
+
+    @pytest.mark.parametrize("workload, sid", [("certify", "heat_smoke"),
+                                               ("picard", "variable_a_sin")])
+    def test_csv_is_a_row_filter_of_the_full_export(self, workload, sid, request, tmp_path):
+        """The export is the full-lattice export with the untrusted rows dropped,
+        on a representation solve and a Picard solve."""
+        sol = request.getfixturevalue(f"{workload}_run")[sid].artifacts["solution"]
+        export(sol, tmp_path / "trusted.csv")
+        full = np.ones(len(sol.trusted), dtype=bool)
+        csv_writer_export(sol, tmp_path / "full.csv", full)
+        header, *rows = (tmp_path / "full.csv").read_bytes().splitlines(keepends=True)
+        kept = [row for i, row in enumerate(rows) if sol.trusted[i % len(full)]]
+        assert not sol.trusted.all()
+        assert (tmp_path / "trusted.csv").read_bytes().splitlines(keepends=True) == [header] + kept
 
     def test_summary_json(self, sine_solution):
         rms, worst = integral_form_defect(sine_solution, sine_problem(), paths=None)
@@ -1434,3 +1456,5 @@ class TestSolutionFieldExport:
             assert key in payload
         assert payload["provenance"] == "representation"
         assert (payload["residual_rms"], payload["residual_worst"]) == (rms, worst)
+        radius = sine_solution.space_grid.axis[sine_solution.trusted].max()
+        assert payload["grid"]["trusted_radius"] == radius

@@ -23,7 +23,7 @@ from bspdelab import cli
 
 MAX_SETTABLE = 21
 MAX_DATACLASS_DEFAULTS = 31
-MAX_DATACLASS_FIELDS = 90
+MAX_DATACLASS_FIELDS = 88
 MAX_OVERRIDE_KEYS = 9
 MAX_CLI_OPTIONS = 5
 
