@@ -14,8 +14,11 @@ files ``verify.artifact_files`` plans, then per-scenario verdict JSON,
 solution CSV (trusted columns only), and plot-data CSV files, every CSV
 through one writer.  A scenario that raises writes its traceback to
 ``<id>/error.txt`` and is marked "errored" in the manifest; the others
-still run.  Exit codes: 0 clean, 1 at least one failed verdict, 2 config
-schema violation or bad command line, 3 at least one scenario errored.
+still run.  The final manifest gives each scenario's wall time, the process
+peak RSS when it ended (process-wide: ``--jobs 2`` runs scenarios on
+threads) and the ids of its failing verdicts.  Exit codes: 0 clean, 1 at
+least one failed verdict, 2 config schema violation or bad command line, 3
+at least one scenario errored.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import dataclasses
 import json
 import math
 import re
+import resource
 import sys
 import time
 import traceback
@@ -264,14 +268,11 @@ def _solution_columns(sol) -> dict:
 
 
 def write_manifest(out_dir: Path, config_path, specs, seed, artifacts, status,
-                   errors):
-    """Write manifest.json; a scenario in ``errors`` (id -> text) is "errored"."""
-    scenarios = []
-    for s in specs:
-        entry = {"id": s.scenario_id, "kind": s.kind, "description": s.description}
-        if s.scenario_id in errors:
-            entry.update(status="errored", error=errors[s.scenario_id])
-        scenarios.append(entry)
+                   outcomes):
+    """Write manifest.json; a scenario's entry gains its fields in ``outcomes``
+    (id -> dict), once it has run."""
+    scenarios = [{"id": s.scenario_id, "kind": s.kind, "description": s.description,
+                  **outcomes.get(s.scenario_id, {})} for s in specs]
     manifest = {
         "config": str(config_path),
         "scenarios": scenarios,
@@ -335,13 +336,18 @@ def cmd_run(args) -> int:
     write_manifest(out_dir, cfg_path, specs, seed, planned, "started", {})
 
     def run_isolated(spec):
-        """_run_one's result, or the exception text once the traceback is saved."""
+        """_run_one's result, or the exception text once the traceback is saved;
+        then its wall time and the process peak RSS (MB) when it ended."""
+        start = time.perf_counter()
         try:
-            return _run_one(spec, seed, out_dir)
+            result = _run_one(spec, seed, out_dir)
         except Exception as e:
             (out_dir / spec.scenario_id).mkdir(exist_ok=True)
             (out_dir / spec.scenario_id / "error.txt").write_text(traceback.format_exc())
-            return f"{type(e).__name__}: {e}"
+            result = f"{type(e).__name__}: {e}"
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        return result, time.perf_counter() - start, peak
 
     if args.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -350,25 +356,28 @@ def cmd_run(args) -> int:
             results = list(pool.map(run_isolated, specs))
     else:
         results = [run_isolated(s) for s in specs]
-    failed = False
-    errors = {}
+    outcomes = {}
     emitted = []
-    for spec, result in zip(specs, results):
+    for spec, (result, wall, peak) in zip(specs, results):
         print(f"== {spec.scenario_id}")
+        outcome = outcomes[spec.scenario_id] = {
+            "wall_s": round(wall, 4), "process_peak_rss_mb": round(peak, 2), "failed": []}
         if isinstance(result, str):
-            errors[spec.scenario_id] = result
+            outcome.update(status="errored", error=result)
             emitted.append(f"{spec.scenario_id}/error.txt")
             print(f"errored: {result} (traceback in {spec.scenario_id}/error.txt)")
             continue
         verdicts, written = result
         emitted.extend(written)
         print(table(verdicts))
-        failed = failed or any(v.status == "fail" for v in verdicts)
+        outcome["failed"] = [v.check_id for v in verdicts if v.status == "fail"]
 
-    status = "errored" if errors else "failed" if failed else "completed"
-    write_manifest(out_dir, cfg_path, specs, seed, emitted, status, errors)
+    errored = any("error" in o for o in outcomes.values())
+    failed = any(o["failed"] for o in outcomes.values())
+    status = "errored" if errored else "failed" if failed else "completed"
+    write_manifest(out_dir, cfg_path, specs, seed, emitted, status, outcomes)
     print(f"artifacts in {out_dir}")
-    return 3 if errors else 1 if failed else 0
+    return 3 if errored else 1 if failed else 0
 
 
 def cmd_list(args) -> int:

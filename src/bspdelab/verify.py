@@ -330,14 +330,120 @@ def _mass_grid(dim: int, Lam: float, horizon: float) -> SpaceGrid:
 
 
 _KERNEL_HORIZON = 1.0
-_KERNEL_SEED = 0  # seed of the random derivative-identity probes
 _MASS_TOL = 1e-6  # kernel mass and derivative mass
 _IDENTITY_TOL = 1e-3  # relative error of the derivative identities
 _SEMIGROUP_TOL = 1e-4  # sup error of the two-hop composition
 # output rows of the two-hop sum formed at once; all 1025 at once raised
-# `certify` peak RSS from 47.3 to 75.8 MB (2 vCPUs)
+# `certify` peak RSS from 40.7 to 69.5 MB (2 vCPUs)
 _SEMIGROUP_ROWS = 64
 _EXPONENT_WINDOW = 0.3  # fitted vs predicted damping exponent
+# (t, s, x) probes of the derivative identities: t uniform on [0, 0.4), s on
+# [t + 0.3, _KERNEL_HORIZON), x on [-2, 2), drawn once, in that order, from
+# numpy.random.default_rng(0).  A table, so that no run without a path
+# ensemble imports numpy.random, and the verdict does not depend on a
+# generator stream numpy does not promise to keep across releases.
+_IDENTITY_PROBES = (
+    (0.25478467492858176, 0.674897854396913, -1.8361059042552212),
+    (0.006611054211411638, 0.8705236480117216, 1.6510223091108869),
+    (0.24265431030687196, 0.8762864181188638, 0.17449996586169148),
+    (0.37402896951510733, 0.9399735932768654, -1.9890459993194076),
+    (0.3429617106350278, 0.6549530469894292, 0.9186217857197763),
+    (0.0702622482410236, 0.9138386021673772, 0.16584488099636685),
+    (0.11988475621495392, 0.6650920565848573, -1.8867213154181481),
+    (0.04971331059982558, 0.7858114410618762, 0.5887580462970003),
+    (0.24615404459250156, 0.7202845507748983, 1.988839743156844),
+    (0.39233413551049207, 0.9032520028095978, 0.6018371050712652),
+    (0.275378692228376, 0.7405230158987853, -1.4596139799103551),
+    (0.2885953360776327, 0.8047285545559217, -0.7590324977641774),
+    (0.19433414353271564, 0.9441177711060328, 1.7361740638249987),
+    (0.1431180786836281, 0.7613927089100382, -0.7125224356962314),
+    (0.23772001207987872, 0.6939296093253897, -0.4335239978873551),
+    (0.35610974080191693, 0.7342270245209237, 0.49274857874416966),
+    (0.03360613743295393, 0.8884750871315474, 1.1483932299547335),
+    (0.09574777719718086, 0.9253653219161677, -1.7657278607792226),
+    (0.13444682421826415, 0.5194378539754266, -0.1986425334028521),
+    (0.3185297081149177, 0.7065128589007827, -1.7919147957423616),
+    (0.1618207359286113, 0.5686563401311732, -1.6369878175235124),
+    (0.23213295439474027, 0.6718830315904458, 0.6879795118254375),
+    (0.07980617758728532, 0.9640989087374424, -0.5395593270206858),
+    (0.042198111828091814, 0.7560266417752515, 1.7086182122714697),
+    (0.1761508618863136, 0.9762122692577246, -0.0004167452494119317),
+    (0.1700914499396302, 0.7987478610250358, 1.9803860209412965),
+    (0.37957746997510616, 0.8269862974381814, 1.0309153812331657),
+    (0.1989690781950476, 0.7641708377410061, 1.14314280285523),
+    (0.16586233974226833, 0.858177676275242, 0.8445715119589994),
+    (0.3728238746453513, 0.7104270882790046, 0.9160604683052376),
+    (0.370969571449824, 0.9894467405256695, -1.9411747801385228),
+    (0.34545603609823033, 0.9933328149641077, 1.8288407184438542),
+    (0.059505604892999164, 0.9824689086661724, 1.5597422228820825),
+    (0.3289495310172282, 0.8070492752521913, -1.0705083214427846),
+    (0.3207522314873232, 0.9709989837393599, -0.9354789108308297),
+    (0.21557376304887477, 0.7300548498884722, 1.72406926392462),
+    (0.016204284475373854, 0.8167469848028113, 0.45749298779598657),
+    (0.011346146045408423, 0.806639614442889, -1.936033081905712),
+    (0.30318040094257126, 0.8066531119206282, 1.7164168831880247),
+    (0.026432998689629894, 0.8931165558687411, -1.7332399649315944),
+    (0.13772399152165007, 0.6796706449745732, 1.8642483231362807),
+    (0.2248927368913828, 0.6478811852685501, -1.0332971436226202),
+    (0.35524732826367195, 0.7331164171741018, -1.501781176658866),
+    (0.11533230280303104, 0.7580195253811213, 0.21636200869307132),
+    (0.3238843103651111, 0.8346881095776886, -0.846315142275158),
+    (0.1651585370723571, 0.9027235540382226, 0.506025849679014),
+    (0.38363105707897693, 0.8004991401264151, 0.21044604208514883),
+    (0.23756968064526732, 0.9298452549937153, -1.418105847253873),
+    (0.16260413469925067, 0.9516123182899321, -1.8277324457271833),
+    (0.3290825120726008, 0.7831557157394764, 1.319215941112411),
+    (0.003981824322916783, 0.558060585083757, -1.6854798513374405),
+    (0.2610458305346554, 0.6812530341692573, 0.8106082826391452),
+    (0.3775205707768363, 0.7184164775297791, 1.4591131816030964),
+    (0.02378566064013539, 0.5812681383653033, -0.28090375528569345),
+    (0.19553981873338572, 0.9881261786572618, 1.1027647524073134),
+    (0.12354294508770441, 0.5790922637644965, 1.4524808167572711),
+    (0.35252286909507596, 0.8299817003758615, -0.622817076150699),
+    (0.39796693926436716, 0.7933923352914409, -1.2691504842937502),
+    (0.35203924852162793, 0.9347000841009024, 0.6715576222854049),
+    (0.3833654527111808, 0.9764786687861289, 0.9929940132070163),
+    (0.34428056381907113, 0.7321954629404057, -1.4350137723958736),
+    (0.2680247397259744, 0.8767222680940545, -1.3317882848709113),
+    (0.1582229092419504, 0.9513786301082239, 0.24560307020089178),
+    (0.23133436597050908, 0.622316319066374, 0.10408899447150066),
+    (0.209373890957968, 0.5530080380871583, 1.927770772506825),
+    (0.22855824018230977, 0.5315796551040373, 1.0905968049015544),
+    (0.3913062855360583, 0.873395455629403, -0.72127345486934),
+    (0.07500308629111396, 0.795330156876183, -1.21957040617278),
+    (0.2310751570071437, 0.8134800682351069, 1.849692372497524),
+    (0.02890610621195071, 0.6644348152292188, 0.976389917130593),
+    (0.07089069618986353, 0.6150270876546974, -1.7484180061801147),
+    (0.2903523455103107, 0.6263062544608511, -0.41963316656812966),
+    (0.3494090524482929, 0.8149932750384699, 1.6504877345635425),
+    (0.30636684709554896, 0.9666687034433313, -1.4903879638043747),
+    (0.029425162132252814, 0.3765841782172773, 1.4754171773892772),
+    (0.2536279917389773, 0.7752836959455489, -1.345826335214079),
+    (0.2694933750909095, 0.7064019673948092, 0.8435194530637795),
+    (0.18414213154692993, 0.7459244521116064, 1.1586629298394815),
+    (0.0370981902093523, 0.7207582494942287, -1.2110602108165258),
+    (0.3232547007254273, 0.8074251469061339, 1.9547813334712787),
+    (0.0731773298702875, 0.9768195586690005, 1.203668146434436),
+    (0.19250419863010745, 0.9053693204726572, 0.41139562096446536),
+    (0.2620484255965521, 0.9622007336421402, -1.7389183343548344),
+    (0.3339952815833602, 0.7737412926122147, -0.6978175355971823),
+    (0.3976107084839937, 0.933834350945903, -0.05785944488164896),
+    (0.1690513585699125, 0.9349741389581737, -1.6527405111404234),
+    (0.2833675027655464, 0.9121549643439368, 1.1967855188644592),
+    (0.12891468989593272, 0.883863624615514, -1.0986862324973394),
+    (0.14492318019382763, 0.676638950750325, 0.16563993452065828),
+    (0.04504546621622288, 0.6115777732582731, -1.9987972395723084),
+    (0.29775229053895963, 0.9404174249802237, -1.4442732835192098),
+    (0.28151430770671915, 0.9251342020977005, 1.9273132914871751),
+    (0.33751622494749073, 0.7912479448154885, 1.918754834038626),
+    (0.3895937619409421, 0.8459382382515441, 1.0137861543356208),
+    (0.3655350670692652, 0.82478956556046, 1.4551449643883396),
+    (0.28062742642474914, 0.7038911980889901, 1.0706090799338943),
+    (0.22827391434379965, 0.5725431212306987, -0.43447829478134325),
+    (0.02949640535912237, 0.6487680658453485, -0.2858415674283048),
+    (0.16949497718817896, 0.7805302596444368, -1.5092373592957062),
+    (0.3735075639827371, 0.8968448611334549, 1.2951254335710867),
+)
 
 
 def run_kernel_suite() -> list:
@@ -345,7 +451,6 @@ def run_kernel_suite() -> list:
     empirical constants of the kernel estimates."""
     verdicts = []
     horizon = _KERNEL_HORIZON
-    rng = np.random.default_rng(_KERNEL_SEED)
 
     for label, diff in _suite_diffusions():
         k = HeatKernel(diff, horizon=horizon)
@@ -379,18 +484,14 @@ def run_kernel_suite() -> list:
                                               dim=1, lam=1.0, Lam=1.5)
     k = HeatKernel(scaled, horizon=horizon)
     eps = 1e-5
-    probes = []
-    for _ in range(100):
-        t = float(rng.uniform(0.0, 0.4))
-        s = float(rng.uniform(t + 0.3, horizon))
-        probes.append((t, s, float(rng.uniform(-2.0, 2.0))))
-    tv, sv, xv = (np.array(col) for col in zip(*probes))
+    tv, sv, xv = (np.array(col) for col in zip(*_IDENTITY_PROBES))
     xv = xv[:, None, None]  # one point per probe row
     d2s = k.derivative(tv, sv, xv, MultiIndex((2,)))[:, 0]
     dss = (k(tv, sv + eps, xv) - k(tv, sv - eps, xv))[:, 0] / (2 * eps)
     dts = (k(tv + eps, sv, xv) - k(tv - eps, sv, xv))[:, 0] / (2 * eps)
     worst = 0.0
-    for (t, s, _), d2, ds, dt in zip(probes, d2s.tolist(), dss.tolist(), dts.tolist()):
+    for (t, s, _), d2, ds, dt in zip(_IDENTITY_PROBES, d2s.tolist(), dss.tolist(),
+                                     dts.tolist()):
         fwd = float(scaled(s)[0, 0]) * d2
         bwd = -float(scaled(t)[0, 0]) * d2
         scale = max(abs(fwd), 1e-3)

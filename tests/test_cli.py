@@ -164,6 +164,9 @@ class TestRun:
         assert manifest["seed"] == 0
         assert "heat_smoke/solution.csv" in manifest["artifacts"]
         assert "kernel_suite/verdicts.json" in manifest["artifacts"]
+        for entry in manifest["scenarios"]:
+            assert entry["failed"] == []
+            assert entry["wall_s"] > 0 and entry["process_peak_rss_mb"] > 0
 
     def test_planned_artifacts_are_the_written_ones(self, smoke_run):
         code, out = smoke_run
@@ -376,6 +379,23 @@ class TestRun:
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
         assert "1 pass, 1 fail" in capsys.readouterr().out.splitlines()
 
+    def test_manifest_names_the_failing_verdict(self, tmp_path, smoke_run):
+        p = tmp_path / "c.ini"
+        p.write_text("[run]\nscenarios = heat_smoke, kernel_suite\n"
+                     "[scenario.heat_smoke]\nsup_tolerance = 1e-12\n")
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        entries = {e["id"]: e for e in manifest["scenarios"]}
+        assert entries["heat_smoke"]["failed"] == ["oracle.heat_smoke"]
+        assert entries["kernel_suite"]["failed"] == []
+        # the override moves the oracle verdict only
+        _, healthy = smoke_run
+        for rel in manifest["artifacts"]:
+            if rel != "heat_smoke/verdicts.json":
+                assert (out / rel).read_bytes() == (healthy / rel).read_bytes(), rel
+
     @pytest.fixture
     def heat_smoke_raises(self, monkeypatch):
         real = cli.run_scenario
@@ -439,9 +459,10 @@ for sid in ("heat_smoke", "abs_kink"):
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_set_up_and_heat_smoke_run_draw_no_random_number():
+def test_set_up_heat_smoke_and_kernel_suite_runs_draw_no_random_number():
     # set-up (the import and load_config of a workload) loads neither
-    # numpy.random nor scipy, and a deterministic run draws no random number
+    # numpy.random nor scipy, and neither a deterministic run nor the kernel
+    # suite, whose identity probes are a fixed table, draws a random number
     code = f"""
 import sys
 from bspdelab import cli
@@ -455,6 +476,8 @@ from bspdelab.scenarios import get_scenario
 
 verdicts, _ = verify.run_scenario(get_scenario("heat_smoke"), seed=None)
 assert all(v.status == "pass" for v in verdicts)
+assert "numpy.random" not in sys.modules
+assert all(v.status == "pass" for v in verify.run_kernel_suite())
 assert "numpy.random" not in sys.modules
 """
     src = str(Path(bspdelab.__file__).parents[1])
